@@ -2,7 +2,8 @@
 """Sampler-correctness harness at full strength.
 
 Runs the joint-distribution comparison for both samplers at the small
-reference configuration and confirms every shipped bug fixture fails it.
+reference configuration, fully observed and with the masked entries of
+``toy_masks``, and confirms every shipped bug fixture fails it in both.
 
 Example:
     python3 scripts/run_sampler_checks.py --n-iter 200000
@@ -11,7 +12,7 @@ Example:
 import argparse
 import sys
 
-from mtfact.diag import buggy_transitions, joint_distribution_test
+from mtfact.diag import buggy_transitions, joint_distribution_test, toy_masks
 from mtfact.dist import RngStream
 from mtfact.mtf import HyperParams
 
@@ -36,19 +37,21 @@ def main():
     hp = harness_hp()
     sizes = tuple(args.sizes)
     failures = 0
-    for model in ("mtf", "rmtf"):
-        res = joint_distribution_test(model, sizes, hp, args.n_iter,
-                                      RngStream(args.seed))
-        print(f"[{model}] {res}")
-        failures += not res.passed
-    for name, (model, transition) in buggy_transitions().items():
-        res = joint_distribution_test(model, sizes, hp, args.n_iter,
-                                      RngStream(args.seed + 1),
-                                      transition=transition)
-        verdict = "detected" if not res.passed else "MISSED"
-        worst = max(abs(z) for z in res.z_scores)
-        print(f"[fixture {name} on {model}] {verdict} (max |z| = {worst:.1f})")
-        failures += res.passed
+    for config, masks in (("observed", None), ("masked", toy_masks(sizes))):
+        for model in ("mtf", "rmtf"):
+            res = joint_distribution_test(model, sizes, hp, args.n_iter,
+                                          RngStream(args.seed), masks=masks)
+            print(f"[{model}, {config}] {res}")
+            failures += not res.passed
+        for name, (model, transition) in buggy_transitions().items():
+            res = joint_distribution_test(model, sizes, hp, args.n_iter,
+                                          RngStream(args.seed + 1),
+                                          transition=transition, masks=masks)
+            verdict = "detected" if not res.passed else "MISSED"
+            worst = max(abs(z) for z in res.z_scores)
+            print(f"[fixture {name} on {model}, {config}] {verdict} "
+                  f"(max |z| = {worst:.1f})")
+            failures += res.passed
     sys.exit(1 if failures else 0)
 
 

@@ -24,6 +24,7 @@ __all__ = [
     "geweke_z",
     "spectral_variance",
     "joint_distribution_test",
+    "toy_masks",
     "JointDistResult",
     "buggy_transitions",
     "summarize_run",
@@ -88,13 +89,28 @@ def geweke_z(trace, first_frac: float = 0.1, last_frac: float = 0.5) -> float:
 # joint-distribution test
 
 
-def _toy_collection(n: int, d: int, l: int) -> Collection:
-    """Placeholder fully observed matrix + tensor pair (tensor only if l > 1)."""
-    views = [
-        MaskedTensor3.fully_observed(Tensor3(np.zeros((n, d, 1)) + 0.1)),
-        MaskedTensor3.fully_observed(Tensor3(np.zeros((n, d, l)) + 0.1)),
-    ]
+def _toy_collection(n: int, d: int, l: int, masks=None) -> Collection:
+    """Placeholder matrix + tensor pair (tensor only if l > 1), fully
+    observed unless ``masks`` gives their (n, d, 1) and (n, d, l)
+    observation masks."""
+    shapes = ((n, d, 1), (n, d, l))
+    if masks is None:
+        masks = [np.ones(shape, dtype=bool) for shape in shapes]
+    views = [MaskedTensor3(Tensor3(np.zeros(shape) + 0.1), obs)
+             for shape, obs in zip(shapes, masks)]
     return Collection(tuple(views), (), ("m", "t"))
+
+
+def toy_masks(sizes) -> list[np.ndarray]:
+    """Observation masks for the harness toy of ``sizes`` (n, d, l) that
+    exercise the masked conditionals: row 0 is masked in both views, and
+    entry (i, j, m) of every other row is masked when i + j + m is a
+    multiple of 3, so the rows have distinct missingness patterns."""
+    n, d, l = sizes
+    masks = [np.indices(shape).sum(axis=0) % 3 != 0 for shape in ((n, d, 1), (n, d, l))]
+    for obs in masks:
+        obs[0] = False
+    return masks
 
 
 def _odd(q) -> float:
@@ -178,11 +194,15 @@ class JointDistResult:
 
 
 def joint_distribution_test(model: str, sizes, hp: HyperParams, n_iter: int, rng,
-                            transition=None, alpha: float = 0.005) -> JointDistResult:
+                            transition=None, alpha: float = 0.005,
+                            masks=None) -> JointDistResult:
     """Compare forward simulation against the Gibbs transition, moment by moment.
 
     ``sizes`` is (n, d, l); the test collection is one matrix and one tensor
     (a second matrix when l = 1, which exercises the all-matrices path).
+    Both are fully observed unless ``masks`` gives their (n, d, 1) and
+    (n, d, l) boolean observation masks (see ``toy_masks``); masked entries
+    are simulated like the others but never reach the transition.
     ``transition(state, data, rng) -> state`` may be overridden to test the
     shipped bug fixtures.  hp.b_tau must be explicit: the noise prior has to
     stay fixed while the data are resimulated.
@@ -201,7 +221,7 @@ def joint_distribution_test(model: str, sizes, hp: HyperParams, n_iter: int, rng
         raise ValueError("the harness needs an explicit b_tau (data-independent prior)")
     n, d, l = sizes
     gen = rng.gen if hasattr(rng, "gen") else rng
-    data = prepare(_toy_collection(n, d, l), hp)
+    data = prepare(_toy_collection(n, d, l, masks), hp)
     if model == "mtf":
         sample_prior, simulate = _mtf.sample_state_from_prior, _mtf.simulate_data
         stats_fn = _mtf_stats

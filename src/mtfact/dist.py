@@ -19,6 +19,10 @@ __all__ = [
     "cholesky_precision",
     "draw_mvn_precision",
     "draw_mvn_precision_chol",
+    "outer_rows",
+    "stacked_precisions",
+    "cholesky_stack",
+    "draw_mvn_rows",
     "draw_bernoulli_logodds",
 ]
 
@@ -109,6 +113,74 @@ def draw_mvn_precision_chol(h: np.ndarray, chol: np.ndarray, rng) -> np.ndarray:
 def draw_mvn_precision(h: np.ndarray, prec: np.ndarray, rng) -> np.ndarray:
     """Draw from N(P^-1 h, P^-1) for a symmetric positive definite P."""
     return draw_mvn_precision_chol(h, cholesky_precision(prec), rng)
+
+
+def _chol_jittered(prec: np.ndarray) -> np.ndarray:
+    """Cholesky with one bounded diagonal-jitter rescue."""
+    try:
+        return cholesky_precision(prec)
+    except NotPositiveDefiniteError:
+        k = prec.shape[0]
+        bumped = prec + np.eye(k) * (1e-8 * np.trace(prec) / k)
+        return cholesky_precision(bumped)
+
+
+# ---------------------------------------------------------------------------
+# stacked Gaussian conditionals: one precision per row (Salakhutdinov & Mnih
+# 2008, BPMF), built by one GEMM and factorized by one batched Cholesky
+
+
+def outer_rows(b: np.ndarray, weight=1.0) -> np.ndarray:
+    """Flattened outer products of the rows of ``b`` (R, K): row r of the
+    (R, K*K) result is weight_r * vec(b_r b_r^T); ``weight`` is a scalar or
+    an (R,) vector."""
+    f = (b[:, :, None] * b[:, None, :]).reshape(b.shape[0], -1)
+    return f * np.asarray(weight, dtype=np.float64)[..., None]
+
+
+def stacked_precisions(base: np.ndarray, terms) -> np.ndarray:
+    """Precision stack (M, K, K): P_m = base + sum_j sum_r obs_j[m, r] w_jr b_jr b_jr^T.
+
+    ``terms`` holds (obs (M, R_j), b (R_j, K), w) triples, w as in
+    :func:`outer_rows`.  Each term is one GEMM with the same multiply count
+    either way; the operands differ.  With M >= K rows it is
+    (M, R_j) @ (R_j, K*K) against the outer products; with fewer rows the
+    (M*K, R_j) row-scaled b^T times b, whose operands are then the smaller.
+    """
+    k = base.shape[0]
+    prec = base
+    for obs, b, w in terms:
+        if obs.shape[0] >= k:
+            prec = prec + (obs @ outer_rows(b, w)).reshape(-1, k, k)
+        else:
+            scaled = (obs * w)[:, None, :] * b.T                # (M, K, R_j)
+            prec = prec + (scaled.reshape(-1, b.shape[0]) @ b).reshape(-1, k, k)
+    return prec
+
+
+def cholesky_stack(precs: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factors of a precision stack (M, K, K).
+
+    One batched factorization; if any matrix is not positive definite,
+    every matrix of the stack goes through the jitter-rescued single
+    factorization instead, so the rescue is the same as for one matrix.
+    """
+    try:
+        return np.linalg.cholesky(precs)
+    except np.linalg.LinAlgError:
+        return np.stack([_chol_jittered(p) for p in precs])
+
+
+def draw_mvn_rows(h: np.ndarray, chols: np.ndarray, rng) -> np.ndarray:
+    """Row m drawn from N(P_m^-1 h_m, P_m^-1) given lower factors L_m of P_m.
+
+    x = L^-T (L^-1 h + eps), with eps one (M, K) standard normal block: the
+    same normals, in the same order, as :func:`draw_mvn_precision_chol`
+    takes for M rows.
+    """
+    y = np.linalg.solve(chols, h[..., None])
+    y += _as_gen(rng).standard_normal(h.shape)[..., None]
+    return np.linalg.solve(chols.transpose(0, 2, 1), y)[..., 0]
 
 
 def draw_bernoulli_logodds(log_odds: float, rng) -> int:

@@ -20,11 +20,14 @@ from scipy.special import betaln, gammaln
 
 from .core import Collection, Tensor3, validate_collection
 from .dist import (
-    NotPositiveDefiniteError,
     RngStream,
-    cholesky_precision,
+    _chol_jittered,
+    cholesky_stack,
     draw_bernoulli_logodds,
     draw_mvn_precision_chol,
+    draw_mvn_rows,
+    outer_rows,
+    stacked_precisions,
 )
 
 __all__ = [
@@ -279,16 +282,6 @@ def _logit(p):
     return np.log(p) - np.log1p(-p)
 
 
-def _chol_jittered(prec: np.ndarray) -> np.ndarray:
-    """Cholesky with one bounded diagonal-jitter rescue."""
-    try:
-        return cholesky_precision(prec)
-    except NotPositiveDefiniteError:
-        k = prec.shape[0]
-        bumped = prec + np.eye(k) * (1e-8 * np.trace(prec) / k)
-        return cholesky_precision(bumped)
-
-
 def _rank1_fit(data: ModelData, resid, z, n_power: int):
     """Joint rank-1 alternating fit of (z, per-view v, per-group u) to the
     current residuals."""
@@ -460,16 +453,19 @@ def _residuals(state, data):
 def update_z(state: MtfState, c, rng, hp: HyperParams | None = None) -> np.ndarray:
     """Resample every latent-variable row from its Gaussian full conditional.
 
-    Precision for row n: I_K + sum_t tau_t sum_{(d,l) observed} b b^T with
-    b = v_d * u_l.  Rows sharing a missingness pattern share one
-    factorization; fully observed data uses a single one.
+    Precision for row n: I_K + sum_t tau_t sum_{(l,d) observed} b b^T with
+    b = u_l * v_d.  Fully observed views add the same term to every row;
+    without masked views all rows share one factorization.  A masked view
+    adds the row-specific term obs_t (N, L*D) @ F_t, one GEMM, where row
+    (l, d) of F_t (L*D, K^2) is tau_t vec(b b^T); the N precisions are then
+    factorized by one batched Cholesky and all rows drawn together.
     """
     data = _as_data(c, hp)
     gen = rng.gen if isinstance(rng, RngStream) else rng
     n, k = state.Z.shape
     lin = np.zeros((n, k))
     base = np.eye(k)
-    masked_views = []
+    terms = []
     for t, v in enumerate(data.views):
         u = state.u_for_view(t)
         t1 = v.x @ state.V[t]                       # (N, L, K)
@@ -477,29 +473,12 @@ def update_z(state: MtfState, c, rng, hp: HyperParams | None = None) -> np.ndarr
         if v.obs is None:
             base += state.tau[t] * ((state.V[t].T @ state.V[t]) * (u.T @ u))
         else:
-            masked_views.append(t)
-    if not masked_views:
+            b = (u[:, None, :] * state.V[t][None, :, :]).reshape(-1, k)
+            terms.append((v.obs.reshape(n, -1), b, state.tau[t]))
+    if not terms:
         state.Z = draw_mvn_precision_chol(lin, _chol_jittered(base), gen)
-        return state.Z
-    # group rows by their joint missingness pattern across masked views
-    flat = np.concatenate(
-        [data.views[t].obs.reshape(n, -1) for t in masked_views], axis=1
-    )
-    patterns, inverse = np.unique(flat, axis=0, return_inverse=True)
-    Z = np.empty((n, k))
-    offs = np.cumsum([0] + [data.views[t].obs[0].size for t in masked_views])
-    for p in range(patterns.shape[0]):
-        rows = np.nonzero(inverse == p)[0]
-        prec = base.copy()
-        for j, t in enumerate(masked_views):
-            v = data.views[t]
-            pat = patterns[p, offs[j]:offs[j + 1]].reshape(v.l, v.d)
-            u = state.u_for_view(t)
-            prec += state.tau[t] * np.einsum(
-                "ld,dk,lk,dj,lj->kj", pat, state.V[t], u, state.V[t], u, optimize=True
-            )
-        Z[rows] = draw_mvn_precision_chol(lin[rows], _chol_jittered(prec), gen)
-    state.Z = Z
+    else:
+        state.Z = draw_mvn_rows(lin, cholesky_stack(stacked_precisions(base, terms)), gen)
     return state.Z
 
 
@@ -563,7 +542,16 @@ def update_vh(state: MtfState, c, t: int, rng, hp: HyperParams | None = None,
 
 
 def update_u(state: MtfState, c, g: int, rng, hp: HyperParams | None = None) -> np.ndarray:
-    """Resample the shared third-mode factors of one tensor-view group."""
+    """Resample the shared third-mode factors of one tensor-view group.
+
+    Precision for slab l: I_K + sum_t tau_t sum_{(n,d) observed} b b^T with
+    b = z_n * v_d.  Without masked member views all slabs share one
+    factorization.  A masked view t adds a slab-specific term from one GEMM,
+    M = obs_t^T @ Q with obs_t as (N, L*D) and row n of Q (N, K^2) equal to
+    vec(z_n z_n^T): the term of slab l is tau_t sum_d M[(l, d)] * vec(v_d v_d^T).
+    The L precisions are factorized by one batched Cholesky and all slabs
+    drawn together.
+    """
     data = _as_data(c, hp)
     gen = rng.gen if isinstance(rng, RngStream) else rng
     members = data.u_groups[g]
@@ -583,17 +571,13 @@ def update_u(state: MtfState, c, g: int, rng, hp: HyperParams | None = None) -> 
     if not masked:
         state.U[g] = draw_mvn_precision_chol(lin, _chol_jittered(base), gen)
         return state.U[g]
-    U = np.empty((n_slabs, k))
-    for l in range(n_slabs):
-        prec = base.copy()
-        for t in masked:
-            v = data.views[t]
-            prec += state.tau[t] * np.einsum(
-                "nd,nk,dk,nj,dj->kj", v.obs[:, l, :], state.Z, state.V[t],
-                state.Z, state.V[t], optimize=True,
-            )
-        U[l] = draw_mvn_precision_chol(lin[l], _chol_jittered(prec), gen)
-    state.U[g] = U
+    zz = outer_rows(state.Z)                        # (N, K^2)
+    prec = np.zeros((n_slabs, k * k))
+    for t in masked:
+        v = data.views[t]
+        m = (v.obs.reshape(data.n, -1).T @ zz).reshape(n_slabs, v.d, k * k)
+        prec += state.tau[t] * np.einsum("ldq,dq->lq", m, outer_rows(state.V[t]))
+    state.U[g] = draw_mvn_rows(lin, cholesky_stack(base + prec.reshape(n_slabs, k, k)), gen)
     return state.U[g]
 
 
@@ -666,6 +650,11 @@ def mtf_sweep(state: MtfState, data: ModelData, rng) -> list[np.ndarray]:
     component's scale; the moves sample that direction directly.  They
     draw 1 + (number of U groups) Gamma vectors per sweep, so seeded
     chains differ from versions of this sampler without them.
+
+    On masked data the Z-step draws all rows as one stacked block
+    (``update_z``) instead of one block per missingness pattern, so seeded
+    chains on masked data also differ from versions that grouped rows by
+    pattern; fully observed chains are draw-for-draw identical to them.
 
     Returns the per-view residuals, exact as of the end of the sweep.
     """

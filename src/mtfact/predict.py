@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import Collection
-from .dist import RngStream, draw_mvn_precision_chol
-from .mtf import MtfState, PosteriorSamples, _chol_jittered
+from .dist import RngStream, cholesky_stack, draw_mvn_precision_chol, stacked_precisions
+from .mtf import MtfState, PosteriorSamples
 from .rmtf import RmtfState
 
 __all__ = [
@@ -131,14 +131,13 @@ def two_stage_predict(task: PredictionTask, rng) -> PredictionResult:
                 lin += np.einsum("nld,l,ldk->nk", xs[t], tau_l, w, optimize=True)
                 if obs[t] is None:
                     base += np.einsum("l,ldk,ldj->kj", tau_l, w, w, optimize=True)
-            chols = []
-            for p in range(patterns.shape[0]):
-                prec = base.copy()
-                for j, t in enumerate(masked_views):
-                    w, tau_l = frozen[t]
-                    pat = patterns[p, offs[j]:offs[j + 1]].reshape(w.shape[0], w.shape[1])
-                    prec += np.einsum("ld,l,ldk,ldj->kj", pat, tau_l, w, w, optimize=True)
-                chols.append(_chol_jittered(prec))
+            # one factorization per missingness pattern, reused by every sweep
+            terms = []
+            for j, t in enumerate(masked_views):
+                w, tau_l = frozen[t]
+                terms.append((patterns[:, offs[j]:offs[j + 1]], w.reshape(-1, k),
+                              np.repeat(tau_l, w.shape[1])))
+            chols = cholesky_stack(stacked_precisions(base, terms))
             z = np.empty((n, k))
             for sweep in range(task.n_stage2_sweeps + task.n_stage2_samples):
                 for p, rows in enumerate(row_groups):

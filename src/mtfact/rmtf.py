@@ -24,12 +24,19 @@ from .mtf import (
     ModelData,
     PosteriorSamples,
     _as_data,
-    _chol_jittered,
     _logit,
     _slab_evidence_logodds,
     prepare,
 )
-from .dist import RngStream, draw_bernoulli_logodds, draw_mvn_precision_chol
+from .dist import (
+    RngStream,
+    _chol_jittered,
+    cholesky_stack,
+    draw_bernoulli_logodds,
+    draw_mvn_precision_chol,
+    draw_mvn_rows,
+    stacked_precisions,
+)
 
 __all__ = [
     "RmtfState",
@@ -172,36 +179,24 @@ def _residuals(state, data):
 
 
 def _update_z(state: RmtfState, data: ModelData, gen):
+    """Latent rows from their Gaussian conditionals; as the strict sampler's
+    ``update_z`` with b = w_{l,d} and weight tau_l for the entry in slab l."""
     n, k = state.Z.shape
     lin = np.zeros((n, k))
     base = np.eye(k)
-    masked_views = []
+    terms = []
     for t, v in enumerate(data.views):
         lin += np.einsum("nld,l,ldk->nk", v.x, state.tau[t], state.W[t], optimize=True)
         if v.obs is None:
             base += np.einsum("l,ldk,ldj->kj", state.tau[t], state.W[t], state.W[t],
                               optimize=True)
         else:
-            masked_views.append(t)
-    if not masked_views:
+            terms.append((v.obs.reshape(n, -1), state.W[t].reshape(-1, k),
+                          np.repeat(state.tau[t], v.d)))
+    if not terms:
         state.Z = draw_mvn_precision_chol(lin, _chol_jittered(base), gen)
-        return
-    flat = np.concatenate(
-        [data.views[t].obs.reshape(n, -1) for t in masked_views], axis=1
-    )
-    patterns, inverse = np.unique(flat, axis=0, return_inverse=True)
-    Z = np.empty((n, k))
-    offs = np.cumsum([0] + [data.views[t].obs[0].size for t in masked_views])
-    for p in range(patterns.shape[0]):
-        rows = np.nonzero(inverse == p)[0]
-        prec = base.copy()
-        for j, t in enumerate(masked_views):
-            v = data.views[t]
-            pat = patterns[p, offs[j]:offs[j + 1]].reshape(v.l, v.d)
-            prec += np.einsum("ld,l,ldk,ldj->kj", pat, state.tau[t],
-                              state.W[t], state.W[t], optimize=True)
-        Z[rows] = draw_mvn_precision_chol(lin[rows], _chol_jittered(prec), gen)
-    state.Z = Z
+    else:
+        state.Z = draw_mvn_rows(lin, cholesky_stack(stacked_precisions(base, terms)), gen)
 
 
 def _update_wh(state: RmtfState, data: ModelData, t: int, gen,

@@ -9,6 +9,7 @@ from mtfact.diag import (
     joint_distribution_test,
     spectral_variance,
     summarize_run,
+    toy_masks,
 )
 from mtfact.dist import RngStream
 from mtfact.mtf import HyperParams, run_chain
@@ -100,6 +101,16 @@ class TestJointDistributionHarness:
                                       RngStream(3))
         for name in ("w_mean", "w_sq", "lam_mean", "lam_sq"):
             assert name in res.stat_names
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("model", ["mtf", "rmtf"])
+    def test_masked_smoke(self, model):
+        # masked entries with per-row patterns and an all-masked row run the
+        # stacked Z- and U-step conditionals
+        sizes = (4, 3, 2)
+        res = joint_distribution_test(model, sizes, self._hp(), 15_000, RngStream(31),
+                                      masks=toy_masks(sizes))
+        assert np.max(np.abs(res.z_scores)) < 5.0
 
     def test_fixture_registry(self):
         fixtures = buggy_transitions()

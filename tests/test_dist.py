@@ -5,12 +5,16 @@ from scipy import stats
 from mtfact.dist import (
     NotPositiveDefiniteError,
     RngStream,
+    _chol_jittered,
     cholesky_precision,
+    cholesky_stack,
     draw_bernoulli_logodds,
     draw_beta,
     draw_gamma,
     draw_mvn_precision,
     draw_mvn_precision_chol,
+    draw_mvn_rows,
+    stacked_precisions,
 )
 
 
@@ -110,6 +114,47 @@ class TestMvnPrecision:
     def test_single_vector_shape(self):
         out = draw_mvn_precision(np.zeros(3), np.eye(3), RngStream(9).gen)
         assert out.shape == (3,)
+
+
+class TestStackedGaussians:
+    def test_cholesky_stack_rescues_only_by_jitter(self):
+        gen = np.random.default_rng(3)
+        a = gen.standard_normal((3, 4, 6))
+        precs = a @ a.transpose(0, 2, 1) + np.eye(4)
+        precs[1] = np.diag([2.0, 1.0, 3.0, -1e-12])   # not positive definite
+        with pytest.raises(NotPositiveDefiniteError):
+            cholesky_precision(precs[1])
+        chols = cholesky_stack(precs)
+        np.testing.assert_array_equal(chols[1], _chol_jittered(precs[1]))
+        for m in (0, 2):
+            np.testing.assert_allclose(chols[m], np.linalg.cholesky(precs[m]),
+                                       rtol=1e-12, atol=1e-14)
+
+    @pytest.mark.parametrize("m", [2, 7])   # fewer and more rows than K = 4
+    def test_stacked_precisions_match_loop(self, m):
+        gen = np.random.default_rng(6)
+        base = np.eye(4) * 1.5
+        terms = [(gen.random((m, 5)) > 0.4, gen.standard_normal((5, 4)), 0.7),
+                 (gen.random((m, 3)) > 0.4, gen.standard_normal((3, 4)), gen.random(3))]
+        want = np.stack([base.copy() for _ in range(m)])
+        for obs, b, w in terms:
+            w = np.broadcast_to(w, (b.shape[0],))
+            for i in range(m):
+                for r in range(b.shape[0]):
+                    if obs[i, r]:
+                        want[i] += w[r] * np.outer(b[r], b[r])
+        got = stacked_precisions(base, [(obs.astype(float), b, w) for obs, b, w in terms])
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+    def test_rows_match_single_factor_draws(self):
+        # a stack of one repeated factor consumes and uses the same draws
+        gen = np.random.default_rng(4)
+        a = gen.standard_normal((3, 5))
+        chol = np.linalg.cholesky(a @ a.T + np.eye(3))
+        h = gen.standard_normal((6, 3))
+        rows = draw_mvn_rows(h, np.broadcast_to(chol, (6, 3, 3)), RngStream(5).gen)
+        single = draw_mvn_precision_chol(h, chol, RngStream(5).gen)
+        np.testing.assert_allclose(rows, single, rtol=1e-12, atol=1e-12)
 
 
 class TestBernoulliLogodds:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy import integrate, stats
 
+import mtfact.mtf as mtf_mod
 from mtfact.core import Collection, MaskedTensor3, Tensor3
 from mtfact.dist import RngStream
 from mtfact.mtf import (
@@ -23,7 +24,7 @@ from mtfact.mtf import (
     update_z,
 )
 
-from conftest import make_collection
+from conftest import make_collection, make_masked_rows_collection, stacked_draw_spy
 
 
 def small_hp(**kw):
@@ -93,7 +94,7 @@ class TestUpdateZ:
         assert draws.var(axis=0).max() < 1e-7
 
     def test_masked_matches_brute_force_conditional(self):
-        # pattern-grouped masked update agrees with a per-row assembled oracle
+        # the stacked masked update agrees with a per-row assembled oracle
         gen = np.random.default_rng(4)
         c = make_collection(gen, n=8, d1=3, d2=4, l=3, masked=True)
         hp = small_hp(k=2)
@@ -122,6 +123,61 @@ class TestUpdateZ:
             se = np.sqrt(np.diag(cov) / reps)
             assert np.all(np.abs(emp_mean - mean) < 5 * se)
             assert np.all(np.abs(emp_cov - cov) < 0.15 * np.abs(cov).max() + 0.02)
+
+
+class TestStackedMaskedConditionals:
+    """The stacked masked Z- and U-step conditionals against per-row loops."""
+
+    def _setup(self):
+        c = make_masked_rows_collection(np.random.default_rng(21))
+        hp = small_hp(k=3)
+        data = prepare(c, hp)
+        state = init_state(data, hp, RngStream(4))
+        gen = np.random.default_rng(23)
+        state.Z = gen.standard_normal(state.Z.shape)
+        state.V = [gen.standard_normal(v.shape) for v in state.V]
+        state.U = [gen.standard_normal(u.shape) for u in state.U]
+        state.tau = np.array([0.7, 1.9])
+        return c, data, state
+
+    def test_z_step_matches_row_loop(self, monkeypatch):
+        c, data, state = self._setup()
+        seen = stacked_draw_spy(monkeypatch, mtf_mod)
+        update_z(state, data, RngStream(5).gen)
+        (prec, mean), = seen
+        k = state.k
+        for n in range(c.n_samples):
+            p, lin = np.eye(k), np.zeros(k)
+            for t, v in enumerate(c.views):
+                u = state.u_for_view(t)
+                for d in range(v.shape[1]):
+                    for l in range(v.shape[2]):
+                        if v.observed[n, d, l]:
+                            b = state.V[t][d] * u[l]
+                            p += state.tau[t] * np.outer(b, b)
+                            lin += state.tau[t] * v.values[n, d, l] * b
+            np.testing.assert_allclose(prec[n], p, rtol=1e-10, atol=1e-10)
+            np.testing.assert_allclose(mean[n], np.linalg.solve(p, lin),
+                                       rtol=1e-10, atol=1e-10)
+        np.testing.assert_array_equal(prec[2], np.eye(k))   # the all-masked row
+
+    def test_u_step_matches_slab_loop(self, monkeypatch):
+        c, data, state = self._setup()
+        seen = stacked_draw_spy(monkeypatch, mtf_mod)
+        update_u(state, data, 0, RngStream(6).gen)
+        (prec, mean), = seen
+        v, tau, k = c.views[1], state.tau[1], state.k
+        for l in range(v.shape[2]):
+            p, lin = np.eye(k), np.zeros(k)
+            for n in range(v.shape[0]):
+                for d in range(v.shape[1]):
+                    if v.observed[n, d, l]:
+                        b = state.Z[n] * state.V[1][d]
+                        p += tau * np.outer(b, b)
+                        lin += tau * v.values[n, d, l] * b
+            np.testing.assert_allclose(prec[l], p, rtol=1e-10, atol=1e-10)
+            np.testing.assert_allclose(mean[l], np.linalg.solve(p, lin),
+                                       rtol=1e-10, atol=1e-10)
 
 
 class TestSpikeSlabEvidence:
