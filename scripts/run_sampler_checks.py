@@ -2,8 +2,9 @@
 """Sampler-correctness harness at full strength.
 
 Runs the joint-distribution comparison for both samplers at the small
-reference configuration, fully observed and with the masked entries of
-``toy_masks``, and confirms every shipped bug fixture fails it in both.
+reference configuration, fully observed, with the masked entries of
+``toy_masks``, and with two tensors sharing one third-mode group
+(``toy_grouped``), and confirms every shipped bug fixture fails it in each.
 
 Example:
     python3 scripts/run_sampler_checks.py --n-iter 200000
@@ -12,7 +13,13 @@ Example:
 import argparse
 import sys
 
-from mtfact.diag import buggy_transitions, joint_distribution_test, toy_masks
+from mtfact.diag import (
+    buggy_transitions,
+    joint_distribution_test,
+    toy_collection,
+    toy_grouped,
+    toy_masks,
+)
 from mtfact.dist import RngStream
 from mtfact.mtf import HyperParams
 
@@ -37,16 +44,17 @@ def main():
     hp = harness_hp()
     sizes = tuple(args.sizes)
     failures = 0
-    for config, masks in (("observed", None), ("masked", toy_masks(sizes))):
+    configs = (("observed", toy_collection(sizes)),
+               ("masked", toy_collection(sizes, toy_masks(sizes))),
+               ("grouped", toy_grouped(sizes)))
+    for config, toy in configs:
         for model in ("mtf", "rmtf"):
-            res = joint_distribution_test(model, sizes, hp, args.n_iter,
-                                          RngStream(args.seed), masks=masks)
+            res = joint_distribution_test(model, toy, hp, args.n_iter, RngStream(args.seed))
             print(f"[{model}, {config}] {res}")
             failures += not res.passed
         for name, (model, transition) in buggy_transitions().items():
-            res = joint_distribution_test(model, sizes, hp, args.n_iter,
-                                          RngStream(args.seed + 1),
-                                          transition=transition, masks=masks)
+            res = joint_distribution_test(model, toy, hp, args.n_iter,
+                                          RngStream(args.seed + 1), transition=transition)
             verdict = "detected" if not res.passed else "MISSED"
             worst = max(abs(z) for z in res.z_scores)
             print(f"[fixture {name} on {model}, {config}] {verdict} "

@@ -20,7 +20,7 @@ from . import io as mio
 from .core import Collection, apply_transform, unfold_collection, validate_collection
 from .diag import summarize_run
 from .dist import RngStream
-from .fitting import fit_model
+from .fitting import MODELS, fit_model
 from .mtf import HyperParams
 from .predict import PredictionTask, match_components, two_stage_predict
 from .simgen import SimSpec, generate
@@ -171,8 +171,6 @@ def cmd_fit(args) -> int:
     opts["_explicit"] = explicit
     if opts["preset"] not in PRESETS:
         raise CliError(f"unknown preset {opts['preset']!r}")
-    if opts["model"] not in ("mtf", "rmtf", "gfa"):
-        raise CliError(f"unknown model {opts['model']!r}")
     reps = opts.pop("reps")
     rep_dirs = sorted(glob.glob(os.path.join(args.input, "rep_*")))
     if reps > 1 or rep_dirs:
@@ -369,7 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.set_defaults(func=cmd_simulate)
 
     f = sub.add_parser("fit", help="run Gibbs chains on a collection")
-    f.add_argument("--model", choices=["mtf", "rmtf", "gfa"])
+    f.add_argument("--model", choices=MODELS)
     f.add_argument("--k", type=int)
     f.add_argument("--chains", type=int)
     f.add_argument("--burnin", type=int)

@@ -17,6 +17,7 @@ from scipy.stats import norm
 from . import mtf as _mtf
 from . import rmtf as _rmtf
 from .core import Collection, MaskedTensor3, Tensor3
+from .dist import _as_gen
 from .mtf import HyperParams, ModelData, PosteriorSamples, component_structure, prepare
 from .rmtf import RmtfState
 
@@ -24,6 +25,8 @@ __all__ = [
     "geweke_z",
     "spectral_variance",
     "joint_distribution_test",
+    "toy_collection",
+    "toy_grouped",
     "toy_masks",
     "JointDistResult",
     "buggy_transitions",
@@ -89,16 +92,28 @@ def geweke_z(trace, first_frac: float = 0.1, last_frac: float = 0.5) -> float:
 # joint-distribution test
 
 
-def _toy_collection(n: int, d: int, l: int, masks=None) -> Collection:
-    """Placeholder matrix + tensor pair (tensor only if l > 1), fully
+def toy_collection(sizes, masks=None) -> Collection:
+    """Harness toy of ``sizes`` (n, d, l): a matrix and a tensor (a second
+    matrix when l = 1, which exercises the all-matrices path), fully
     observed unless ``masks`` gives their (n, d, 1) and (n, d, l)
-    observation masks."""
+    observation masks (see ``toy_masks``)."""
+    n, d, l = sizes
     shapes = ((n, d, 1), (n, d, l))
     if masks is None:
         masks = [np.ones(shape, dtype=bool) for shape in shapes]
     views = [MaskedTensor3(Tensor3(np.zeros(shape) + 0.1), obs)
              for shape, obs in zip(shapes, masks)]
     return Collection(tuple(views), (), ("m", "t"))
+
+
+def toy_grouped(sizes) -> Collection:
+    """Harness toy of ``sizes`` (n, d, l), l >= 2, whose two (n, d, l)
+    tensors share one third-mode (U) group beside an (n, d, 1) matrix;
+    fully observed."""
+    n, d, l = sizes
+    views = [MaskedTensor3.fully_observed(np.zeros(shape) + 0.1)
+             for shape in ((n, d, 1), (n, d, l), (n, d, l))]
+    return Collection(tuple(views), ((1, 2),), ("m", "t1", "t2"))
 
 
 def toy_masks(sizes) -> list[np.ndarray]:
@@ -156,10 +171,7 @@ def _rmtf_stats(state: RmtfState, data: ModelData):
     out = _mtf_stats(state, data)
     w = _flat(state.W)
     out["w_mean"], out["w_sq"] = _odd(w), _even(w)
-    lam = state.lam
-    if state.lambda_mode == "per_slab":
-        lam = _flat([x for x in lam if x is not None])
-    out["lam_mean"], out["lam_sq"] = _log_moments(lam)
+    out["lam_mean"], out["lam_sq"] = _log_moments(state.lam_values())
     return out
 
 
@@ -180,9 +192,6 @@ class JointDistResult:
     def passed(self) -> bool:
         return bool(np.all(np.abs(self.z_scores) < self.threshold))
 
-    def as_dict(self) -> dict[str, float]:
-        return dict(zip(self.stat_names, self.z_scores))
-
     def __str__(self):
         lines = [f"{'PASS' if self.passed else 'FAIL'}  "
                  f"(threshold {self.threshold:.2f}, alpha {self.alpha}, "
@@ -193,16 +202,14 @@ class JointDistResult:
         return "\n".join(lines)
 
 
-def joint_distribution_test(model: str, sizes, hp: HyperParams, n_iter: int, rng,
-                            transition=None, alpha: float = 0.005,
-                            masks=None) -> JointDistResult:
+def joint_distribution_test(model: str, toy: Collection, hp: HyperParams, n_iter: int,
+                            rng, transition=None, alpha: float = 0.005) -> JointDistResult:
     """Compare forward simulation against the Gibbs transition, moment by moment.
 
-    ``sizes`` is (n, d, l); the test collection is one matrix and one tensor
-    (a second matrix when l = 1, which exercises the all-matrices path).
-    Both are fully observed unless ``masks`` gives their (n, d, 1) and
-    (n, d, l) boolean observation masks (see ``toy_masks``); masked entries
-    are simulated like the others but never reach the transition.
+    ``toy`` gives the shapes, third-mode groups and observation masks of
+    the test collection (``toy_collection``, ``toy_grouped``); its values
+    are replaced by simulated data.  Masked entries are simulated like the
+    others but never reach the transition.
     ``transition(state, data, rng) -> state`` may be overridden to test the
     shipped bug fixtures.  hp.b_tau must be explicit: the noise prior has to
     stay fixed while the data are resimulated.
@@ -219,26 +226,14 @@ def joint_distribution_test(model: str, sizes, hp: HyperParams, n_iter: int, rng
     """
     if hp.b_tau is None:
         raise ValueError("the harness needs an explicit b_tau (data-independent prior)")
-    n, d, l = sizes
-    gen = rng.gen if hasattr(rng, "gen") else rng
-    data = prepare(_toy_collection(n, d, l, masks), hp)
-    if model == "mtf":
-        sample_prior, simulate = _mtf.sample_state_from_prior, _mtf.simulate_data
-        stats_fn = _mtf_stats
-
-        def default_transition(state, data, rng):
-            _mtf.mtf_sweep(state, data, rng)
-            return state
-    elif model == "rmtf":
-        sample_prior, simulate = _rmtf.rmtf_sample_state_from_prior, _rmtf.rmtf_simulate_data
-        stats_fn = _rmtf_stats
-
-        def default_transition(state, data, rng):
-            _rmtf.rmtf_sweep(state, data, rng)
-            return state
-    else:
+    gen = _as_gen(rng)
+    data = prepare(toy, hp)
+    kernels = {"mtf": (_mtf.sample_state_from_prior, _mtf.mtf_sweep, _mtf_stats),
+               "rmtf": (_rmtf.rmtf_sample_state_from_prior, _rmtf.rmtf_sweep, _rmtf_stats)}
+    if model not in kernels:
         raise ValueError(f"unknown model {model!r}")
-    transition = transition or default_transition
+    sample_prior, sweep, stats_fn = kernels[model]
+    simulate = _mtf.simulate_data
 
     # forward: independent draws from prior + likelihood
     fwd_rows = []
@@ -258,7 +253,10 @@ def joint_distribution_test(model: str, sizes, hp: HyperParams, n_iter: int, rng
         xs = simulate(state, data, gen)
         for t in range(data.n_views):
             data.set_values(t, xs[t])
-        state = transition(state, data, gen)
+        if transition is None:
+            sweep(state, data, gen)
+        else:
+            state = transition(state, data, gen)
         row = stats_fn(state, data)
         row.update(_x_stats(xs))
         suc[i] = [row[k] for k in names]
@@ -282,7 +280,7 @@ def buggy_transitions() -> dict[str, tuple[str, callable]]:
     """
 
     def tau_rate_halved(state, data, rng):
-        gen = rng.gen if hasattr(rng, "gen") else rng
+        gen = _as_gen(rng)
         residuals = _mtf.mtf_sweep(state, data, gen)
         for t, v in enumerate(data.views):
             b_post = data.b_tau[t] + 0.25 * float(np.sum(residuals[t] ** 2))
@@ -290,23 +288,16 @@ def buggy_transitions() -> dict[str, tuple[str, callable]]:
         return state
 
     def z_prior_dropped(state, data, rng):
-        gen = rng.gen if hasattr(rng, "gen") else rng
+        gen = _as_gen(rng)
         _mtf.mtf_sweep(state, data, gen)
-        # redraw Z from a conditional missing the unit prior precision
-        k = state.k
-        lin = np.zeros((data.n, k))
-        prec = np.zeros((k, k))
-        for t in range(data.n_views):
-            u = state.u_for_view(t)
-            t1 = data.views[t].x @ state.V[t]
-            lin += state.tau[t] * np.einsum("nlk,lk->nk", t1, u)
-            prec += state.tau[t] * ((state.V[t].T @ state.V[t]) * (u.T @ u))
-        prec += 1e-10 * np.eye(k)  # numerical guard only, not the prior
-        state.Z = _mtf.draw_mvn_precision_chol(lin, _mtf._chol_jittered(prec), gen)
+        # redraw Z from a conditional missing the unit prior precision; the
+        # 1e-10 I left over is a numerical guard only
+        lin, prec = _mtf.z_conditional(_mtf._z_blocks(state, data), state.k)
+        state.Z = _mtf._draw_rows(lin, prec - (1.0 - 1e-10) * np.eye(state.k), gen)
         return state
 
     def lambda_shape_halved(state, data, rng):
-        gen = rng.gen if hasattr(rng, "gen") else rng
+        gen = _as_gen(rng)
         _rmtf.rmtf_sweep(state, data, gen)
         counts, devs = _rmtf._lambda_stats(state, data)
         tensor_ts = [t for t, v in enumerate(data.views) if not v.is_matrix()]
@@ -386,12 +377,7 @@ def summarize_run(samples, threshold: float = 0.5, flag_z: float = 2.0) -> RunSu
     if chains[0].model == "rmtf":
         vals = []
         for chain in chains:
-            for st in chain.states:
-                if st.lambda_mode == "per_slab":
-                    vals.append(np.mean(np.concatenate(
-                        [x for x in st.lam if x is not None])))
-                else:
-                    vals.append(float(np.mean(st.lam)))
+            vals += [float(np.mean(st.lam_values())) for st in chain.states]
         lam_mean, lam_std = float(np.mean(vals)), float(np.std(vals))
     return RunSummary(
         chain_ids=[c.chain_id for c in chains], geweke=geweke, flags=flags,

@@ -1,8 +1,4 @@
-"""Seeded random sampling primitives for the Gibbs conditionals.
-
-Gamma and Beta draws use the shape-rate (a, b) parameterization throughout:
-``draw_gamma(a, b)`` has mean a/b.
-"""
+"""Seeded random sampling primitives for the Gibbs conditionals."""
 
 from __future__ import annotations
 
@@ -14,10 +10,7 @@ from scipy.linalg import lapack, solve_triangular
 __all__ = [
     "RngStream",
     "NotPositiveDefiniteError",
-    "draw_gamma",
-    "draw_beta",
     "cholesky_precision",
-    "draw_mvn_precision",
     "draw_mvn_precision_chol",
     "outer_rows",
     "stacked_precisions",
@@ -48,6 +41,7 @@ class RngStream:
 
 
 def _as_gen(rng) -> np.random.Generator:
+    """The generator behind an ``RngStream``, or ``rng`` itself."""
     return rng.gen if isinstance(rng, RngStream) else rng
 
 
@@ -57,19 +51,6 @@ class NotPositiveDefiniteError(np.linalg.LinAlgError):
     def __init__(self, minor: int):
         self.minor = minor
         super().__init__(f"matrix is not positive definite (leading minor {minor})")
-
-
-def draw_gamma(a: float, b: float, rng) -> float:
-    """Draw from Gamma(shape=a, rate=b); mean a/b, variance a/b**2."""
-    if not (a > 0 and b > 0):
-        raise ValueError(f"gamma parameters must be positive, got a={a}, b={b}")
-    return _as_gen(rng).gamma(a, 1.0 / b)
-
-
-def draw_beta(a: float, b: float, rng) -> float:
-    if not (a > 0 and b > 0):
-        raise ValueError(f"beta parameters must be positive, got a={a}, b={b}")
-    return _as_gen(rng).beta(a, b)
 
 
 def cholesky_precision(prec: np.ndarray) -> np.ndarray:
@@ -108,11 +89,6 @@ def draw_mvn_precision_chol(h: np.ndarray, chol: np.ndarray, rng) -> np.ndarray:
     noise = solve_triangular(chol, eps.T, lower=True, trans="T").T
     out = mu + noise
     return out[0] if single else out
-
-
-def draw_mvn_precision(h: np.ndarray, prec: np.ndarray, rng) -> np.ndarray:
-    """Draw from N(P^-1 h, P^-1) for a symmetric positive definite P."""
-    return draw_mvn_precision_chol(h, cholesky_precision(prec), rng)
 
 
 def _chol_jittered(prec: np.ndarray) -> np.ndarray:

@@ -11,16 +11,15 @@ multi-view matrix factorization.
 
 from __future__ import annotations
 
-import copy
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import betaln, gammaln
 
 from .core import Collection, Tensor3, validate_collection
 from .dist import (
-    RngStream,
+    _as_gen,
     _chol_jittered,
     cholesky_stack,
     draw_bernoulli_logodds,
@@ -37,6 +36,7 @@ __all__ = [
     "ModelData",
     "prepare",
     "init_state",
+    "z_conditional",
     "update_z",
     "update_vh",
     "update_u",
@@ -52,6 +52,7 @@ __all__ = [
 ]
 
 _ALPHA_FLOOR = 1e-300  # keeps log(alpha) finite when ARD prior draws underflow
+_LOG2PI = np.log(2.0 * np.pi)
 
 
 @dataclass
@@ -206,12 +207,8 @@ def prepare(c: Collection, hp: HyperParams, validate: bool = True) -> ModelData:
     return ModelData(views, groups, group_of, hp, b_tau, b_tau_slab)
 
 
-def _as_data(c, hp: HyperParams | None = None) -> ModelData:
-    if isinstance(c, ModelData):
-        return c
-    if hp is None:
-        raise ValueError("hyperparameters are required when passing a raw Collection")
-    return prepare(c, hp)
+def _as_data(c, hp: HyperParams) -> ModelData:
+    return c if isinstance(c, ModelData) else prepare(c, hp)
 
 
 @dataclass
@@ -240,6 +237,12 @@ class MtfState:
         if t in self.group_of:
             return self.U[self.group_of[t]]
         return np.ones((1, self.k))
+
+    def slab_loadings(self, t: int) -> tuple[np.ndarray, np.ndarray]:
+        """Per-slab loadings W (L, D, K) of view t, slab l being u_l * V, and
+        the noise precision of each slab (tau_t repeated)."""
+        u = self.u_for_view(t)
+        return u[:, None, :] * self.V[t][None, :, :], np.full(u.shape[0], self.tau[t])
 
     def copy(self) -> "MtfState":
         return MtfState(
@@ -403,41 +406,48 @@ def _deflation_start(data: ModelData, k: int, gen, n_power: int = 8,
     return Z, V, group_u
 
 
+def _warm_start(c, hp: HyperParams, rng):
+    """Start shared by both samplers: (data, Z, V per view, U per group, pi),
+    with (Z, V, U) from the deflation warm start and pi from its prior."""
+    data = _as_data(c, hp)
+    gen = _as_gen(rng)
+    if data.n < hp.k:
+        warnings.warn(f"fewer samples ({data.n}) than components ({hp.k}); "
+                      "expect slow mixing")
+    Z, V, U = _deflation_start(data, hp.k, gen)
+    pi = _clip_unit(gen.beta(hp.a_pi, hp.b_pi, size=hp.k))
+    return data, Z, V, U, pi
+
+
 def init_state(c, hp: HyperParams, rng) -> MtfState:
     """Initial chain state: greedy rank-1 warm start for (Z, V, U), H all on,
     ARD precisions at their conditional posterior means, noise precision at
     its SNR-1 target."""
-    data = _as_data(c, hp)
-    gen = rng.gen if isinstance(rng, RngStream) else rng
-    n, k = data.n, hp.k
-    if n < k:
-        warnings.warn(f"fewer samples ({n}) than components ({k}); expect slow mixing")
-    Z, V, U = _deflation_start(data, k, gen)
-    pi = _clip_unit(gen.beta(hp.a_pi, hp.b_pi, size=k))
+    data, Z, V, U, pi = _warm_start(c, hp, rng)
     # conditional posterior mean given the warm-start loadings; empty columns
     # start with a tight (spike-like) slab, so their activation race is run
     # on the data rather than decided by an over-diffuse slab
     alpha = [(hp.a_alpha + 0.5) / (hp.b_alpha + V[t] ** 2 / 2.0)
              for t in range(data.n_views)]
-    H = np.ones((data.n_views, k))
+    H = np.ones((data.n_views, hp.k))
     tau = data.hp.a_tau / data.b_tau
     return MtfState(Z=Z, V=V, U=U, H=H, pi=pi, alpha=alpha, tau=tau.copy(),
                     group_of=dict(data.group_of))
 
 
-def _recon_nld(state: MtfState, t: int) -> np.ndarray:
-    """Mean reconstruction of view t as (N, L, D)."""
-    u = state.u_for_view(t)
-    zu = state.Z[:, None, :] * u[None, :, :]        # (N, L, K)
-    return zu @ state.V[t].T                        # (N, L, D)
+def _recon_nld(state, t: int) -> np.ndarray:
+    """Mean reconstruction of view t as (N, L, D), from the slab loadings of
+    either model's state."""
+    w = state.slab_loadings(t)[0]
+    return (state.Z @ w.reshape(-1, state.k).T).reshape(-1, *w.shape[:2])
 
 
-def reconstruct_mean(state: MtfState, t: int) -> Tensor3:
-    """Sum of rank-1 components z_k o v_k o u_k for view t."""
+def reconstruct_mean(state, t: int) -> Tensor3:
+    """Mean of view t: slab l is Z W_l^T (strict model: sum of z_k o v_k o u_k)."""
     return Tensor3(_recon_nld(state, t).transpose(0, 2, 1))
 
 
-def _residual(state: MtfState, data: ModelData, t: int) -> np.ndarray:
+def _residual(state, data: ModelData, t: int) -> np.ndarray:
     """x - reconstruction, with masked entries held at zero."""
     v = data.views[t]
     r = v.x - _recon_nld(state, t)
@@ -450,35 +460,54 @@ def _residuals(state, data):
     return [_residual(state, data, t) for t in range(data.n_views)]
 
 
-def update_z(state: MtfState, c, rng, hp: HyperParams | None = None) -> np.ndarray:
+def z_conditional(blocks, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gaussian conditional of the latent rows given per-slab loadings.
+
+    ``blocks`` holds one (x, rows, W, tau) per view: x (N, L, D) with masked
+    entries zeroed, W (L, D, K) and tau (L,) as from ``slab_loadings``, and
+    rows (M, L*D) the 0/1 observation rows of a masked view, or None when
+    it is fully observed.  Entry (l, d) adds tau_l x b to the linear term
+    and tau_l b b^T to the precision, with b = w_{l,d}.  Returns (lin (N, K),
+    prec): prec is one (K, K) matrix when no view has rows, otherwise the
+    (M, K, K) stack whose row-specific terms are one GEMM per masked view.
+    """
+    lin, base, terms = 0.0, np.eye(k), []
+    for x, rows, w, tau in blocks:
+        b = w.reshape(-1, k)                                    # (L*D, K)
+        tw = np.repeat(tau, w.shape[1])
+        tb = tw[:, None] * b
+        lin = lin + x.reshape(x.shape[0], -1) @ tb
+        if rows is None:
+            base = base + tb.T @ b
+        else:
+            terms.append((rows, b, tw))
+    return lin, stacked_precisions(base, terms)
+
+
+def _z_blocks(state, data: ModelData) -> list:
+    """The ``z_conditional`` input of every view of a model state."""
+    return [(v.x, None if v.obs is None else v.obs.reshape(data.n, -1),
+             *state.slab_loadings(t)) for t, v in enumerate(data.views)]
+
+
+def _draw_rows(lin: np.ndarray, prec: np.ndarray, rng) -> np.ndarray:
+    """Row m from N(P_m^-1 lin_m, P_m^-1), for one shared (K, K) precision
+    (one factorization) or an (M, K, K) stack (one batched Cholesky)."""
+    if prec.ndim == 2:
+        return draw_mvn_precision_chol(lin, _chol_jittered(prec), rng)
+    return draw_mvn_rows(lin, cholesky_stack(prec), rng)
+
+
+def update_z(state: MtfState, data: ModelData, rng) -> np.ndarray:
     """Resample every latent-variable row from its Gaussian full conditional.
 
     Precision for row n: I_K + sum_t tau_t sum_{(l,d) observed} b b^T with
-    b = u_l * v_d.  Fully observed views add the same term to every row;
-    without masked views all rows share one factorization.  A masked view
-    adds the row-specific term obs_t (N, L*D) @ F_t, one GEMM, where row
-    (l, d) of F_t (L*D, K^2) is tau_t vec(b b^T); the N precisions are then
-    factorized by one batched Cholesky and all rows drawn together.
+    b = u_l * v_d, the entry (l, d) of the slab loadings; see
+    ``z_conditional``.  Without masked views all rows share one
+    factorization; otherwise the N precisions are factorized by one batched
+    Cholesky and all rows drawn together.
     """
-    data = _as_data(c, hp)
-    gen = rng.gen if isinstance(rng, RngStream) else rng
-    n, k = state.Z.shape
-    lin = np.zeros((n, k))
-    base = np.eye(k)
-    terms = []
-    for t, v in enumerate(data.views):
-        u = state.u_for_view(t)
-        t1 = v.x @ state.V[t]                       # (N, L, K)
-        lin += state.tau[t] * np.einsum("nlk,lk->nk", t1, u)
-        if v.obs is None:
-            base += state.tau[t] * ((state.V[t].T @ state.V[t]) * (u.T @ u))
-        else:
-            b = (u[:, None, :] * state.V[t][None, :, :]).reshape(-1, k)
-            terms.append((v.obs.reshape(n, -1), b, state.tau[t]))
-    if not terms:
-        state.Z = draw_mvn_precision_chol(lin, _chol_jittered(base), gen)
-    else:
-        state.Z = draw_mvn_rows(lin, cholesky_stack(stacked_precisions(base, terms)), gen)
+    state.Z = _draw_rows(*z_conditional(_z_blocks(state, data), state.k), rng)
     return state.Z
 
 
@@ -495,7 +524,7 @@ def _slab_evidence_logodds(m, prior_prec, prior_mean, s):
     return float(np.sum(terms)), shifted / denom, denom
 
 
-def update_vh(state: MtfState, c, t: int, rng, hp: HyperParams | None = None,
+def update_vh(state: MtfState, data: ModelData, t: int, rng,
               residual: np.ndarray | None = None):
     """Joint spike-and-slab update of (V^(t), H_{t,:}), column by column.
 
@@ -503,8 +532,7 @@ def update_vh(state: MtfState, c, t: int, rng, hp: HyperParams | None = None,
     inactive, then redrawn from its Gaussian conditional when active and set
     to exact zeros when not.  Returns (V^(t), H row, residual).
     """
-    data = _as_data(c, hp)
-    gen = rng.gen if isinstance(rng, RngStream) else rng
+    gen = _as_gen(rng)
     v = data.views[t]
     V, alpha, tau = state.V[t], state.alpha[t], state.tau[t]
     u = state.u_for_view(t)
@@ -541,7 +569,7 @@ def update_vh(state: MtfState, c, t: int, rng, hp: HyperParams | None = None,
     return V, state.H[t], R
 
 
-def update_u(state: MtfState, c, g: int, rng, hp: HyperParams | None = None) -> np.ndarray:
+def update_u(state: MtfState, data: ModelData, g: int, rng) -> np.ndarray:
     """Resample the shared third-mode factors of one tensor-view group.
 
     Precision for slab l: I_K + sum_t tau_t sum_{(n,d) observed} b b^T with
@@ -552,36 +580,36 @@ def update_u(state: MtfState, c, g: int, rng, hp: HyperParams | None = None) -> 
     The L precisions are factorized by one batched Cholesky and all slabs
     drawn together.
     """
-    data = _as_data(c, hp)
-    gen = rng.gen if isinstance(rng, RngStream) else rng
     members = data.u_groups[g]
     k = state.k
     n_slabs = data.views[members[0]].l
     lin = np.zeros((n_slabs, k))
-    base = np.eye(k)
-    masked = []
+    prec = np.eye(k)
     for t in members:
         v = data.views[t]
         t1 = v.x @ state.V[t]                       # (N, L, K)
         lin += state.tau[t] * np.einsum("nlk,nk->lk", t1, state.Z)
         if v.obs is None:
-            base += state.tau[t] * ((state.Z.T @ state.Z) * (state.V[t].T @ state.V[t]))
+            prec = prec + state.tau[t] * ((state.Z.T @ state.Z) * (state.V[t].T @ state.V[t]))
         else:
-            masked.append(t)
-    if not masked:
-        state.U[g] = draw_mvn_precision_chol(lin, _chol_jittered(base), gen)
-        return state.U[g]
-    zz = outer_rows(state.Z)                        # (N, K^2)
-    prec = np.zeros((n_slabs, k * k))
-    for t in masked:
-        v = data.views[t]
-        m = (v.obs.reshape(data.n, -1).T @ zz).reshape(n_slabs, v.d, k * k)
-        prec += state.tau[t] * np.einsum("ldq,dq->lq", m, outer_rows(state.V[t]))
-    state.U[g] = draw_mvn_rows(lin, cholesky_stack(base + prec.reshape(n_slabs, k, k)), gen)
+            m = v.obs.reshape(data.n, -1).T @ outer_rows(state.Z)   # (L*D, K^2)
+            m = m.reshape(n_slabs, v.d, k * k)
+            prec = prec + state.tau[t] * np.einsum(
+                "ldq,dq->lq", m, outer_rows(state.V[t])).reshape(n_slabs, k, k)
+    state.U[g] = _draw_rows(lin, prec, rng)
     return state.U[g]
 
 
-def update_hypers(state: MtfState, c, rng, hp: HyperParams | None = None,
+def _draw_ard(alpha: np.ndarray, h: np.ndarray, v: np.ndarray, hp: HyperParams,
+              gen) -> np.ndarray:
+    """ARD precisions (D, K) of the active columns of v redrawn from their
+    Gamma conditional; inactive columns keep theirs (see ``update_hypers``)."""
+    b_post = hp.b_alpha + h * v ** 2 / 2.0
+    draws = gen.gamma(np.broadcast_to(hp.a_alpha + h / 2.0, b_post.shape), 1.0 / b_post)
+    return np.where(h > 0, np.maximum(draws, _ALPHA_FLOOR), alpha)
+
+
+def update_hypers(state: MtfState, data: ModelData, rng,
                   residuals: list[np.ndarray] | None = None):
     """Conjugate updates of pi, the ARD precisions, and the noise precisions.
 
@@ -591,18 +619,12 @@ def update_hypers(state: MtfState, c, rng, hp: HyperParams | None = None,
     absorbing under the heavy-tailed default: Gamma(1e-3, 1e-3) draws are
     almost all numerically zero, which vetoes any later reactivation.
     """
-    data = _as_data(c, hp)
     h = data.hp
-    gen = rng.gen if isinstance(rng, RngStream) else rng
+    gen = _as_gen(rng)
     active = state.H.sum(axis=0)
     state.pi = _clip_unit(gen.beta(h.a_pi + active, h.b_pi + data.n_views - active))
-    for t, v in enumerate(data.views):
-        a_post = h.a_alpha + state.H[t] / 2.0
-        b_post = h.b_alpha + state.H[t] * state.V[t] ** 2 / 2.0
-        draws = gen.gamma(np.broadcast_to(a_post, b_post.shape), 1.0 / b_post)
-        state.alpha[t] = np.where(state.H[t] > 0,
-                                  np.maximum(draws, _ALPHA_FLOOR),
-                                  state.alpha[t])
+    for t in range(data.n_views):
+        state.alpha[t] = _draw_ard(state.alpha[t], state.H[t], state.V[t], h, gen)
     if residuals is None:
         residuals = _residuals(state, data)
     for t, v in enumerate(data.views):
@@ -623,7 +645,7 @@ def _rescale(state: MtfState, data: ModelData, x: np.ndarray, views, rng) -> np.
     scales come from one Gamma call; components active in none of the
     views keep c_k = 1.  Returns the rescaled x.
     """
-    gen = rng.gen if isinstance(rng, RngStream) else rng
+    gen = _as_gen(rng)
     hp = data.hp
     act = state.H[list(views)] > 0                              # (|views|, K)
     d_act = np.array([data.views[t].d for t in views], dtype=np.float64) @ act
@@ -648,13 +670,7 @@ def mtf_sweep(state: MtfState, data: ModelData, rng) -> list[np.ndarray]:
     The map z_k -> c z_k, v_tk -> v_tk / c leaves the likelihood unchanged,
     so the coordinate updates alone only random-walk along each
     component's scale; the moves sample that direction directly.  They
-    draw 1 + (number of U groups) Gamma vectors per sweep, so seeded
-    chains differ from versions of this sampler without them.
-
-    On masked data the Z-step draws all rows as one stacked block
-    (``update_z``) instead of one block per missingness pattern, so seeded
-    chains on masked data also differ from versions that grouped rows by
-    pattern; fully observed chains are draw-for-draw identical to them.
+    draw 1 + (number of U groups) Gamma vectors per sweep.
 
     Returns the per-view residuals, exact as of the end of the sweep.
     """
@@ -674,74 +690,90 @@ def mtf_sweep(state: MtfState, data: ModelData, rng) -> list[np.ndarray]:
     return residuals
 
 
-def log_joint(state: MtfState, c, hp: HyperParams | None = None,
+def _normal_lp(x, prec):
+    """Elementwise log N(x | 0, 1/prec)."""
+    return 0.5 * (np.log(prec) - _LOG2PI) - prec * x ** 2 / 2.0
+
+
+def _gamma_lp(x, a: float, b) -> float:
+    """Summed log Gamma(x | shape a, rate b) density."""
+    return float(np.sum(a * np.log(b) - gammaln(a) + (a - 1) * np.log(x) - b * x))
+
+
+def _ard_lp(alpha: np.ndarray, h: np.ndarray, v: np.ndarray, hp: HyperParams) -> float:
+    """ARD slab density of the active columns of v (D, K), plus the Gamma
+    prior of every ARD precision; the spike carries no density term."""
+    act = h > 0
+    return float(np.sum(_normal_lp(v[:, act], alpha[:, act]))) \
+        + _gamma_lp(alpha, hp.a_alpha, hp.b_alpha)
+
+
+def _shared_lp(state, data: ModelData, residuals) -> float:
+    """Log joint terms common to both models: the Gaussian likelihood of the
+    observed entries (per slab), the N(0, I) priors of Z and U, the
+    Bernoulli(pi) activity of every entry of H and the Beta prior of pi."""
+    hp = data.hp
+    total = 0.0
+    for t, (v, r) in enumerate(zip(data.views, residuals)):
+        tau = np.broadcast_to(state.tau[t], v.obs_per_slab.shape)   # per slab
+        rss = (r ** 2).sum(axis=(0, 2))
+        total += float(np.sum(0.5 * v.obs_per_slab * (np.log(tau) - _LOG2PI) - 0.5 * tau * rss))
+    for x in [state.Z, *state.U]:
+        total += -0.5 * float(np.sum(x ** 2)) - 0.5 * x.size * _LOG2PI
+    log_pi, log_1mpi = np.log(state.pi), np.log1p(-state.pi)
+    total += sum(float(np.sum(np.where(h > 0, log_pi, log_1mpi))) for h in state.H)
+    return total + float(np.sum((hp.a_pi - 1) * log_pi + (hp.b_pi - 1) * log_1mpi)) \
+        - state.k * betaln(hp.a_pi, hp.b_pi)
+
+
+def log_joint(state: MtfState, data: ModelData,
               residuals: list[np.ndarray] | None = None) -> float:
     """Log of the joint density over observed entries and all priors.
 
     Inactive columns contribute only their Bernoulli log(1 - pi_k) mass; the
     spike itself carries no density term.
     """
-    data = _as_data(c, hp)
     h = data.hp
     if residuals is None:
         residuals = _residuals(state, data)
-    log2pi = np.log(2.0 * np.pi)
-    total = 0.0
-    for t, v in enumerate(data.views):
-        rss = float(np.sum(residuals[t] ** 2))
-        total += 0.5 * v.n_obs * (np.log(state.tau[t]) - log2pi) - 0.5 * state.tau[t] * rss
-    total += -0.5 * float(np.sum(state.Z ** 2)) - 0.5 * state.Z.size * log2pi
-    for u in state.U:
-        total += -0.5 * float(np.sum(u ** 2)) - 0.5 * u.size * log2pi
+    total = _shared_lp(state, data, residuals)
     for t in range(data.n_views):
-        act = state.H[t] > 0
-        if act.any():
-            a, vv = state.alpha[t][:, act], state.V[t][:, act]
-            total += float(np.sum(0.5 * (np.log(a) - log2pi) - a * vv ** 2 / 2.0))
-        total += float(np.sum(np.where(state.H[t] > 0,
-                                       np.log(state.pi), np.log1p(-state.pi))))
-    total += float(np.sum((h.a_pi - 1) * np.log(state.pi)
-                          + (h.b_pi - 1) * np.log1p(-state.pi))) \
-        - state.k * betaln(h.a_pi, h.b_pi)
-    for t in range(data.n_views):
-        a = state.alpha[t]
-        total += float(np.sum(h.a_alpha * np.log(h.b_alpha) - gammaln(h.a_alpha)
-                              + (h.a_alpha - 1) * np.log(a) - h.b_alpha * a))
-    for t in range(data.n_views):
-        bt = data.b_tau[t]
-        total += h.a_tau * np.log(bt) - gammaln(h.a_tau) \
-            + (h.a_tau - 1) * np.log(state.tau[t]) - bt * state.tau[t]
-    return float(total)
+        total += _ard_lp(state.alpha[t], state.H[t], state.V[t], h)
+    return total + _gamma_lp(state.tau, h.a_tau, data.b_tau)
 
 
-def _record_traces(traces, sweep_idx, lj, residuals, data):
-    traces[sweep_idx, 0] = lj
-    for t, v in enumerate(data.views):
-        traces[sweep_idx, 1 + t] = np.sum(residuals[t] ** 2) / v.n_obs
+def _run_chain(model: str, init, sweep_fn, log_joint_fn, c, hp: HyperParams, rng,
+               chain_id: int, origins) -> PosteriorSamples:
+    """Chain driver shared by both samplers: ``init``, then burn-in and
+    thinned sweeps of ``sweep_fn``, with the log joint and the per-view
+    mean squared residual recorded after every sweep.  An ``RngStream``
+    supplies the chain id."""
+    data = _as_data(c, hp)
+    gen = _as_gen(rng)
+    state = init(data, hp, gen)
+    total = hp.burn_in + hp.n_samples * hp.thin
+    traces = np.empty((total, 1 + data.n_views))
+    states, sweeps = [], []
+    for sweep in range(1, total + 1):
+        residuals = sweep_fn(state, data, gen)
+        traces[sweep - 1, 0] = log_joint_fn(state, data, residuals=residuals)
+        for t, v in enumerate(data.views):
+            traces[sweep - 1, 1 + t] = np.sum(residuals[t] ** 2) / v.n_obs
+        if sweep > hp.burn_in and (sweep - hp.burn_in) % hp.thin == 0:
+            states.append(state.copy())
+            sweeps.append(sweep)
+    return PosteriorSamples(
+        model=model, states=states, sweeps=sweeps,
+        chain_id=getattr(rng, "stream_id", chain_id),
+        trace_names=["log_joint"] + [f"mse_view_{t + 1}" for t in range(data.n_views)],
+        traces=traces, hp=hp, view_names=data.names, origins=origins,
+    )
 
 
 def run_chain(c, hp: HyperParams, rng, chain_id: int = 0,
               origins: list[int] | None = None) -> PosteriorSamples:
     """Run one Gibbs chain and collect thinned snapshots after burn-in."""
-    data = _as_data(c, hp)
-    if isinstance(rng, RngStream):
-        chain_id = rng.stream_id
-    state = init_state(data, hp, rng)
-    total = hp.burn_in + hp.n_samples * hp.thin
-    traces = np.empty((total, 1 + data.n_views))
-    states, sweeps = [], []
-    for sweep in range(1, total + 1):
-        residuals = mtf_sweep(state, data, rng)
-        _record_traces(traces, sweep - 1, log_joint(state, data, residuals=residuals),
-                       residuals, data)
-        if sweep > hp.burn_in and (sweep - hp.burn_in) % hp.thin == 0:
-            states.append(state.copy())
-            sweeps.append(sweep)
-    return PosteriorSamples(
-        model="mtf", states=states, sweeps=sweeps, chain_id=chain_id,
-        trace_names=["log_joint"] + [f"mse_view_{t + 1}" for t in range(data.n_views)],
-        traces=traces, hp=hp, view_names=data.names, origins=origins,
-    )
+    return _run_chain("mtf", init_state, mtf_sweep, log_joint, c, hp, rng, chain_id, origins)
 
 
 @dataclass
@@ -812,30 +844,36 @@ def component_structure(samples, threshold: float = 0.5,
 # exact generative draws, used by the sampler-correctness harness
 
 
+def _prior_latents(data: ModelData, hp: HyperParams, gen):
+    """Z, U per group and pi drawn from their priors, the first draws of
+    both models' prior states."""
+    Z = gen.standard_normal((data.n, hp.k))
+    U = [gen.standard_normal((data.views[g[0]].l, hp.k)) for g in data.u_groups]
+    return Z, U, _clip_unit(gen.beta(hp.a_pi, hp.b_pi, size=hp.k))
+
+
+def _ard_prior(d: int, h: np.ndarray, hp: HyperParams, gen):
+    """ARD precisions (d, K) and spike-and-slab loadings (d, K) drawn from
+    their priors given the activity row h."""
+    a = np.maximum(gen.gamma(hp.a_alpha, 1.0 / hp.b_alpha, size=(d, hp.k)), _ALPHA_FLOOR)
+    return a, gen.standard_normal((d, hp.k)) / np.sqrt(a) * h[None, :]
+
+
 def sample_state_from_prior(data: ModelData, hp: HyperParams, rng) -> MtfState:
     """Draw every latent exactly from its prior (unlike init_state)."""
-    gen = rng.gen if isinstance(rng, RngStream) else rng
-    n, k = data.n, hp.k
-    Z = gen.standard_normal((n, k))
-    U = [gen.standard_normal((data.views[g[0]].l, k)) for g in data.u_groups]
-    pi = _clip_unit(gen.beta(hp.a_pi, hp.b_pi, size=k))
-    H = (gen.random((data.n_views, k)) < pi[None, :]).astype(np.float64)
-    V, alpha = [], []
-    for t, v in enumerate(data.views):
-        a = np.maximum(gen.gamma(hp.a_alpha, 1.0 / hp.b_alpha, size=(v.d, k)),
-                       _ALPHA_FLOOR)
-        alpha.append(a)
-        V.append(gen.standard_normal((v.d, k)) / np.sqrt(a) * H[t][None, :])
+    gen = _as_gen(rng)
+    Z, U, pi = _prior_latents(data, hp, gen)
+    H = (gen.random((data.n_views, hp.k)) < pi[None, :]).astype(np.float64)
+    alpha, V = map(list, zip(*(_ard_prior(v.d, H[t], hp, gen)
+                               for t, v in enumerate(data.views))))
     tau = gen.gamma(hp.a_tau, 1.0 / data.b_tau)
     return MtfState(Z=Z, V=V, U=U, H=H, pi=pi, alpha=alpha, tau=tau,
                     group_of=dict(data.group_of))
 
 
-def simulate_data(state: MtfState, data: ModelData, rng) -> list[np.ndarray]:
-    """Draw data from the likelihood given the state; arrays are (N, L, D)."""
-    gen = rng.gen if isinstance(rng, RngStream) else rng
-    out = []
-    for t, v in enumerate(data.views):
-        x = _recon_nld(state, t) + gen.standard_normal(v.x.shape) / np.sqrt(state.tau[t])
-        out.append(x)
-    return out
+def simulate_data(state, data: ModelData, rng) -> list[np.ndarray]:
+    """Draw data from the likelihood given either model's state; arrays are
+    (N, L, D)."""
+    gen = _as_gen(rng)
+    return [_recon_nld(state, t) + gen.standard_normal(v.x.shape)
+            / np.sqrt(state.slab_loadings(t)[1])[:, None] for t, v in enumerate(data.views)]

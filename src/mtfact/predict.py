@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import Collection
-from .dist import RngStream, cholesky_stack, draw_mvn_precision_chol, stacked_precisions
-from .mtf import MtfState, PosteriorSamples
+from .dist import _as_gen, cholesky_stack, draw_mvn_precision_chol
+from .mtf import PosteriorSamples, z_conditional
 from .rmtf import RmtfState
 
 __all__ = [
@@ -38,6 +38,12 @@ class PredictionTask:
     n_stage2_samples: int = 10     # retained draws per snapshot
     snapshot_stride: int = 1       # use every stride-th stored snapshot
 
+    def __post_init__(self):
+        if self.n_stage2_samples < 1 or self.n_stage2_sweeps < 0 or self.snapshot_stride < 1:
+            raise ValueError(
+                "need n_stage2_samples >= 1, n_stage2_sweeps >= 0 and snapshot_stride >= 1, "
+                f"got {self.n_stage2_samples}, {self.n_stage2_sweeps} and {self.snapshot_stride}")
+
     @property
     def chains(self) -> list:
         return list(self.trained) if isinstance(self.trained, (list, tuple)) \
@@ -59,22 +65,13 @@ class PredictionResult:
                 yield t, int(n), int(d), int(l), self.mean[t][n, d, l], self.std[t][n, d, l]
 
 
-def _frozen_view_params(state, t: int):
-    """Per-slab loading matrices (L, D, K) and per-slab noise precisions."""
-    if isinstance(state, RmtfState):
-        return state.W[t], state.tau[t]
-    u = state.u_for_view(t)
-    w = state.V[t][None, :, :] * u[:, None, :]
-    return w, np.full(u.shape[0], state.tau[t])
-
-
 def _check_compat(state, test: Collection):
     if len(test.views) != state.n_views:
         raise ValueError(
             f"test collection has {len(test.views)} views, archive has {state.n_views}"
         )
     for t, v in enumerate(test.views):
-        w, _ = _frozen_view_params(state, t)
+        w = state.slab_loadings(t)[0]
         if (v.shape[1], v.shape[2]) != (w.shape[1], w.shape[0]):
             raise ValueError(
                 f"view {t}: test shape D={v.shape[1]}, L={v.shape[2]} does not match "
@@ -90,7 +87,7 @@ def _check_compat(state, test: Collection):
 
 def two_stage_predict(task: PredictionTask, rng) -> PredictionResult:
     """Predict every masked test entry; returns per-entry posterior mean and std."""
-    gen = rng.gen if isinstance(rng, RngStream) else rng
+    gen = _as_gen(rng)
     chains = task.chains
     if not chains or chains[0].n_snapshots == 0:
         raise ValueError("no trained snapshots")
@@ -99,23 +96,23 @@ def two_stage_predict(task: PredictionTask, rng) -> PredictionResult:
 
     n = test.n_samples
     xs, obs, tgt_idx = [], [], []
-    n_targets = 0
     for v in test.views:
-        x = np.ascontiguousarray(v.values.transpose(0, 2, 1))       # (N, L, D)
         ob = np.ascontiguousarray(v.observed.transpose(0, 2, 1), dtype=np.float64)
-        xs.append(x * ob)
-        obs.append(None if ob.all() else ob)
-        idx = np.nonzero(~v.observed.transpose(0, 2, 1))            # (n, l, d) tuples
-        tgt_idx.append(idx)
-        n_targets += idx[0].size
-    if n_targets == 0:
+        xs.append(np.ascontiguousarray(v.values.transpose(0, 2, 1)) * ob)   # (N, L, D)
+        obs.append(None if ob.all() else ob.reshape(n, -1))
+        tgt_idx.append(np.nonzero(~v.observed.transpose(0, 2, 1)))      # (n, l, d) tuples
+    if sum(idx[0].size for idx in tgt_idx) == 0:
         raise ValueError("test collection has no masked entries to predict")
 
-    masked_views = [t for t in range(len(xs)) if obs[t] is not None]
-    flat = np.concatenate([obs[t].reshape(n, -1) for t in masked_views], axis=1)
-    patterns, inverse = np.unique(flat, axis=0, return_inverse=True)
+    # rows grouped by missingness pattern; each view's columns of the
+    # patterns stand in for its observation rows in the Z-conditional
+    masked_views = [t for t, ob in enumerate(obs) if ob is not None]
+    patterns, inverse = np.unique(np.concatenate([obs[t] for t in masked_views], axis=1),
+                                  axis=0, return_inverse=True)
     row_groups = [np.nonzero(inverse == p)[0] for p in range(patterns.shape[0])]
-    offs = np.cumsum([0] + [obs[t][0].size for t in masked_views])
+    offs = np.cumsum([0] + [obs[t].shape[1] for t in masked_views])
+    for j, t in enumerate(masked_views):
+        obs[t] = patterns[:, offs[j]:offs[j + 1]]
 
     acc = [np.zeros(idx[0].size) for idx in tgt_idx]
     acc_sq = [np.zeros(idx[0].size) for idx in tgt_idx]
@@ -124,20 +121,11 @@ def two_stage_predict(task: PredictionTask, rng) -> PredictionResult:
 
     for samples in chains:
         for state in samples.states[::task.snapshot_stride]:
-            frozen = [_frozen_view_params(state, t) for t in range(len(xs))]
-            base = np.eye(k)
-            lin = np.zeros((n, k))
-            for t, (w, tau_l) in enumerate(frozen):
-                lin += np.einsum("nld,l,ldk->nk", xs[t], tau_l, w, optimize=True)
-                if obs[t] is None:
-                    base += np.einsum("l,ldk,ldj->kj", tau_l, w, w, optimize=True)
+            frozen = [state.slab_loadings(t) for t in range(len(xs))]
+            lin, precs = z_conditional(
+                [(x, rows, *wt) for x, rows, wt in zip(xs, obs, frozen)], k)
             # one factorization per missingness pattern, reused by every sweep
-            terms = []
-            for j, t in enumerate(masked_views):
-                w, tau_l = frozen[t]
-                terms.append((patterns[:, offs[j]:offs[j + 1]], w.reshape(-1, k),
-                              np.repeat(tau_l, w.shape[1])))
-            chols = cholesky_stack(stacked_precisions(base, terms))
+            chols = cholesky_stack(precs)
             z = np.empty((n, k))
             for sweep in range(task.n_stage2_sweeps + task.n_stage2_samples):
                 for p, rows in enumerate(row_groups):

@@ -13,29 +13,30 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import betaln, gammaln
 
-from .core import Collection, Tensor3
+from .dist import _as_gen, draw_bernoulli_logodds
 from .mtf import (
     _ALPHA_FLOOR,
-    _clip_unit,
-    _deflation_start,
     HyperParams,
     ModelData,
     PosteriorSamples,
-    _as_data,
+    _ard_lp,
+    _ard_prior,
+    _clip_unit,
+    _draw_ard,
+    _draw_rows,
+    _gamma_lp,
     _logit,
+    _normal_lp,
+    _prior_latents,
+    _residuals,
+    _run_chain,
+    _shared_lp,
     _slab_evidence_logodds,
-    prepare,
-)
-from .dist import (
-    RngStream,
-    _chol_jittered,
-    cholesky_stack,
-    draw_bernoulli_logodds,
-    draw_mvn_precision_chol,
-    draw_mvn_rows,
-    stacked_precisions,
+    _warm_start,
+    _z_blocks,
+    reconstruct_mean,
+    z_conditional,
 )
 
 __all__ = [
@@ -46,7 +47,6 @@ __all__ = [
     "rmtf_reconstruct_mean",
     "rmtf_log_joint",
     "rmtf_sample_state_from_prior",
-    "rmtf_simulate_data",
 ]
 
 
@@ -85,6 +85,10 @@ class RmtfState:
             return self.U[self.group_of[t]]
         return np.ones((1, self.k))
 
+    def slab_loadings(self, t: int) -> tuple[np.ndarray, np.ndarray]:
+        """Per-slab loadings W (L, D, K) and noise precisions (L,) of view t."""
+        return self.W[t], self.tau[t]
+
     def lam_lk(self, t: int, n_slabs: int) -> np.ndarray:
         """Slab-similarity precision broadcast to (L_t, K) for tensor view t."""
         if self.lambda_mode == "global":
@@ -92,6 +96,11 @@ class RmtfState:
         if self.lambda_mode == "per_component":
             return np.broadcast_to(np.asarray(self.lam)[None, :], (n_slabs, self.k))
         return np.broadcast_to(self.lam[t][:, None], (n_slabs, self.k))
+
+    def lam_values(self) -> np.ndarray:
+        """Every slab-similarity precision of the state, as one flat array."""
+        lams = self.lam if self.lambda_mode == "per_slab" else [self.lam]
+        return np.concatenate([np.zeros(0)] + [np.ravel(x) for x in lams if x is not None])
 
     def copy(self) -> "RmtfState":
         if isinstance(self.lam, list):
@@ -128,11 +137,8 @@ def rmtf_init(c, hp: HyperParams, rng) -> RmtfState:
 
     Heavy-tailed precision priors start at their prior means.
     """
-    data = _as_data(c, hp)
-    gen = rng.gen if isinstance(rng, RngStream) else rng
-    n, k = data.n, hp.k
-    Z, V0, U = _deflation_start(data, k, gen)
-    pi = _clip_unit(gen.beta(hp.a_pi, hp.b_pi, size=k))
+    data, Z, V0, U, pi = _warm_start(c, hp, rng)
+    k = hp.k
     lam_mean = hp.a_lambda / hp.b_lambda
     state = RmtfState(
         Z=Z, W=[], V=[], U=U, H=[], pi=pi, alpha=[], beta=[],
@@ -157,46 +163,13 @@ def rmtf_init(c, hp: HyperParams, rng) -> RmtfState:
     return state
 
 
-def _recon_nld(state: RmtfState, t: int) -> np.ndarray:
-    return np.einsum("nk,ldk->nld", state.Z, state.W[t], optimize=True)
-
-
-def rmtf_reconstruct_mean(state: RmtfState, t: int) -> Tensor3:
-    """Slab l of the mean reconstruction is Z W_l^T."""
-    return Tensor3(_recon_nld(state, t).transpose(0, 2, 1))
-
-
-def _residual(state, data: ModelData, t: int) -> np.ndarray:
-    v = data.views[t]
-    r = v.x - _recon_nld(state, t)
-    if v.obs is not None:
-        r *= v.obs
-    return r
-
-
-def _residuals(state, data):
-    return [_residual(state, data, t) for t in range(data.n_views)]
+rmtf_reconstruct_mean = reconstruct_mean
 
 
 def _update_z(state: RmtfState, data: ModelData, gen):
-    """Latent rows from their Gaussian conditionals; as the strict sampler's
-    ``update_z`` with b = w_{l,d} and weight tau_l for the entry in slab l."""
-    n, k = state.Z.shape
-    lin = np.zeros((n, k))
-    base = np.eye(k)
-    terms = []
-    for t, v in enumerate(data.views):
-        lin += np.einsum("nld,l,ldk->nk", v.x, state.tau[t], state.W[t], optimize=True)
-        if v.obs is None:
-            base += np.einsum("l,ldk,ldj->kj", state.tau[t], state.W[t], state.W[t],
-                              optimize=True)
-        else:
-            terms.append((v.obs.reshape(n, -1), state.W[t].reshape(-1, k),
-                          np.repeat(state.tau[t], v.d)))
-    if not terms:
-        state.Z = draw_mvn_precision_chol(lin, _chol_jittered(base), gen)
-    else:
-        state.Z = draw_mvn_rows(lin, cholesky_stack(stacked_precisions(base, terms)), gen)
+    """Latent rows from their Gaussian conditionals: the strict sampler's
+    Z-step on the slab loadings W_l, weighted by tau_l."""
+    state.Z = _draw_rows(*z_conditional(_z_blocks(state, data), state.k), gen)
 
 
 def _update_wh(state: RmtfState, data: ModelData, t: int, gen,
@@ -313,16 +286,7 @@ def _update_scales_and_noise(state: RmtfState, data: ModelData, hp: HyperParams,
                              gen, residuals):
     for t, v in enumerate(data.views):
         if v.is_matrix():
-            # inactive columns keep their ARD precision (see the strict
-            # sampler's update_hypers for why)
-            h_row = state.H[t][0]                         # (K,)
-            w0 = state.W[t][0]
-            a_post = hp.a_alpha + h_row / 2.0
-            b_post = hp.b_alpha + h_row * w0 ** 2 / 2.0
-            draws = gen.gamma(np.broadcast_to(a_post, b_post.shape), 1.0 / b_post)
-            state.alpha[t] = np.where(h_row > 0,
-                                      np.maximum(draws, _ALPHA_FLOOR),
-                                      state.alpha[t])
+            state.alpha[t] = _draw_ard(state.alpha[t], state.H[t][0], state.W[t][0], hp, gen)
         else:
             b_post = hp.b_beta + state.V[t] ** 2 / 2.0
             draws = gen.gamma(hp.a_beta + 0.5, 1.0 / b_post)
@@ -341,7 +305,7 @@ def _update_pi(state: RmtfState, data: ModelData, hp: HyperParams, gen):
 
 def rmtf_sweep(state: RmtfState, data: ModelData, rng) -> list[np.ndarray]:
     """One full conditional scan; returns end-of-sweep per-view residuals."""
-    gen = rng.gen if isinstance(rng, RngStream) else rng
+    gen = _as_gen(rng)
     hp = data.hp
     _update_z(state, data, gen)
     residuals = _residuals(state, data)
@@ -359,88 +323,29 @@ def rmtf_sweep(state: RmtfState, data: ModelData, rng) -> list[np.ndarray]:
     return residuals
 
 
-def rmtf_log_joint(state: RmtfState, c, hp: HyperParams | None = None,
-                   residuals=None) -> float:
-    data = _as_data(c, hp)
+def rmtf_log_joint(state: RmtfState, data: ModelData, residuals=None) -> float:
     h = data.hp
     if residuals is None:
         residuals = _residuals(state, data)
-    log2pi = np.log(2.0 * np.pi)
-    total = 0.0
+    total = _shared_lp(state, data, residuals)
     for t, v in enumerate(data.views):
-        rss = (residuals[t] ** 2).sum(axis=(0, 2))
-        total += float(np.sum(0.5 * v.obs_per_slab * (np.log(state.tau[t]) - log2pi)
-                              - 0.5 * state.tau[t] * rss))
-    total += -0.5 * float(np.sum(state.Z ** 2)) - 0.5 * state.Z.size * log2pi
-    for u in state.U:
-        total += -0.5 * float(np.sum(u ** 2)) - 0.5 * u.size * log2pi
-    for t, v in enumerate(data.views):
-        H = state.H[t]
         if v.is_matrix():
-            act = H[0] > 0
-            if act.any():
-                a, w0 = state.alpha[t][:, act], state.W[t][0][:, act]
-                total += float(np.sum(0.5 * (np.log(a) - log2pi) - a * w0 ** 2 / 2.0))
-            a = state.alpha[t]
-            total += float(np.sum(h.a_alpha * np.log(h.b_alpha) - gammaln(h.a_alpha)
-                                  + (h.a_alpha - 1) * np.log(a) - h.b_alpha * a))
+            total += _ard_lp(state.alpha[t], state.H[t][0], state.W[t][0], h)
         else:
-            u = state.u_for_view(t)
-            lam = state.lam_lk(t, v.l)
-            mean = u[:, None, :] * state.V[t][None, :, :]
-            dev2 = (state.W[t] - mean) ** 2
-            gate = H[:, None, :]
-            total += float(np.sum(gate * (0.5 * (np.log(lam)[:, None, :] - log2pi)
-                                          - lam[:, None, :] * dev2 / 2.0)))
-            b = state.beta[t]
-            total += float(np.sum(0.5 * (np.log(b) - log2pi)
-                                  - b * state.V[t] ** 2 / 2.0))
-            total += float(np.sum(h.a_beta * np.log(h.b_beta) - gammaln(h.a_beta)
-                                  + (h.a_beta - 1) * np.log(b) - h.b_beta * b))
-        total += float(np.sum(np.where(H > 0, np.log(state.pi)[None, :],
-                                       np.log1p(-state.pi)[None, :])))
-    total += float(np.sum((h.a_pi - 1) * np.log(state.pi)
-                          + (h.b_pi - 1) * np.log1p(-state.pi))) \
-        - state.k * betaln(h.a_pi, h.b_pi)
-    lam_vals = []
-    if state.lambda_mode == "per_slab":
-        lam_vals = [x for x in state.lam if x is not None]
-    else:
-        lam_vals = [np.atleast_1d(np.asarray(state.lam))]
-    for lv in lam_vals:
-        total += float(np.sum(h.a_lambda * np.log(h.b_lambda) - gammaln(h.a_lambda)
-                              + (h.a_lambda - 1) * np.log(lv) - h.b_lambda * lv))
-    for t in range(data.n_views):
-        bt = data.b_tau_slab[t]
-        total += float(np.sum(h.a_tau * np.log(bt) - gammaln(h.a_tau)
-                              + (h.a_tau - 1) * np.log(state.tau[t])
-                              - bt * state.tau[t]))
-    return float(total)
+            lam = state.lam_lk(t, v.l)[:, None, :]
+            dev = state.W[t] - state.u_for_view(t)[:, None, :] * state.V[t][None, :, :]
+            total += float(np.sum(state.H[t][:, None, :] * _normal_lp(dev, lam)))
+            total += float(np.sum(_normal_lp(state.V[t], state.beta[t]))) \
+                + _gamma_lp(state.beta[t], h.a_beta, h.b_beta)
+        total += _gamma_lp(state.tau[t], h.a_tau, data.b_tau_slab[t])
+    return total + _gamma_lp(state.lam_values(), h.a_lambda, h.b_lambda)
 
 
 def rmtf_run_chain(c, hp: HyperParams, rng, chain_id: int = 0,
                    origins: list[int] | None = None) -> PosteriorSamples:
-    """Run one relaxed-model chain on the strict model's schedule machinery."""
-    data = _as_data(c, hp)
-    if isinstance(rng, RngStream):
-        chain_id = rng.stream_id
-    state = rmtf_init(data, hp, rng)
-    total = hp.burn_in + hp.n_samples * hp.thin
-    traces = np.empty((total, 1 + data.n_views))
-    states, sweeps = [], []
-    for sweep in range(1, total + 1):
-        residuals = rmtf_sweep(state, data, rng)
-        traces[sweep - 1, 0] = rmtf_log_joint(state, data, residuals=residuals)
-        for t, v in enumerate(data.views):
-            traces[sweep - 1, 1 + t] = np.sum(residuals[t] ** 2) / v.n_obs
-        if sweep > hp.burn_in and (sweep - hp.burn_in) % hp.thin == 0:
-            states.append(state.copy())
-            sweeps.append(sweep)
-    return PosteriorSamples(
-        model="rmtf", states=states, sweeps=sweeps, chain_id=chain_id,
-        trace_names=["log_joint"] + [f"mse_view_{t + 1}" for t in range(data.n_views)],
-        traces=traces, hp=hp, view_names=data.names, origins=origins,
-    )
+    """Run one relaxed-model chain through the strict model's chain driver."""
+    return _run_chain("rmtf", rmtf_init, rmtf_sweep, rmtf_log_joint, c, hp, rng,
+                      chain_id, origins)
 
 
 # ---------------------------------------------------------------------------
@@ -448,11 +353,9 @@ def rmtf_run_chain(c, hp: HyperParams, rng, chain_id: int = 0,
 
 
 def rmtf_sample_state_from_prior(data: ModelData, hp: HyperParams, rng) -> RmtfState:
-    gen = rng.gen if isinstance(rng, RngStream) else rng
-    n, k = data.n, hp.k
-    Z = gen.standard_normal((n, k))
-    U = [gen.standard_normal((data.views[g[0]].l, k)) for g in data.u_groups]
-    pi = _clip_unit(gen.beta(hp.a_pi, hp.b_pi, size=k))
+    gen = _as_gen(rng)
+    k = hp.k
+    Z, U, pi = _prior_latents(data, hp, gen)
     if hp.lambda_mode == "global":
         lam = np.asarray(gen.gamma(hp.a_lambda, 1.0 / hp.b_lambda))
     elif hp.lambda_mode == "per_component":
@@ -468,13 +371,11 @@ def rmtf_sample_state_from_prior(data: ModelData, hp: HyperParams, rng) -> RmtfS
         H = (gen.random((v.l, k)) < pi[None, :]).astype(np.float64)
         state.H.append(H)
         if v.is_matrix():
-            a = np.maximum(gen.gamma(hp.a_alpha, 1.0 / hp.b_alpha, size=(v.d, k)),
-                           _ALPHA_FLOOR)
+            a, w = _ard_prior(v.d, H[0], hp, gen)
             state.alpha.append(a)
             state.beta.append(None)
             state.V.append(np.zeros((v.d, k)))
-            w = gen.standard_normal((1, v.d, k)) / np.sqrt(a)[None] * H[:, None, :]
-            state.W.append(w)
+            state.W.append(w[None])
         else:
             state.alpha.append(None)
             b = np.maximum(gen.gamma(hp.a_beta, 1.0 / hp.b_beta, size=(v.d, k)),
@@ -489,12 +390,3 @@ def rmtf_sample_state_from_prior(data: ModelData, hp: HyperParams, rng) -> RmtfS
             state.W.append(w)
         state.tau.append(gen.gamma(hp.a_tau, 1.0 / data.b_tau_slab[t]))
     return state
-
-
-def rmtf_simulate_data(state: RmtfState, data: ModelData, rng) -> list[np.ndarray]:
-    gen = rng.gen if isinstance(rng, RngStream) else rng
-    out = []
-    for t, v in enumerate(data.views):
-        sd = 1.0 / np.sqrt(state.tau[t])[None, :, None]
-        out.append(_recon_nld(state, t) + gen.standard_normal(v.x.shape) * sd)
-    return out

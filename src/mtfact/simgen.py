@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import Collection, MaskedTensor3, Tensor3
-from .dist import RngStream
+from .dist import RngStream, _as_gen
 from .mtf import MtfState, _recon_nld
 
 __all__ = ["SimSpec", "SimTruth", "gen_cp", "gen_relaxed_cp", "gen_continuum", "generate"]
@@ -78,10 +78,6 @@ class SimTruth:
     state: MtfState | None = None       # exact generating state (cp only)
 
 
-def _gen(rng):
-    return rng.gen if isinstance(rng, RngStream) else rng
-
-
 def _activity_pattern(spec: SimSpec) -> np.ndarray:
     h = np.zeros((2, spec.k_total))
     h[0, : spec.k_shared + spec.k_matrix] = 1.0
@@ -140,7 +136,7 @@ def gen_cp(spec: SimSpec, rng) -> tuple[Collection, SimTruth]:
     """
     if spec.scenario != "cp":
         raise ValueError("spec.scenario must be 'cp'")
-    gen = _gen(rng)
+    gen = _as_gen(rng)
     n, k = spec.n_train, spec.k_total
     h = _activity_pattern(spec)
     sine_col = 0 if spec.k_shared > 0 else None
@@ -175,7 +171,7 @@ def gen_relaxed_cp(spec: SimSpec, rng) -> tuple[Collection, SimTruth]:
     slab by a signed power of the sine; truth carries the per-slab curves."""
     if spec.scenario != "relaxed_cp":
         raise ValueError("spec.scenario must be 'relaxed_cp'")
-    gen = _gen(rng)
+    gen = _as_gen(rng)
     n, k = spec.n_train, spec.k_total
     h = _activity_pattern(spec)
     sine_col = 0 if spec.k_shared > 0 else None
@@ -216,7 +212,7 @@ def gen_continuum(spec: SimSpec, rng) -> tuple[Collection, Collection, SimTruth]
     """
     if spec.scenario != "continuum":
         raise ValueError("spec.scenario must be 'continuum'")
-    gen = _gen(rng)
+    gen = _as_gen(rng)
     n, n_test, k = spec.n_train, spec.n_test, spec.k_total
     h = _activity_pattern(spec)
     sine_col = 0 if spec.k_shared > 0 else None

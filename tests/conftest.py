@@ -37,16 +37,24 @@ def make_masked_rows_collection(gen, n=8, d1=3, d2=4, l=3):
     return Collection(tuple(views), (), ("mat", "tens"))
 
 
+def fully_observed(c):
+    """The same collection with every entry observed."""
+    return Collection(tuple(MaskedTensor3.fully_observed(v.values) for v in c.views),
+                      c.third_mode_groups, c.names)
+
+
 def stacked_draw_spy(monkeypatch, module):
-    """Record the (h, chols) arguments of ``module.draw_mvn_rows`` calls;
-    returns a list that receives (precision stack, conditional means)."""
+    """Record the (lin, prec) arguments of ``module._draw_rows`` calls, the
+    Gaussian row draw of the Z- and U-steps; returns a list that receives
+    (precision stack, conditional means), one precision per row (a shared
+    (K, K) precision is repeated)."""
     seen = []
-    orig = module.draw_mvn_rows
+    orig = module._draw_rows
 
-    def spy(h, chols, rng):
-        prec = chols @ chols.transpose(0, 2, 1)
-        seen.append((prec, np.linalg.solve(prec, h[..., None])[..., 0]))
-        return orig(h, chols, rng)
+    def spy(lin, prec, rng):
+        prec_rows = np.broadcast_to(prec, (lin.shape[0],) + prec.shape[-2:])
+        seen.append((prec_rows, np.linalg.solve(prec_rows, lin[..., None])[..., 0]))
+        return orig(lin, prec, rng)
 
-    monkeypatch.setattr(module, "draw_mvn_rows", spy)
+    monkeypatch.setattr(module, "_draw_rows", spy)
     return seen

@@ -9,6 +9,8 @@ from mtfact.diag import (
     joint_distribution_test,
     spectral_variance,
     summarize_run,
+    toy_collection,
+    toy_grouped,
     toy_masks,
 )
 from mtfact.dist import RngStream
@@ -77,11 +79,11 @@ class TestJointDistributionHarness:
 
     def test_requires_fixed_noise_prior(self):
         with pytest.raises(ValueError, match="b_tau"):
-            joint_distribution_test("mtf", (4, 3, 2), self._hp(b_tau=None), 100,
-                                    RngStream(0))
+            joint_distribution_test("mtf", toy_collection((4, 3, 2)), self._hp(b_tau=None),
+                                    100, RngStream(0))
 
     def test_battery_and_smoke(self):
-        res = joint_distribution_test("mtf", (4, 3, 2), self._hp(), 2_000,
+        res = joint_distribution_test("mtf", toy_collection((4, 3, 2)), self._hp(), 2_000,
                                       RngStream(1))
         assert isinstance(res, JointDistResult)
         for name in ("z_mean", "z_sq", "v_mean", "v_sq", "u_mean", "u_sq",
@@ -91,13 +93,13 @@ class TestJointDistributionHarness:
 
     def test_all_matrix_configuration(self):
         # l=1 exercises the multi-view matrix (no U) path
-        res = joint_distribution_test("mtf", (4, 3, 1), self._hp(k=1), 2_000,
-                                      RngStream(2))
+        res = joint_distribution_test("mtf", toy_collection((4, 3, 1)), self._hp(k=1),
+                                      2_000, RngStream(2))
         assert "u_mean" not in res.stat_names
         assert np.isfinite(res.z_scores).all()
 
     def test_rmtf_battery(self):
-        res = joint_distribution_test("rmtf", (4, 3, 2), self._hp(), 1_000,
+        res = joint_distribution_test("rmtf", toy_collection((4, 3, 2)), self._hp(), 1_000,
                                       RngStream(3))
         for name in ("w_mean", "w_sq", "lam_mean", "lam_sq"):
             assert name in res.stat_names
@@ -108,8 +110,16 @@ class TestJointDistributionHarness:
         # masked entries with per-row patterns and an all-masked row run the
         # stacked Z- and U-step conditionals
         sizes = (4, 3, 2)
-        res = joint_distribution_test(model, sizes, self._hp(), 15_000, RngStream(31),
-                                      masks=toy_masks(sizes))
+        res = joint_distribution_test(model, toy_collection(sizes, toy_masks(sizes)),
+                                      self._hp(), 15_000, RngStream(31))
+        assert np.max(np.abs(res.z_scores)) < 5.0
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("model", ["mtf", "rmtf"])
+    def test_grouped_smoke(self, model):
+        # two tensors sharing one third-mode group run the grouped U-step
+        res = joint_distribution_test(model, toy_grouped((4, 3, 2)), self._hp(), 15_000,
+                                      RngStream(31))
         assert np.max(np.abs(res.z_scores)) < 5.0
 
     def test_fixture_registry(self):

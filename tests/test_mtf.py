@@ -23,8 +23,14 @@ from mtfact.mtf import (
     update_vh,
     update_z,
 )
+from mtfact.rmtf import rmtf_init
 
-from conftest import make_collection, make_masked_rows_collection, stacked_draw_spy
+from conftest import (
+    fully_observed,
+    make_collection,
+    make_masked_rows_collection,
+    stacked_draw_spy,
+)
 
 
 def small_hp(**kw):
@@ -54,10 +60,11 @@ class TestInit:
         # unit-normalized data: noise variance half of total -> precision 2
         np.testing.assert_allclose(state.tau, 2.0, rtol=1e-12)
 
-    def test_n_below_k_warns(self):
+    @pytest.mark.parametrize("init", [init_state, rmtf_init], ids=lambda f: f.__name__)
+    def test_n_below_k_warns(self, init):
         c = make_collection(np.random.default_rng(0), n=3)
         with pytest.warns(UserWarning, match="fewer samples"):
-            init_state(c, small_hp(k=5), RngStream(0))
+            init(c, small_hp(k=5), RngStream(0))
 
 
 class TestUpdateZ:
@@ -126,58 +133,62 @@ class TestUpdateZ:
 
 
 class TestStackedMaskedConditionals:
-    """The stacked masked Z- and U-step conditionals against per-row loops."""
+    """The Z- and U-step conditionals against per-row loops, on masked data
+    (stacked precisions) and on the same data fully observed (one shared
+    precision)."""
 
-    def _setup(self):
-        c = make_masked_rows_collection(np.random.default_rng(21))
-        hp = small_hp(k=3)
-        data = prepare(c, hp)
-        state = init_state(data, hp, RngStream(4))
-        gen = np.random.default_rng(23)
-        state.Z = gen.standard_normal(state.Z.shape)
-        state.V = [gen.standard_normal(v.shape) for v in state.V]
-        state.U = [gen.standard_normal(u.shape) for u in state.U]
-        state.tau = np.array([0.7, 1.9])
-        return c, data, state
+    def _setups(self):
+        masked = make_masked_rows_collection(np.random.default_rng(21))
+        for c in (masked, fully_observed(masked)):
+            hp = small_hp(k=3)
+            data = prepare(c, hp)
+            state = init_state(data, hp, RngStream(4))
+            gen = np.random.default_rng(23)
+            state.Z = gen.standard_normal(state.Z.shape)
+            state.V = [gen.standard_normal(v.shape) for v in state.V]
+            state.U = [gen.standard_normal(u.shape) for u in state.U]
+            state.tau = np.array([0.7, 1.9])
+            yield c, data, state
 
     def test_z_step_matches_row_loop(self, monkeypatch):
-        c, data, state = self._setup()
-        seen = stacked_draw_spy(monkeypatch, mtf_mod)
-        update_z(state, data, RngStream(5).gen)
-        (prec, mean), = seen
-        k = state.k
-        for n in range(c.n_samples):
-            p, lin = np.eye(k), np.zeros(k)
-            for t, v in enumerate(c.views):
-                u = state.u_for_view(t)
-                for d in range(v.shape[1]):
-                    for l in range(v.shape[2]):
-                        if v.observed[n, d, l]:
-                            b = state.V[t][d] * u[l]
-                            p += state.tau[t] * np.outer(b, b)
-                            lin += state.tau[t] * v.values[n, d, l] * b
-            np.testing.assert_allclose(prec[n], p, rtol=1e-10, atol=1e-10)
-            np.testing.assert_allclose(mean[n], np.linalg.solve(p, lin),
-                                       rtol=1e-10, atol=1e-10)
-        np.testing.assert_array_equal(prec[2], np.eye(k))   # the all-masked row
+        for c, data, state in self._setups():
+            seen = stacked_draw_spy(monkeypatch, mtf_mod)
+            update_z(state, data, RngStream(5).gen)
+            (prec, mean), = seen
+            k = state.k
+            for n in range(c.n_samples):
+                p, lin = np.eye(k), np.zeros(k)
+                for t, v in enumerate(c.views):
+                    u = state.u_for_view(t)
+                    for d in range(v.shape[1]):
+                        for l in range(v.shape[2]):
+                            if v.observed[n, d, l]:
+                                b = state.V[t][d] * u[l]
+                                p += state.tau[t] * np.outer(b, b)
+                                lin += state.tau[t] * v.values[n, d, l] * b
+                np.testing.assert_allclose(prec[n], p, rtol=1e-10, atol=1e-10)
+                np.testing.assert_allclose(mean[n], np.linalg.solve(p, lin),
+                                           rtol=1e-10, atol=1e-10)
+            if not c.views[0].observed[2].any():
+                np.testing.assert_array_equal(prec[2], np.eye(k))   # all-masked row
 
     def test_u_step_matches_slab_loop(self, monkeypatch):
-        c, data, state = self._setup()
-        seen = stacked_draw_spy(monkeypatch, mtf_mod)
-        update_u(state, data, 0, RngStream(6).gen)
-        (prec, mean), = seen
-        v, tau, k = c.views[1], state.tau[1], state.k
-        for l in range(v.shape[2]):
-            p, lin = np.eye(k), np.zeros(k)
-            for n in range(v.shape[0]):
-                for d in range(v.shape[1]):
-                    if v.observed[n, d, l]:
-                        b = state.Z[n] * state.V[1][d]
-                        p += tau * np.outer(b, b)
-                        lin += tau * v.values[n, d, l] * b
-            np.testing.assert_allclose(prec[l], p, rtol=1e-10, atol=1e-10)
-            np.testing.assert_allclose(mean[l], np.linalg.solve(p, lin),
-                                       rtol=1e-10, atol=1e-10)
+        for c, data, state in self._setups():
+            seen = stacked_draw_spy(monkeypatch, mtf_mod)
+            update_u(state, data, 0, RngStream(6).gen)
+            (prec, mean), = seen
+            v, tau, k = c.views[1], state.tau[1], state.k
+            for l in range(v.shape[2]):
+                p, lin = np.eye(k), np.zeros(k)
+                for n in range(v.shape[0]):
+                    for d in range(v.shape[1]):
+                        if v.observed[n, d, l]:
+                            b = state.Z[n] * state.V[1][d]
+                            p += tau * np.outer(b, b)
+                            lin += tau * v.values[n, d, l] * b
+                np.testing.assert_allclose(prec[l], p, rtol=1e-10, atol=1e-10)
+                np.testing.assert_allclose(mean[l], np.linalg.solve(p, lin),
+                                           rtol=1e-10, atol=1e-10)
 
 
 class TestSpikeSlabEvidence:

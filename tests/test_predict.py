@@ -73,6 +73,13 @@ def _rank1_problem(seed=0, n_train=50, n_test=25, d=6, l=4, noise=0.0):
 
 
 class TestTwoStagePredict:
+    @pytest.mark.parametrize("field,value", [("n_stage2_samples", 0), ("snapshot_stride", 0),
+                                             ("snapshot_stride", -1), ("n_stage2_sweeps", -3)])
+    def test_task_settings_validated(self, field, value):
+        _, test, _ = _rank1_problem(seed=11)
+        with pytest.raises(ValueError, match=f"{field} >= "):
+            PredictionTask([], test, **{field: value})
+
     def test_noise_free_rank1_recovery(self):
         train, test, x_te = _rank1_problem()
         samples = run_chain(train, small_hp(), RngStream(1))

@@ -17,7 +17,12 @@ from mtfact.rmtf import (
     rmtf_sweep,
 )
 
-from conftest import make_collection, make_masked_rows_collection, stacked_draw_spy
+from conftest import (
+    fully_observed,
+    make_collection,
+    make_masked_rows_collection,
+    stacked_draw_spy,
+)
 
 
 def small_hp(**kw):
@@ -180,31 +185,34 @@ class TestConditionals:
         np.testing.assert_allclose(captured["mtf"], captured["rmtf"], rtol=1e-10)
 
     def test_masked_z_step_matches_row_loop(self, monkeypatch):
-        # the stacked per-row precisions and means against a plain loop
-        c = make_masked_rows_collection(np.random.default_rng(22))
-        hp = small_hp(k=3)
-        data = prepare(c, hp)
-        st = rmtf_init(data, hp, RngStream(17))
-        gen = np.random.default_rng(23)
-        st.W = [gen.standard_normal(w.shape) for w in st.W]
-        st.tau = [np.array([0.8]), np.array([0.5, 1.3, 2.1])]
-        seen = stacked_draw_spy(monkeypatch, rmtf_mod)
-        rmtf_mod._update_z(st, data, RngStream(18).gen)
-        (prec, mean), = seen
-        k = st.k
-        for n in range(c.n_samples):
-            p, lin = np.eye(k), np.zeros(k)
-            for t, v in enumerate(c.views):
-                for d in range(v.shape[1]):
-                    for l in range(v.shape[2]):
-                        if v.observed[n, d, l]:
-                            b = st.W[t][l, d]
-                            p += st.tau[t][l] * np.outer(b, b)
-                            lin += st.tau[t][l] * v.values[n, d, l] * b
-            np.testing.assert_allclose(prec[n], p, rtol=1e-10, atol=1e-10)
-            np.testing.assert_allclose(mean[n], np.linalg.solve(p, lin),
-                                       rtol=1e-10, atol=1e-10)
-        np.testing.assert_array_equal(prec[2], np.eye(k))   # the all-masked row
+        # the stacked per-row precisions and means against a plain loop, and
+        # the shared precision of the same data fully observed
+        masked = make_masked_rows_collection(np.random.default_rng(22))
+        for c in (masked, fully_observed(masked)):
+            hp = small_hp(k=3)
+            data = prepare(c, hp)
+            st = rmtf_init(data, hp, RngStream(17))
+            gen = np.random.default_rng(23)
+            st.W = [gen.standard_normal(w.shape) for w in st.W]
+            st.tau = [np.array([0.8]), np.array([0.5, 1.3, 2.1])]
+            seen = stacked_draw_spy(monkeypatch, rmtf_mod)
+            rmtf_mod._update_z(st, data, RngStream(18).gen)
+            (prec, mean), = seen
+            k = st.k
+            for n in range(c.n_samples):
+                p, lin = np.eye(k), np.zeros(k)
+                for t, v in enumerate(c.views):
+                    for d in range(v.shape[1]):
+                        for l in range(v.shape[2]):
+                            if v.observed[n, d, l]:
+                                b = st.W[t][l, d]
+                                p += st.tau[t][l] * np.outer(b, b)
+                                lin += st.tau[t][l] * v.values[n, d, l] * b
+                np.testing.assert_allclose(prec[n], p, rtol=1e-10, atol=1e-10)
+                np.testing.assert_allclose(mean[n], np.linalg.solve(p, lin),
+                                           rtol=1e-10, atol=1e-10)
+            if not c.views[0].observed[2].any():
+                np.testing.assert_array_equal(prec[2], np.eye(k))   # all-masked row
 
     def test_prior_recovery_all_masked(self):
         vals = np.zeros((5, 3, 2))
@@ -313,9 +321,10 @@ class TestLambdaModes:
     @pytest.mark.slow
     @pytest.mark.parametrize("mode", ["per_component", "per_slab"])
     def test_joint_distribution_smoke(self, mode):
-        from mtfact.diag import joint_distribution_test
+        from mtfact.diag import joint_distribution_test, toy_collection
         hp = small_hp(lambda_mode=mode)
-        res = joint_distribution_test("rmtf", (4, 3, 2), hp, 15000, RngStream(31))
+        res = joint_distribution_test("rmtf", toy_collection((4, 3, 2)), hp, 15000,
+                                      RngStream(31))
         assert np.max(np.abs(res.z_scores)) < 5.0
 
 
