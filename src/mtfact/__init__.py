@@ -32,7 +32,7 @@ from .mtf import (
     run_chain,
 )
 from .predict import PredictionTask, match_components, mse, rmse, two_stage_predict
-from .rmtf import RmtfState, rmtf_init, rmtf_reconstruct_mean, rmtf_run_chain
+from .rmtf import RmtfState, rmtf_init, rmtf_run_chain
 from .simgen import SimSpec, gen_continuum, gen_cp, gen_relaxed_cp, generate
 
 __version__ = "0.1.0"

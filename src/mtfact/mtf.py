@@ -15,6 +15,7 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import blas
 from scipy.special import betaln, gammaln
 
 from .core import Collection, Tensor3, validate_collection
@@ -285,60 +286,59 @@ def _logit(p):
     return np.log(p) - np.log1p(-p)
 
 
+def _view_u(data: ModelData, us, t: int) -> np.ndarray:
+    """Third-mode loadings of view t in a rank-1 fit: u = 1 for matrix views."""
+    return us[data.group_of[t]] if t in data.group_of else np.ones(1)
+
+
+def _rank1_loadings(data: ModelData, vs, us) -> list[np.ndarray]:
+    """vec(u v_t^T) (L*D,) of each view's rank-1 fit."""
+    return [np.outer(_view_u(data, us, t), v).ravel() for t, v in enumerate(vs)]
+
+
 def _rank1_fit(data: ModelData, resid, z, n_power: int):
     """Joint rank-1 alternating fit of (z, per-view v, per-group u) to the
-    current residuals."""
+    current residuals, each view's as its (N, L*D) reshape (only read).
+
+    z is fixed during the v- and u-updates, so one product P_t = z^T R_t,
+    read as (L, D), serves both: v_t = u P_t / (z.z |u|^2) and u = sum_t
+    P_t v_t / sum_t z.z |v_t|^2.  The z-update is z = sum_t R_t b_t /
+    sum_t |b_t|^2 with b_t = vec(u v_t^T): two passes over each residual.
+    """
     vs = [np.zeros(v.d) for v in data.views]
     us = {g: np.full(data.views[m[0]].l, 1.0 / np.sqrt(data.views[m[0]].l))
           for g, m in enumerate(data.u_groups)}
-    n = data.n
     for _ in range(n_power):
         zz = float(z @ z) or 1.0
-        for t, v in enumerate(data.views):
-            if t in data.group_of:
-                u = us[data.group_of[t]]
-                vs[t] = np.tensordot(u, resid[t], axes=(0, 1)).T @ z \
-                    / max(zz * float(u @ u), 1e-30)
-            else:
-                vs[t] = resid[t][:, 0, :].T @ z / zz
+        proj = [(z @ r).reshape(v.l, v.d) for r, v in zip(resid, data.views)]
+        for t, p in enumerate(proj):
+            u = _view_u(data, us, t)
+            vs[t] = u @ p / max(zz * float(u @ u), 1e-30)
         for g, members in enumerate(data.u_groups):
-            num = np.zeros(us[g].size)
-            den = 0.0
-            for t in members:
-                num += np.einsum("nld,n,d->l", resid[t], z, vs[t], optimize=True)
-                den += zz * float(vs[t] @ vs[t])
-            us[g] = num / max(den, 1e-30)
-        num = np.zeros(n)
-        den = 0.0
-        for t, v in enumerate(data.views):
-            u = us[data.group_of[t]] if t in data.group_of else np.ones(1)
-            b = np.outer(u, vs[t])
-            num += np.einsum("nld,ld->n", resid[t], b, optimize=True)
-            den += float(np.sum(b * b))
-        z = num / max(den, 1e-30)
+            us[g] = sum(proj[t] @ vs[t] for t in members) \
+                / max(sum(zz * float(vs[t] @ vs[t]) for t in members), 1e-30)
+        bs = _rank1_loadings(data, vs, us)
+        z = sum(r @ b for r, b in zip(resid, bs)) / max(sum(float(b @ b) for b in bs), 1e-30)
     return z, vs, us
 
 
 def _subtract_component(data: ModelData, resid, z, vs, us, sign=1.0):
-    for t, v in enumerate(data.views):
-        u = us[data.group_of[t]] if t in data.group_of else np.ones(1)
-        upd = z[:, None, None] * np.outer(u, vs[t])[None]
-        if v.obs is not None:
-            upd *= v.obs
-        if sign > 0:
-            resid[t] -= upd
-        else:
-            resid[t] += upd
+    """Subtract (sign -1: add back) z b_t^T from each (N, L*D) residual in
+    place: one BLAS rank-1 update of its column-major transpose, then the
+    observation mask on masked views, whose masked entries stay zero."""
+    for t, b in enumerate(_rank1_loadings(data, vs, us)):
+        resid[t] = blas.dger(-sign, b, z, a=resid[t].T, overwrite_a=True).T
+        if data.views[t].obs is not None:
+            resid[t] *= data.views[t].obs.reshape(data.n, -1)
 
 
 def _above_noise_floor(data: ModelData, resid, z, vs, us, margin: float) -> bool:
     """Keep a fitted component only if it captures more of some view's
     residual than the top singular direction of pure noise would (the
     Marchenko-Pastur edge for that view's matricized shape)."""
-    for t, v in enumerate(data.views):
-        u = us[data.group_of[t]] if t in data.group_of else np.ones(1)
-        cap = float(z @ z) * float(vs[t] @ vs[t]) * float(u @ u)
-        total = float(np.sum(resid[t] ** 2))
+    for v, r, b in zip(data.views, resid, _rank1_loadings(data, vs, us)):
+        cap = float(z @ z) * float(b @ b)
+        total = float(np.sum(r ** 2))
         if total <= 0:
             continue
         cols = v.d * v.l
@@ -360,11 +360,13 @@ def _deflation_start(data: ModelData, k: int, gen, n_power: int = 8,
     entrenches.  Deflation stops at the noise floor; leftover budget
     components start empty, subject to the activation race like any other.
 
+    Each view's residual is one (N, L*D) copy of its data, updated in place
+    as components are subtracted and added back; see ``_rank1_fit``.
     Returns (Z, V per view, U per group), gauge-normalized so latent rows
     and third-mode factors sit at their prior scale.
     """
     n = data.n
-    resid = [v.x.copy() for v in data.views]
+    resid = [v.x.reshape(n, -1).copy() for v in data.views]
     Z = np.zeros((n, k))
     V = [np.zeros((v.d, k)) for v in data.views]
     group_u = [0.05 * gen.standard_normal((data.views[g[0]].l, k))
@@ -745,10 +747,13 @@ def log_joint(state: MtfState, data: ModelData,
 def _run_chain(model: str, init, sweep_fn, log_joint_fn, c, hp: HyperParams, rng,
                chain_id: int, origins) -> PosteriorSamples:
     """Chain driver shared by both samplers: ``init``, then burn-in and
-    thinned sweeps of ``sweep_fn``, with the log joint and the per-view
-    mean squared residual recorded after every sweep.  An ``RngStream``
-    supplies the chain id."""
+    thinned sweeps of ``sweep_fn``, with the log joint and the per-view mean
+    squared residual (so every view needs an observed entry) recorded after
+    every sweep.  An ``RngStream`` supplies the chain id."""
     data = _as_data(c, hp)
+    for t, v in enumerate(data.views):
+        if v.n_obs == 0:
+            raise ValueError(f"view {t} ({v.name!r}) has no observed entries")
     gen = _as_gen(rng)
     state = init(data, hp, gen)
     total = hp.burn_in + hp.n_samples * hp.thin

@@ -35,7 +35,6 @@ from .mtf import (
     _slab_evidence_logodds,
     _warm_start,
     _z_blocks,
-    reconstruct_mean,
     z_conditional,
 )
 
@@ -44,7 +43,6 @@ __all__ = [
     "rmtf_init",
     "rmtf_sweep",
     "rmtf_run_chain",
-    "rmtf_reconstruct_mean",
     "rmtf_log_joint",
     "rmtf_sample_state_from_prior",
 ]
@@ -161,9 +159,6 @@ def rmtf_init(c, hp: HyperParams, rng) -> RmtfState:
             state.beta.append((hp.a_beta + 0.5) / (hp.b_beta + V0[t] ** 2 / 2.0))
             state.V.append(V0[t].copy())
     return state
-
-
-rmtf_reconstruct_mean = reconstruct_mean
 
 
 def _update_z(state: RmtfState, data: ModelData, gen):

@@ -4,6 +4,7 @@ from scipy import integrate, stats
 
 import mtfact.mtf as mtf_mod
 from mtfact.core import Collection, MaskedTensor3, Tensor3
+from mtfact.diag import toy_grouped
 from mtfact.dist import RngStream
 from mtfact.mtf import (
     HyperParams,
@@ -65,6 +66,112 @@ class TestInit:
         c = make_collection(np.random.default_rng(0), n=3)
         with pytest.warns(UserWarning, match="fewer samples"):
             init(c, small_hp(k=5), RngStream(0))
+
+
+def _einsum_rank1_fit(data, resid, z, n_power):
+    """Reference rank-1 fit: one einsum contraction per update on each
+    residual as (N, L, D)."""
+    resid = [r.reshape(data.n, v.l, v.d) for r, v in zip(resid, data.views)]
+    vs = [np.zeros(v.d) for v in data.views]
+    us = {g: np.full(data.views[m[0]].l, 1.0 / np.sqrt(data.views[m[0]].l))
+          for g, m in enumerate(data.u_groups)}
+    for _ in range(n_power):
+        zz = float(z @ z) or 1.0
+        for t, v in enumerate(data.views):
+            if t in data.group_of:
+                u = us[data.group_of[t]]
+                vs[t] = np.tensordot(u, resid[t], axes=(0, 1)).T @ z \
+                    / max(zz * float(u @ u), 1e-30)
+            else:
+                vs[t] = resid[t][:, 0, :].T @ z / zz
+        for g, members in enumerate(data.u_groups):
+            num = np.zeros(us[g].size)
+            den = 0.0
+            for t in members:
+                num += np.einsum("nld,n,d->l", resid[t], z, vs[t], optimize=True)
+                den += zz * float(vs[t] @ vs[t])
+            us[g] = num / max(den, 1e-30)
+        num = np.zeros(data.n)
+        den = 0.0
+        for t in range(data.n_views):
+            u = us[data.group_of[t]] if t in data.group_of else np.ones(1)
+            b = np.outer(u, vs[t])
+            num += np.einsum("nld,ld->n", resid[t], b, optimize=True)
+            den += float(np.sum(b * b))
+        z = num / max(den, 1e-30)
+    return z, vs, us
+
+
+def _einsum_subtract_component(data, resid, z, vs, us, sign=1.0):
+    """Reference subtraction (sign -1: addition) of a rank-1 component,
+    masked, on each residual as (N, L, D), in place."""
+    for t, v in enumerate(data.views):
+        r = resid[t].reshape(data.n, v.l, v.d)
+        u = us[data.group_of[t]] if t in data.group_of else np.ones(1)
+        upd = z[:, None, None] * np.outer(u, vs[t])[None]
+        if v.obs is not None:
+            upd *= v.obs
+        if sign > 0:
+            r -= upd
+        else:
+            r += upd
+
+
+def _planted(c, gen, rank=2):
+    """``c`` with its values replaced by a rank-``rank`` trilinear signal
+    shared on the sample mode, plus small noise; masks and groups kept."""
+    z = gen.standard_normal((c.n_samples, rank))
+    views = []
+    for v in c.views:
+        n, d, l = v.shape
+        x = np.einsum("nk,dk,lk->ndl", z, gen.standard_normal((d, rank)),
+                      gen.standard_normal((l, rank)))
+        views.append(MaskedTensor3(Tensor3(x + 0.1 * gen.standard_normal(x.shape)),
+                                   v.observed))
+    return Collection(tuple(views), c.third_mode_groups, c.names)
+
+
+def _warm_start_collections():
+    """(collection, validate) pairs with planted structure: dense, masked
+    rows, a shared U group, matrices only, and a matrix beside an
+    all-masked tensor."""
+    gen = np.random.default_rng(41)
+    matrices = Collection(tuple(MaskedTensor3.fully_observed(np.zeros(shape))
+                                for shape in ((10, 6, 1), (10, 5, 1))))
+    blank = np.zeros((8, 4, 2))
+    all_masked = Collection((MaskedTensor3.fully_observed(np.zeros((8, 20, 1))),
+                             MaskedTensor3(Tensor3(blank), np.zeros_like(blank, dtype=bool))))
+    return {
+        "dense": (_planted(make_collection(gen), gen), True),
+        "masked": (_planted(make_masked_rows_collection(gen), gen), True),
+        "grouped": (_planted(toy_grouped((10, 3, 4)), gen), True),
+        "matrices": (_planted(matrices, gen), True),
+        "all_masked": (_planted(all_masked, gen), False),
+    }
+
+
+class TestWarmStart:
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("name", list(_warm_start_collections()))
+    def test_matches_einsum_reference(self, name, monkeypatch):
+        # the deflation start on (N, L*D) products agrees with the einsum form
+        c, validate = _warm_start_collections()[name]
+        hp = small_hp(k=3)
+        data = prepare(c, hp, validate=validate)
+
+        def starts():
+            return init_state(data, hp, RngStream(8)), rmtf_init(data, hp, RngStream(8))
+
+        new = starts()
+        monkeypatch.setattr(mtf_mod, "_rank1_fit", _einsum_rank1_fit)
+        monkeypatch.setattr(mtf_mod, "_subtract_component", _einsum_subtract_component)
+        ref = starts()
+        assert np.any(ref[0].Z != 0.0)          # at least one component kept
+        for a, b in zip(new, ref):
+            for field in ("V", "U", "W"):
+                for x, y in zip(getattr(a, field, []), getattr(b, field, [])):
+                    np.testing.assert_allclose(x, y, rtol=1e-10)
+            np.testing.assert_allclose(a.Z, b.Z, rtol=1e-10)
 
 
 class TestUpdateZ:
@@ -517,6 +624,17 @@ class TestRunChain:
         samples = run_chain(c, hp, RngStream(21))
         for state in samples.states:
             assert state.U == []
+
+    def test_view_without_observed_entries_rejected(self):
+        gen = np.random.default_rng(24)
+        blank = np.zeros((8, 4, 2))
+        c = Collection((MaskedTensor3.fully_observed(gen.standard_normal((8, 3, 1))),
+                        MaskedTensor3(Tensor3(blank), np.zeros_like(blank, dtype=bool))),
+                       (), ("mat", "blank"))
+        hp = small_hp(burn_in=1, n_samples=1, thin=1)
+        data = prepare(c, hp, validate=False)
+        with pytest.raises(ValueError, match="view 1 \\('blank'\\) has no observed entries"):
+            run_chain(data, hp, RngStream(24))
 
     def test_prior_recovery_all_masked(self):
         # all entries masked: hyperparameter posteriors equal their priors

@@ -11,7 +11,6 @@ from mtfact.rmtf import (
     RmtfState,
     rmtf_init,
     rmtf_log_joint,
-    rmtf_reconstruct_mean,
     rmtf_run_chain,
     rmtf_sample_state_from_prior,
     rmtf_sweep,
@@ -86,7 +85,7 @@ class TestReconstruct:
         c = make_collection(np.random.default_rng(4))
         st = rmtf_init(c, small_hp(), RngStream(5))
         st.W = [np.zeros_like(w) for w in st.W]
-        assert np.all(rmtf_reconstruct_mean(st, 1).values == 0.0)
+        assert np.all(reconstruct_mean(st, 1).values == 0.0)
 
     def test_cp_embedding_matches_strict_model(self):
         c = make_collection(np.random.default_rng(5))
@@ -99,14 +98,14 @@ class TestReconstruct:
             u = strict.u_for_view(t)
             relaxed.W[t] = u[:, None, :] * strict.V[t][None, :, :]
         for t in range(2):
-            a = rmtf_reconstruct_mean(relaxed, t).values
+            a = reconstruct_mean(relaxed, t).values
             b = reconstruct_mean(strict, t).values
             np.testing.assert_allclose(a, b, atol=1e-12)
 
     def test_matches_triple_loop(self):
         c = make_collection(np.random.default_rng(6), n=4, d2=3, l=2)
         st = rmtf_init(c, small_hp(k=2), RngStream(8))
-        rec = rmtf_reconstruct_mean(st, 1).values
+        rec = reconstruct_mean(st, 1).values
         want = np.zeros_like(rec)
         for n in range(4):
             for d in range(3):
@@ -266,7 +265,7 @@ class TestRunChain:
         for i, st in enumerate(samples.states):
             sweep = samples.sweeps[i]
             for t, v in enumerate(c.views):
-                rec = rmtf_reconstruct_mean(st, t).values
+                rec = reconstruct_mean(st, t).values
                 obs = v.observed
                 mse = np.sum((v.values[obs] - rec[obs]) ** 2) / obs.sum()
                 assert abs(mse - samples.traces[sweep - 1, 1 + t]) < 1e-12
