@@ -1,13 +1,16 @@
 #!/usr/bin/env python3
 """Sampler-correctness harness at full strength.
 
-Runs the joint-distribution comparison for both samplers at the small
-reference configuration, fully observed, with the masked entries of
-``toy_masks``, and with two tensors sharing one third-mode group
-(``toy_grouped``), and confirms every shipped bug fixture fails it in each.
+Runs the one-transition invariance check (``transition_test``) and the
+joint-distribution comparison (``joint_distribution_test``) for both
+samplers at the small reference configuration, on four toys: fully
+observed, with the masked entries of ``toy_masks``, with two tensors
+sharing one third-mode group (``toy_grouped``), and grouped with masks.
+The transition test runs rMTF in every lambda mode, the joint test in the
+global one.  Every shipped bug fixture must fail each check on every toy.
 
 Example:
-    python3 scripts/run_sampler_checks.py --n-iter 200000
+    python3 scripts/run_sampler_checks.py --n-iter 200000 --n-draws 50000
 """
 
 import argparse
@@ -19,9 +22,12 @@ from mtfact.diag import (
     toy_collection,
     toy_grouped,
     toy_masks,
+    transition_test,
 )
 from mtfact.dist import RngStream
 from mtfact.mtf import HyperParams
+
+LAMBDA_MODES = ("global", "per_component", "per_slab")
 
 
 def harness_hp(**kw):
@@ -35,31 +41,39 @@ def harness_hp(**kw):
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--n-iter", type=int, default=200_000)
+    ap.add_argument("--n-iter", type=int, default=200_000,
+                    help="iterations of each joint-distribution test")
+    ap.add_argument("--n-draws", type=int, default=50_000,
+                    help="independent draws of each transition test")
     ap.add_argument("--sizes", nargs=3, type=int, default=[4, 3, 2],
                     metavar=("N", "D", "L"))
     ap.add_argument("--seed", type=int, default=2024)
     args = ap.parse_args()
 
-    hp = harness_hp()
     sizes = tuple(args.sizes)
     failures = 0
     configs = (("observed", toy_collection(sizes)),
                ("masked", toy_collection(sizes, toy_masks(sizes))),
-               ("grouped", toy_grouped(sizes)))
+               ("grouped", toy_grouped(sizes)),
+               ("masked+grouped", toy_grouped(sizes, toy_masks(sizes, n_tensors=2))))
+    # the chain-based joint test keeps the global lambda mode for rMTF: its
+    # verdict also depends on how well the chain mixes
+    checks = (("transition", transition_test, args.n_draws, LAMBDA_MODES),
+              ("joint", joint_distribution_test, args.n_iter, ("global",)))
     for config, toy in configs:
-        for model in ("mtf", "rmtf"):
-            res = joint_distribution_test(model, toy, hp, args.n_iter, RngStream(args.seed))
-            print(f"[{model}, {config}] {res}")
-            failures += not res.passed
-        for name, (model, transition) in buggy_transitions().items():
-            res = joint_distribution_test(model, toy, hp, args.n_iter,
-                                          RngStream(args.seed + 1), transition=transition)
-            verdict = "detected" if not res.passed else "MISSED"
-            worst = max(abs(z) for z in res.z_scores)
-            print(f"[fixture {name} on {model}, {config}] {verdict} "
-                  f"(max |z| = {worst:.1f})")
-            failures += res.passed
+        for check, test, n, modes in checks:
+            for model, mode in [("mtf", "global")] + [("rmtf", m) for m in modes]:
+                res = test(model, toy, harness_hp(lambda_mode=mode), n, RngStream(args.seed))
+                print(f"[{check}: {model} {mode}, {config}] {res}", flush=True)
+                failures += not res.passed
+            for name, (model, transition) in buggy_transitions().items():
+                res = test(model, toy, harness_hp(), n, RngStream(args.seed + 1),
+                           transition=transition)
+                verdict = "detected" if not res.passed else "MISSED"
+                worst = max(abs(z) for z in res.z_scores)
+                print(f"[{check}: fixture {name} on {model}, {config}] {verdict} "
+                      f"(max |z| = {worst:.1f})", flush=True)
+                failures += res.passed
     sys.exit(1 if failures else 0)
 
 

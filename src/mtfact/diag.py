@@ -1,10 +1,11 @@
 """Convergence diagnostics and the sampler-correctness harness.
 
-The harness compares forward simulation from the generative model against
-the Gibbs transition interleaved with data resimulation; a correct sampler
-leaves the joint distribution invariant, so every statistic's two estimates
-must agree.  Deliberately broken transition kernels are shipped as fixtures
-to prove the harness has teeth.
+A correct sampler leaves the joint distribution of parameters and data
+invariant.  ``transition_test`` checks that on independent prior draws,
+one transition each; ``joint_distribution_test`` compares forward
+simulation against a Gibbs chain interleaved with data resimulation, so
+every statistic's two estimates must agree.  Deliberately broken
+transition kernels are shipped as fixtures to prove the harness has teeth.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ __all__ = [
     "geweke_z",
     "spectral_variance",
     "joint_distribution_test",
+    "transition_test",
     "toy_collection",
     "toy_grouped",
     "toy_masks",
@@ -106,23 +108,32 @@ def toy_collection(sizes, masks=None) -> Collection:
     return Collection(tuple(views), (), ("m", "t"))
 
 
-def toy_grouped(sizes) -> Collection:
+def toy_grouped(sizes, masks=None) -> Collection:
     """Harness toy of ``sizes`` (n, d, l), l >= 2, whose two (n, d, l)
     tensors share one third-mode (U) group beside an (n, d, 1) matrix;
-    fully observed."""
+    fully observed unless ``masks`` gives the three views' observation
+    masks (see ``toy_masks``)."""
     n, d, l = sizes
-    views = [MaskedTensor3.fully_observed(np.zeros(shape) + 0.1)
-             for shape in ((n, d, 1), (n, d, l), (n, d, l))]
+    shapes = ((n, d, 1), (n, d, l), (n, d, l))
+    if masks is None:
+        masks = [np.ones(shape, dtype=bool) for shape in shapes]
+    views = [MaskedTensor3(Tensor3(np.zeros(shape) + 0.1), obs)
+             for shape, obs in zip(shapes, masks)]
     return Collection(tuple(views), ((1, 2),), ("m", "t1", "t2"))
 
 
-def toy_masks(sizes) -> list[np.ndarray]:
-    """Observation masks for the harness toy of ``sizes`` (n, d, l) that
-    exercise the masked conditionals: row 0 is masked in both views, and
-    entry (i, j, m) of every other row is masked when i + j + m is a
-    multiple of 3, so the rows have distinct missingness patterns."""
+def toy_masks(sizes, n_tensors: int = 1) -> list[np.ndarray]:
+    """Observation masks for the harness toys of ``sizes`` (n, d, l) that
+    exercise the masked conditionals: an (n, d, 1) matrix mask and
+    ``n_tensors`` (n, d, l) tensor masks (two for ``toy_grouped``).  Row 0
+    is masked in every view, and entry (i, j, m) of every other row is
+    masked when i + j + m + s is a multiple of 3, with s = 0 for the matrix
+    and the first tensor and s = 1 for the second, so the rows, and the
+    two grouped tensors, have distinct missingness patterns."""
     n, d, l = sizes
-    masks = [np.indices(shape).sum(axis=0) % 3 != 0 for shape in ((n, d, 1), (n, d, l))]
+    shapes = [(n, d, 1)] + [(n, d, l)] * n_tensors
+    masks = [(np.indices(shape).sum(axis=0) + max(s - 1, 0)) % 3 != 0
+             for s, shape in enumerate(shapes)]
     for obs in masks:
         obs[0] = False
     return masks
@@ -175,9 +186,12 @@ def _rmtf_stats(state: RmtfState, data: ModelData):
     return out
 
 
-def _x_stats(arrays):
+def _x_stats(arrays, name: str = "x"):
     x = _flat(arrays)
-    return {"x_mean": _odd(x), "x_sq": _even(x)}
+    return {f"{name}_mean": _odd(x), f"{name}_sq": _even(x)}
+
+
+_ALPHA = 0.005  # family-wise level of the harness verdicts
 
 
 @dataclass
@@ -203,7 +217,7 @@ class JointDistResult:
 
 
 def joint_distribution_test(model: str, toy: Collection, hp: HyperParams, n_iter: int,
-                            rng, transition=None, alpha: float = 0.005) -> JointDistResult:
+                            rng, transition=None, alpha: float = _ALPHA) -> JointDistResult:
     """Compare forward simulation against the Gibbs transition, moment by moment.
 
     ``toy`` gives the shapes, third-mode groups and observation masks of
@@ -224,15 +238,7 @@ def joint_distribution_test(model: str, toy: Collection, hp: HyperParams, n_iter
     <= 2, so the squares of x and v have no finite variance.  The successive
     chain's variance uses the Geyer estimator of ``spectral_variance``.
     """
-    if hp.b_tau is None:
-        raise ValueError("the harness needs an explicit b_tau (data-independent prior)")
-    gen = _as_gen(rng)
-    data = prepare(toy, hp)
-    kernels = {"mtf": (_mtf.sample_state_from_prior, _mtf.mtf_sweep, _mtf_stats),
-               "rmtf": (_rmtf.rmtf_sample_state_from_prior, _rmtf.rmtf_sweep, _rmtf_stats)}
-    if model not in kernels:
-        raise ValueError(f"unknown model {model!r}")
-    sample_prior, sweep, stats_fn = kernels[model]
+    data, gen, (sample_prior, sweep, stats_fn) = _harness_setup(model, toy, hp, rng)
     simulate = _mtf.simulate_data
 
     # forward: independent draws from prior + likelihood
@@ -261,14 +267,72 @@ def joint_distribution_test(model: str, toy: Collection, hp: HyperParams, n_iter
         row.update(_x_stats(xs))
         suc[i] = [row[k] for k in names]
 
-    z = np.empty(len(names))
-    for j in range(len(names)):
-        se2 = np.var(fwd[:, j], ddof=1) / n_iter + spectral_variance(suc[:, j]) / n_iter
-        diff = fwd[:, j].mean() - suc[:, j].mean()
-        if se2 == 0:  # degenerate constant statistic (e.g. all-matrix v's)
-            z[j] = 0.0 if diff == 0 else np.inf
+    se2 = np.array([np.var(fwd[:, j], ddof=1) / n_iter + spectral_variance(suc[:, j]) / n_iter
+                    for j in range(len(names))])
+    return _verdict(names, fwd.mean(axis=0) - suc.mean(axis=0), se2, alpha, n_iter)
+
+
+def transition_test(model: str, toy: Collection, hp: HyperParams, n_draws: int, rng,
+                    transition=None) -> JointDistResult:
+    """One-transition invariance check of the Gibbs kernel (the
+    marginal-conditional simulator of Geweke 2004, JASA 99:799).
+
+    Each of ``n_draws`` independent draws takes theta from the prior, data
+    y | theta, and one sweep theta -> theta' given y.  A kernel that leaves
+    the posterior invariant leaves the law of (theta, y) unchanged, so
+    every stat(theta', y) - stat(theta, y) has mean zero.  The draws are
+    iid, so each z-score is the mean difference over its plain standard
+    error: no spectral variance, and the verdict does not depend on how
+    well the chain mixes.  The statistics are those of
+    ``joint_distribution_test`` on theta, plus ``r_mean`` and ``r_sq`` of
+    the residuals y - E[y | theta] (masked entries held at zero); the data
+    statistics would not move.  ``toy``, ``hp`` and ``transition`` are
+    as for ``joint_distribution_test``, at its default ``alpha``.
+    """
+    data, gen, (sample_prior, sweep, stats_fn) = _harness_setup(model, toy, hp, rng)
+
+    def stats(state):
+        row = stats_fn(state, data)
+        row.update(_x_stats(_mtf._residuals(state, data), "r"))
+        return row
+
+    diffs = []
+    for _ in range(n_draws):
+        state = sample_prior(data, hp, gen)
+        for t, x in enumerate(_mtf.simulate_data(state, data, gen)):
+            data.set_values(t, x)
+        before = stats(state)
+        if transition is None:
+            sweep(state, data, gen)
         else:
-            z[j] = diff / np.sqrt(se2)
+            state = transition(state, data, gen)
+        after = stats(state)
+        diffs.append([after[k] - before[k] for k in sorted(before)])
+    diffs = np.array(diffs)
+    return _verdict(sorted(before), diffs.mean(axis=0),
+                    np.var(diffs, axis=0, ddof=1) / n_draws, _ALPHA, n_draws)
+
+
+def _harness_setup(model: str, toy: Collection, hp: HyperParams, rng):
+    """(data, generator, (prior draw, sweep, statistics)) of a harness run."""
+    if hp.b_tau is None:
+        raise ValueError("the harness needs an explicit b_tau (data-independent prior)")
+    kernels = {"mtf": (_mtf.sample_state_from_prior, _mtf.mtf_sweep, _mtf_stats),
+               "rmtf": (_rmtf.rmtf_sample_state_from_prior, _rmtf.rmtf_sweep, _rmtf_stats)}
+    if model not in kernels:
+        raise ValueError(f"unknown model {model!r}")
+    return prepare(toy, hp), _as_gen(rng), kernels[model]
+
+
+def _verdict(names, diff, se2, alpha: float, n_iter: int) -> JointDistResult:
+    """z-scores diff / sqrt(se2) against the Bonferroni threshold at
+    ``alpha``; a constant statistic (se2 = 0) scores 0, or inf if it moved."""
+    z = np.empty(len(names))
+    for j, (d, v) in enumerate(zip(diff, se2)):
+        if v == 0:  # degenerate constant statistic (e.g. all-matrix v's)
+            z[j] = 0.0 if d == 0 else np.inf
+        else:
+            z[j] = d / np.sqrt(v)
     threshold = float(norm.ppf(1.0 - alpha / (2 * len(names))))
     return JointDistResult(list(names), z, threshold, alpha, n_iter)
 

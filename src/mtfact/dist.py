@@ -6,6 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import lapack, solve_triangular
+from scipy.special import expit
 
 __all__ = [
     "RngStream",
@@ -159,17 +160,15 @@ def draw_mvn_rows(h: np.ndarray, chols: np.ndarray, rng) -> np.ndarray:
     return np.linalg.solve(chols.transpose(0, 2, 1), y)[..., 0]
 
 
-def draw_bernoulli_logodds(log_odds: float, rng) -> int:
-    """Draw {0,1} with P(1) = logistic(log_odds), overflow-safe; +-inf allowed."""
-    if np.isnan(log_odds):
+def draw_bernoulli_logodds(log_odds, rng):
+    """Draw {0,1} with P(1) = logistic(log_odds), overflow-safe; +-inf allowed.
+
+    ``log_odds`` is a scalar (returns an int) or an array (returns a 0/1
+    array of its shape).  Every entry takes one uniform, in C order, also
+    where its log odds is +-inf.
+    """
+    lo = np.asarray(log_odds, dtype=np.float64)
+    if np.isnan(lo).any():
         raise ValueError("log-odds is NaN")
-    if log_odds == np.inf:
-        return 1
-    if log_odds == -np.inf:
-        return 0
-    if log_odds >= 0:
-        p = 1.0 / (1.0 + np.exp(-log_odds))
-    else:
-        e = np.exp(log_odds)
-        p = e / (1.0 + e)
-    return int(_as_gen(rng).random() < p)
+    draws = (_as_gen(rng).random(lo.shape) < expit(lo)).astype(np.int64)
+    return int(draws) if lo.ndim == 0 else draws

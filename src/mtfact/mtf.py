@@ -338,7 +338,7 @@ def _above_noise_floor(data: ModelData, resid, z, vs, us, margin: float) -> bool
     Marchenko-Pastur edge for that view's matricized shape)."""
     for v, r, b in zip(data.views, resid, _rank1_loadings(data, vs, us)):
         cap = float(z @ z) * float(b @ b)
-        total = float(np.sum(r ** 2))
+        total = float(np.dot(r.ravel(), r.ravel()))  # C-contiguous: no temporary
         if total <= 0:
             continue
         cols = v.d * v.l
@@ -449,17 +449,15 @@ def reconstruct_mean(state, t: int) -> Tensor3:
     return Tensor3(_recon_nld(state, t).transpose(0, 2, 1))
 
 
-def _residual(state, data: ModelData, t: int) -> np.ndarray:
-    """x - reconstruction, with masked entries held at zero."""
-    v = data.views[t]
-    r = v.x - _recon_nld(state, t)
-    if v.obs is not None:
-        r *= v.obs
-    return r
-
-
-def _residuals(state, data):
-    return [_residual(state, data, t) for t in range(data.n_views)]
+def _residuals(state, data: ModelData) -> list[np.ndarray]:
+    """x - reconstruction of every view as (N, L, D), masked entries held at zero."""
+    out = []
+    for t, v in enumerate(data.views):
+        r = v.x - _recon_nld(state, t)
+        if v.obs is not None:
+            r *= v.obs
+        out.append(r)
+    return out
 
 
 def z_conditional(blocks, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -514,71 +512,85 @@ def update_z(state: MtfState, data: ModelData, rng) -> np.ndarray:
 
 
 def _slab_evidence_logodds(m, prior_prec, prior_mean, s):
-    """Per-feature log evidence ratio (slab vs spike) for a collapsed column.
-
-    ``m`` and ``s`` are the likelihood linear and precision statistics of
-    each coefficient; the slab prior is N(prior_mean, 1/prior_prec).
-    """
+    """Log evidence ratio (slab vs spike) of collapsed columns, summed over
+    the last (feature) axis, and every coefficient's posterior mean and
+    precision.  ``m`` and ``s`` are the likelihood linear and precision
+    statistics; the slab prior is N(prior_mean, 1/prior_prec)."""
     denom = prior_prec + s
     shifted = prior_prec * prior_mean + m
     terms = 0.5 * (np.log(prior_prec) - np.log(denom)) \
         + shifted ** 2 / (2.0 * denom) - prior_prec * prior_mean ** 2 / 2.0
-    return float(np.sum(terms)), shifted / denom, denom
+    return np.sum(terms, axis=-1), shifted / denom, denom
 
 
-def update_vh(state: MtfState, data: ModelData, t: int, rng,
-              residual: np.ndarray | None = None):
-    """Joint spike-and-slab update of (V^(t), H_{t,:}), column by column.
+def _column_step(xb, gram, w, tau, rho, mu, logit_pi, h, gen):
+    """Collapsed spike-and-slab update, in place, of the loadings w (S, D, K)
+    and activity h (S, K) of S independent columns per component.
 
-    Each column is integrated out of the likelihood to score active vs
-    inactive, then redrawn from its Gaussian conditional when active and set
-    to exact zeros when not.  Returns (V^(t), H row, residual).
+    Column (s, k) has likelihood statistics m = tau_s (xb[s, :, k] -
+    sum_{j != k} w[s, :, j] gram[s, :, k, j]) and tau_s gram[s, :, k, k],
+    from the data projected on the columns' designs, xb (S, D, K), and
+    their per-feature Gram, broadcastable to (S, D, K, K); tau is scalar or
+    (S,).  Slab N(mu, 1/rho), both broadcastable to w; spike exact zero.
+    Per component in order: S uniforms (also where a log odds is +-inf),
+    then one block of normals for the active columns in slab order.
     """
-    gen = _as_gen(rng)
+    tau = np.reshape(tau, (-1, 1))
+    rho, mu = np.broadcast_to(rho, w.shape), np.broadcast_to(mu, w.shape)
+    for k in range(w.shape[-1]):
+        g_kk = gram[..., k, k]
+        cross = np.sum(w * gram[..., k, :], axis=-1) - w[..., k] * g_kk
+        lo, mean, prec = _slab_evidence_logodds(tau * (xb[..., k] - cross), rho[..., k],
+                                                mu[..., k], tau * g_kk)
+        h[:, k] = draw_bernoulli_logodds(logit_pi[k] + lo, gen)
+        on = h[:, k] > 0
+        w[..., k] = 0.0
+        w[on, :, k] = mean[on] + gen.standard_normal(mean[on].shape) / np.sqrt(prec[on])
+
+
+def _xtz(v: ViewData, z: np.ndarray) -> np.ndarray:
+    """X^T Z of each slab of a view, as (L, D, K); masked entries are zero."""
+    return (v.x.reshape(v.n, -1).T @ z).reshape(v.l, v.d, -1)
+
+
+def _masked_gram(v: ViewData, z: np.ndarray) -> np.ndarray:
+    """Per-entry Gram M (L, D, K*K) of a masked view: M[l, d] = sum_n
+    obs[n, l, d] vec(z_n z_n^T), one GEMM."""
+    return (v.obs.reshape(v.n, -1).T @ outer_rows(z)).reshape(v.l, v.d, -1)
+
+
+def update_vh(state: MtfState, data: ModelData, t: int, rng, grams=None):
+    """Joint spike-and-slab update of (V^(t), H_{t,:}) by ``_column_step``,
+    one column (design z_k o u_k) per component; returns (V^(t), H row).
+
+    GFA statistics (Virtanen et al. 2012, AISTATS; Klami et al. 2015, IEEE
+    TNNLS 26:2136): xb = sum_l u_l * (X^T Z)_l and the elementwise product
+    (Z^T Z) * (U^T U), or on a masked view per feature d the Gram
+    sum_l (u_l u_l^T) * M[l, d] (``_masked_gram`` of the current Z: grams[t]
+    if given, else formed here).  Draw order per component: one uniform
+    (also at a log odds of +-inf), then D normals when active.
+    """
     v = data.views[t]
-    V, alpha, tau = state.V[t], state.alpha[t], state.tau[t]
     u = state.u_for_view(t)
-    R = _residual(state, data, t) if residual is None else residual
-    z2 = state.Z ** 2
-    u2 = u ** 2
     if v.obs is None:
-        zz = z2.sum(axis=0)
-        uu = u2.sum(axis=0)
-    for k in range(state.k):
-        z_k, u_k = state.Z[:, k], u[:, k]
-        if v.obs is None:
-            sdata = np.full(v.d, zz[k] * uu[k])
-        else:
-            sdata = np.einsum("nld,n,l->d", v.obs, z2[:, k], u2[:, k], optimize=True)
-        proj = np.einsum("nld,n,l->d", R, z_k, u_k, optimize=True)
-        m = tau * (proj + V[:, k] * sdata)
-        s = tau * sdata
-        lo, post_mean, post_prec = _slab_evidence_logodds(m, alpha[:, k], 0.0, s)
-        h_new = draw_bernoulli_logodds(_logit(state.pi[k]) + lo, gen)
-        if h_new:
-            v_new = post_mean + gen.standard_normal(v.d) / np.sqrt(post_prec)
-        else:
-            v_new = np.zeros(v.d)
-        dv = V[:, k] - v_new
-        if np.any(dv != 0.0):
-            # swapping component k changes the reconstruction by -z dv u
-            upd = z_k[:, None, None] * np.multiply.outer(u_k, dv)[None]
-            if v.obs is not None:
-                upd *= v.obs
-            R += upd
-        V[:, k] = v_new
-        state.H[t, k] = float(h_new)
-    return V, state.H[t], R
+        gram = (state.Z.T @ state.Z) * (u.T @ u)
+    else:
+        m = _masked_gram(v, state.Z) if grams is None else grams[t]
+        gram = np.einsum("ldq,lq->dq", m, outer_rows(u)).reshape(v.d, state.k, state.k)
+    xb = np.einsum("ldk,lk->dk", _xtz(v, state.Z), u)[None]
+    _column_step(xb, gram, state.V[t][None], state.tau[t], state.alpha[t], 0.0,
+                 _logit(state.pi), state.H[t:t + 1], _as_gen(rng))
+    return state.V[t], state.H[t]
 
 
-def update_u(state: MtfState, data: ModelData, g: int, rng) -> np.ndarray:
+def update_u(state: MtfState, data: ModelData, g: int, rng, grams=None) -> np.ndarray:
     """Resample the shared third-mode factors of one tensor-view group.
 
     Precision for slab l: I_K + sum_t tau_t sum_{(n,d) observed} b b^T with
     b = z_n * v_d.  Without masked member views all slabs share one
-    factorization.  A masked view t adds a slab-specific term from one GEMM,
-    M = obs_t^T @ Q with obs_t as (N, L*D) and row n of Q (N, K^2) equal to
-    vec(z_n z_n^T): the term of slab l is tau_t sum_d M[(l, d)] * vec(v_d v_d^T).
+    factorization.  A masked view t adds a slab-specific term from its
+    per-entry Gram M (``_masked_gram``, one GEMM; ``grams`` as for
+    ``update_vh``): the term of slab l is tau_t sum_d M[l, d] * vec(v_d v_d^T).
     The L precisions are factorized by one batched Cholesky and all slabs
     drawn together.
     """
@@ -594,8 +606,7 @@ def update_u(state: MtfState, data: ModelData, g: int, rng) -> np.ndarray:
         if v.obs is None:
             prec = prec + state.tau[t] * ((state.Z.T @ state.Z) * (state.V[t].T @ state.V[t]))
         else:
-            m = v.obs.reshape(data.n, -1).T @ outer_rows(state.Z)   # (L*D, K^2)
-            m = m.reshape(n_slabs, v.d, k * k)
+            m = _masked_gram(v, state.Z) if grams is None else grams[t]
             prec = prec + state.tau[t] * np.einsum(
                 "ldq,dq->lq", m, outer_rows(state.V[t])).reshape(n_slabs, k, k)
     state.U[g] = _draw_rows(lin, prec, rng)
@@ -669,6 +680,11 @@ def mtf_sweep(state: MtfState, data: ModelData, rng) -> list[np.ndarray]:
     closed by the exact rescaling moves of ``_rescale``: first z against
     every view, then each U group against its member views.
 
+    The (v,h) step uses the statistics X^T Z and Gram of ``update_vh`` in
+    its draw order (per component one uniform, then D normals if active).
+    Each masked view's Gram M is formed once, for the (v,h) and u steps,
+    and the residuals once, after the u-step, for the tau update.
+
     The map z_k -> c z_k, v_tk -> v_tk / c leaves the likelihood unchanged,
     so the coordinate updates alone only random-walk along each
     component's scale; the moves sample that direction directly.  They
@@ -677,14 +693,12 @@ def mtf_sweep(state: MtfState, data: ModelData, rng) -> list[np.ndarray]:
     Returns the per-view residuals, exact as of the end of the sweep.
     """
     update_z(state, data, rng)
-    residuals = _residuals(state, data)
+    grams = [None if v.obs is None else _masked_gram(v, state.Z) for v in data.views]
     for t in range(data.n_views):
-        update_vh(state, data, t, rng, residual=residuals[t])
+        update_vh(state, data, t, rng, grams)
     for g in range(len(data.u_groups)):
-        update_u(state, data, g, rng)
-    for t in range(data.n_views):
-        if not data.views[t].is_matrix():
-            residuals[t] = _residual(state, data, t)
+        update_u(state, data, g, rng, grams)
+    residuals = _residuals(state, data)
     update_hypers(state, data, rng, residuals=residuals)
     state.Z = _rescale(state, data, state.Z, range(data.n_views), rng)
     for g, members in enumerate(data.u_groups):

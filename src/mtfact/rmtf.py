@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dist import _as_gen, draw_bernoulli_logodds
+from .dist import _as_gen
 from .mtf import (
     _ALPHA_FLOOR,
     HyperParams,
@@ -23,17 +23,19 @@ from .mtf import (
     _ard_lp,
     _ard_prior,
     _clip_unit,
+    _column_step,
     _draw_ard,
     _draw_rows,
     _gamma_lp,
     _logit,
+    _masked_gram,
     _normal_lp,
     _prior_latents,
     _residuals,
     _run_chain,
     _shared_lp,
-    _slab_evidence_logodds,
     _warm_start,
+    _xtz,
     _z_blocks,
     z_conditional,
 )
@@ -167,50 +169,28 @@ def _update_z(state: RmtfState, data: ModelData, gen):
     state.Z = _draw_rows(*z_conditional(_z_blocks(state, data), state.k), gen)
 
 
-def _update_wh(state: RmtfState, data: ModelData, t: int, gen,
-               residual: np.ndarray) -> np.ndarray:
-    """Collapsed spike-and-slab update of (W^(t), H^(t)), one (slab, component)
-    column at a time; returns the maintained residual."""
+def _update_wh(state: RmtfState, data: ModelData, t: int, gen):
+    """Collapsed spike-and-slab update of (W^(t), H^(t)) by ``_column_step``,
+    one column (design z_k) per slab and component, on X_l^T Z per slab and
+    Z^T Z, or on a masked view the per-entry Gram of ``_masked_gram``.  The
+    slab is N(u_l v, 1/lambda) on tensors, N(0, 1/alpha) on matrices.  The
+    slab columns of one component are conditionally independent, so they
+    are drawn per component: L uniforms (also at a log odds of +-inf),
+    then the active slabs' normals.
+    """
     v = data.views[t]
-    W, H = state.W[t], state.H[t]
-    u = state.u_for_view(t)
-    if v.is_matrix():
-        prior_prec_dk = state.alpha[t]            # (D, K), mean 0
-        prior_mean = None
+    if v.obs is None:
+        gram = state.Z.T @ state.Z
     else:
-        lam = state.lam_lk(t, v.l)                # (L, K)
-        prior_mean = u[:, None, :] * state.V[t][None, :, :]   # (L, D, K)
-    z2 = state.Z ** 2
-    zz = z2.sum(axis=0)
-    for l in range(v.l):
-        r_l = residual[:, l, :]                   # (N, D) slice view
-        tau_l = state.tau[t][l]
-        obs_l = None if v.obs is None else v.obs[:, l, :]
-        for k in range(state.k):
-            z_k = state.Z[:, k]
-            sdata = np.full(v.d, zz[k]) if obs_l is None \
-                else obs_l.T @ z2[:, k]
-            m = tau_l * (r_l.T @ z_k + W[l, :, k] * sdata)
-            s = tau_l * sdata
-            if v.is_matrix():
-                rho, mu = prior_prec_dk[:, k], 0.0
-            else:
-                rho, mu = lam[l, k], prior_mean[l, :, k]
-            lo, post_mean, post_prec = _slab_evidence_logodds(m, rho, mu, s)
-            h_new = draw_bernoulli_logodds(_logit(state.pi[k]) + lo, gen)
-            if h_new:
-                w_new = post_mean + gen.standard_normal(v.d) / np.sqrt(post_prec)
-            else:
-                w_new = np.zeros(v.d)
-            dw = W[l, :, k] - w_new
-            if np.any(dw != 0.0):
-                upd = np.outer(z_k, dw)
-                if obs_l is not None:
-                    upd *= obs_l
-                r_l += upd
-            W[l, :, k] = w_new
-            H[l, k] = float(h_new)
-    return residual
+        gram = _masked_gram(v, state.Z).reshape(v.l, v.d, state.k, state.k)
+    if v.is_matrix():
+        rho, mu = state.alpha[t], 0.0
+    else:
+        rho = state.lam_lk(t, v.l)[:, None, :]
+        mu = state.u_for_view(t)[:, None, :] * state.V[t][None, :, :]
+    _column_step(_xtz(v, state.Z), gram, state.W[t], state.tau[t], rho, mu,
+                 _logit(state.pi), state.H[t], gen)
+    return state.W[t], state.H[t]
 
 
 def _update_v(state: RmtfState, data: ModelData, t: int, gen):
@@ -299,20 +279,22 @@ def _update_pi(state: RmtfState, data: ModelData, hp: HyperParams, gen):
 
 
 def rmtf_sweep(state: RmtfState, data: ModelData, rng) -> list[np.ndarray]:
-    """One full conditional scan; returns end-of-sweep per-view residuals."""
+    """One full conditional scan: z, per-view (w, h), v, per-group u, lambda,
+    then slab scales, noise and pi.  The (w, h) step draws per component
+    across slabs (see ``_update_wh``); the residuals are formed once, for
+    the noise update, and returned."""
     gen = _as_gen(rng)
     hp = data.hp
     _update_z(state, data, gen)
-    residuals = _residuals(state, data)
     for t in range(data.n_views):
-        _update_wh(state, data, t, gen, residuals[t])
+        _update_wh(state, data, t, gen)
     for t, v in enumerate(data.views):
         if not v.is_matrix():
             _update_v(state, data, t, gen)
     for g in range(len(data.u_groups)):
         _update_u(state, data, g, gen)
     _update_lambda(state, data, hp, gen)
-    residuals = _residuals(state, data)  # exact, decoupled from incremental drift
+    residuals = _residuals(state, data)
     _update_scales_and_noise(state, data, hp, gen, residuals)
     _update_pi(state, data, hp, gen)
     return residuals

@@ -12,6 +12,7 @@ from mtfact.diag import (
     toy_collection,
     toy_grouped,
     toy_masks,
+    transition_test,
 )
 from mtfact.dist import RngStream
 from mtfact.mtf import HyperParams, run_chain
@@ -68,22 +69,23 @@ class TestGeweke:
         assert np.mean(vals) == pytest.approx(1.0, abs=0.05)
 
 
-class TestJointDistributionHarness:
-    def _hp(self, **kw):
-        base = dict(k=2, a_pi=1.0, b_pi=1.0, a_alpha=2.0, b_alpha=2.0,
-                    a_tau=2.0, b_tau=1.0, a_beta=2.0, b_beta=2.0,
-                    a_lambda=2.0, b_lambda=2.0,
-                    burn_in=0, n_samples=1, thin=1, n_chains=1)
-        base.update(kw)
-        return HyperParams(**base)
+def _harness_hp(**kw):
+    base = dict(k=2, a_pi=1.0, b_pi=1.0, a_alpha=2.0, b_alpha=2.0,
+                a_tau=2.0, b_tau=1.0, a_beta=2.0, b_beta=2.0,
+                a_lambda=2.0, b_lambda=2.0,
+                burn_in=0, n_samples=1, thin=1, n_chains=1)
+    base.update(kw)
+    return HyperParams(**base)
 
+
+class TestJointDistributionHarness:
     def test_requires_fixed_noise_prior(self):
         with pytest.raises(ValueError, match="b_tau"):
-            joint_distribution_test("mtf", toy_collection((4, 3, 2)), self._hp(b_tau=None),
+            joint_distribution_test("mtf", toy_collection((4, 3, 2)), _harness_hp(b_tau=None),
                                     100, RngStream(0))
 
     def test_battery_and_smoke(self):
-        res = joint_distribution_test("mtf", toy_collection((4, 3, 2)), self._hp(), 2_000,
+        res = joint_distribution_test("mtf", toy_collection((4, 3, 2)), _harness_hp(), 2_000,
                                       RngStream(1))
         assert isinstance(res, JointDistResult)
         for name in ("z_mean", "z_sq", "v_mean", "v_sq", "u_mean", "u_sq",
@@ -93,13 +95,13 @@ class TestJointDistributionHarness:
 
     def test_all_matrix_configuration(self):
         # l=1 exercises the multi-view matrix (no U) path
-        res = joint_distribution_test("mtf", toy_collection((4, 3, 1)), self._hp(k=1),
+        res = joint_distribution_test("mtf", toy_collection((4, 3, 1)), _harness_hp(k=1),
                                       2_000, RngStream(2))
         assert "u_mean" not in res.stat_names
         assert np.isfinite(res.z_scores).all()
 
     def test_rmtf_battery(self):
-        res = joint_distribution_test("rmtf", toy_collection((4, 3, 2)), self._hp(), 1_000,
+        res = joint_distribution_test("rmtf", toy_collection((4, 3, 2)), _harness_hp(), 1_000,
                                       RngStream(3))
         for name in ("w_mean", "w_sq", "lam_mean", "lam_sq"):
             assert name in res.stat_names
@@ -111,21 +113,64 @@ class TestJointDistributionHarness:
         # stacked Z- and U-step conditionals
         sizes = (4, 3, 2)
         res = joint_distribution_test(model, toy_collection(sizes, toy_masks(sizes)),
-                                      self._hp(), 15_000, RngStream(31))
+                                      _harness_hp(), 15_000, RngStream(31))
         assert np.max(np.abs(res.z_scores)) < 5.0
 
     @pytest.mark.slow
     @pytest.mark.parametrize("model", ["mtf", "rmtf"])
     def test_grouped_smoke(self, model):
         # two tensors sharing one third-mode group run the grouped U-step
-        res = joint_distribution_test(model, toy_grouped((4, 3, 2)), self._hp(), 15_000,
+        res = joint_distribution_test(model, toy_grouped((4, 3, 2)), _harness_hp(), 15_000,
                                       RngStream(31))
+        assert np.max(np.abs(res.z_scores)) < 5.0
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("model", ["mtf", "rmtf"])
+    def test_masked_grouped_smoke(self, model):
+        # masks on two tensors sharing one third-mode group: the masked U-step
+        # sums over member views, and the masked strict Gram weights M by u u^T
+        sizes = (4, 3, 2)
+        toy = toy_grouped(sizes, toy_masks(sizes, n_tensors=2))
+        res = joint_distribution_test(model, toy, _harness_hp(), 15_000, RngStream(31))
         assert np.max(np.abs(res.z_scores)) < 5.0
 
     def test_fixture_registry(self):
         fixtures = buggy_transitions()
         assert len(fixtures) == 3
         assert {m for m, _ in fixtures.values()} == {"mtf", "rmtf"}
+
+
+def _transition_toys(sizes=(4, 3, 2)):
+    return {"observed": toy_collection(sizes),
+            "masked": toy_collection(sizes, toy_masks(sizes)),
+            "grouped": toy_grouped(sizes),
+            "masked_grouped": toy_grouped(sizes, toy_masks(sizes, n_tensors=2))}
+
+
+class TestTransitionTest:
+    def test_statistics(self):
+        res = transition_test("mtf", _transition_toys()["observed"], _harness_hp(), 200,
+                              RngStream(40))
+        assert {"z_mean", "v_sq", "tau_mean", "r_mean", "r_sq"} <= set(res.stat_names)
+        assert "x_mean" not in res.stat_names     # the data do not move
+        assert res.n_iter == 200 and np.isfinite(res.z_scores).all()
+
+    @pytest.mark.parametrize("toy", list(_transition_toys()))
+    @pytest.mark.parametrize("model, mode", [("mtf", "global"), ("rmtf", "global"),
+                                             ("rmtf", "per_component"), ("rmtf", "per_slab")])
+    def test_invariant(self, model, mode, toy):
+        # one sweep from exact prior draws leaves the joint law unchanged; the
+        # relaxed kernel draws its slab columns per component
+        res = transition_test(model, _transition_toys()[toy], _harness_hp(lambda_mode=mode),
+                              2_000, RngStream(41))
+        assert np.max(np.abs(res.z_scores)) < 5.0
+
+    @pytest.mark.parametrize("name", list(buggy_transitions()))
+    def test_detects_fixture(self, name):
+        model, transition = buggy_transitions()[name]
+        res = transition_test(model, _transition_toys()["observed"], _harness_hp(), 2_000,
+                              RngStream(43), transition=transition)
+        assert not res.passed
 
 
 class TestSummarizeRun:

@@ -151,6 +151,16 @@ class TestBernoulliLogodds:
         assert draw_bernoulli_logodds(1e4, gen) == 1
         assert draw_bernoulli_logodds(-1e4, gen) == 0
 
+    def test_array_takes_one_uniform_per_entry(self):
+        lo = np.array([[np.inf, -np.inf], [0.0, -1e4]])
+        gen = RngStream(14).gen
+        draws = draw_bernoulli_logodds(lo, gen)
+        assert draws.shape == (2, 2)
+        assert draws[0, 0] == 1 and draws[0, 1] == 0 and draws[1, 1] == 0
+        ref = RngStream(14).gen
+        assert draws[1, 0] == int(ref.random(4)[2] < 0.5)
+        assert gen.random() == ref.random()     # no more, no fewer uniforms
+
     def test_nan_rejected(self):
         with pytest.raises(ValueError):
             draw_bernoulli_logodds(np.nan, RngStream(0).gen)

@@ -3,9 +3,10 @@ import pytest
 from scipy import integrate, stats
 
 import mtfact.mtf as mtf_mod
+import mtfact.rmtf as rmtf_mod
 from mtfact.core import Collection, MaskedTensor3, Tensor3
 from mtfact.diag import toy_grouped
-from mtfact.dist import RngStream
+from mtfact.dist import RngStream, draw_bernoulli_logodds
 from mtfact.mtf import (
     HyperParams,
     MtfState,
@@ -115,6 +116,55 @@ def _einsum_subtract_component(data, resid, z, vs, us, sign=1.0):
             r -= upd
         else:
             r += upd
+
+
+def _residual_column_reference(state, data, t, gen, model):
+    """Reference collapsed column update of view t on the residual, with
+    the statistics m and s of the residual-based ``update_vh`` (model "mtf")
+    and ``_update_wh`` ("rmtf"), in the draw order of ``mtf._column_step``:
+    per component, one uniform per slab, then the active slabs' normals.
+    Updates the state in place; returns the (log odds, posterior mean,
+    posterior precision) of each component, stacked over its slabs."""
+    v = data.views[t]
+    Z, u = state.Z, state.u_for_view(t)
+    z2, u2 = Z ** 2, u ** 2
+    obs = np.ones_like(v.x) if v.obs is None else v.obs
+    R = mtf_mod._residuals(state, data)[t]
+    if model == "mtf":
+        W, H, tau = state.V[t][None], state.H[t:t + 1], np.array([state.tau[t]])
+        rho, mu = np.broadcast_to(state.alpha[t], W.shape), np.zeros(W.shape)
+    elif v.is_matrix():
+        W, H, tau = state.W[t], state.H[t], state.tau[t]
+        rho, mu = np.broadcast_to(state.alpha[t], W.shape), np.zeros(W.shape)
+    else:
+        W, H, tau = state.W[t], state.H[t], state.tau[t]
+        rho = np.broadcast_to(state.lam_lk(t, v.l)[:, None, :], W.shape)
+        mu = u[:, None, :] * state.V[t][None, :, :]
+    out = []
+    for k in range(state.k):
+        cols = []
+        for s in range(W.shape[0]):
+            if model == "mtf":
+                sdata = np.einsum("nld,n,l->d", obs, z2[:, k], u2[:, k], optimize=True)
+                proj = np.einsum("nld,n,l->d", R, Z[:, k], u[:, k], optimize=True)
+            else:
+                sdata = obs[:, s, :].T @ z2[:, k]
+                proj = R[:, s, :].T @ Z[:, k]
+            m = tau[s] * (proj + W[s, :, k] * sdata)
+            cols.append(_slab_evidence_logodds(m, rho[s, :, k], mu[s, :, k], tau[s] * sdata))
+        lo, mean, prec = (np.array(x) for x in zip(*cols))
+        out.append((lo, mean, prec))
+        on = draw_bernoulli_logodds(np.log(state.pi[k] / (1.0 - state.pi[k])) + lo, gen) > 0
+        w_new = np.zeros_like(mean)
+        w_new[on] = mean[on] + gen.standard_normal(mean[on].shape) / np.sqrt(prec[on])
+        dw = W[:, :, k] - w_new
+        if model == "mtf":
+            R += Z[:, k, None, None] * np.multiply.outer(u[:, k], dw[0])[None] * obs
+        else:
+            R += Z[:, k, None, None] * dw[None] * obs
+        W[:, :, k] = w_new
+        H[:, k] = on
+    return out
 
 
 def _planted(c, gen, rank=2):
@@ -378,17 +428,62 @@ class TestUpdateVH:
         assert hits == 50
         assert np.mean(cors) > 0.99
 
-    def test_residual_consistency_after_update(self):
-        # maintained residual must equal the freshly recomputed one
-        gen = np.random.default_rng(7)
-        c = make_collection(gen)
-        hp = small_hp()
-        data = prepare(c, hp)
-        state = init_state(data, hp, RngStream(4))
-        from mtfact.mtf import _residual
-        r = _residual(state, data, 1)
-        update_vh(state, data, 1, RngStream(5).gen, residual=r)
-        np.testing.assert_allclose(r, _residual(state, data, 1), atol=1e-10)
+    @pytest.mark.parametrize("model", ["mtf", "rmtf"])
+    @pytest.mark.parametrize("name", list(_warm_start_collections()))
+    def test_matches_residual_reference(self, name, model, monkeypatch):
+        # the column step on X^T Z and Gram statistics scores and draws every
+        # column as the residual-based update did, view by view
+        c, validate = _warm_start_collections()[name]
+        hp = small_hp(k=3)
+        data = prepare(c, hp, validate=validate)
+        init, step = {"mtf": (init_state, update_vh),
+                      "rmtf": (rmtf_init, rmtf_mod._update_wh)}[model]
+        new = init(data, hp, RngStream(8))
+        new.pi = np.array([0.3, 0.5, 0.7])
+        ref = new.copy()
+        seen = []
+
+        def spy(*args):
+            seen.append(_slab_evidence_logodds(*args))
+            return seen[-1]
+
+        monkeypatch.setattr(mtf_mod, "_slab_evidence_logodds", spy)
+        gen_new, gen_ref = RngStream(9).gen, RngStream(9).gen
+        for t in range(data.n_views):
+            del seen[:]
+            step(new, data, t, gen_new)
+            want = _residual_column_reference(ref, data, t, gen_ref, model)
+            assert len(seen) == len(want) == hp.k
+            for got, exp in zip(seen, want):
+                for a, b in zip(got, exp):
+                    np.testing.assert_allclose(a, b, rtol=1e-10)
+        for field in ("V", "W", "H"):
+            for a, b in zip(getattr(new, field, []), getattr(ref, field, [])):
+                np.testing.assert_allclose(a, b, rtol=1e-10)
+
+    @pytest.mark.parametrize("name", list(_warm_start_collections()))
+    def test_three_sweeps_match_residual_reference(self, name, monkeypatch):
+        # MTF keeps its draw order, so seeded sweeps match the reference
+        c, validate = _warm_start_collections()[name]
+        hp = small_hp(k=3)
+        data = prepare(c, hp, validate=validate)
+        start = init_state(data, hp, RngStream(8))
+
+        def sweeps():
+            state, gen = start.copy(), RngStream(10).gen
+            for _ in range(3):
+                mtf_sweep(state, data, gen)
+            return state
+
+        new = sweeps()
+        monkeypatch.setattr(mtf_mod, "update_vh", lambda state, data, t, rng, grams:
+                            _residual_column_reference(state, data, t, rng, "mtf"))
+        ref = sweeps()
+        np.testing.assert_array_equal(new.H, ref.H)
+        for field in ("Z", "V", "U", "alpha", "tau", "pi"):
+            a, b = getattr(new, field), getattr(ref, field)
+            for x, y in zip(a, b) if isinstance(a, list) else [(a, b)]:
+                np.testing.assert_allclose(x, y, rtol=1e-10)
 
 
 class TestUpdateU:

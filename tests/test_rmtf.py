@@ -66,8 +66,7 @@ class TestInit:
         data = prepare(c, hp)
         st = rmtf_init(data, hp, RngStream(30))
         st.tau = [np.full(v.l, 1e-9) for v in data.views]
-        r = rmtf_mod._residuals(st, data)
-        rmtf_mod._update_wh(st, data, 1, RngStream(31).gen, r[1])
+        rmtf_mod._update_wh(st, data, 1, RngStream(31).gen)
         mean = st.u_for_view(1)[:, None, :] * st.V[1][None, :, :]
         act = st.H[1][:, None, :] > 0
         assert np.abs(np.where(act, st.W[1] - mean, 0.0)).max() < 1e-2
@@ -139,8 +138,7 @@ class TestConditionals:
         st = rmtf_init(data, hp, RngStream(10))
         st.lam = np.asarray(1e12)
         st.tau = [np.full(v.l, 1e-9) for v in data.views]  # likelihood off
-        r = rmtf_mod._residuals(st, data)
-        rmtf_mod._update_wh(st, data, 1, RngStream(11).gen, r[1])
+        rmtf_mod._update_wh(st, data, 1, RngStream(11).gen)
         mean = st.u_for_view(1)[:, None, :] * st.V[1][None, :, :]
         act = st.H[1][:, None, :] > 0
         dev = np.where(act, st.W[1] - mean, 0.0)
@@ -167,20 +165,19 @@ class TestConditionals:
             relaxed.tau[t] = np.array([strict.tau[t]])
 
         captured = {"mtf": [], "rmtf": []}
+        which = []
 
-        def spy(which):
-            def f(log_odds, rng):
-                captured[which].append(log_odds)
-                return 1  # keep everything active; both paths then draw D normals
-            return f
+        def spy(log_odds, rng):
+            captured[which[-1]].append(log_odds)
+            return 1  # keep everything active; both paths then draw D normals
 
-        monkeypatch.setattr(mtf_mod, "draw_bernoulli_logodds", spy("mtf"))
-        monkeypatch.setattr(rmtf_mod, "draw_bernoulli_logodds", spy("rmtf"))
-        r_s = mtf_mod._residuals(strict, data)
-        r_r = rmtf_mod._residuals(relaxed, data)
+        # both samplers reach the Bernoulli draw through the one column step
+        monkeypatch.setattr(mtf_mod, "draw_bernoulli_logodds", spy)
         for t in range(2):
-            mtf_mod.update_vh(strict, data, t, RngStream(14).gen, residual=r_s[t])
-            rmtf_mod._update_wh(relaxed, data, t, RngStream(14).gen, r_r[t])
+            which.append("mtf")
+            mtf_mod.update_vh(strict, data, t, RngStream(14).gen)
+            which.append("rmtf")
+            rmtf_mod._update_wh(relaxed, data, t, RngStream(14).gen)
         np.testing.assert_allclose(captured["mtf"], captured["rmtf"], rtol=1e-10)
 
     def test_masked_z_step_matches_row_loop(self, monkeypatch):
