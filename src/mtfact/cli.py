@@ -274,14 +274,6 @@ def cmd_report(args) -> int:
         models.add(manifest.get("requested_model", manifest["model"]))
         summary = summarize_run(chains)
         sh, spec_counts, emp = summary.structure.counts
-        origins = manifest.get("origins")
-        if origins is not None:
-            groups: dict[int, list[int]] = {}
-            for i, o in enumerate(origins):
-                groups.setdefault(o, []).append(i)
-            from .mtf import component_structure
-            s = component_structure(chains, view_groups=[groups[g] for g in sorted(groups)])
-            sh, spec_counts, emp = s.counts
         rows.append([path, manifest.get("requested_model", manifest["model"]),
                      sh, *spec_counts, emp])
     if len(models) > 1 and not args.allow_mixed:

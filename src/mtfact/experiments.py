@@ -47,14 +47,7 @@ def _structure_one(payload) -> StructureRep:
     collection, truth = generate(replace(spec, seed=spec.seed + rep), rng)
     chains, _, _ = fit_model(collection, hp, model=model,
                              seed=spec.seed + 7919 * rep, preprocess=preprocess)
-    view_groups = None
-    if model == "gfa":
-        _, origins = unfold_collection(collection)
-        groups: dict[int, list[int]] = {}
-        for i, o in enumerate(origins):
-            groups.setdefault(o, []).append(i)
-        view_groups = [groups[g] for g in sorted(groups)]
-    s = component_structure(chains, view_groups=view_groups)
+    s = component_structure(chains)
     match = None
     if compute_match:
         cols = np.nonzero((truth.H[1] > 0) & (truth.H[0] == 0))[0]

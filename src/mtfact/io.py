@@ -1,8 +1,22 @@
 """On-disk text formats: collections, posterior archives, prediction reports.
 
-Everything is plain JSON manifests plus long-format CSV (one indexed value
-per row, 0-based indices, floats with 17 significant digits so round trips
-are bit exact).  A masked entry is simply an absent row.
+Every file is a JSON manifest or a long-format CSV table.  All tables share
+one dialect, written by `_write_table` and read by `_read_table`:
+
+- a header row names the columns;
+- each row holds one value (or one value per value column), after its
+  0-based integer indices;
+- floats are written as ``%.17g``, 17 significant digits, so a round trip is
+  bit exact (nan, inf, -inf and -0 included);
+- rows follow the ``csv`` module's defaults: CRLF line ends, and quotes only
+  around a field that holds a comma, a quote or a line break (of all fields,
+  only view names in prediction reports can);
+- an absent row is a masked entry, and an empty index field is a dimension
+  the row's array does not have (snapshot files hold arrays of 1 to 3 dims);
+- rows may come in any order.
+
+A read index outside the shape its manifest records raises ValueError naming
+the file and the data row.
 """
 
 from __future__ import annotations
@@ -10,33 +24,23 @@ from __future__ import annotations
 import csv
 import json
 import os
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 import numpy as np
+from numpy.dtypes import StringDType
 
 from .core import Collection, MaskedTensor3, PreprocessTransform, Tensor3
 from .mtf import HyperParams, MtfState, PosteriorSamples
 from .rmtf import RmtfState
 
 __all__ = [
-    "write_collection",
-    "read_collection",
-    "write_transform",
-    "read_transform",
-    "write_archive",
-    "read_archive",
-    "write_array",
-    "read_array",
-    "write_arrays",
-    "read_arrays",
-    "write_prediction_report",
+    "write_collection", "read_collection", "write_transform", "read_transform",
+    "write_archive", "read_archive", "write_array", "read_array", "write_arrays",
+    "read_arrays", "write_prediction_report",
 ]
 
 _FMT = "%.17g"
-
-
-def _f(x: float) -> str:
-    return _FMT % x
+_COMMA = np.array(",", dtype=StringDType())
 
 
 def _json_dump(path: str, obj):
@@ -51,39 +55,80 @@ def _json_load(path: str):
 
 
 # ---------------------------------------------------------------------------
+# the table dialect
+
+
+def _cells(column: np.ndarray) -> list:
+    """A column's Python values, floats formatted with `_FMT`."""
+    values = column.tolist()
+    return list(map(_FMT.__mod__, values)) if column.dtype.kind == "f" else values
+
+
+def _write_table(path: str, header: list[str], columns: list, footer: str = ""):
+    """Write one table from whole column arrays; ``footer`` follows the rows
+    as is."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows(zip(*map(_cells, columns)))
+        fh.write(footer)
+
+
+def _read_table(path: str) -> tuple[list[str], list[np.ndarray]]:
+    """The header and the columns of one table, each column a numpy string
+    array in file row order, converted in bulk by the caller (`_indices`,
+    ``astype(np.float64)``).  Rows split at every comma: no table that is
+    read back holds a quoted field."""
+    with open(path, newline="") as fh:
+        header = next(csv.reader([fh.readline()]))
+        rows = np.array(fh.read().splitlines(), dtype=StringDType())
+    columns, ragged = [], np.zeros(rows.shape, dtype=bool)
+    for _ in header[1:]:
+        column, comma, rows = np.strings.partition(rows, _COMMA)
+        columns.append(column)
+        ragged |= comma == ""
+    ragged = np.flatnonzero(ragged | (np.strings.find(rows, _COMMA) >= 0))
+    if ragged.size:
+        raise ValueError(f"{path}, row {ragged[0] + 1}: expected {len(header)} fields")
+    return header, columns + [rows]
+
+
+def _indices(path: str, header, columns, bounds) -> tuple[np.ndarray, ...]:
+    """Index columns as int64 arrays, each in [0, bound); a bound is a number
+    or one per row."""
+    out = []
+    for name, column, bound in zip(header, columns, bounds):
+        idx = column.astype(np.int64)
+        bad = np.flatnonzero((idx < 0) | (idx >= bound))
+        if bad.size:
+            r = bad[0]
+            raise ValueError(f"{path}, row {r + 1}: {name} {idx[r]} is outside "
+                             f"[0, {np.broadcast_to(bound, idx.shape)[r]})")
+        out.append(idx)
+    return tuple(out)
+
+
+def _grid(shape) -> list[np.ndarray]:
+    """Index columns of every entry of an array of this shape, in C order."""
+    return [g.ravel() for g in np.indices(shape)]
+
+
+# ---------------------------------------------------------------------------
 # collections
 
 
 def write_collection(directory: str, c: Collection):
     os.makedirs(directory, exist_ok=True)
-    group_of = {}
-    for g, members in enumerate(c.third_mode_groups):
-        for t in members:
-            group_of[t] = g
-    manifest = {
-        "format": "tensor-collection",
-        "version": 1,
-        "views": [
-            {
-                "name": c.names[t],
-                "n": v.shape[0],
-                "d": v.shape[1],
-                "l": v.shape[2],
-                "group": group_of.get(t),
-            }
-            for t, v in enumerate(c.views)
-        ],
-    }
-    _json_dump(os.path.join(directory, "manifest.json"), manifest)
+    group_of = {t: g for g, members in enumerate(c.third_mode_groups) for t in members}
+    views = [{"name": c.names[t], "n": v.shape[0], "d": v.shape[1], "l": v.shape[2],
+              "group": group_of.get(t)} for t, v in enumerate(c.views)]
+    _json_dump(os.path.join(directory, "manifest.json"),
+               {"format": "tensor-collection", "version": 1, "views": views})
     for t, v in enumerate(c.views):
-        path = os.path.join(directory, f"{c.names[t]}.csv")
         idx = np.nonzero(v.observed)
-        vals = v.values[idx]
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["sample_index", "feature_index", "slab_index", "value"])
-            for n, d, l, x in zip(*idx, vals):
-                w.writerow([n, d, l, _f(x)])
+        _write_table(os.path.join(directory, f"{c.names[t]}.csv"),
+                     ["sample_index", "feature_index", "slab_index", "value"],
+                     [*idx, v.values[idx]])
 
 
 def read_collection(directory: str) -> Collection:
@@ -92,16 +137,13 @@ def read_collection(directory: str) -> Collection:
     groups: dict[int, list[int]] = {}
     for t, meta in enumerate(manifest["views"]):
         shape = (meta["n"], meta["d"], meta["l"])
+        path = os.path.join(directory, f"{meta['name']}.csv")
+        header, columns = _read_table(path)
+        idx = _indices(path, header, columns, shape)
         values = np.zeros(shape)
         observed = np.zeros(shape, dtype=bool)
-        path = os.path.join(directory, f"{meta['name']}.csv")
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            next(reader)
-            for row in reader:
-                n, d, l = int(row[0]), int(row[1]), int(row[2])
-                values[n, d, l] = float(row[3])
-                observed[n, d, l] = True
+        values[idx] = columns[3].astype(np.float64)
+        observed[idx] = True
         views.append(MaskedTensor3(Tensor3(values), observed))
         names.append(meta["name"])
         if meta.get("group") is not None:
@@ -115,25 +157,26 @@ def read_collection(directory: str) -> Collection:
 
 
 def write_transform(path: str, transform: PreprocessTransform):
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["view", "feature", "slab", "center", "scale"])
-        for t, (c, s) in enumerate(zip(transform.centers, transform.scales)):
-            for d in range(c.shape[0]):
-                for l in range(c.shape[1]):
-                    w.writerow([t, d, l, _f(c[d, l]), _f(s[d, l])])
+    grids = [_grid(c.shape) for c in transform.centers]
+    _write_table(path, ["view", "feature", "slab", "center", "scale"], [
+        np.repeat(np.arange(len(grids)), [c.size for c in transform.centers]),
+        *(np.concatenate(g) for g in zip(*grids)),
+        np.concatenate([c.ravel() for c in transform.centers]),
+        np.concatenate([s.ravel() for s in transform.scales]),
+    ])
 
 
 def read_transform(path: str, shapes: list[tuple[int, int]]) -> PreprocessTransform:
+    header, columns = _read_table(path)
+    (view,) = _indices(path, header, columns, [len(shapes)])
+    d, l = _indices(path, header[1:], columns[1:], np.array(shapes).T[:, view])
+    center, scale = (c.astype(np.float64) for c in columns[3:])
     centers = [np.zeros(sh) for sh in shapes]
     scales = [np.ones(sh) for sh in shapes]
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        for row in reader:
-            t, d, l = int(row[0]), int(row[1]), int(row[2])
-            centers[t][d, l] = float(row[3])
-            scales[t][d, l] = float(row[4])
+    for t in range(len(shapes)):
+        rows = view == t
+        centers[t][d[rows], l[rows]] = center[rows]
+        scales[t][d[rows], l[rows]] = scale[rows]
     return PreprocessTransform(tuple(centers), tuple(scales))
 
 
@@ -143,24 +186,25 @@ def read_transform(path: str, shapes: list[tuple[int, int]]) -> PreprocessTransf
 
 def write_array(path: str, arr: np.ndarray):
     arr = np.asarray(arr)
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow([f"i{j}" for j in range(arr.ndim)] + ["value"])
-        for idx in np.ndindex(*arr.shape):
-            w.writerow(list(idx) + [_f(arr[idx])])
+    _write_table(path, [f"i{j}" for j in range(arr.ndim)] + ["value"],
+                 [*_grid(arr.shape), arr.astype(np.float64).ravel()])
+
+
+def _read_array(path: str, shape) -> np.ndarray:
+    """One array file; ``shape=None`` takes each extent as the largest
+    index read plus one."""
+    header, (*index, value) = _read_table(path)
+    idx = _indices(path, header, index, [np.inf] * len(index) if shape is None else shape)
+    if shape is None:
+        shape = tuple(int(i.max(initial=-1)) + 1 for i in idx)
+    out = np.zeros(shape)
+    # flat positions, which also serve a 0-d array
+    np.put(out, np.ravel_multi_index(idx, out.shape), value.astype(np.float64))
+    return out
 
 
 def read_array(path: str) -> np.ndarray:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        ndim = len(header) - 1
-        rows = [([int(x) for x in row[:ndim]], float(row[ndim])) for row in reader]
-    shape = tuple(max(r[0][j] for r in rows) + 1 for j in range(ndim)) if rows else (0,)
-    out = np.zeros(shape)
-    for idx, val in rows:
-        out[tuple(idx)] = val
-    return out
+    return _read_array(path, None)
 
 
 def write_arrays(directory: str, arrays: dict[str, np.ndarray]):
@@ -173,134 +217,102 @@ def write_arrays(directory: str, arrays: dict[str, np.ndarray]):
 
 def read_arrays(directory: str) -> dict[str, np.ndarray]:
     meta = _json_load(os.path.join(directory, "arrays.json"))
-    return {name: read_array(os.path.join(directory, f"{name}.csv")) for name in meta}
+    return {name: _read_array(os.path.join(directory, f"{name}.csv"), shape)
+            for name, shape in meta.items()}
 
 
 # ---------------------------------------------------------------------------
 # posterior archives
 
 
+def _latents(state_cls) -> list[tuple[str, str]]:
+    """(field, param) of every latent a snapshot stores, in file order."""
+    return [(f.name, "lambda" if f.name == "lam" else f.name) for f in fields(state_cls)
+            if f.name not in ("lambda_mode", "group_of")]
+
+
 def _state_entries(state):
-    """Yield (param, view, indices, array) blocks in a fixed order."""
-    yield "Z", "", state.Z
-    if isinstance(state, RmtfState):
-        for t, w in enumerate(state.W):
-            yield "W", t, w
-        for t, v in enumerate(state.V):
-            yield "V", t, v
-        for g, u in enumerate(state.U):
-            yield "U", g, u
-        for t, h in enumerate(state.H):
-            yield "H", t, h
-        yield "pi", "", state.pi
-        for t, a in enumerate(state.alpha):
-            if a is not None:
-                yield "alpha", t, a
-        for t, b in enumerate(state.beta):
-            if b is not None:
-                yield "beta", t, b
-        if state.lambda_mode == "per_slab":
-            for t, lam in enumerate(state.lam):
-                if lam is not None:
-                    yield "lambda", t, lam
+    """Yield (param, view, array) blocks; a list field gives one block per
+    view (U: per group), skipping None entries."""
+    for name, param in _latents(type(state)):
+        value = getattr(state, name)
+        if isinstance(value, list):
+            yield from ((param, t, a) for t, a in enumerate(value) if a is not None)
         else:
-            yield "lambda", "", np.atleast_1d(np.asarray(state.lam))
-        for t, tau in enumerate(state.tau):
-            yield "tau", t, tau
-    else:
-        for t, v in enumerate(state.V):
-            yield "V", t, v
-        for g, u in enumerate(state.U):
-            yield "U", g, u
-        yield "H", "", state.H
-        yield "pi", "", state.pi
-        for t, a in enumerate(state.alpha):
-            yield "alpha", t, a
-        yield "tau", "", state.tau
+            yield param, "", value
 
 
 def _write_snapshots(path: str, states: list):
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["snapshot", "param", "view", "i0", "i1", "i2", "value"])
-        for s, state in enumerate(states):
-            for param, view, arr in _state_entries(state):
-                arr = np.asarray(arr)
-                if arr.ndim == 0:
-                    arr = arr[None]
-                for idx in np.ndindex(*arr.shape):
-                    pad = list(idx) + [""] * (3 - len(idx))
-                    w.writerow([s, param, view] + pad + [_f(arr[idx])])
+    """One row per entry of every block; a block of fewer than 3 dims leaves
+    the trailing index fields empty."""
+    keys, arrays = [], []
+    for s, state in enumerate(states):
+        for param, view, arr in _state_entries(state):
+            keys.append((s, param, view))
+            arrays.append(np.atleast_1d(arr))
+    sizes = [a.size for a in arrays]
+    grids = [_grid(a.shape) for a in arrays]
+    empty = np.array([""], dtype=object)
+    _write_table(path, ["snapshot", "param", "view", "i0", "i1", "i2", "value"], [
+        *(np.repeat(np.array(k, dtype=object), sizes) for k in zip(*keys)),
+        *(np.concatenate([g[j] if j < len(g) else np.repeat(empty, n)
+                          for g, n in zip(grids, sizes)]) for j in range(3)),
+        np.concatenate([a.ravel() for a in arrays], dtype=np.float64),
+    ])
 
 
-def _read_snapshot_rows(path: str):
-    blocks: dict[tuple[int, str, str], list] = {}
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        for row in reader:
-            key = (int(row[0]), row[1], row[2])
-            idx = tuple(int(x) for x in row[3:6] if x != "")
-            blocks.setdefault(key, []).append((idx, float(row[6])))
+def _codes(column: np.ndarray) -> np.ndarray:
+    """Integer codes of a string column that holds few distinct values:
+    equal strings, equal codes."""
+    first = np.flatnonzero(np.r_[True, column[1:] != column[:-1]])
+    codes = np.empty(column.shape, dtype=np.intp)
+    for j, v in enumerate(np.unique(column[first])):
+        codes[column == v] = j
+    return codes
+
+
+def _read_snapshot_blocks(path: str) -> dict[tuple[int, str, str], np.ndarray]:
+    """{(snapshot, param, view): array}, grouping rows with one sort."""
+    header, (snap, param, view, *index, value) = _read_table(path)
+    empty = [i == "" for i in index]
+    for i, e in zip(index, empty):
+        i[e] = "0"
+    snap, *index = _indices(path, header[:1] + header[3:6], [snap, *index], [np.inf] * 4)
+    value = value.astype(np.float64)
+    keys = (snap, _codes(param), _codes(view))
+    order = np.lexsort(keys[::-1])
+    new_key = np.zeros(order.size, dtype=bool)
+    new_key[:1] = True
+    for key in keys:
+        new_key[1:] |= np.diff(key[order]) != 0
+    blocks = {}
+    for rows in np.split(order, np.flatnonzero(new_key)[1:]):
+        r = rows[0]
+        idx = tuple(i[rows] for i, e in zip(index, empty) if not e[r])
+        out = np.zeros(tuple(int(i.max()) + 1 for i in idx))
+        out[idx] = value[rows]
+        blocks[int(snap[r]), str(param[r]), str(view[r])] = out
     return blocks
 
 
-def _block_to_array(entries) -> np.ndarray:
-    ndim = len(entries[0][0])
-    if ndim == 0:
-        return np.asarray(entries[0][1])
-    shape = tuple(max(e[0][j] for e in entries) + 1 for j in range(ndim))
-    out = np.zeros(shape)
-    for idx, val in entries:
-        out[idx] = val
-    return out
-
-
 def _states_from_blocks(blocks, model: str, manifest) -> list:
-    n_snap = max(k[0] for k in blocks) + 1
+    cls = RmtfState if model == "rmtf" else MtfState
     group_of = {t: meta["u_group"] for t, meta in enumerate(manifest["views"])
                 if meta["u_group"] is not None}
-    n_views = len(manifest["views"])
     states = []
-    for s in range(n_snap):
-        get = lambda param, view="": _block_to_array(blocks[(s, param, str(view))])
-        has = lambda param, view="": (s, param, str(view)) in blocks
-        if model == "rmtf":
-            lam_mode = manifest["hyperparams"]["lambda_mode"]
-            if lam_mode == "per_slab":
-                lam = [get("lambda", t) if has("lambda", t) else None
-                       for t in range(n_views)]
+    for s in range(max(k[0] for k in blocks) + 1):
+        kw = {"group_of": group_of}
+        for name, param in _latents(cls):
+            if (s, param, "") in blocks:
+                kw[name] = blocks[s, param, ""]
             else:
-                lam = get("lambda")
-                lam = lam if lam_mode == "per_component" else np.asarray(lam[0])
-            state = RmtfState(
-                Z=get("Z"),
-                W=[get("W", t) for t in range(n_views)],
-                V=[get("V", t) for t in range(n_views)],
-                U=[get("U", g) for g in range(manifest["n_u_groups"])],
-                H=[get("H", t) for t in range(n_views)],
-                pi=get("pi"),
-                alpha=[get("alpha", t) if has("alpha", t) else None
-                       for t in range(n_views)],
-                beta=[get("beta", t) if has("beta", t) else None
-                      for t in range(n_views)],
-                lam=lam,
-                tau=[np.atleast_1d(get("tau", t)) for t in range(n_views)],
-                lambda_mode=lam_mode,
-                group_of=group_of,
-            )
-        else:
-            state = MtfState(
-                Z=get("Z"),
-                V=[get("V", t) for t in range(n_views)],
-                U=[get("U", g) for g in range(manifest["n_u_groups"])],
-                H=get("H"),
-                pi=get("pi"),
-                alpha=[get("alpha", t) for t in range(n_views)],
-                tau=get("tau"),
-                group_of=group_of,
-            )
-        states.append(state)
+                n = manifest["n_u_groups"] if param == "U" else len(manifest["views"])
+                kw[name] = [blocks.get((s, param, str(t))) for t in range(n)]
+        if model == "rmtf":
+            kw["lambda_mode"] = manifest["hyperparams"]["lambda_mode"]
+            if kw["lambda_mode"] == "global":
+                kw["lam"] = kw["lam"].reshape(())
+        states.append(cls(**kw))
     return states
 
 
@@ -310,18 +322,11 @@ def write_archive(directory: str, chains: list[PosteriorSamples],
     """Posterior archive: run manifest, optional transform, per-chain files."""
     os.makedirs(directory, exist_ok=True)
     first = chains[0]
+    state = first.states[0]
     data_views = []
-    state = first.states[0] if first.states else None
     for t, name in enumerate(first.view_names):
-        if isinstance(state, RmtfState):
-            l, d, _ = state.W[t].shape
-        elif state is not None:
-            d = state.V[t].shape[0]
-            l = state.u_for_view(t).shape[0] if t in state.group_of else 1
-        else:
-            d = l = 0
-        data_views.append({"name": name, "d": d, "l": l,
-                           "u_group": state.group_of.get(t) if state else None})
+        l, d, _ = state.slab_loadings(t)[0].shape
+        data_views.append({"name": name, "d": d, "l": l, "u_group": state.group_of.get(t)})
     manifest = {
         "format": "posterior-archive",
         "version": 1,
@@ -330,7 +335,7 @@ def write_archive(directory: str, chains: list[PosteriorSamples],
         "n_chains": len(chains),
         "chain_ids": [c.chain_id for c in chains],
         "views": data_views,
-        "n_u_groups": len(state.U) if state else 0,
+        "n_u_groups": len(state.U),
         "trace_names": first.trace_names,
         "origins": first.origins,
         "preprocessed": transform is not None,
@@ -347,18 +352,15 @@ def write_archive(directory: str, chains: list[PosteriorSamples],
         with open(os.path.join(cdir, "sweeps.json"), "w") as fh:
             json.dump(chain.sweeps, fh)
             fh.write("\n")
-        with open(os.path.join(cdir, "traces.csv"), "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["sweep"] + chain.trace_names)
-            for i, row in enumerate(chain.traces):
-                w.writerow([i + 1] + [_f(x) for x in row])
+        traces = np.asarray(chain.traces, dtype=np.float64)
+        _write_table(os.path.join(cdir, "traces.csv"), ["sweep"] + chain.trace_names,
+                     [np.arange(1, len(traces) + 1), *traces.T])
 
 
 def read_archive(directory: str):
     """Returns (chains, transform or None, manifest dict)."""
     manifest = _json_load(os.path.join(directory, "run_manifest.json"))
-    hp = HyperParams(**{k: (tuple(v) if isinstance(v, list) else v)
-                        for k, v in manifest["hyperparams"].items()})
+    hp = HyperParams(**manifest["hyperparams"])
     transform = None
     tpath = os.path.join(directory, "transform.csv")
     if manifest.get("preprocessed") and os.path.exists(tpath):
@@ -367,14 +369,12 @@ def read_archive(directory: str):
     chains = []
     for cid in manifest["chain_ids"]:
         cdir = os.path.join(directory, f"chain_{cid}")
-        blocks = _read_snapshot_rows(os.path.join(cdir, "snapshots.csv"))
+        blocks = _read_snapshot_blocks(os.path.join(cdir, "snapshots.csv"))
         states = _states_from_blocks(blocks, manifest["model"], manifest)
         with open(os.path.join(cdir, "sweeps.json")) as fh:
             sweeps = json.load(fh)
-        with open(os.path.join(cdir, "traces.csv"), newline="") as fh:
-            reader = csv.reader(fh)
-            next(reader)
-            traces = np.array([[float(x) for x in row[1:]] for row in reader])
+        _, (_, *columns) = _read_table(os.path.join(cdir, "traces.csv"))
+        traces = np.stack([c.astype(np.float64) for c in columns], axis=1)
         chains.append(PosteriorSamples(
             model=manifest["model"], states=states, sweeps=sweeps, chain_id=cid,
             trace_names=manifest["trace_names"], traces=traces, hp=hp,
@@ -390,29 +390,24 @@ def read_archive(directory: str):
 
 def write_prediction_report(path: str, result, truth: Collection | None = None):
     """CSV of per-target predictions plus a trailing summary comment block."""
-    from .predict import mse as _mse  # local import to avoid a cycle
-
-    have_truth = truth is not None
-    n_targets = 0
-    se_sum = 0.0
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        header = ["view", "sample", "feature", "slab", "predicted", "posterior_std"]
-        if have_truth:
-            header.append("truth")
-        w.writerow(header)
-        for t, n, d, l, m, s in result.rows():
-            row = [result.view_names[t], n, d, l, _f(m), _f(s)]
-            if have_truth:
-                tv = truth.views[t].values[n, d, l]
-                row.append(_f(tv))
-                se_sum += (m - tv) ** 2
-            w.writerow(row)
-            n_targets += 1
-        fh.write("\n")
-        fh.write(f"# n_targets,{n_targets}\n")
-        if have_truth and n_targets:
-            mse_val = se_sum / n_targets
-            fh.write(f"# mse,{_f(mse_val)}\n")
-            fh.write(f"# rmse,{_f(np.sqrt(mse_val))}\n")
+    idx = [np.nonzero(tgt) for tgt in result.targets]
+    counts = [i[0].size for i in idx]
+    n_targets = sum(counts)
+    predicted = np.concatenate([m[i] for m, i in zip(result.mean, idx)])
+    header = ["view", "sample", "feature", "slab", "predicted", "posterior_std"]
+    columns = [np.repeat(np.array(result.view_names, dtype=object), counts),
+               *(np.concatenate(c) for c in zip(*idx)), predicted,
+               np.concatenate([s[i] for s, i in zip(result.std, idx)])]
+    footer = f"\n# n_targets,{n_targets}\n"
+    if truth is not None:
+        header.append("truth")
+        columns.append(np.concatenate([v.values[i] for v, i in zip(truth.views, idx)]))
+        if n_targets:
+            # Squared by the C library's pow, as `x ** 2` on a float is, and
+            # summed in row order, so that the figures match earlier reports
+            # to the last bit.
+            sq = ((predicted - columns[-1]).astype(object) ** 2).astype(np.float64)
+            mse = np.cumsum(sq)[-1] / n_targets
+            footer += f"# mse,{_FMT % mse}\n# rmse,{_FMT % np.sqrt(mse)}\n"
+    _write_table(path, header, columns, footer)
     return n_targets

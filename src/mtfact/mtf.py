@@ -834,21 +834,21 @@ def _activity_matrix(samples: PosteriorSamples) -> np.ndarray:
     return act
 
 
-def component_structure(samples, threshold: float = 0.5,
-                        view_groups: list[list[int]] | None = None) -> ComponentStructure:
+def component_structure(samples, threshold: float = 0.5) -> ComponentStructure:
     """Count shared / view-specific / empty components from posterior activity.
 
     ``samples`` may be one chain or a list of chains (snapshots pooled).
-    ``view_groups`` merges views that came from unfolding one tensor: a
-    component is active in the merged view if active in any member.
+    Chains fit on unfolded tensors count per source view (their ``origins``):
+    a component is active in a source view if active in any of its slabs.
     """
     chains = samples if isinstance(samples, (list, tuple)) else [samples]
     if not chains or chains[0].n_snapshots == 0:
         raise ValueError("need at least one snapshot")
     acts = [_activity_matrix(s) for s in chains]
     activity = np.mean(acts, axis=0) if len(acts) > 1 else acts[0]
-    if view_groups is not None:
-        activity = np.stack([activity[g].max(axis=0) for g in view_groups])
+    if chains[0].origins is not None:
+        origins = np.asarray(chains[0].origins)
+        activity = np.stack([activity[origins == o].max(axis=0) for o in np.unique(origins)])
     active = activity > threshold
     n_active_views = active.sum(axis=0)
     n_shared = int(np.sum(n_active_views >= 2))

@@ -58,12 +58,6 @@ class PredictionResult:
     targets: list[np.ndarray]     # bool (N, D, L)
     n_draws: int
 
-    def rows(self):
-        """Yield (view_index, sample, feature, slab, mean, std) per target."""
-        for t, tgt in enumerate(self.targets):
-            for n, d, l in zip(*np.nonzero(tgt)):
-                yield t, int(n), int(d), int(l), self.mean[t][n, d, l], self.std[t][n, d, l]
-
 
 def _check_compat(state, test: Collection):
     if len(test.views) != state.n_views:

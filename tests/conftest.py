@@ -1,7 +1,14 @@
-import numpy as np
-import pytest
+import os
 
-from mtfact.core import Collection, MaskedTensor3, Tensor3
+# One BLAS thread, set before numpy loads: the statistical-harness tests run
+# thousands of tiny (K = 2) solves, which OpenBLAS's default thread pool slows
+# down several times over whenever another process holds a core.
+os.environ["OPENBLAS_NUM_THREADS"] = "1"
+
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
+
+from mtfact.core import Collection, MaskedTensor3, Tensor3  # noqa: E402
 
 
 @pytest.fixture

@@ -89,6 +89,24 @@ class TestFit:
         snap = (tmp_path / "g" / "chain_0" / "snapshots.csv").read_text()
         assert ",U," not in snap
 
+    def test_gfa_fit_line_matches_report(self, small_sim, tmp_path, capsys):
+        # both count per source view, not per unfolded slab
+        assert run("fit", "--model", "gfa", *FIT_SMALL, "--seed", "3",
+                   small_sim, tmp_path / "g") == 0
+        fit_line = capsys.readouterr().out
+        assert run("report", tmp_path / "g") == 0
+        sh, *specific, emp = capsys.readouterr().out.splitlines()[2].split(",")[2:]
+        assert len(specific) == 2
+        assert f"(shared={sh} specific=[{', '.join(specific)}] empty={emp})" in fit_line
+
+    @pytest.mark.parametrize("sample", ["-1", "24"])
+    def test_sample_index_out_of_range_exit_2(self, small_sim, tmp_path, capsys, sample):
+        with open(small_sim / "train" / "matrix.csv", "a", newline="") as fh:
+            fh.write(f"{sample},0,0,1.5\r\n")
+        assert run("fit", *FIT_SMALL, small_sim, tmp_path / "a") == 2
+        err = capsys.readouterr().err
+        assert "matrix.csv" in err and f"sample_index {sample} is outside [0, 24)" in err
+
     def test_rmtf_smoke(self, small_sim, tmp_path):
         assert run("fit", "--model", "rmtf", *FIT_SMALL, "--seed", "4",
                    small_sim, tmp_path / "r") == 0

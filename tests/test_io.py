@@ -1,12 +1,18 @@
+import csv
+import json
+import os
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
 from mtfact import io as mio
 from mtfact.core import Collection, MaskedTensor3, Tensor3, center_and_normalize
 from mtfact.dist import RngStream
+from mtfact.fitting import fit_model
 from mtfact.mtf import HyperParams, run_chain
-from mtfact.predict import PredictionTask, two_stage_predict
-from mtfact.rmtf import rmtf_run_chain
+from mtfact.predict import PredictionResult, PredictionTask, two_stage_predict
+from mtfact.rmtf import RmtfState, rmtf_run_chain
 
 from conftest import make_collection
 
@@ -167,3 +173,363 @@ class TestPredictionReport:
         lines = (tmp_path / "pred.csv").read_text().splitlines()
         assert lines[0] == "view,sample,feature,slab,predicted,posterior_std"
         assert not any(line.startswith("# rmse") for line in lines)
+
+
+# ---------------------------------------------------------------------------
+# The on-disk format, pinned: the writers as they were before the columnar
+# table codec, one csv row per entry, kept as the reference.  Every writer
+# must produce their bytes, and every reader must read their files back
+# bit exactly.
+
+def _ref_f(x):
+    return "%.17g" % x
+
+
+def ref_write_collection(directory, c):
+    os.makedirs(directory, exist_ok=True)
+    group_of = {t: g for g, members in enumerate(c.third_mode_groups) for t in members}
+    manifest = {"format": "tensor-collection", "version": 1, "views": [
+        {"name": c.names[t], "n": v.shape[0], "d": v.shape[1], "l": v.shape[2],
+         "group": group_of.get(t)} for t, v in enumerate(c.views)]}
+    mio._json_dump(os.path.join(directory, "manifest.json"), manifest)
+    for t, v in enumerate(c.views):
+        idx = np.nonzero(v.observed)
+        with open(os.path.join(directory, f"{c.names[t]}.csv"), "w", newline="") as fh:
+            w = csv.writer(fh)
+            w.writerow(["sample_index", "feature_index", "slab_index", "value"])
+            for n, d, l, x in zip(*idx, v.values[idx]):
+                w.writerow([n, d, l, _ref_f(x)])
+
+
+def ref_write_transform(path, transform):
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["view", "feature", "slab", "center", "scale"])
+        for t, (c, s) in enumerate(zip(transform.centers, transform.scales)):
+            for d in range(c.shape[0]):
+                for l in range(c.shape[1]):
+                    w.writerow([t, d, l, _ref_f(c[d, l]), _ref_f(s[d, l])])
+
+
+def ref_write_arrays(directory, arrays):
+    os.makedirs(directory, exist_ok=True)
+    mio._json_dump(os.path.join(directory, "arrays.json"),
+                   {name: list(np.asarray(a).shape) for name, a in arrays.items()})
+    for name, arr in arrays.items():
+        arr = np.asarray(arr)
+        with open(os.path.join(directory, f"{name}.csv"), "w", newline="") as fh:
+            w = csv.writer(fh)
+            w.writerow([f"i{j}" for j in range(arr.ndim)] + ["value"])
+            for idx in np.ndindex(*arr.shape):
+                w.writerow(list(idx) + [_ref_f(arr[idx])])
+
+
+def ref_state_entries(state):
+    yield "Z", "", state.Z
+    if isinstance(state, RmtfState):
+        for t, w in enumerate(state.W):
+            yield "W", t, w
+        for t, v in enumerate(state.V):
+            yield "V", t, v
+        for g, u in enumerate(state.U):
+            yield "U", g, u
+        for t, h in enumerate(state.H):
+            yield "H", t, h
+        yield "pi", "", state.pi
+        for t, a in enumerate(state.alpha):
+            if a is not None:
+                yield "alpha", t, a
+        for t, b in enumerate(state.beta):
+            if b is not None:
+                yield "beta", t, b
+        if state.lambda_mode == "per_slab":
+            for t, lam in enumerate(state.lam):
+                if lam is not None:
+                    yield "lambda", t, lam
+        else:
+            yield "lambda", "", np.atleast_1d(np.asarray(state.lam))
+        for t, tau in enumerate(state.tau):
+            yield "tau", t, tau
+    else:
+        for t, v in enumerate(state.V):
+            yield "V", t, v
+        for g, u in enumerate(state.U):
+            yield "U", g, u
+        yield "H", "", state.H
+        yield "pi", "", state.pi
+        for t, a in enumerate(state.alpha):
+            yield "alpha", t, a
+        yield "tau", "", state.tau
+
+
+def ref_write_snapshots(path, states):
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["snapshot", "param", "view", "i0", "i1", "i2", "value"])
+        for s, state in enumerate(states):
+            for param, view, arr in ref_state_entries(state):
+                arr = np.asarray(arr)
+                if arr.ndim == 0:
+                    arr = arr[None]
+                for idx in np.ndindex(*arr.shape):
+                    pad = list(idx) + [""] * (3 - len(idx))
+                    w.writerow([s, param, view] + pad + [_ref_f(arr[idx])])
+
+
+def ref_write_archive(directory, chains, transform=None, extra=None):
+    os.makedirs(directory, exist_ok=True)
+    first = chains[0]
+    state = first.states[0]
+    data_views = []
+    for t, name in enumerate(first.view_names):
+        if isinstance(state, RmtfState):
+            l, d, _ = state.W[t].shape
+        else:
+            d = state.V[t].shape[0]
+            l = state.u_for_view(t).shape[0] if t in state.group_of else 1
+        data_views.append({"name": name, "d": d, "l": l, "u_group": state.group_of.get(t)})
+    manifest = {
+        "format": "posterior-archive", "version": 1, "model": first.model,
+        "hyperparams": asdict(first.hp), "n_chains": len(chains),
+        "chain_ids": [c.chain_id for c in chains], "views": data_views,
+        "n_u_groups": len(state.U), "trace_names": first.trace_names,
+        "origins": first.origins, "preprocessed": transform is not None,
+    }
+    if extra:
+        manifest.update(extra)
+    mio._json_dump(os.path.join(directory, "run_manifest.json"), manifest)
+    if transform is not None:
+        ref_write_transform(os.path.join(directory, "transform.csv"), transform)
+    for chain in chains:
+        cdir = os.path.join(directory, f"chain_{chain.chain_id}")
+        os.makedirs(cdir, exist_ok=True)
+        ref_write_snapshots(os.path.join(cdir, "snapshots.csv"), chain.states)
+        with open(os.path.join(cdir, "sweeps.json"), "w") as fh:
+            json.dump(chain.sweeps, fh)
+            fh.write("\n")
+        with open(os.path.join(cdir, "traces.csv"), "w", newline="") as fh:
+            w = csv.writer(fh)
+            w.writerow(["sweep"] + chain.trace_names)
+            for i, row in enumerate(chain.traces):
+                w.writerow([i + 1] + [_ref_f(x) for x in row])
+
+
+def ref_write_prediction_report(path, result, truth=None):
+    n_targets, se_sum = 0, 0.0
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        header = ["view", "sample", "feature", "slab", "predicted", "posterior_std"]
+        if truth is not None:
+            header.append("truth")
+        w.writerow(header)
+        for t, tgt in enumerate(result.targets):
+            for n, d, l in zip(*np.nonzero(tgt)):
+                m, s = result.mean[t][n, d, l], result.std[t][n, d, l]
+                row = [result.view_names[t], int(n), int(d), int(l), _ref_f(m), _ref_f(s)]
+                if truth is not None:
+                    tv = truth.views[t].values[n, d, l]
+                    row.append(_ref_f(tv))
+                    se_sum += (m - tv) ** 2
+                w.writerow(row)
+                n_targets += 1
+        fh.write("\n")
+        fh.write(f"# n_targets,{n_targets}\n")
+        if truth is not None and n_targets:
+            mse_val = se_sum / n_targets
+            fh.write(f"# mse,{_ref_f(mse_val)}\n")
+            fh.write(f"# rmse,{_ref_f(np.sqrt(mse_val))}\n")
+    return n_targets
+
+
+def _tree(root):
+    out = {}
+    for dirpath, _, files in os.walk(root):
+        for f in files:
+            p = os.path.join(dirpath, f)
+            with open(p, "rb") as fh:
+                out[os.path.relpath(p, root)] = fh.read()
+    return out
+
+
+def _bits_equal(a, b):
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _states_equal(sa, sb):
+    """Every field of two snapshot states, bit for bit (None where absent)."""
+    assert type(sa) is type(sb)
+    for name, va in vars(sa).items():
+        vb = getattr(sb, name)
+        if isinstance(va, list):
+            assert len(va) == len(vb), name
+            for x, y in zip(va, vb):
+                assert (x is None and y is None) or _bits_equal(x, y), name
+        elif isinstance(va, (dict, str)):
+            assert va == vb, name
+        else:
+            assert _bits_equal(va, vb), name
+
+
+EXTREMES = np.array([np.nan, np.inf, -np.inf, -0.0, 5e-324, 1.7976931348623157e308,
+                     1.0 + 2**-52, -1e-308, 0.1])
+
+
+ARCHIVES = ["mtf", "rmtf_global", "rmtf_per_component", "rmtf_per_slab", "gfa"]
+
+
+def _archive(which, rng):
+    """(chains, transform, extra) of a small fit: MTF, rMTF in one lambda mode,
+    or gfa (preprocessed, so its archive holds a transform)."""
+    c = make_collection(rng, masked=True, n=8)
+    if which == "mtf":
+        return [run_chain(c, _hp(), RngStream(3, i)) for i in range(2)], None, None
+    if which == "gfa":
+        chains, transform, _ = fit_model(c, _hp(), model="gfa", seed=5)
+        return chains, transform, {"seed": 5, "requested_model": "gfa"}
+    mode = which.removeprefix("rmtf_")
+    return [rmtf_run_chain(c, _hp(lambda_mode=mode), RngStream(4, 0))], None, None
+
+
+def _report_inputs(rng):
+    """A prediction result with many targets and view names that need quoting,
+    and a truth collection for it."""
+    shapes = [(40, 5, 1), (40, 6, 30)]
+    targets = [rng.random(sh) < 0.5 for sh in shapes]
+    result = PredictionResult(
+        view_names=["mat, quoted", 'ten"sor'],
+        mean=[rng.standard_normal(sh) * tg for sh, tg in zip(shapes, targets)],
+        std=[rng.random(sh) * tg for sh, tg in zip(shapes, targets)],
+        targets=targets, n_draws=3)
+    truth = Collection(tuple(MaskedTensor3.fully_observed(rng.standard_normal(sh) * 3)
+                             for sh in shapes), (), tuple(result.view_names))
+    return result, truth
+
+
+class TestOnDiskFormatPinned:
+    def test_collection_bytes(self, tmp_path, rng):
+        c = make_collection(rng, masked=True)
+        ref_write_collection(tmp_path / "ref", c)
+        mio.write_collection(tmp_path / "new", c)
+        assert _tree(tmp_path / "new") == _tree(tmp_path / "ref")
+
+    def test_transform_bytes(self, tmp_path, rng):
+        _, tr = center_and_normalize(make_collection(rng))
+        ref_write_transform(tmp_path / "ref.csv", tr)
+        mio.write_transform(tmp_path / "new.csv", tr)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    def test_arrays_bytes_and_reads(self, tmp_path, rng):
+        arrays = {"scalar": np.float64(-0.0), "vec": EXTREMES,
+                  "cube": np.concatenate([EXTREMES, rng.standard_normal(15)]).reshape(2, 3, 4),
+                  "ints": np.arange(6).reshape(2, 3), "flags": np.array([True, False])}
+        ref_write_arrays(tmp_path / "ref", arrays)
+        mio.write_arrays(tmp_path / "new", arrays)
+        assert _tree(tmp_path / "new") == _tree(tmp_path / "ref")
+        back = mio.read_arrays(tmp_path / "ref")
+        for name, a in arrays.items():
+            assert _bits_equal(back[name], a), name
+            assert _bits_equal(mio.read_array(tmp_path / "ref" / f"{name}.csv"), a), name
+
+    @pytest.mark.parametrize("which", ARCHIVES)
+    def test_archive_bytes_and_reads(self, tmp_path, rng, which):
+        chains, transform, extra = _archive(which, rng)
+        ref_write_archive(tmp_path / "ref", chains, transform, extra)
+        mio.write_archive(tmp_path / "new", chains, transform, extra)
+        assert _tree(tmp_path / "new") == _tree(tmp_path / "ref")
+        back, tr, manifest = mio.read_archive(tmp_path / "ref")
+        assert manifest == json.loads((tmp_path / "ref" / "run_manifest.json").read_text())
+        assert back[0].hp == chains[0].hp and back[0].origins == chains[0].origins
+        for orig, rb in zip(chains, back):
+            assert rb.sweeps == orig.sweeps and _bits_equal(rb.traces, orig.traces)
+            assert len(rb.states) == len(orig.states)
+            for so, sr in zip(orig.states, rb.states):
+                _states_equal(so, sr)
+        if transform is not None:
+            for a, b in zip(tr.centers + tr.scales, transform.centers + transform.scales):
+                assert _bits_equal(a, b)
+
+    @pytest.mark.parametrize("with_truth", [True, False])
+    def test_prediction_report_bytes(self, tmp_path, rng, with_truth):
+        result, truth = _report_inputs(rng)
+        truth = truth if with_truth else None
+        n_ref = ref_write_prediction_report(tmp_path / "ref.csv", result, truth)
+        n_new = mio.write_prediction_report(tmp_path / "new.csv", result, truth)
+        assert n_new == n_ref > 1000
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+        assert b'"mat, quoted"' in (tmp_path / "new.csv").read_bytes()
+
+    def test_report_mse_of_a_square_pow_rounds_apart(self, tmp_path):
+        # x * x and the C library's pow(x, 2) round this square differently
+        x = float.fromhex("0x1.731dc1c47773dp-2")
+        assert np.float64(x) ** 2 != x * x
+        result = PredictionResult(["v"], [np.full((1, 1, 1), x)], [np.ones((1, 1, 1))],
+                                  [np.ones((1, 1, 1), dtype=bool)], 1)
+        truth = Collection((MaskedTensor3.fully_observed(np.zeros((1, 1, 1))),), (), ("v",))
+        ref_write_prediction_report(tmp_path / "ref.csv", result, truth)
+        mio.write_prediction_report(tmp_path / "new.csv", result, truth)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+def _shuffle_rows(path, seed):
+    with open(path, newline="") as fh:
+        header, *rows = fh.read().splitlines(keepends=True)
+    order = np.random.default_rng(seed).permutation(len(rows))
+    with open(path, "w", newline="") as fh:
+        fh.write(header + "".join(rows[i] for i in order))
+
+
+class TestRowsInAnyOrder:
+    def test_collection(self, tmp_path, rng):
+        c = make_collection(rng, masked=True)
+        mio.write_collection(tmp_path / "c", c)
+        for name in c.names:
+            _shuffle_rows(tmp_path / "c" / f"{name}.csv", 1)
+        back = mio.read_collection(tmp_path / "c")
+        for a, b in zip(back.views, c.views):
+            np.testing.assert_array_equal(a.observed, b.observed)
+            assert _bits_equal(a.values[a.observed], b.values[b.observed])
+
+    @pytest.mark.parametrize("which", ["mtf", "rmtf_per_slab"])
+    def test_snapshots(self, tmp_path, rng, which):
+        chains, transform, extra = _archive(which, rng)
+        mio.write_archive(tmp_path, chains, transform, extra)
+        for c in chains:
+            _shuffle_rows(tmp_path / f"chain_{c.chain_id}" / "snapshots.csv", 2)
+        back, _, _ = mio.read_archive(tmp_path)
+        for orig, rb in zip(chains, back):
+            for so, sr in zip(orig.states, rb.states):
+                _states_equal(so, sr)
+
+
+class TestBadIndices:
+    def _collection_with_row(self, tmp_path, row):
+        c = Collection((MaskedTensor3.fully_observed(np.arange(12.0).reshape(3, 2, 2)),),
+                       (), ("x",))
+        mio.write_collection(tmp_path, c)
+        with open(tmp_path / "x.csv", "a", newline="") as fh:
+            fh.write(row + "\r\n")
+        return tmp_path
+
+    @pytest.mark.parametrize("row, field", [("-1,0,0,5.0", "sample_index -1"),
+                                            ("3,0,0,5.0", "sample_index 3"),
+                                            ("0,2,0,5.0", "feature_index 2"),
+                                            ("0,0,-2,5.0", "slab_index -2")])
+    def test_out_of_range_names_file_and_row(self, tmp_path, row, field):
+        d = self._collection_with_row(tmp_path, row)
+        with pytest.raises(ValueError, match=rf"x\.csv, row 13: {field} is outside"):
+            mio.read_collection(d)
+
+    def test_negative_snapshot_index(self, tmp_path, rng):
+        c = make_collection(rng, n=8)
+        mio.write_archive(tmp_path / "a", [run_chain(c, _hp(), RngStream(3, 0))])
+        path = tmp_path / "a" / "chain_0" / "snapshots.csv"
+        path.write_bytes(path.read_bytes().replace(b"\r\n0,Z,,0,0,", b"\r\n0,Z,,-1,0,", 1))
+        with pytest.raises(ValueError, match="i0 -1 is outside"):
+            mio.read_archive(tmp_path / "a")
+
+    @pytest.mark.parametrize("row", ["0,0,5.0", "0,0,0,5.0,1"])
+    def test_ragged_row(self, tmp_path, row):
+        d = self._collection_with_row(tmp_path, row)
+        with pytest.raises(ValueError, match=r"x\.csv, row 13: expected 4 fields"):
+            mio.read_collection(d)

@@ -783,11 +783,12 @@ class TestComponentStructure:
         assert s.effective_cardinality == 3
 
     def test_view_groups_any_rule(self):
-        # merging views 0 and 1: a component active in either is active in the group
+        # views 0 and 1 unfold one tensor: a component active in either is active in it
         h = np.array([[1.0, 0.0, 1.0],
                       [0.0, 0.0, 1.0]])
         samples = self._samples_with_h([h])
-        s = component_structure(samples, view_groups=[[0, 1]])
+        samples.origins = [0, 0]
+        s = component_structure(samples)
         assert s.counts == (0, (2,), 1)
 
     def test_threshold_on_posterior_mean(self):
