@@ -1,0 +1,118 @@
+"""Run one seeded toy CLI pipeline in two checkouts and compare every output
+file byte for byte.
+
+    python3 scripts/cli_identity.py --parent PARENT_TREE --change .
+
+``--parent`` and ``--change`` are two checkouts of the repository; a parent
+tree can be made with ``git archive HEAD~1 | tar -x -C PARENT_TREE``.  In each
+tree, ``python -m mtfact.cli`` runs the same steps in a fresh directory, with
+that tree's ``src`` on the path and one BLAS thread: ``simulate`` (cp and
+continuum), ``fit`` (mtf on both; on continuum also rmtf with global,
+per_component and per_slab lambda, and gfa) and ``predict`` of the continuum
+test set from every continuum fit, with and without ``--truth``.  Each step's
+standard output is kept as a file too.
+
+Prints every file that differs or exists on one side only.  Exits 0 when all
+files match, 1 when any differ (the work directories are then kept for
+inspection) and 2 when a step fails.
+"""
+
+import argparse
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+
+SIM_CP = ["--scenario", "cp", "--seed", "3", "--n", "24", "--d1", "6", "--d2", "7",
+          "--l", "4", "--k-shared", "1", "--k-matrix", "1", "--k-tensor", "2"]
+SIM_CONTINUUM = ["--scenario", "continuum", "--seed", "4", "--n", "12", "--d1", "5",
+                 "--d2", "6", "--l", "4", "--k-shared", "1", "--k-matrix", "1",
+                 "--k-tensor", "1", "--n-test", "9", "--rho", "1.0"]
+FIT = ["--k", "3", "--chains", "2", "--burnin", "10", "--samples", "4", "--thin", "2",
+       "--jobs", "1"]
+CONTINUUM_FITS = {"mtf": ["--model", "mtf"],
+                  "rmtf_global": ["--model", "rmtf", "--lambda-mode", "global"],
+                  "rmtf_per_component": ["--model", "rmtf", "--lambda-mode", "per_component"],
+                  "rmtf_per_slab": ["--model", "rmtf", "--lambda-mode", "per_slab"],
+                  "gfa": ["--model", "gfa"]}
+
+
+def steps() -> list[tuple[str, list[str]]]:
+    """(name, CLI arguments) of every step, in run order; paths are relative."""
+    out = [("simulate_cp", ["simulate", *SIM_CP, "--out", "sim_cp"]),
+           ("simulate_continuum", ["simulate", *SIM_CONTINUUM, "--out", "sim_continuum"]),
+           ("fit_cp_mtf", ["fit", "--model", "mtf", *FIT, "--seed", "5", "sim_cp",
+                           "fit_cp_mtf"])]
+    for i, (name, model) in enumerate(CONTINUUM_FITS.items()):
+        out.append((f"fit_{name}", ["fit", *model, *FIT, "--seed", str(6 + i),
+                                    "sim_continuum", f"fit_{name}"]))
+    for i, name in enumerate(CONTINUUM_FITS):
+        base = ["predict", "--archive", f"fit_{name}", "--test", "sim_continuum/test",
+                "--seed", str(20 + i), "--stage2-sweeps", "7", "--stage2-samples", "3"]
+        out.append((f"predict_{name}", [*base, "--out", f"pred_{name}.csv"]))
+        out.append((f"predict_{name}_truth", [*base, "--truth", "sim_continuum/test_full",
+                                              "--out", f"pred_{name}_truth.csv"]))
+    return out
+
+
+def run_tree(tree: str, work: str) -> str | None:
+    """Run every step of the pipeline from ``tree`` in ``work``; an error or None."""
+    env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"), OPENBLAS_NUM_THREADS="1")
+    os.makedirs(os.path.join(work, "stdout"))
+    for name, argv in steps():
+        proc = subprocess.run([sys.executable, "-m", "mtfact.cli", *argv], cwd=work, env=env,
+                              capture_output=True, text=True, timeout=600)
+        if proc.returncode != 0:
+            return f"{tree}: step {name} exited {proc.returncode}: {proc.stderr.strip()}"
+        with open(os.path.join(work, "stdout", f"{name}.txt"), "w") as fh:
+            fh.write(proc.stdout)
+    return None
+
+
+def tree_files(root: str) -> dict[str, str]:
+    """Relative path -> absolute path of every file under ``root``."""
+    return {os.path.relpath(os.path.join(d, f), root): os.path.join(d, f)
+            for d, _, files in os.walk(root) for f in files}
+
+
+def compare(a: str, b: str) -> list[str]:
+    """Lines naming every file that differs between the trees ``a`` and ``b``."""
+    fa, fb = tree_files(a), tree_files(b)
+    lines = [f"only in parent: {p}" for p in sorted(fa.keys() - fb.keys())]
+    lines += [f"only in change: {p}" for p in sorted(fb.keys() - fa.keys())]
+    for p in sorted(fa.keys() & fb.keys()):
+        with open(fa[p], "rb") as x, open(fb[p], "rb") as y:
+            if x.read() != y.read():
+                lines.append(f"differs: {p}")
+    return lines
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__,
+                                 formatter_class=argparse.RawDescriptionHelpFormatter)
+    ap.add_argument("--parent", required=True, help="checkout of the parent commit")
+    ap.add_argument("--change", required=True, help="checkout of the change")
+    args = ap.parse_args()
+    root = tempfile.mkdtemp(prefix="cli_identity_")
+    work = {side: os.path.join(root, side) for side in ("parent", "change")}
+    for side in work:
+        error = run_tree(os.path.abspath(getattr(args, side)), work[side])
+        if error is not None:
+            print(error, file=sys.stderr)
+            shutil.rmtree(root)
+            return 2
+    diffs = compare(work["parent"], work["change"])
+    n_files = len(tree_files(work["parent"]).keys() | tree_files(work["change"]).keys())
+    for line in diffs:
+        print(line)
+    print(f"{n_files} files compared, {len(diffs)} differ")
+    if diffs:
+        print(f"outputs kept in {root}")
+        return 1
+    shutil.rmtree(root)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -35,7 +35,10 @@ def main():
     ap.add_argument("--thin", type=int, default=5)
     ap.add_argument("--seed", type=int, default=300)
     ap.add_argument("--stage2", nargs=3, type=int, default=[25, 5, 2],
-                    metavar=("SWEEPS", "SAMPLES", "STRIDE"))
+                    metavar=("SWEEPS", "SAMPLES", "STRIDE"),
+                    help="stage-two burn-in draws (exact draws: they only advance "
+                         "the random stream), retained draws per snapshot and "
+                         "snapshot stride")
     ap.add_argument("--jobs", type=int,
                     default=int(os.environ.get("MTFACT_JOBS", "1")))
     ap.add_argument("--out", default="-")

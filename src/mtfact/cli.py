@@ -203,6 +203,13 @@ def cmd_predict(args) -> int:
         test, _ = unfold_collection(test)
         if truth is not None:
             truth, _ = unfold_collection(truth)
+    if truth is not None:
+        if len(truth.views) != len(test.views):
+            raise ValueError(f"--truth has {len(truth.views)} views, --test {len(test.views)}")
+        for name, tv, v in zip(test.names, truth.views, test.views):
+            if tv.shape != v.shape:
+                raise ValueError(f"view {name}: --truth shape (N, D, L) {tv.shape} "
+                                 f"does not match --test {v.shape}")
     if transform is not None:
         test = apply_transform(transform, test)
     task = PredictionTask(chains, test, n_stage2_sweeps=opts["stage2_sweeps"],
@@ -383,8 +390,11 @@ def build_parser() -> argparse.ArgumentParser:
     pr.add_argument("--test", required=True)
     pr.add_argument("--truth")
     pr.add_argument("--seed", type=int)
-    pr.add_argument("--stage2-sweeps", dest="stage2_sweeps", type=int)
-    pr.add_argument("--stage2-samples", dest="stage2_samples", type=int)
+    pr.add_argument("--stage2-sweeps", dest="stage2_sweeps", type=int,
+                    help="burn-in draws per snapshot (default 50); stage-two draws are "
+                         "exact, so these only advance the random stream")
+    pr.add_argument("--stage2-samples", dest="stage2_samples", type=int,
+                    help="retained draws per snapshot (default 10)")
     pr.add_argument("--snapshot-stride", dest="snapshot_stride", type=int)
     pr.add_argument("--out", required=True)
     pr.set_defaults(func=cmd_predict)

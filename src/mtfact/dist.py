@@ -13,6 +13,8 @@ __all__ = [
     "NotPositiveDefiniteError",
     "cholesky_precision",
     "draw_mvn_precision_chol",
+    "mvn_chol_mean",
+    "mvn_chol_noise",
     "outer_rows",
     "stacked_precisions",
     "cholesky_stack",
@@ -78,18 +80,22 @@ def draw_mvn_precision_chol(h: np.ndarray, chol: np.ndarray, rng) -> np.ndarray:
     ``h`` may be a single K-vector or a stack of them (rows); the
     factorization is reused for every row and no inverse is formed.
     """
-    gen = _as_gen(rng)
     h = np.asarray(h, dtype=np.float64)
     single = h.ndim == 1
     hs = h[None, :] if single else h
-    # mean: solve L L^T mu = h
-    tmp = solve_triangular(chol, hs.T, lower=True)
-    mu = solve_triangular(chol, tmp, lower=True, trans="T").T
-    # noise: solve L^T e = eps gives cov P^-1
-    eps = gen.standard_normal(hs.shape)
-    noise = solve_triangular(chol, eps.T, lower=True, trans="T").T
-    out = mu + noise
+    out = mvn_chol_mean(hs, chol) + mvn_chol_noise(_as_gen(rng).standard_normal(hs.shape), chol)
     return out[0] if single else out
+
+
+def mvn_chol_mean(h: np.ndarray, chol: np.ndarray) -> np.ndarray:
+    """Rows P^-1 h_m, solving L L^T mu = h with the lower factor L of P."""
+    tmp = solve_triangular(chol, h.T, lower=True)
+    return solve_triangular(chol, tmp, lower=True, trans="T").T
+
+
+def mvn_chol_noise(eps: np.ndarray, chol: np.ndarray) -> np.ndarray:
+    """Rows L^-T eps_m: standard normal rows eps become N(0, P^-1) rows."""
+    return solve_triangular(chol, eps.T, lower=True, trans="T").T
 
 
 def _chol_jittered(prec: np.ndarray) -> np.ndarray:

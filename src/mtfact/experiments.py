@@ -121,10 +121,11 @@ def continuum_experiment(spec: SimSpec, hp: HyperParams, models, reps: int,
                          preprocess: bool = False) -> list[ContinuumRep]:
     """Prediction RMSE per (rho, model, repetition) on held-out slab targets.
 
-    ``stage2`` is (burn-in sweeps, retained samples, snapshot stride); the
-    trimmed default keeps the 30-repetition grid inside the runtime budget
-    while leaving hundreds of averaged predictive draws per entry.  As in
-    the structure study the generator's output is fitted raw: with 15
+    ``stage2`` is (burn-in sweeps, retained samples, snapshot stride).
+    Stage-two draws are exact, so the burn-in only advances the random
+    stream; the retained samples and the stride set the cost, and the
+    trimmed default still averages hundreds of predictive draws per entry.
+    As in the structure study the generator's output is fitted raw: with 15
     training samples, per-fiber standardization would inject large scale
     noise.
     """

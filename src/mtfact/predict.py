@@ -2,9 +2,11 @@
 
 Stage one is ordinary training: a posterior archive over the loading-side
 parameters.  Stage two freezes, per stored snapshot, everything a new sample
-couples to (V, U, tau; plus W and lambda for the relaxed model), runs a short
-Gibbs chain over the test samples' latent rows and the masked target entries,
-and averages the predicted draws over all snapshots and stage-two samples.
+couples to (V, U, tau; plus W and lambda for the relaxed model).  Given a
+snapshot, the test samples' latent rows have one fixed Gaussian conditional
+on their observed entries (targets are never conditioned on), so each
+stage-two draw of z is exact and independent; each draw predicts the
+targets with their noise, and the draws are averaged over all snapshots.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import Collection
-from .dist import _as_gen, cholesky_stack, draw_mvn_precision_chol
+from .dist import _as_gen, cholesky_stack, mvn_chol_mean, mvn_chol_noise
 from .mtf import PosteriorSamples, z_conditional
 from .rmtf import RmtfState
 
@@ -34,7 +36,8 @@ class PredictionTask:
 
     trained: PosteriorSamples | list
     test: Collection
-    n_stage2_sweeps: int = 50      # burn-in sweeps per snapshot
+    # burn-in draws per snapshot; draws are exact, so these only advance the stream
+    n_stage2_sweeps: int = 50
     n_stage2_samples: int = 10     # retained draws per snapshot
     snapshot_stride: int = 1       # use every stride-th stored snapshot
 
@@ -98,44 +101,52 @@ def two_stage_predict(task: PredictionTask, rng) -> PredictionResult:
     if sum(idx[0].size for idx in tgt_idx) == 0:
         raise ValueError("test collection has no masked entries to predict")
 
-    # rows grouped by missingness pattern; each view's columns of the
-    # patterns stand in for its observation rows in the Z-conditional
+    # rows grouped by missingness pattern (packed to one byte string per
+    # row); each view's rows of the patterns stand in for its observation
+    # rows in the Z-conditional
     masked_views = [t for t, ob in enumerate(obs) if ob is not None]
-    patterns, inverse = np.unique(np.concatenate([obs[t] for t in masked_views], axis=1),
-                                  axis=0, return_inverse=True)
-    row_groups = [np.nonzero(inverse == p)[0] for p in range(patterns.shape[0])]
-    offs = np.cumsum([0] + [obs[t].shape[1] for t in masked_views])
-    for j, t in enumerate(masked_views):
-        obs[t] = patterns[:, offs[j]:offs[j + 1]]
+    packed = np.packbits(np.concatenate([obs[t] for t in masked_views], axis=1) > 0, axis=1)
+    _, first, inverse = np.unique(packed.view(f"V{packed.shape[1]}")[:, 0],
+                                  return_index=True, return_inverse=True)
+    row_groups = [np.nonzero(inverse == p)[0] for p in range(first.size)]
+    for t in masked_views:
+        obs[t] = obs[t][first]
 
     acc = [np.zeros(idx[0].size) for idx in tgt_idx]
     acc_sq = [np.zeros(idx[0].size) for idx in tgt_idx]
     n_draws = 0
     k = chains[0].states[0].k
+    n_keep = task.n_stage2_samples
+    # per retained draw: each pattern's (rows, K) normals, then each view's
+    # target noise, in the order of a draw-by-draw loop
+    ends = np.cumsum([rows.size * k for rows in row_groups] + [i[0].size for i in tgt_idx])
 
     for samples in chains:
         for state in samples.states[::task.snapshot_stride]:
             frozen = [state.slab_loadings(t) for t in range(len(xs))]
             lin, precs = z_conditional(
                 [(x, rows, *wt) for x, rows, wt in zip(xs, obs, frozen)], k)
-            # one factorization per missingness pattern, reused by every sweep
             chols = cholesky_stack(precs)
-            z = np.empty((n, k))
-            for sweep in range(task.n_stage2_sweeps + task.n_stage2_samples):
-                for p, rows in enumerate(row_groups):
-                    z[rows] = draw_mvn_precision_chol(lin[rows], chols[p], gen)
-                if sweep < task.n_stage2_sweeps:
-                    continue
-                for t, idx in enumerate(tgt_idx):
-                    if idx[0].size == 0:
-                        continue
-                    w, tau_l = frozen[t]
-                    ni, li, di = idx
-                    mean_vals = np.einsum("jk,jk->j", z[ni], w[li, di, :])
-                    draws = mean_vals + gen.standard_normal(ni.size) / np.sqrt(tau_l[li])
-                    acc[t] += draws
-                    acc_sq[t] += draws ** 2
-                n_draws += 1
+            # z | snapshot is one fixed Gaussian, so every draw is exact:
+            # burn-in only advances the stream, as many normals as its draws
+            gen.standard_normal(task.n_stage2_sweeps * n * k)
+            eps = np.split(gen.standard_normal((n_keep, ends[-1])), ends[:-1], axis=1)
+            z = np.empty((n_keep, n, k))
+            for p, (rows, e) in enumerate(zip(row_groups, eps)):
+                e = e.reshape(-1, k)
+                # one solve for all draws; a lone row is solved draw by draw,
+                # as LAPACK's one-column solve rounds differently
+                noise = mvn_chol_noise(e, chols[p]) if rows.size > 1 else \
+                    np.concatenate([mvn_chol_noise(r[None], chols[p]) for r in e])
+                z[:, rows] = mvn_chol_mean(lin[rows], chols[p]) \
+                    + noise.reshape(n_keep, rows.size, k)
+            for (ni, li, di), (w, tau_l), e, a, a_sq in zip(
+                    tgt_idx, frozen, eps[len(row_groups):], acc, acc_sq):
+                draws = np.einsum("sjk,jk->sj", z.take(ni, axis=1), w[li, di]) + e / np.sqrt(tau_l[li])
+                for d in draws:      # summed in draw order, which fixes the rounding
+                    a += d
+                    a_sq += d ** 2
+            n_draws += n_keep
 
     means, stds, targets = [], [], []
     for t, v in enumerate(test.views):

@@ -6,7 +6,9 @@ import time
 import numpy as np
 import pytest
 
+from mtfact import io as mio
 from mtfact.cli import main
+from mtfact.core import Collection
 
 
 def run(*argv):
@@ -172,6 +174,26 @@ class TestPredictCli:
                    "--seed", "1", "--stage2-sweeps", "4",
                    "--stage2-samples", "2", "--out", out) == 0
         assert "truth" not in out.read_text().splitlines()[0]
+
+    def test_truth_with_other_sample_count_exit_2(self, continuum, tmp_path, capsys):
+        sim, arch = continuum
+        out = tmp_path / "pred.csv"
+        assert run("predict", "--archive", arch, "--test", sim / "test",
+                   "--truth", sim / "train", "--out", out) == 2
+        err = capsys.readouterr().err
+        assert "--truth shape (N, D, L) (12, 5, 1)" in err and "(9, 5, 1)" in err
+        assert not out.exists()
+
+    def test_truth_missing_a_view_exit_2(self, continuum, tmp_path, capsys):
+        sim, arch = continuum
+        full = mio.read_collection(sim / "test_full")
+        mio.write_collection(tmp_path / "one_view",
+                             Collection(full.views[:1], (), full.names[:1]))
+        out = tmp_path / "pred.csv"
+        assert run("predict", "--archive", arch, "--test", sim / "test",
+                   "--truth", tmp_path / "one_view", "--out", out) == 2
+        assert "--truth has 1 views, --test 2" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_archive_exit_1(self, continuum, tmp_path):
         sim, _ = continuum

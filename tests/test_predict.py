@@ -2,18 +2,20 @@ import numpy as np
 import pytest
 
 from mtfact.core import Collection, MaskedTensor3, Tensor3
-from mtfact.dist import RngStream
-from mtfact.mtf import HyperParams, run_chain
+from mtfact.diag import toy_grouped, toy_masks
+from mtfact.dist import RngStream, _as_gen, cholesky_stack, draw_mvn_precision_chol
+from mtfact.mtf import HyperParams, run_chain, z_conditional
 from mtfact.predict import (
     PredictionTask,
+    _check_compat,
     match_components,
     mse,
     rmse,
     two_stage_predict,
 )
-from mtfact.rmtf import RmtfState
+from mtfact.rmtf import RmtfState, rmtf_run_chain
 
-from conftest import make_collection
+from conftest import make_collection, make_masked_rows_collection
 
 
 def small_hp(**kw):
@@ -176,6 +178,157 @@ class TestTwoStagePredict:
         a = two_stage_predict(PredictionTask(samples, test), RngStream(15))
         b = two_stage_predict(PredictionTask(relaxed, test), RngStream(15))
         np.testing.assert_allclose(b.mean[0], a.mean[0], atol=1e-6)
+
+
+def _reference_predict(task: PredictionTask, rng):
+    """The earlier stage-two loop, kept as the reference: every snapshot
+    draws z from its frozen conditional n_stage2_sweeps + n_stage2_samples
+    times, solving the mean anew each time, and keeps the last draws."""
+    gen = _as_gen(rng)
+    chains, test = task.chains, task.test
+    _check_compat(chains[0].states[0], test)
+    n = test.n_samples
+    xs, obs, tgt_idx = [], [], []
+    for v in test.views:
+        ob = np.ascontiguousarray(v.observed.transpose(0, 2, 1), dtype=np.float64)
+        xs.append(np.ascontiguousarray(v.values.transpose(0, 2, 1)) * ob)
+        obs.append(None if ob.all() else ob.reshape(n, -1))
+        tgt_idx.append(np.nonzero(~v.observed.transpose(0, 2, 1)))
+    masked_views = [t for t, ob in enumerate(obs) if ob is not None]
+    patterns, inverse = np.unique(np.concatenate([obs[t] for t in masked_views], axis=1),
+                                  axis=0, return_inverse=True)
+    row_groups = [np.nonzero(inverse == p)[0] for p in range(patterns.shape[0])]
+    offs = np.cumsum([0] + [obs[t].shape[1] for t in masked_views])
+    for j, t in enumerate(masked_views):
+        obs[t] = patterns[:, offs[j]:offs[j + 1]]
+    acc = [np.zeros(idx[0].size) for idx in tgt_idx]
+    acc_sq = [np.zeros(idx[0].size) for idx in tgt_idx]
+    n_draws = 0
+    k = chains[0].states[0].k
+    for samples in chains:
+        for state in samples.states[::task.snapshot_stride]:
+            frozen = [state.slab_loadings(t) for t in range(len(xs))]
+            lin, precs = z_conditional(
+                [(x, rows, *wt) for x, rows, wt in zip(xs, obs, frozen)], k)
+            chols = cholesky_stack(precs)
+            z = np.empty((n, k))
+            for sweep in range(task.n_stage2_sweeps + task.n_stage2_samples):
+                for p, rows in enumerate(row_groups):
+                    z[rows] = draw_mvn_precision_chol(lin[rows], chols[p], gen)
+                if sweep < task.n_stage2_sweeps:
+                    continue
+                for t, idx in enumerate(tgt_idx):
+                    if idx[0].size == 0:
+                        continue
+                    w, tau_l = frozen[t]
+                    ni, li, di = idx
+                    mean_vals = np.einsum("jk,jk->j", z[ni], w[li, di, :])
+                    draws = mean_vals + gen.standard_normal(ni.size) / np.sqrt(tau_l[li])
+                    acc[t] += draws
+                    acc_sq[t] += draws ** 2
+                n_draws += 1
+    means, stds = [], []
+    for t, v in enumerate(test.views):
+        m = acc[t] / n_draws
+        var = np.maximum(acc_sq[t] / n_draws - m ** 2, 0.0)
+        mean_arr, std_arr = np.zeros(v.shape), np.zeros(v.shape)
+        ni, li, di = tgt_idx[t]
+        mean_arr[ni, di, li] = m
+        std_arr[ni, di, li] = np.sqrt(var)
+        means.append(mean_arr)
+        stds.append(std_arr)
+    return means, stds, n_draws
+
+
+def _randomized(c: Collection, gen) -> Collection:
+    """``c`` with standard normal values and the same masks and groups."""
+    return Collection(tuple(MaskedTensor3(Tensor3(gen.standard_normal(v.shape)), v.observed)
+                            for v in c.views), c.third_mode_groups, c.names)
+
+
+def _reference_cases():
+    """name -> (chains, test collection, task settings); the test sets hold
+    one missingness pattern (rank1) or several (the others)."""
+    gen = np.random.default_rng(41)
+    rank1_train, rank1_test, _ = _rank1_problem(seed=12, noise=0.3)
+    rows_train = make_masked_rows_collection(gen, n=20)
+    rows_train = Collection(tuple(MaskedTensor3.fully_observed(v.values)
+                                  for v in rows_train.views), (), rows_train.names)
+    rows_test = make_masked_rows_collection(gen, n=11)
+    sizes = (10, 3, 2)
+    grouped_train = _randomized(toy_grouped(sizes), gen)
+    grouped_test = _randomized(toy_grouped(sizes, toy_masks(sizes, n_tensors=2)), gen)
+    hp = small_hp(k=3, n_samples=4)
+    mtf_rows = run_chain(rows_train, hp, RngStream(20))
+    return {
+        "rank1": ([run_chain(rank1_train, small_hp(), RngStream(21))], rank1_test, {}),
+        "multi_pattern": ([mtf_rows], rows_test, {}),
+        "rmtf": ([rmtf_run_chain(rows_train, hp, RngStream(22))], rows_test, {}),
+        "grouped": ([run_chain(grouped_train, hp, RngStream(23))], grouped_test, {}),
+        "two_chains_stride2": ([mtf_rows, run_chain(rows_train, hp, RngStream(24, 1))],
+                               rows_test, {"snapshot_stride": 2}),
+        "no_burn_in": ([mtf_rows], rows_test, {"n_stage2_sweeps": 0}),
+        "three_sweeps": ([mtf_rows], rows_test, {"n_stage2_sweeps": 3,
+                                                 "n_stage2_samples": 4}),
+    }
+
+
+class TestStageTwoReference:
+    @pytest.fixture(scope="class")
+    def cases(self):
+        return _reference_cases()
+
+    @pytest.mark.parametrize("name", ["rank1", "multi_pattern", "rmtf", "grouped",
+                                      "two_chains_stride2", "no_burn_in", "three_sweeps"])
+    def test_matches_draw_by_draw_loop(self, cases, name):
+        chains, test, settings = cases[name]
+        task = PredictionTask(chains, test, **settings)
+        got = two_stage_predict(task, RngStream(30))
+        means, stds, n_draws = _reference_predict(task, RngStream(30))
+        assert got.n_draws == n_draws
+        for t in range(len(test.views)):
+            assert np.array_equal(got.mean[t], means[t])
+            assert np.array_equal(got.std[t], stds[t])
+
+    def test_multi_pattern_case_has_several_patterns(self, cases):
+        test = cases["multi_pattern"][1]
+        rows = np.concatenate([v.observed.reshape(test.n_samples, -1) for v in test.views],
+                              axis=1)
+        assert np.unique(rows, axis=0).shape[0] > 2
+        grouped = cases["grouped"][1]
+        rows = np.concatenate([v.observed.reshape(grouped.n_samples, -1)
+                               for v in grouped.views], axis=1)
+        assert np.unique(rows, axis=0).shape[0] > 2
+
+
+class TestStageTwoExactConditional:
+    def test_draws_follow_the_frozen_conditional(self):
+        # one frozen snapshot: z ~ N(P^-1 h, P^-1) exactly, so each target
+        # draw is N(mu_z . w_ld, w_ld^T P^-1 w_ld + 1 / tau_l).  A sample
+        # variance of n draws has relative sd sqrt(2 / n): 1 % at 20,000
+        # draws, so the 5 % bound on each target's variance is 5 sd.
+        n_draws = 20_000
+        train, test, _ = _rank1_problem(seed=13, noise=0.4)
+        samples = run_chain(train, small_hp(k=2, n_samples=1), RngStream(31))
+        state = samples.states[0]
+        result = two_stage_predict(PredictionTask(samples, test, n_stage2_samples=n_draws),
+                                   RngStream(32))
+        v = test.views[0]
+        ob = np.ascontiguousarray(v.observed.transpose(0, 2, 1), dtype=np.float64)
+        x = np.ascontiguousarray(v.values.transpose(0, 2, 1)) * ob
+        w, tau = state.slab_loadings(0)
+        lin, precs = z_conditional([(x, ob.reshape(test.n_samples, -1), w, tau)], state.k)
+        ni, di, li = np.nonzero(result.targets[0])
+        mu = np.linalg.solve(precs[0], lin[ni].T).T           # one pattern
+        cov = np.linalg.inv(precs[0])
+        b = w[li, di, :]
+        want_mean = np.einsum("jk,jk->j", mu, b)
+        want_var = np.einsum("jk,kl,jl->j", b, cov, b) + 1.0 / tau[li]
+        got_mean = result.mean[0][ni, di, li]
+        got_var = result.std[0][ni, di, li] ** 2
+        se = np.sqrt(want_var / n_draws)
+        assert np.all(np.abs(got_mean - want_mean) < 4 * se)
+        assert np.all(np.abs(got_var / want_var - 1) < 0.05)
 
 
 class TestMatchComponents:
