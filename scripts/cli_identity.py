@@ -1,7 +1,7 @@
 """Run one seeded toy CLI pipeline in two checkouts and compare every output
-file byte for byte.
+file byte for byte, or numeric fields within a tolerance.
 
-    python3 scripts/cli_identity.py --parent PARENT_TREE --change .
+    python3 scripts/cli_identity.py --parent PARENT_TREE --change . [--rtol R --atol A]
 
 ``--parent`` and ``--change`` are two checkouts of the repository; a parent
 tree can be made with ``git archive HEAD~1 | tar -x -C PARENT_TREE``.  In each
@@ -12,12 +12,21 @@ per_component and per_slab lambda, and gfa) and ``predict`` of the continuum
 test set from every continuum fit, with and without ``--truth``.  Each step's
 standard output is kept as a file too.
 
+With ``--rtol R --atol A``, a CSV or JSON file whose bytes differ still
+matches when every numeric field of the change, b, and of the parent, a,
+satisfies |a - b| <= A + R |b| and every other field, the rows and the keys
+are equal; each such file's largest relative difference |a - b| / |b| is
+printed.  Other files must match byte for byte.
+
 Prints every file that differs or exists on one side only.  Exits 0 when all
 files match, 1 when any differ (the work directories are then kept for
 inspection) and 2 when a step fails.
 """
 
 import argparse
+import csv
+import json
+import math
 import os
 import shutil
 import subprocess
@@ -76,15 +85,58 @@ def tree_files(root: str) -> dict[str, str]:
             for d, _, files in os.walk(root) for f in files}
 
 
-def compare(a: str, b: str) -> list[str]:
-    """Lines naming every file that differs between the trees ``a`` and ``b``."""
+def _number(x):
+    """x as a float if it is a number (a JSON number or a numeric CSV field), else None."""
+    if isinstance(x, bool):
+        return None
+    try:
+        return float(x)
+    except (TypeError, ValueError):
+        return None
+
+
+def _close(x, y, rtol: float, atol: float, rel: list[float]) -> bool:
+    """Whether the parsed fields x (parent) and y (change) match, numbers
+    within |x - y| <= atol + rtol |y|; appends each pair's relative difference."""
+    if isinstance(x, dict):
+        return isinstance(y, dict) and x.keys() == y.keys() \
+            and all(_close(x[k], y[k], rtol, atol, rel) for k in x)
+    if isinstance(x, list):
+        return isinstance(y, list) and len(x) == len(y) \
+            and all(_close(p, q, rtol, atol, rel) for p, q in zip(x, y))
+    a, b = _number(x), _number(y)
+    if a is None or b is None:  # text, or a container on the change side only
+        return type(x) is type(y) and x == y
+    if not (math.isfinite(a) and math.isfinite(b)):
+        return a == b or (math.isnan(a) and math.isnan(b))
+    rel.append(abs(a - b) / abs(b) if b != 0 else (0.0 if a == 0 else math.inf))
+    return abs(a - b) <= atol + rtol * abs(b)
+
+
+def _parse(path: str):
+    """Rows of a CSV file or the document of a JSON file."""
+    with open(path, newline="") as fh:
+        return json.load(fh) if path.endswith(".json") else list(csv.reader(fh))
+
+
+def compare(a: str, b: str, rtol: float | None = None, atol: float | None = None) -> list[str]:
+    """Lines naming every file that differs between the trees ``a`` and ``b``;
+    with a tolerance, also each CSV or JSON file's largest relative difference."""
     fa, fb = tree_files(a), tree_files(b)
     lines = [f"only in parent: {p}" for p in sorted(fa.keys() - fb.keys())]
     lines += [f"only in change: {p}" for p in sorted(fb.keys() - fa.keys())]
     for p in sorted(fa.keys() & fb.keys()):
         with open(fa[p], "rb") as x, open(fb[p], "rb") as y:
-            if x.read() != y.read():
+            same = x.read() == y.read()
+        if rtol is None or not p.endswith((".csv", ".json")):
+            if not same:
                 lines.append(f"differs: {p}")
+            continue
+        rel: list[float] = []
+        ok = _close(_parse(fa[p]), _parse(fb[p]), rtol, atol, rel)
+        print(f"max relative difference {max(rel, default=0.0):.3g}: {p}")
+        if not ok:
+            lines.append(f"differs: {p}")
     return lines
 
 
@@ -93,7 +145,11 @@ def main() -> int:
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--parent", required=True, help="checkout of the parent commit")
     ap.add_argument("--change", required=True, help="checkout of the change")
+    ap.add_argument("--rtol", type=float, help="relative tolerance of numeric CSV/JSON fields")
+    ap.add_argument("--atol", type=float, help="absolute tolerance of numeric CSV/JSON fields")
     args = ap.parse_args()
+    if (args.rtol is None) != (args.atol is None):
+        ap.error("--rtol and --atol go together")
     root = tempfile.mkdtemp(prefix="cli_identity_")
     work = {side: os.path.join(root, side) for side in ("parent", "change")}
     for side in work:
@@ -102,7 +158,7 @@ def main() -> int:
             print(error, file=sys.stderr)
             shutil.rmtree(root)
             return 2
-    diffs = compare(work["parent"], work["change"])
+    diffs = compare(work["parent"], work["change"], args.rtol, args.atol)
     n_files = len(tree_files(work["parent"]).keys() | tree_files(work["change"]).keys())
     for line in diffs:
         print(line)

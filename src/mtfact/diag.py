@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtri
 
 from . import mtf as _mtf
 from . import rmtf as _rmtf
@@ -333,7 +333,7 @@ def _verdict(names, diff, se2, alpha: float, n_iter: int) -> JointDistResult:
             z[j] = 0.0 if d == 0 else np.inf
         else:
             z[j] = d / np.sqrt(v)
-    threshold = float(norm.ppf(1.0 - alpha / (2 * len(names))))
+    threshold = float(ndtri(1.0 - alpha / (2 * len(names))))
     return JointDistResult(list(names), z, threshold, alpha, n_iter)
 
 
@@ -345,9 +345,9 @@ def buggy_transitions() -> dict[str, tuple[str, callable]]:
 
     def tau_rate_halved(state, data, rng):
         gen = _as_gen(rng)
-        residuals = _mtf.mtf_sweep(state, data, gen)
+        rss = _mtf.mtf_sweep(state, data, gen)
         for t, v in enumerate(data.views):
-            b_post = data.b_tau[t] + 0.25 * float(np.sum(residuals[t] ** 2))
+            b_post = data.b_tau[t] + 0.25 * float(np.sum(rss[t]))
             state.tau[t] = gen.gamma(data.hp.a_tau + v.n_obs / 2.0, 1.0 / b_post)
         return state
 

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
-
 from .core import Collection, center_and_normalize, unfold_collection
 from .dist import RngStream
 from .mtf import HyperParams, PosteriorSamples, run_chain
@@ -19,6 +17,7 @@ def pmap(fn, items, jobs: int = 1):
     items = list(items)
     if jobs <= 1 or len(items) <= 1:
         return [fn(it) for it in items]
+    from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(fn, items))
 

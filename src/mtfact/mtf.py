@@ -106,6 +106,7 @@ class ViewData:
 
     x: np.ndarray                 # (N, L, D)
     obs: np.ndarray | None        # (N, L, D) float 0/1, None when fully observed
+    x2: np.ndarray                # (L,) squared norm of each slab of x
     name: str
     n_obs: int
     obs_per_slab: np.ndarray      # (L,) observed counts
@@ -169,6 +170,7 @@ class ModelData:
         """Replace view t's values (sampler-correctness harness hook)."""
         v = self.views[t]
         v.x = values_nld * v.obs if v.obs is not None else np.ascontiguousarray(values_nld)
+        v.x2 = np.einsum("nld,nld->l", v.x, v.x)
 
 
 def prepare(c: Collection, hp: HyperParams, validate: bool = True) -> ModelData:
@@ -186,7 +188,8 @@ def prepare(c: Collection, hp: HyperParams, validate: bool = True) -> ModelData:
             x = x * obs
         var, var_slab = _fiber_variance(x, obs_b.astype(np.float64))
         views.append(ViewData(
-            x=x, obs=obs, name=c.names[t], n_obs=int(obs_b.sum()),
+            x=x, obs=obs, x2=np.einsum("nld,nld->l", x, x), name=c.names[t],
+            n_obs=int(obs_b.sum()),
             obs_per_slab=obs_b.sum(axis=(0, 2)), var_obs=var, var_slab=var_slab,
         ))
     groups = c.u_groups()
@@ -450,7 +453,8 @@ def reconstruct_mean(state, t: int) -> Tensor3:
 
 
 def _residuals(state, data: ModelData) -> list[np.ndarray]:
-    """x - reconstruction of every view as (N, L, D), masked entries held at zero."""
+    """x - reconstruction of every view as (N, L, D), masked entries held at
+    zero; the samplers use ``_rss``."""
     out = []
     for t, v in enumerate(data.views):
         r = v.x - _recon_nld(state, t)
@@ -467,21 +471,30 @@ def z_conditional(blocks, k: int) -> tuple[np.ndarray, np.ndarray]:
     entries zeroed, W (L, D, K) and tau (L,) as from ``slab_loadings``, and
     rows (M, L*D) the 0/1 observation rows of a masked view, or None when
     it is fully observed.  Entry (l, d) adds tau_l x b to the linear term
-    and tau_l b b^T to the precision, with b = w_{l,d}.  Returns (lin (N, K),
-    prec): prec is one (K, K) matrix when no view has rows, otherwise the
-    (M, K, K) stack whose row-specific terms are one GEMM per masked view.
+    and tau_l b b^T to the precision, with b = w_{l,d}.  A fully observed
+    view may append that precision term, sum_{l,d} tau_l b b^T, as a fifth
+    element.  Returns (lin (N, K), prec): prec is one (K, K) matrix when no
+    view has rows, otherwise the (M, K, K) stack whose row-specific terms
+    are one GEMM per masked view.
     """
     lin, base, terms = 0.0, np.eye(k), []
-    for x, rows, w, tau in blocks:
+    for x, rows, w, tau, *gram in blocks:
         b = w.reshape(-1, k)                                    # (L*D, K)
         tw = np.repeat(tau, w.shape[1])
         tb = tw[:, None] * b
         lin = lin + x.reshape(x.shape[0], -1) @ tb
         if rows is None:
-            base = base + tb.T @ b
+            base = base + (gram[0] if gram else tb.T @ b)
         else:
             terms.append((rows, b, tw))
     return lin, stacked_precisions(base, terms)
+
+
+def _rss(state, data: ModelData) -> list[np.ndarray]:
+    """Per-slab residual sums of squares of every view of either model's
+    state, by ``_slab_rss`` on its slab loadings."""
+    return [_slab_rss(v.x2, _view_stats(v, state.Z), state.slab_loadings(t)[0])
+            for t, v in enumerate(data.views)]
 
 
 def _z_blocks(state, data: ModelData) -> list:
@@ -503,11 +516,15 @@ def update_z(state: MtfState, data: ModelData, rng) -> np.ndarray:
 
     Precision for row n: I_K + sum_t tau_t sum_{(l,d) observed} b b^T with
     b = u_l * v_d, the entry (l, d) of the slab loadings; see
-    ``z_conditional``.  Without masked views all rows share one
+    ``z_conditional``.  A fully observed view's term factors as
+    tau_t (V^T V) * (U^T U).  Without masked views all rows share one
     factorization; otherwise the N precisions are factorized by one batched
     Cholesky and all rows drawn together.
     """
-    state.Z = _draw_rows(*z_conditional(_z_blocks(state, data), state.k), rng)
+    us = [state.u_for_view(t) for t in range(data.n_views)]
+    blocks = [(*b, state.tau[t] * (state.V[t].T @ state.V[t]) * (u.T @ u))
+              for t, (b, u) in enumerate(zip(_z_blocks(state, data), us))]
+    state.Z = _draw_rows(*z_conditional(blocks, state.k), rng)
     return state.Z
 
 
@@ -548,67 +565,75 @@ def _column_step(xb, gram, w, tau, rho, mu, logit_pi, h, gen):
         w[on, :, k] = mean[on] + gen.standard_normal(mean[on].shape) / np.sqrt(prec[on])
 
 
-def _xtz(v: ViewData, z: np.ndarray) -> np.ndarray:
-    """X^T Z of each slab of a view, as (L, D, K); masked entries are zero."""
-    return (v.x.reshape(v.n, -1).T @ z).reshape(v.l, v.d, -1)
+def _view_stats(v: ViewData, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sufficient statistics of a view given Z, one GEMM each: X^T Z per slab
+    (L, D, K), masked entries zero, and the Gram: Z^T Z (K, K) on a fully
+    observed view, else the per-entry M (L, D, K, K), M[l, d] = sum_n
+    obs[n, l, d] z_n z_n^T."""
+    k = z.shape[1]
+    gram = z.T @ z if v.obs is None else \
+        (v.obs.reshape(v.n, -1).T @ outer_rows(z)).reshape(v.l, v.d, k, k)
+    return (v.x.reshape(v.n, -1).T @ z).reshape(v.l, v.d, k), gram
 
 
-def _masked_gram(v: ViewData, z: np.ndarray) -> np.ndarray:
-    """Per-entry Gram M (L, D, K*K) of a masked view: M[l, d] = sum_n
-    obs[n, l, d] vec(z_n z_n^T), one GEMM."""
-    return (v.obs.reshape(v.n, -1).T @ outer_rows(z)).reshape(v.l, v.d, -1)
+def _slab_rss(x2: np.ndarray, stats, w: np.ndarray) -> np.ndarray:
+    """Residual sum of squares of each slab from sufficient statistics,
+    RSS_l = ||X_l||^2 - 2 <(X^T Z)_l, W_l> + sum_d w_ld^T G_ld w_ld, given
+    x2 = ||X_l||^2 (L,), stats = (X^T Z, G) of ``_view_stats`` and the
+    loadings w (L, D, K); the strict sweep passes ``_strict_stats`` and w = U.
+    Rounding can make an exact fit's RSS -eps, so it is clamped at 0."""
+    xb, gram = stats
+    wg = w @ gram if gram.ndim == 2 else (w[..., None, :] @ gram)[..., 0, :]
+    return np.maximum(x2 + ((wg - 2.0 * xb) * w).reshape(w.shape[0], -1).sum(axis=1), 0.0)
 
 
-def update_vh(state: MtfState, data: ModelData, t: int, rng, grams=None):
+def _strict_stats(stats, v_t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``_view_stats`` contracted with V (D, K): P_lk = sum_d (X^T Z)_ldk v_dk
+    (L, K) and the Gram (V^T V) * (Z^T Z), or sum_d M_ld * v_d v_d^T per slab."""
+    xtz, g = stats
+    vv = (v_t.T @ v_t) * g if g.ndim == 2 else \
+        np.einsum("ldkj,dkj->lkj", g, v_t[:, :, None] * v_t[:, None, :])
+    return np.einsum("ldk,dk->lk", xtz, v_t), vv
+
+
+def update_vh(state: MtfState, data: ModelData, t: int, rng, stats=None):
     """Joint spike-and-slab update of (V^(t), H_{t,:}) by ``_column_step``,
     one column (design z_k o u_k) per component; returns (V^(t), H row).
 
     GFA statistics (Virtanen et al. 2012, AISTATS; Klami et al. 2015, IEEE
     TNNLS 26:2136): xb = sum_l u_l * (X^T Z)_l and the elementwise product
     (Z^T Z) * (U^T U), or on a masked view per feature d the Gram
-    sum_l (u_l u_l^T) * M[l, d] (``_masked_gram`` of the current Z: grams[t]
-    if given, else formed here).  Draw order per component: one uniform
-    (also at a log odds of +-inf), then D normals when active.
+    sum_l (u_l u_l^T) * M[l, d], from ``_view_stats`` of the current Z
+    (stats[t] if given, else formed here).  Draw order per component: one
+    uniform (also at a log odds of +-inf), then D normals when active.
     """
     v = data.views[t]
     u = state.u_for_view(t)
-    if v.obs is None:
-        gram = (state.Z.T @ state.Z) * (u.T @ u)
-    else:
-        m = _masked_gram(v, state.Z) if grams is None else grams[t]
-        gram = np.einsum("ldq,lq->dq", m, outer_rows(u)).reshape(v.d, state.k, state.k)
-    xb = np.einsum("ldk,lk->dk", _xtz(v, state.Z), u)[None]
+    xtz, g = _view_stats(v, state.Z) if stats is None else stats[t]
+    gram = g * (u.T @ u) if g.ndim == 2 else \
+        np.einsum("ldkj,lkj->dkj", g, u[:, :, None] * u[:, None, :])
+    xb = np.einsum("ldk,lk->dk", xtz, u)[None]
     _column_step(xb, gram, state.V[t][None], state.tau[t], state.alpha[t], 0.0,
                  _logit(state.pi), state.H[t:t + 1], _as_gen(rng))
     return state.V[t], state.H[t]
 
 
-def update_u(state: MtfState, data: ModelData, g: int, rng, grams=None) -> np.ndarray:
+def update_u(state: MtfState, data: ModelData, g: int, rng, ustats=None) -> np.ndarray:
     """Resample the shared third-mode factors of one tensor-view group.
 
     Precision for slab l: I_K + sum_t tau_t sum_{(n,d) observed} b b^T with
-    b = z_n * v_d.  Without masked member views all slabs share one
-    factorization.  A masked view t adds a slab-specific term from its
-    per-entry Gram M (``_masked_gram``, one GEMM; ``grams`` as for
-    ``update_vh``): the term of slab l is tau_t sum_d M[l, d] * vec(v_d v_d^T).
-    The L precisions are factorized by one batched Cholesky and all slabs
-    drawn together.
+    b = z_n * v_d, and linear term sum_t tau_t P_t[l], from (P_t, Gram) of
+    ``_strict_stats`` (ustats[t] if given, else formed here).  Without
+    masked member views all slabs share one factorization; otherwise the L
+    precisions are factorized by one batched Cholesky and drawn together.
     """
     members = data.u_groups[g]
-    k = state.k
-    n_slabs = data.views[members[0]].l
-    lin = np.zeros((n_slabs, k))
-    prec = np.eye(k)
+    lin, prec = 0.0, np.eye(state.k)
     for t in members:
-        v = data.views[t]
-        t1 = v.x @ state.V[t]                       # (N, L, K)
-        lin += state.tau[t] * np.einsum("nlk,nk->lk", t1, state.Z)
-        if v.obs is None:
-            prec = prec + state.tau[t] * ((state.Z.T @ state.Z) * (state.V[t].T @ state.V[t]))
-        else:
-            m = _masked_gram(v, state.Z) if grams is None else grams[t]
-            prec = prec + state.tau[t] * np.einsum(
-                "ldq,dq->lq", m, outer_rows(state.V[t])).reshape(n_slabs, k, k)
+        p, a = _strict_stats(_view_stats(data.views[t], state.Z), state.V[t]) \
+            if ustats is None else ustats[t]
+        lin = lin + state.tau[t] * p
+        prec = prec + state.tau[t] * a
     state.U[g] = _draw_rows(lin, prec, rng)
     return state.U[g]
 
@@ -622,9 +647,9 @@ def _draw_ard(alpha: np.ndarray, h: np.ndarray, v: np.ndarray, hp: HyperParams,
     return np.where(h > 0, np.maximum(draws, _ALPHA_FLOOR), alpha)
 
 
-def update_hypers(state: MtfState, data: ModelData, rng,
-                  residuals: list[np.ndarray] | None = None):
-    """Conjugate updates of pi, the ARD precisions, and the noise precisions.
+def update_hypers(state: MtfState, data: ModelData, rng, rss: list[np.ndarray] | None = None):
+    """Conjugate updates of pi, the ARD precisions, and the noise precisions,
+    given the per-slab residual sums of squares (``_rss`` when not given).
 
     ARD precisions of inactive columns are left untouched (a valid partial
     scan: the coordinate selection depends only on H, which this update
@@ -638,10 +663,10 @@ def update_hypers(state: MtfState, data: ModelData, rng,
     state.pi = _clip_unit(gen.beta(h.a_pi + active, h.b_pi + data.n_views - active))
     for t in range(data.n_views):
         state.alpha[t] = _draw_ard(state.alpha[t], state.H[t], state.V[t], h, gen)
-    if residuals is None:
-        residuals = _residuals(state, data)
+    if rss is None:
+        rss = _rss(state, data)
     for t, v in enumerate(data.views):
-        b_post = data.b_tau[t] + 0.5 * float(np.sum(residuals[t] ** 2))
+        b_post = data.b_tau[t] + 0.5 * float(np.sum(rss[t]))
         state.tau[t] = gen.gamma(h.a_tau + v.n_obs / 2.0, 1.0 / b_post)
     return state.pi, state.alpha, state.tau
 
@@ -682,28 +707,31 @@ def mtf_sweep(state: MtfState, data: ModelData, rng) -> list[np.ndarray]:
 
     The (v,h) step uses the statistics X^T Z and Gram of ``update_vh`` in
     its draw order (per component one uniform, then D normals if active).
-    Each masked view's Gram M is formed once, for the (v,h) and u steps,
-    and the residuals once, after the u-step, for the tau update.
+    Each view's X^T Z and Gram (``_view_stats``) are formed once, after the
+    z-step, and contracted with V once, after the (v,h) steps; those serve
+    the u-step and the per-slab residual sums of squares (``_slab_rss``).
 
     The map z_k -> c z_k, v_tk -> v_tk / c leaves the likelihood unchanged,
     so the coordinate updates alone only random-walk along each
     component's scale; the moves sample that direction directly.  They
     draw 1 + (number of U groups) Gamma vectors per sweep.
 
-    Returns the per-view residuals, exact as of the end of the sweep.
+    Returns the per-slab residual sums of squares, exact after the moves.
     """
     update_z(state, data, rng)
-    grams = [None if v.obs is None else _masked_gram(v, state.Z) for v in data.views]
+    stats = [_view_stats(v, state.Z) for v in data.views]
     for t in range(data.n_views):
-        update_vh(state, data, t, rng, grams)
+        update_vh(state, data, t, rng, stats)
+    ustats = [_strict_stats(s, vt) for s, vt in zip(stats, state.V)]
     for g in range(len(data.u_groups)):
-        update_u(state, data, g, rng, grams)
-    residuals = _residuals(state, data)
-    update_hypers(state, data, rng, residuals=residuals)
+        update_u(state, data, g, rng, ustats)
+    rss = [_slab_rss(v.x2, s, state.u_for_view(t))
+           for t, (v, s) in enumerate(zip(data.views, ustats))]
+    update_hypers(state, data, rng, rss=rss)
     state.Z = _rescale(state, data, state.Z, range(data.n_views), rng)
     for g, members in enumerate(data.u_groups):
         state.U[g] = _rescale(state, data, state.U[g], members, rng)
-    return residuals
+    return rss
 
 
 def _normal_lp(x, prec):
@@ -724,16 +752,15 @@ def _ard_lp(alpha: np.ndarray, h: np.ndarray, v: np.ndarray, hp: HyperParams) ->
         + _gamma_lp(alpha, hp.a_alpha, hp.b_alpha)
 
 
-def _shared_lp(state, data: ModelData, residuals) -> float:
+def _shared_lp(state, data: ModelData, rss) -> float:
     """Log joint terms common to both models: the Gaussian likelihood of the
-    observed entries (per slab), the N(0, I) priors of Z and U, the
-    Bernoulli(pi) activity of every entry of H and the Beta prior of pi."""
+    observed entries (per slab, from its residual sum of squares), the N(0, I)
+    priors of Z and U, the Bernoulli(pi) activity of H and the Beta prior of pi."""
     hp = data.hp
     total = 0.0
-    for t, (v, r) in enumerate(zip(data.views, residuals)):
+    for t, v in enumerate(data.views):
         tau = np.broadcast_to(state.tau[t], v.obs_per_slab.shape)   # per slab
-        rss = (r ** 2).sum(axis=(0, 2))
-        total += float(np.sum(0.5 * v.obs_per_slab * (np.log(tau) - _LOG2PI) - 0.5 * tau * rss))
+        total += float(np.sum(0.5 * v.obs_per_slab * (np.log(tau) - _LOG2PI) - 0.5 * tau * rss[t]))
     for x in [state.Z, *state.U]:
         total += -0.5 * float(np.sum(x ** 2)) - 0.5 * x.size * _LOG2PI
     log_pi, log_1mpi = np.log(state.pi), np.log1p(-state.pi)
@@ -742,17 +769,15 @@ def _shared_lp(state, data: ModelData, residuals) -> float:
         - state.k * betaln(hp.a_pi, hp.b_pi)
 
 
-def log_joint(state: MtfState, data: ModelData,
-              residuals: list[np.ndarray] | None = None) -> float:
-    """Log of the joint density over observed entries and all priors.
+def log_joint(state: MtfState, data: ModelData, rss: list[np.ndarray] | None = None) -> float:
+    """Log of the joint density over observed entries and all priors, given
+    the per-slab residual sums of squares (``_rss`` when not given).
 
     Inactive columns contribute only their Bernoulli log(1 - pi_k) mass; the
     spike itself carries no density term.
     """
     h = data.hp
-    if residuals is None:
-        residuals = _residuals(state, data)
-    total = _shared_lp(state, data, residuals)
+    total = _shared_lp(state, data, _rss(state, data) if rss is None else rss)
     for t in range(data.n_views):
         total += _ard_lp(state.alpha[t], state.H[t], state.V[t], h)
     return total + _gamma_lp(state.tau, h.a_tau, data.b_tau)
@@ -763,7 +788,8 @@ def _run_chain(model: str, init, sweep_fn, log_joint_fn, c, hp: HyperParams, rng
     """Chain driver shared by both samplers: ``init``, then burn-in and
     thinned sweeps of ``sweep_fn``, with the log joint and the per-view mean
     squared residual (so every view needs an observed entry) recorded after
-    every sweep.  An ``RngStream`` supplies the chain id."""
+    every sweep, both from the residual sums of squares the sweep returns.
+    An ``RngStream`` supplies the chain id."""
     data = _as_data(c, hp)
     for t, v in enumerate(data.views):
         if v.n_obs == 0:
@@ -774,10 +800,10 @@ def _run_chain(model: str, init, sweep_fn, log_joint_fn, c, hp: HyperParams, rng
     traces = np.empty((total, 1 + data.n_views))
     states, sweeps = [], []
     for sweep in range(1, total + 1):
-        residuals = sweep_fn(state, data, gen)
-        traces[sweep - 1, 0] = log_joint_fn(state, data, residuals=residuals)
+        rss = sweep_fn(state, data, gen)
+        traces[sweep - 1, 0] = log_joint_fn(state, data, rss=rss)
         for t, v in enumerate(data.views):
-            traces[sweep - 1, 1 + t] = np.sum(residuals[t] ** 2) / v.n_obs
+            traces[sweep - 1, 1 + t] = np.sum(rss[t]) / v.n_obs
         if sweep > hp.burn_in and (sweep - hp.burn_in) % hp.thin == 0:
             states.append(state.copy())
             sweeps.append(sweep)

@@ -28,14 +28,14 @@ from .mtf import (
     _draw_rows,
     _gamma_lp,
     _logit,
-    _masked_gram,
     _normal_lp,
     _prior_latents,
-    _residuals,
+    _rss,
     _run_chain,
     _shared_lp,
+    _slab_rss,
+    _view_stats,
     _warm_start,
-    _xtz,
     _z_blocks,
     z_conditional,
 )
@@ -169,26 +169,23 @@ def _update_z(state: RmtfState, data: ModelData, gen):
     state.Z = _draw_rows(*z_conditional(_z_blocks(state, data), state.k), gen)
 
 
-def _update_wh(state: RmtfState, data: ModelData, t: int, gen):
+def _update_wh(state: RmtfState, data: ModelData, t: int, gen, stats=None):
     """Collapsed spike-and-slab update of (W^(t), H^(t)) by ``_column_step``,
     one column (design z_k) per slab and component, on X_l^T Z per slab and
-    Z^T Z, or on a masked view the per-entry Gram of ``_masked_gram``.  The
-    slab is N(u_l v, 1/lambda) on tensors, N(0, 1/alpha) on matrices.  The
-    slab columns of one component are conditionally independent, so they
-    are drawn per component: L uniforms (also at a log odds of +-inf),
-    then the active slabs' normals.
+    Z^T Z or the per-entry Gram M (``_view_stats``: stats[t] if given, else
+    formed here).  The slab is N(u_l v, 1/lambda) on tensors, N(0, 1/alpha)
+    on matrices.  The slab columns of one component are conditionally
+    independent, so they are drawn per component: L uniforms (also at a
+    log odds of +-inf), then the active slabs' normals.
     """
     v = data.views[t]
-    if v.obs is None:
-        gram = state.Z.T @ state.Z
-    else:
-        gram = _masked_gram(v, state.Z).reshape(v.l, v.d, state.k, state.k)
+    xtz, gram = _view_stats(v, state.Z) if stats is None else stats[t]
     if v.is_matrix():
         rho, mu = state.alpha[t], 0.0
     else:
         rho = state.lam_lk(t, v.l)[:, None, :]
         mu = state.u_for_view(t)[:, None, :] * state.V[t][None, :, :]
-    _column_step(_xtz(v, state.Z), gram, state.W[t], state.tau[t], rho, mu,
+    _column_step(xtz, gram, state.W[t], state.tau[t], rho, mu,
                  _logit(state.pi), state.H[t], gen)
     return state.W[t], state.H[t]
 
@@ -258,7 +255,7 @@ def _update_lambda(state: RmtfState, data: ModelData, hp: HyperParams, gen):
 
 
 def _update_scales_and_noise(state: RmtfState, data: ModelData, hp: HyperParams,
-                             gen, residuals):
+                             gen, rss):
     for t, v in enumerate(data.views):
         if v.is_matrix():
             state.alpha[t] = _draw_ard(state.alpha[t], state.H[t][0], state.W[t][0], hp, gen)
@@ -267,8 +264,7 @@ def _update_scales_and_noise(state: RmtfState, data: ModelData, hp: HyperParams,
             draws = gen.gamma(hp.a_beta + 0.5, 1.0 / b_post)
             state.beta[t] = np.maximum(draws, _ALPHA_FLOOR)
     for t, v in enumerate(data.views):
-        rss = (residuals[t] ** 2).sum(axis=(0, 2))        # per slab
-        b_post = data.b_tau_slab[t] + 0.5 * rss
+        b_post = data.b_tau_slab[t] + 0.5 * rss[t]
         state.tau[t] = gen.gamma(hp.a_tau + v.obs_per_slab / 2.0, 1.0 / b_post)
 
 
@@ -281,30 +277,32 @@ def _update_pi(state: RmtfState, data: ModelData, hp: HyperParams, gen):
 def rmtf_sweep(state: RmtfState, data: ModelData, rng) -> list[np.ndarray]:
     """One full conditional scan: z, per-view (w, h), v, per-group u, lambda,
     then slab scales, noise and pi.  The (w, h) step draws per component
-    across slabs (see ``_update_wh``); the residuals are formed once, for
-    the noise update, and returned."""
+    across slabs (see ``_update_wh``).  Each view's X^T Z and Gram
+    (``_view_stats``) are formed once, after the z-step, for the (w, h)
+    step and the per-slab residual sums of squares (``_slab_rss``) that the
+    noise update takes and the sweep returns."""
     gen = _as_gen(rng)
     hp = data.hp
     _update_z(state, data, gen)
+    stats = [_view_stats(v, state.Z) for v in data.views]
     for t in range(data.n_views):
-        _update_wh(state, data, t, gen)
+        _update_wh(state, data, t, gen, stats)
     for t, v in enumerate(data.views):
         if not v.is_matrix():
             _update_v(state, data, t, gen)
     for g in range(len(data.u_groups)):
         _update_u(state, data, g, gen)
     _update_lambda(state, data, hp, gen)
-    residuals = _residuals(state, data)
-    _update_scales_and_noise(state, data, hp, gen, residuals)
+    rss = [_slab_rss(v.x2, s, w) for v, s, w in zip(data.views, stats, state.W)]
+    _update_scales_and_noise(state, data, hp, gen, rss)
     _update_pi(state, data, hp, gen)
-    return residuals
+    return rss
 
 
-def rmtf_log_joint(state: RmtfState, data: ModelData, residuals=None) -> float:
+def rmtf_log_joint(state: RmtfState, data: ModelData, rss=None) -> float:
+    """Log joint of the relaxed model; ``rss`` as for ``mtf.log_joint``."""
     h = data.hp
-    if residuals is None:
-        residuals = _residuals(state, data)
-    total = _shared_lp(state, data, residuals)
+    total = _shared_lp(state, data, _rss(state, data) if rss is None else rss)
     for t, v in enumerate(data.views):
         if v.is_matrix():
             total += _ard_lp(state.alpha[t], state.H[t][0], state.W[t][0], h)

@@ -1,6 +1,8 @@
 import filecmp
 import json
 import os
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -13,6 +15,16 @@ from mtfact.core import Collection
 
 def run(*argv):
     return main([str(a) for a in argv])
+
+
+def test_cold_import_loads_no_scipy_stats():
+    # scipy.stats alone took most of the package's import time
+    code = ("import sys, mtfact, mtfact.cli; "
+            "print([m for m in sys.modules if m.split('.')[:2] == ['scipy', 'stats']])")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(mio.__file__)))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    assert proc.stdout.strip() == "[]"
 
 
 def tree_bytes(root):

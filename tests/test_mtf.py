@@ -5,7 +5,7 @@ from scipy import integrate, stats
 import mtfact.mtf as mtf_mod
 import mtfact.rmtf as rmtf_mod
 from mtfact.core import Collection, MaskedTensor3, Tensor3
-from mtfact.diag import toy_grouped
+from mtfact.diag import toy_grouped, toy_masks
 from mtfact.dist import RngStream, draw_bernoulli_logodds
 from mtfact.mtf import (
     HyperParams,
@@ -574,15 +574,116 @@ class TestUpdateHypers:
         hp = small_hp(b_tau=2.0)
         data = prepare(c, hp)
         state = init_state(data, hp, RngStream(11))
-        zero_resid = [np.zeros_like(v.x) for v in data.views]
+        zero_rss = [np.zeros(v.l) for v in data.views]
         draws = []
         for i in range(2000):
-            update_hypers(state, data, RngStream(i, 6).gen, residuals=zero_resid)
+            update_hypers(state, data, RngStream(i, 6).gen, rss=zero_rss)
             draws.append(state.tau.copy())
         taus = np.array(draws)
         for t, v in enumerate(data.views):
             expect = (hp.a_tau + v.n_obs / 2.0) / 2.0
             assert abs(taus[:, t].mean() - expect) / expect < 0.05
+
+
+def _stat_collections():
+    """Dense, masked, grouped, masked+grouped and matrix-only collections."""
+    gen = np.random.default_rng(30)
+    sizes = (7, 4, 3)
+    return {"dense": make_collection(gen, n=9),
+            "masked": make_masked_rows_collection(gen),
+            "grouped": toy_grouped(sizes),
+            "masked_grouped": toy_grouped(sizes, toy_masks(sizes, n_tensors=2)),
+            "matrices": Collection(tuple(MaskedTensor3.fully_observed(
+                gen.standard_normal((9, d, 1))) for d in (4, 5)))}
+
+
+def _residual_rss(state, data):
+    return [(r ** 2).sum(axis=(0, 2)) for r in mtf_mod._residuals(state, data)]
+
+
+class TestSufficientStatistics:
+    """Residual sums of squares, the U-step and the log joint from X^T Z and
+    the Gram equal their residual-based values."""
+
+    @staticmethod
+    def _setup(name, model, seed=31):
+        # a proper beta prior keeps rMTF's prior loadings finite in scale: the
+        # identity cancels ||X||^2 against the fit, so its relative error
+        # grows with ||X||^2 / RSS
+        hp = small_hp(k=3, a_beta=2.0, b_beta=2.0)
+        data = prepare(_stat_collections()[name], hp)
+        prior = sample_state_from_prior if model == "mtf" else \
+            rmtf_mod.rmtf_sample_state_from_prior
+        state = prior(data, hp, RngStream(seed))
+        # random data through the harness hook, which refreshes ||X_l||^2
+        for t, x in enumerate(simulate_data(state, data, RngStream(seed, 1))):
+            data.set_values(t, x)
+        return data, state
+
+    @pytest.mark.parametrize("model", ["mtf", "rmtf"])
+    @pytest.mark.parametrize("name", list(_stat_collections()))
+    def test_rss_and_log_joint(self, name, model):
+        data, state = self._setup(name, model)
+        ref = _residual_rss(state, data)
+        for got, want in zip(mtf_mod._rss(state, data), ref):
+            np.testing.assert_allclose(got, want, rtol=1e-10)
+        lj = log_joint if model == "mtf" else rmtf_mod.rmtf_log_joint
+        assert lj(state, data) == pytest.approx(lj(state, data, rss=ref), rel=1e-10)
+        # the sweep's own statistics, exact as of its end
+        sweep = mtf_sweep if model == "mtf" else rmtf_mod.rmtf_sweep
+        rss = sweep(state, data, RngStream(32).gen)
+        for got, want in zip(rss, _residual_rss(state, data)):
+            assert got.shape == want.shape
+            np.testing.assert_allclose(got, want, rtol=1e-10)
+
+    @pytest.mark.parametrize("name", ["dense", "masked", "grouped", "masked_grouped"])
+    def test_u_step_matches_residual_form(self, name, monkeypatch):
+        data, state = self._setup(name, "mtf")
+        for g, members in enumerate(data.u_groups):
+            seen = stacked_draw_spy(monkeypatch, mtf_mod)
+            update_u(state, data, g, RngStream(33).gen)
+            (prec, mean), = seen
+            lin, want = 0.0, np.eye(state.k)
+            for t in members:
+                v, vt, tau = data.views[t], state.V[t], state.tau[t]
+                obs = np.ones_like(v.x) if v.obs is None else v.obs
+                lin = lin + tau * np.einsum("nlk,nk->lk", v.x @ vt, state.Z)
+                want = want + tau * np.einsum("nld,nk,dk,nj,dj->lkj", obs, state.Z, vt,
+                                              state.Z, vt)
+            np.testing.assert_allclose(prec, want, rtol=1e-10)
+            np.testing.assert_allclose(mean, np.linalg.solve(want, lin[..., None])[..., 0],
+                                       rtol=1e-10)
+            monkeypatch.undo()
+
+    def test_dense_z_precision_matches_slab_loadings(self, monkeypatch):
+        data, state = self._setup("grouped", "mtf")
+        seen = stacked_draw_spy(monkeypatch, mtf_mod)
+        update_z(state, data, RngStream(34).gen)
+        (prec, mean), = seen
+        lin, want = mtf_mod.z_conditional(mtf_mod._z_blocks(state, data), state.k)
+        assert want.shape == (state.k, state.k)
+        np.testing.assert_allclose(prec, np.broadcast_to(want, prec.shape), rtol=1e-10)
+        np.testing.assert_allclose(mean, np.linalg.solve(want, lin.T).T, rtol=1e-10)
+
+    @pytest.mark.parametrize("name", ["dense", "masked"])
+    def test_exact_fit_rss_not_negative(self, name):
+        # X = Z W^T: the exact RSS is 0, which rounding must not push below
+        data, state = self._setup(name, "mtf")
+        for t in range(data.n_views):
+            data.set_values(t, mtf_mod._recon_nld(state, t))
+        factored = [mtf_mod._slab_rss(v.x2, mtf_mod._strict_stats(
+            mtf_mod._view_stats(v, state.Z), state.V[t]), state.u_for_view(t))
+            for t, v in enumerate(data.views)]
+        for v, a, b in zip(data.views, mtf_mod._rss(state, data), factored):
+            for rss in (a, b):
+                assert np.all(rss >= 0.0) and np.all(rss <= 1e-10 * v.x2)
+
+    def test_set_values_refreshes_norms(self):
+        data, state = self._setup("masked", "rmtf")
+        new = simulate_data(state, data, RngStream(35))
+        data.set_values(1, 3.0 * new[1])
+        for got, want in zip(mtf_mod._rss(state, data), _residual_rss(state, data)):
+            np.testing.assert_allclose(got, want, rtol=1e-10)
 
 
 class TestLogJoint:
