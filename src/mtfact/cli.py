@@ -17,12 +17,12 @@ import sys
 import numpy as np
 
 from . import io as mio
-from .core import Collection, apply_transform, unfold_collection, validate_collection
+from .core import validate_collection
 from .diag import summarize_run
 from .dist import RngStream
 from .fitting import MODELS, fit_model
 from .mtf import HyperParams
-from .predict import PredictionTask, match_components, two_stage_predict
+from .predict import PredictionTask, match_components, predict_collection
 from .simgen import SimSpec, generate
 
 PRESETS = {
@@ -196,13 +196,9 @@ PRED_DEFAULTS = dict(seed=0, stage2_sweeps=50, stage2_samples=10,
 
 def cmd_predict(args) -> int:
     opts, _ = _merged(args, PRED_DEFAULTS)
-    chains, transform, manifest = mio.read_archive(args.archive)
+    chains, transform, _ = mio.read_archive(args.archive)
     test = mio.read_collection(args.test)
     truth = mio.read_collection(args.truth) if args.truth else None
-    if manifest.get("requested_model") == "gfa":
-        test, _ = unfold_collection(test)
-        if truth is not None:
-            truth, _ = unfold_collection(truth)
     if truth is not None:
         if len(truth.views) != len(test.views):
             raise ValueError(f"--truth has {len(truth.views)} views, --test {len(test.views)}")
@@ -210,26 +206,15 @@ def cmd_predict(args) -> int:
             if tv.shape != v.shape:
                 raise ValueError(f"view {name}: --truth shape (N, D, L) {tv.shape} "
                                  f"does not match --test {v.shape}")
-    if transform is not None:
-        test = apply_transform(transform, test)
     task = PredictionTask(chains, test, n_stage2_sweeps=opts["stage2_sweeps"],
                           n_stage2_samples=opts["stage2_samples"],
                           snapshot_stride=opts["snapshot_stride"])
-    result = two_stage_predict(task, RngStream(opts["seed"], 10_000))
-    if transform is not None:
-        for t in range(len(result.mean)):
-            sc = transform.scales[t][None, :, :]
-            result.mean[t] = result.mean[t] * sc + transform.centers[t][None, :, :] \
-                * result.targets[t]
-            result.std[t] = result.std[t] * sc
+    result, truth, err = predict_collection(task, transform, RngStream(opts["seed"], 10_000),
+                                            truth)
     n_targets = mio.write_prediction_report(args.out, result, truth)
     line = f"predicted {n_targets} entries -> {args.out}"
     if truth is not None:
-        se = 0.0
-        for t in range(len(result.mean)):
-            tgt = result.targets[t]
-            se += float(np.sum((result.mean[t][tgt] - truth.views[t].values[tgt]) ** 2))
-        line += f" (rmse {np.sqrt(se / n_targets):.4f})"
+        line += f" (rmse {err:.4f})"
     print(line)
     return 0
 

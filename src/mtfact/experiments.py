@@ -8,11 +8,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import unfold_collection
 from .dist import RngStream
 from .fitting import fit_model, pmap
 from .mtf import HyperParams, component_structure
-from .predict import PredictionTask, match_components, rmse, two_stage_predict
+from .predict import PredictionTask, match_components, predict_collection, target_rmse
 from .simgen import SimSpec, generate
 
 __all__ = [
@@ -87,33 +86,11 @@ def _continuum_one(payload) -> ContinuumRep:
     chains, transform, _ = fit_model(train, hp, model=model,
                                      seed=spec.seed + 7919 * rep,
                                      preprocess=preprocess)
-    from .core import apply_transform
-    ptest = test
-    if model == "gfa":
-        ptest, _ = unfold_collection(test)
-    if transform is not None:
-        ptest = apply_transform(transform, ptest)
-    task = PredictionTask(chains, ptest, n_stage2_sweeps=stage2[0],
-                          n_stage2_samples=stage2[1], snapshot_stride=stage2[2])
-    result = two_stage_predict(task, RngStream(spec.seed + rep, 10_000))
-    # score in the data's original units
-    full = truth.test_full
-    if model == "gfa":
-        full, _ = unfold_collection(full)
-    se, n_t, null_se = 0.0, 0, 0.0
-    for t in range(len(result.mean)):
-        tgt = result.targets[t]
-        if not tgt.any():
-            continue
-        pred = result.mean[t]
-        if transform is not None:
-            pred = pred * transform.scales[t][None] + transform.centers[t][None]
-        tv = full.views[t].values[tgt]
-        se += float(np.sum((pred[tgt] - tv) ** 2))
-        null_se += float(np.sum(tv ** 2))
-        n_t += tv.size
-    return ContinuumRep(spec.rho, model, rep,
-                        float(np.sqrt(se / n_t)), float(np.sqrt(null_se / n_t)))
+    result, full, err = predict_collection(PredictionTask(chains, test, *stage2), transform,
+                                           RngStream(spec.seed + rep, 10_000),
+                                           truth.test_full)
+    null = target_rmse([np.zeros_like(m) for m in result.mean], full, result.targets)
+    return ContinuumRep(spec.rho, model, rep, err, null)
 
 
 def continuum_experiment(spec: SimSpec, hp: HyperParams, models, reps: int,

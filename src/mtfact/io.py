@@ -358,14 +358,15 @@ def write_archive(directory: str, chains: list[PosteriorSamples],
 
 
 def read_archive(directory: str):
-    """Returns (chains, transform or None, manifest dict)."""
+    """Returns (chains, transform or None, manifest dict).  A preprocessed
+    archive must hold ``transform.csv`` (FileNotFoundError otherwise), or
+    predictions would stay in standardized units."""
     manifest = _json_load(os.path.join(directory, "run_manifest.json"))
     hp = HyperParams(**manifest["hyperparams"])
     transform = None
-    tpath = os.path.join(directory, "transform.csv")
-    if manifest.get("preprocessed") and os.path.exists(tpath):
+    if manifest.get("preprocessed"):
         shapes = [(m["d"], m["l"]) for m in manifest["views"]]
-        transform = read_transform(tpath, shapes)
+        transform = read_transform(os.path.join(directory, "transform.csv"), shapes)
     chains = []
     for cid in manifest["chain_ids"]:
         cdir = os.path.join(directory, f"chain_{cid}")

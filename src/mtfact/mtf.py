@@ -12,7 +12,7 @@ multi-view matrix factorization.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 from scipy.linalg import blas
@@ -215,18 +215,9 @@ def _as_data(c, hp: HyperParams) -> ModelData:
     return c if isinstance(c, ModelData) else prepare(c, hp)
 
 
-@dataclass
-class MtfState:
-    """All latent variables of one chain, plus the view/group structure."""
-
-    Z: np.ndarray                  # (N, K)
-    V: list[np.ndarray]            # per view (D_t, K)
-    U: list[np.ndarray]            # per third-mode group (L_g, K)
-    H: np.ndarray                  # (T, K) exact 0/1
-    pi: np.ndarray                 # (K,)
-    alpha: list[np.ndarray]        # per view (D_t, K)
-    tau: np.ndarray                # (T,)
-    group_of: dict[int, int] = field(default_factory=dict)
+class _LatentState:
+    """What both models' states share: latent rows Z (N, K), per-view V,
+    per-group U and the view -> U-group map ``group_of``."""
 
     @property
     def k(self) -> int:
@@ -242,23 +233,35 @@ class MtfState:
             return self.U[self.group_of[t]]
         return np.ones((1, self.k))
 
+    def copy(self):
+        """Deep copy of every array field, also inside lists (None kept)."""
+        def dup(x):
+            if isinstance(x, np.ndarray):
+                return x.copy()
+            if isinstance(x, list):
+                return [None if a is None else a.copy() for a in x]
+            return dict(x) if isinstance(x, dict) else x
+        return type(self)(**{f.name: dup(getattr(self, f.name)) for f in fields(self)})
+
+
+@dataclass
+class MtfState(_LatentState):
+    """All latent variables of one chain, plus the view/group structure."""
+
+    Z: np.ndarray                  # (N, K)
+    V: list[np.ndarray]            # per view (D_t, K)
+    U: list[np.ndarray]            # per third-mode group (L_g, K)
+    H: np.ndarray                  # (T, K) exact 0/1
+    pi: np.ndarray                 # (K,)
+    alpha: list[np.ndarray]        # per view (D_t, K)
+    tau: np.ndarray                # (T,)
+    group_of: dict[int, int] = field(default_factory=dict)
+
     def slab_loadings(self, t: int) -> tuple[np.ndarray, np.ndarray]:
         """Per-slab loadings W (L, D, K) of view t, slab l being u_l * V, and
         the noise precision of each slab (tau_t repeated)."""
         u = self.u_for_view(t)
         return u[:, None, :] * self.V[t][None, :, :], np.full(u.shape[0], self.tau[t])
-
-    def copy(self) -> "MtfState":
-        return MtfState(
-            Z=self.Z.copy(),
-            V=[v.copy() for v in self.V],
-            U=[u.copy() for u in self.U],
-            H=self.H.copy(),
-            pi=self.pi.copy(),
-            alpha=[a.copy() for a in self.alpha],
-            tau=self.tau.copy(),
-            group_of=dict(self.group_of),
-        )
 
 
 @dataclass
@@ -452,18 +455,6 @@ def reconstruct_mean(state, t: int) -> Tensor3:
     return Tensor3(_recon_nld(state, t).transpose(0, 2, 1))
 
 
-def _residuals(state, data: ModelData) -> list[np.ndarray]:
-    """x - reconstruction of every view as (N, L, D), masked entries held at
-    zero; the samplers use ``_rss``."""
-    out = []
-    for t, v in enumerate(data.views):
-        r = v.x - _recon_nld(state, t)
-        if v.obs is not None:
-            r *= v.obs
-        out.append(r)
-    return out
-
-
 def z_conditional(blocks, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Gaussian conditional of the latent rows given per-slab loadings.
 
@@ -638,12 +629,12 @@ def update_u(state: MtfState, data: ModelData, g: int, rng, ustats=None) -> np.n
     return state.U[g]
 
 
-def _draw_ard(alpha: np.ndarray, h: np.ndarray, v: np.ndarray, hp: HyperParams,
-              gen) -> np.ndarray:
-    """ARD precisions (D, K) of the active columns of v redrawn from their
-    Gamma conditional; inactive columns keep theirs (see ``update_hypers``)."""
-    b_post = hp.b_alpha + h * v ** 2 / 2.0
-    draws = gen.gamma(np.broadcast_to(hp.a_alpha + h / 2.0, b_post.shape), 1.0 / b_post)
+def _draw_ard(alpha: np.ndarray, h, v: np.ndarray, a: float, b: float, gen) -> np.ndarray:
+    """ARD precisions (D, K) of the active columns of v (activity row h, or
+    1 for all columns) redrawn from their Gamma conditional under the
+    Gamma(a, b) prior; inactive columns keep theirs (see ``update_hypers``)."""
+    b_post = b + h * v ** 2 / 2.0
+    draws = gen.gamma(np.broadcast_to(a + h / 2.0, b_post.shape), 1.0 / b_post)
     return np.where(h > 0, np.maximum(draws, _ALPHA_FLOOR), alpha)
 
 
@@ -662,7 +653,8 @@ def update_hypers(state: MtfState, data: ModelData, rng, rss: list[np.ndarray] |
     active = state.H.sum(axis=0)
     state.pi = _clip_unit(gen.beta(h.a_pi + active, h.b_pi + data.n_views - active))
     for t in range(data.n_views):
-        state.alpha[t] = _draw_ard(state.alpha[t], state.H[t], state.V[t], h, gen)
+        state.alpha[t] = _draw_ard(state.alpha[t], state.H[t], state.V[t],
+                                   h.a_alpha, h.b_alpha, gen)
     if rss is None:
         rss = _rss(state, data)
     for t, v in enumerate(data.views):
@@ -897,11 +889,11 @@ def _prior_latents(data: ModelData, hp: HyperParams, gen):
     return Z, U, _clip_unit(gen.beta(hp.a_pi, hp.b_pi, size=hp.k))
 
 
-def _ard_prior(d: int, h: np.ndarray, hp: HyperParams, gen):
-    """ARD precisions (d, K) and spike-and-slab loadings (d, K) drawn from
-    their priors given the activity row h."""
-    a = np.maximum(gen.gamma(hp.a_alpha, 1.0 / hp.b_alpha, size=(d, hp.k)), _ALPHA_FLOOR)
-    return a, gen.standard_normal((d, hp.k)) / np.sqrt(a) * h[None, :]
+def _ard_prior(d: int, h: np.ndarray, a: float, b: float, gen):
+    """ARD precisions (d, K) under the Gamma(a, b) prior and spike-and-slab
+    loadings (d, K) drawn from their priors given the activity row h (K,)."""
+    prec = np.maximum(gen.gamma(a, 1.0 / b, size=(d, h.size)), _ALPHA_FLOOR)
+    return prec, gen.standard_normal((d, h.size)) / np.sqrt(prec) * h
 
 
 def sample_state_from_prior(data: ModelData, hp: HyperParams, rng) -> MtfState:
@@ -909,7 +901,7 @@ def sample_state_from_prior(data: ModelData, hp: HyperParams, rng) -> MtfState:
     gen = _as_gen(rng)
     Z, U, pi = _prior_latents(data, hp, gen)
     H = (gen.random((data.n_views, hp.k)) < pi[None, :]).astype(np.float64)
-    alpha, V = map(list, zip(*(_ard_prior(v.d, H[t], hp, gen)
+    alpha, V = map(list, zip(*(_ard_prior(v.d, H[t], hp.a_alpha, hp.b_alpha, gen)
                                for t, v in enumerate(data.views))))
     tau = gen.gamma(hp.a_tau, 1.0 / data.b_tau)
     return MtfState(Z=Z, V=V, U=U, H=H, pi=pi, alpha=alpha, tau=tau,

@@ -7,15 +7,22 @@ snapshot, the test samples' latent rows have one fixed Gaussian conditional
 on their observed entries (targets are never conditioned on), so each
 stage-two draw of z is exact and independent; each draw predicts the
 targets with their noise, and the draws are averaged over all snapshots.
+
+``predict_collection`` is the one path from a test collection in data units
+to scored predictions.  It unfolds the test and truth collections when the
+chains were fit on unfolded views (``origins`` set), standardizes the test
+collection with the fit's transform and runs ``two_stage_predict``.  It maps
+the result back by scaling every mean and std by the fiber scale and adding
+the fiber centre on targets only, so off-target entries stay zero.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import Collection
+from .core import Collection, PreprocessTransform, apply_transform, unfold_collection
 from .dist import _as_gen, cholesky_stack, mvn_chol_mean, mvn_chol_noise
 from .mtf import PosteriorSamples, z_conditional
 from .rmtf import RmtfState
@@ -24,6 +31,8 @@ __all__ = [
     "PredictionTask",
     "PredictionResult",
     "two_stage_predict",
+    "predict_collection",
+    "target_rmse",
     "rmse",
     "mse",
     "match_components",
@@ -161,6 +170,38 @@ def two_stage_predict(task: PredictionTask, rng) -> PredictionResult:
         stds.append(std_arr)
         targets.append(~v.observed)
     return PredictionResult(list(test.names), means, stds, targets, n_draws)
+
+
+def target_rmse(means, truth: Collection, targets) -> float:
+    """RMSE over the target entries of every view: squared errors summed per
+    view, the view sums added in view order."""
+    se = 0.0
+    for m, v, tgt in zip(means, truth.views, targets):
+        se += float(np.sum((m[tgt] - v.values[tgt]) ** 2))
+    return float(np.sqrt(se / sum(int(tgt.sum()) for tgt in targets)))
+
+
+def predict_collection(task: PredictionTask, transform: PreprocessTransform | None, rng,
+                       truth: Collection | None = None):
+    """Predict ``task.test`` as the module docstring says; it and ``truth`` are in
+    data units.  Returns (result in data units, truth in the result's view
+    layout, ``target_rmse`` against it), the last two None without truth."""
+    test = task.test
+    if task.chains and task.chains[0].origins is not None:
+        test = unfold_collection(test)[0]
+        if truth is not None:
+            truth = unfold_collection(truth)[0]
+    if transform is not None:
+        test = apply_transform(transform, test)
+    result = two_stage_predict(replace(task, test=test), rng)
+    if transform is not None:
+        for t, tgt in enumerate(result.targets):
+            sc = transform.scales[t][None, :, :]
+            result.mean[t] = result.mean[t] * sc + transform.centers[t][None, :, :] * tgt
+            result.std[t] = result.std[t] * sc
+    if truth is None:
+        return result, None, None
+    return result, truth, target_rmse(result.mean, truth, result.targets)
 
 
 def mse(pred: np.ndarray, truth: np.ndarray, mask: np.ndarray) -> float:

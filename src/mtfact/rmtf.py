@@ -16,10 +16,10 @@ import numpy as np
 
 from .dist import _as_gen
 from .mtf import (
-    _ALPHA_FLOOR,
     HyperParams,
     ModelData,
     PosteriorSamples,
+    _LatentState,
     _ard_lp,
     _ard_prior,
     _clip_unit,
@@ -51,7 +51,7 @@ __all__ = [
 
 
 @dataclass
-class RmtfState:
+class RmtfState(_LatentState):
     """Latents of one relaxed-model chain.
 
     ``lam`` is a scalar array for the global mode, a (K,) array for
@@ -72,19 +72,6 @@ class RmtfState:
     lambda_mode: str = "global"
     group_of: dict[int, int] = field(default_factory=dict)
 
-    @property
-    def k(self) -> int:
-        return self.Z.shape[1]
-
-    @property
-    def n_views(self) -> int:
-        return len(self.W)
-
-    def u_for_view(self, t: int) -> np.ndarray:
-        if t in self.group_of:
-            return self.U[self.group_of[t]]
-        return np.ones((1, self.k))
-
     def slab_loadings(self, t: int) -> tuple[np.ndarray, np.ndarray]:
         """Per-slab loadings W (L, D, K) and noise precisions (L,) of view t."""
         return self.W[t], self.tau[t]
@@ -102,33 +89,15 @@ class RmtfState:
         lams = self.lam if self.lambda_mode == "per_slab" else [self.lam]
         return np.concatenate([np.zeros(0)] + [np.ravel(x) for x in lams if x is not None])
 
-    def copy(self) -> "RmtfState":
-        if isinstance(self.lam, list):
-            lam = [a.copy() if a is not None else None for a in self.lam]
-        else:
-            lam = np.array(self.lam, copy=True)
-        return RmtfState(
-            Z=self.Z.copy(),
-            W=[w.copy() for w in self.W],
-            V=[v.copy() for v in self.V],
-            U=[u.copy() for u in self.U],
-            H=[h.copy() for h in self.H],
-            pi=self.pi.copy(),
-            alpha=[a.copy() if a is not None else None for a in self.alpha],
-            beta=[b.copy() if b is not None else None for b in self.beta],
-            lam=lam,
-            tau=[t.copy() for t in self.tau],
-            lambda_mode=self.lambda_mode,
-            group_of=dict(self.group_of),
-        )
 
-
-def _init_lam(mode: str, value: float, k: int, data: ModelData):
+def _lam_layout(mode: str, k: int, data: ModelData, fill):
+    """lambda in the layout of ``mode`` (see ``RmtfState``), each array made
+    by ``fill(shape)``: () for global, (K,) per_component, (L_t,) per_slab."""
     if mode == "global":
-        return np.asarray(value, dtype=np.float64)
+        return np.asarray(fill(()))
     if mode == "per_component":
-        return np.full(k, value)
-    return [None if v.is_matrix() else np.full(v.l, value) for v in data.views]
+        return fill(k)
+    return [None if v.is_matrix() else fill(v.l) for v in data.views]
 
 
 def rmtf_init(c, hp: HyperParams, rng) -> RmtfState:
@@ -142,7 +111,7 @@ def rmtf_init(c, hp: HyperParams, rng) -> RmtfState:
     lam_mean = hp.a_lambda / hp.b_lambda
     state = RmtfState(
         Z=Z, W=[], V=[], U=U, H=[], pi=pi, alpha=[], beta=[],
-        lam=_init_lam(hp.lambda_mode, lam_mean, k, data),
+        lam=_lam_layout(hp.lambda_mode, k, data, lambda shape: np.full(shape, lam_mean)),
         tau=[hp.a_tau / data.b_tau_slab[t] for t in range(data.n_views)],
         lambda_mode=hp.lambda_mode, group_of=dict(data.group_of),
     )
@@ -258,11 +227,10 @@ def _update_scales_and_noise(state: RmtfState, data: ModelData, hp: HyperParams,
                              gen, rss):
     for t, v in enumerate(data.views):
         if v.is_matrix():
-            state.alpha[t] = _draw_ard(state.alpha[t], state.H[t][0], state.W[t][0], hp, gen)
-        else:
-            b_post = hp.b_beta + state.V[t] ** 2 / 2.0
-            draws = gen.gamma(hp.a_beta + 0.5, 1.0 / b_post)
-            state.beta[t] = np.maximum(draws, _ALPHA_FLOOR)
+            state.alpha[t] = _draw_ard(state.alpha[t], state.H[t][0], state.W[t][0],
+                                       hp.a_alpha, hp.b_alpha, gen)
+        else:   # the mean profile's precisions: every column counts as active
+            state.beta[t] = _draw_ard(state.beta[t], 1.0, state.V[t], hp.a_beta, hp.b_beta, gen)
     for t, v in enumerate(data.views):
         b_post = data.b_tau_slab[t] + 0.5 * rss[t]
         state.tau[t] = gen.gamma(hp.a_tau + v.obs_per_slab / 2.0, 1.0 / b_post)
@@ -331,14 +299,8 @@ def rmtf_sample_state_from_prior(data: ModelData, hp: HyperParams, rng) -> RmtfS
     gen = _as_gen(rng)
     k = hp.k
     Z, U, pi = _prior_latents(data, hp, gen)
-    if hp.lambda_mode == "global":
-        lam = np.asarray(gen.gamma(hp.a_lambda, 1.0 / hp.b_lambda))
-    elif hp.lambda_mode == "per_component":
-        lam = gen.gamma(hp.a_lambda, 1.0 / hp.b_lambda, size=k)
-    else:
-        lam = [None if v.is_matrix()
-               else gen.gamma(hp.a_lambda, 1.0 / hp.b_lambda, size=v.l)
-               for v in data.views]
+    lam = _lam_layout(hp.lambda_mode, k, data,
+                      lambda shape: gen.gamma(hp.a_lambda, 1.0 / hp.b_lambda, size=shape))
     state = RmtfState(Z=Z, W=[], V=[], U=U, H=[], pi=pi, alpha=[], beta=[],
                       lam=lam, tau=[], lambda_mode=hp.lambda_mode,
                       group_of=dict(data.group_of))
@@ -346,17 +308,15 @@ def rmtf_sample_state_from_prior(data: ModelData, hp: HyperParams, rng) -> RmtfS
         H = (gen.random((v.l, k)) < pi[None, :]).astype(np.float64)
         state.H.append(H)
         if v.is_matrix():
-            a, w = _ard_prior(v.d, H[0], hp, gen)
+            a, w = _ard_prior(v.d, H[0], hp.a_alpha, hp.b_alpha, gen)
             state.alpha.append(a)
             state.beta.append(None)
             state.V.append(np.zeros((v.d, k)))
             state.W.append(w[None])
         else:
             state.alpha.append(None)
-            b = np.maximum(gen.gamma(hp.a_beta, 1.0 / hp.b_beta, size=(v.d, k)),
-                           _ALPHA_FLOOR)
+            b, vmat = _ard_prior(v.d, np.ones(k), hp.a_beta, hp.b_beta, gen)
             state.beta.append(b)
-            vmat = gen.standard_normal((v.d, k)) / np.sqrt(b)
             state.V.append(vmat)
             u = state.u_for_view(t)
             mean = u[:, None, :] * vmat[None, :, :]

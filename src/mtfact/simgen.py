@@ -128,31 +128,36 @@ def distortion_powers(l: int) -> np.ndarray:
     return np.concatenate([[0.5, 1.5], rest])
 
 
+def _factors(spec: SimSpec, scenario: str, rng, n: int):
+    """The draws every design starts from, after checking that ``spec`` is
+    for ``scenario``: latent rows Z (n, K), third-mode factors U (L, K),
+    then matrix and tensor loadings with the sine in the shared column.
+
+    Returns (generator, activity pattern H, sine column or None, Z, U,
+    V_matrix, V_tensor).
+    """
+    if spec.scenario != scenario:
+        raise ValueError(f"spec.scenario must be {scenario!r}")
+    gen = _as_gen(rng)
+    h = _activity_pattern(spec)
+    sine_col = 0 if spec.k_shared > 0 else None
+    Z = gen.standard_normal((n, spec.k_total))
+    U = gen.standard_normal((spec.l, spec.k_total))
+    Vm = _draw_loadings(gen, spec.d1, h[0], sine_col)
+    return gen, h, sine_col, Z, U, Vm, _draw_loadings(gen, spec.d2, h[1], sine_col)
+
+
 def gen_cp(spec: SimSpec, rng) -> tuple[Collection, SimTruth]:
     """Strictly trilinear design: shared sine component plus CP specifics.
 
     The returned collection equals the truth state's reconstruction plus the
     stored noise, exactly.
     """
-    if spec.scenario != "cp":
-        raise ValueError("spec.scenario must be 'cp'")
-    gen = _as_gen(rng)
-    n, k = spec.n_train, spec.k_total
-    h = _activity_pattern(spec)
-    sine_col = 0 if spec.k_shared > 0 else None
-    Z = gen.standard_normal((n, k))
-    U = gen.standard_normal((spec.l, k))
-    Vm = _draw_loadings(gen, spec.d1, h[0], sine_col)
-    Vt = _draw_loadings(gen, spec.d2, h[1], sine_col)
-
-    def make_state(vm, vt):
-        return MtfState(
-            Z=Z, V=[vm, vt], U=[U], H=h.copy(), pi=np.full(k, 0.5),
-            alpha=[np.ones_like(vm), np.ones_like(vt)], tau=np.ones(2),
-            group_of={1: 0},
-        )
-
-    state = make_state(Vm, Vt)
+    gen, h, _, Z, U, Vm, Vt = _factors(spec, "cp", rng, spec.n_train)
+    state = MtfState(
+        Z=Z, V=[Vm, Vt], U=[U], H=h.copy(), pi=np.full(spec.k_total, 0.5),
+        alpha=[np.ones_like(Vm), np.ones_like(Vt)], tau=np.ones(2), group_of={1: 0},
+    )
     for t in (0, 1):
         sig = _recon_nld(state, t)
         state.V[t] *= _scale_to(_msq(sig), spec.signal_var)
@@ -169,16 +174,7 @@ def gen_cp(spec: SimSpec, rng) -> tuple[Collection, SimTruth]:
 def gen_relaxed_cp(spec: SimSpec, rng) -> tuple[Collection, SimTruth]:
     """As gen_cp, but the shared component's tensor loadings are distorted per
     slab by a signed power of the sine; truth carries the per-slab curves."""
-    if spec.scenario != "relaxed_cp":
-        raise ValueError("spec.scenario must be 'relaxed_cp'")
-    gen = _as_gen(rng)
-    n, k = spec.n_train, spec.k_total
-    h = _activity_pattern(spec)
-    sine_col = 0 if spec.k_shared > 0 else None
-    Z = gen.standard_normal((n, k))
-    U = gen.standard_normal((spec.l, k))
-    Vm = _draw_loadings(gen, spec.d1, h[0], sine_col)
-    Vt = _draw_loadings(gen, spec.d2, h[1], sine_col)
+    gen, h, sine_col, Z, U, Vm, Vt = _factors(spec, "relaxed_cp", rng, spec.n_train)
     powers = distortion_powers(spec.l)
     W = U[:, None, :] * Vt[None, :, :]          # (L, D2, K)
     curves = None
@@ -210,18 +206,10 @@ def gen_continuum(spec: SimSpec, rng) -> tuple[Collection, Collection, SimTruth]
     rho.  Test samples come from the same parameters; slab 1 of the test
     tensor is masked as the prediction target.
     """
-    if spec.scenario != "continuum":
-        raise ValueError("spec.scenario must be 'continuum'")
-    gen = _as_gen(rng)
-    n, n_test, k = spec.n_train, spec.n_test, spec.k_total
-    h = _activity_pattern(spec)
-    sine_col = 0 if spec.k_shared > 0 else None
-    Z_all = gen.standard_normal((n + n_test, k))
-    U = gen.standard_normal((spec.l, k))
-    Vm = _draw_loadings(gen, spec.d1, h[0], sine_col)
-    Vt = _draw_loadings(gen, spec.d2, h[1], sine_col)
+    n, n_test = spec.n_train, spec.n_test
+    gen, h, _, Z_all, U, Vm, Vt = _factors(spec, "continuum", rng, n + n_test)
     # independent per-slab loadings for the bilinear part (tensor-active cols)
-    Vslab = gen.standard_normal((spec.l, spec.d2, k)) * h[1][None, None, :]
+    Vslab = gen.standard_normal((spec.l, spec.d2, spec.k_total)) * h[1][None, None, :]
 
     sig_m = Z_all @ Vm.T
     Vm = Vm * _scale_to(_msq(sig_m), spec.signal_var)

@@ -212,6 +212,15 @@ class TestPredictCli:
         assert run("predict", "--archive", tmp_path / "nope",
                    "--test", sim / "test", "--out", tmp_path / "p.csv") == 1
 
+    def test_preprocessed_archive_without_transform_exit_1(self, continuum, tmp_path, capsys):
+        sim, arch = continuum
+        os.remove(arch / "transform.csv")
+        out = tmp_path / "pred.csv"
+        assert run("predict", "--archive", arch, "--test", sim / "test",
+                   "--truth", sim / "test_full", "--out", out) == 1
+        assert "transform.csv" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_gfa_prediction_roundtrips(self, continuum, tmp_path):
         sim, _ = continuum
         arch = tmp_path / "garch"

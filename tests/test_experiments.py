@@ -1,0 +1,57 @@
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+from mtfact.core import apply_transform, unfold_collection
+from mtfact.dist import RngStream
+from mtfact.experiments import continuum_experiment, desk_hyperparams
+from mtfact.fitting import fit_model
+from mtfact.predict import PredictionTask, two_stage_predict
+from mtfact.simgen import SimSpec, generate
+
+SPEC = SimSpec(scenario="continuum", seed=4, n=12, d1=5, d2=6, l=4, k_shared=1,
+               k_matrix=1, k_tensor=1, n_test=9)
+HP = desk_hyperparams(k=3, burn_in=10, n_samples=4, thin=2)
+STAGE2 = (25, 5, 2)
+
+
+def _reference_scores(spec, model, rep, preprocess):
+    """(rmse, null rmse) of one repetition, scored inline as the experiment
+    used to: each model's own unfold and transform, the means mapped back
+    on every entry, squared errors and squared truths summed per view."""
+    train, test, truth = generate(replace(spec, seed=spec.seed + rep),
+                                  RngStream(spec.seed + rep))
+    chains, transform, _ = fit_model(train, HP, model=model, seed=spec.seed + 7919 * rep,
+                                     preprocess=preprocess)
+    full = truth.test_full
+    if model == "gfa":
+        test, full = unfold_collection(test)[0], unfold_collection(full)[0]
+    if transform is not None:
+        test = apply_transform(transform, test)
+    result = two_stage_predict(PredictionTask(chains, test, *STAGE2),
+                               RngStream(spec.seed + rep, 10_000))
+    se, n_t, null_se = 0.0, 0, 0.0
+    for t, tgt in enumerate(result.targets):
+        if not tgt.any():
+            continue
+        pred = result.mean[t]
+        if transform is not None:
+            pred = pred * transform.scales[t][None] + transform.centers[t][None]
+        tv = full.views[t].values[tgt]
+        se += float(np.sum((pred[tgt] - tv) ** 2))
+        null_se += float(np.sum(tv ** 2))
+        n_t += tv.size
+    return float(np.sqrt(se / n_t)), float(np.sqrt(null_se / n_t))
+
+
+@pytest.mark.parametrize("preprocess", [False, True])
+def test_continuum_scores_match_inline_reference(preprocess):
+    models = ("mtf", "rmtf", "gfa")
+    reps = continuum_experiment(SPEC, HP, models, reps=1, rhos=(0.0, 1.0),
+                                stage2=STAGE2, preprocess=preprocess)
+    assert [(r.rho, r.model, r.rep) for r in reps] == \
+        [(rho, m, 0) for rho in (0.0, 1.0) for m in models]
+    for r in reps:
+        want = _reference_scores(replace(SPEC, rho=r.rho), r.model, r.rep, preprocess)
+        assert (r.rmse, r.null_rmse) == want

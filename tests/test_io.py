@@ -132,6 +132,14 @@ class TestArchiveRoundTrip:
         np.testing.assert_array_equal(a.mean[1], b.mean[1])
 
 
+    def test_preprocessed_archive_without_transform_raises(self, tmp_path, rng):
+        chains, transform, extra = _archive("gfa", rng)
+        mio.write_archive(tmp_path / "arch", chains, transform, extra=extra)
+        os.remove(tmp_path / "arch" / "transform.csv")
+        with pytest.raises(FileNotFoundError, match="transform.csv"):
+            mio.read_archive(tmp_path / "arch")
+
+
 class TestPredictionReport:
     def test_columns_and_summary(self, tmp_path, rng):
         c = make_collection(rng, n=10)

@@ -5,7 +5,7 @@ from scipy import integrate, stats
 import mtfact.mtf as mtf_mod
 import mtfact.rmtf as rmtf_mod
 from mtfact.core import Collection, MaskedTensor3, Tensor3
-from mtfact.diag import toy_grouped, toy_masks
+from mtfact.diag import _residuals, toy_grouped, toy_masks
 from mtfact.dist import RngStream, draw_bernoulli_logodds
 from mtfact.mtf import (
     HyperParams,
@@ -129,7 +129,7 @@ def _residual_column_reference(state, data, t, gen, model):
     Z, u = state.Z, state.u_for_view(t)
     z2, u2 = Z ** 2, u ** 2
     obs = np.ones_like(v.x) if v.obs is None else v.obs
-    R = mtf_mod._residuals(state, data)[t]
+    R = _residuals(state, data)[t]
     if model == "mtf":
         W, H, tau = state.V[t][None], state.H[t:t + 1], np.array([state.tau[t]])
         rho, mu = np.broadcast_to(state.alpha[t], W.shape), np.zeros(W.shape)
@@ -598,7 +598,7 @@ def _stat_collections():
 
 
 def _residual_rss(state, data):
-    return [(r ** 2).sum(axis=(0, 2)) for r in mtf_mod._residuals(state, data)]
+    return [(r ** 2).sum(axis=(0, 2)) for r in _residuals(state, data)]
 
 
 class TestSufficientStatistics:

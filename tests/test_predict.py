@@ -1,21 +1,25 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from mtfact.core import Collection, MaskedTensor3, Tensor3
+from mtfact.core import Collection, MaskedTensor3, Tensor3, apply_transform
 from mtfact.diag import toy_grouped, toy_masks
 from mtfact.dist import RngStream, _as_gen, cholesky_stack, draw_mvn_precision_chol
+from mtfact.fitting import fit_model
 from mtfact.mtf import HyperParams, run_chain, z_conditional
 from mtfact.predict import (
     PredictionTask,
     _check_compat,
     match_components,
     mse,
+    predict_collection,
     rmse,
     two_stage_predict,
 )
 from mtfact.rmtf import RmtfState, rmtf_run_chain
 
-from conftest import make_collection, make_masked_rows_collection
+from conftest import fully_observed, make_collection, make_masked_rows_collection
 
 
 def small_hp(**kw):
@@ -329,6 +333,60 @@ class TestStageTwoExactConditional:
         se = np.sqrt(want_var / n_draws)
         assert np.all(np.abs(got_mean - want_mean) < 4 * se)
         assert np.all(np.abs(got_var / want_var - 1) < 0.05)
+
+
+def _fit_and_test(model, seed=0):
+    """A preprocessed fit of a matrix + tensor collection, the prediction
+    task of fresh samples whose tensor slab 0 is the target, and the fully
+    observed truth of those samples."""
+    gen = np.random.default_rng(seed)
+    train, test = make_collection(gen, n=10), make_collection(gen, n=6)
+    mask = np.ones(test.views[1].shape, dtype=bool)
+    mask[:, :, 0] = False
+    test = Collection((test.views[0], MaskedTensor3(Tensor3(test.views[1].values), mask)),
+                      (), test.names)
+    chains, transform, _ = fit_model(train, small_hp(burn_in=6, n_samples=3), model=model,
+                                     seed=seed + 1)
+    return PredictionTask(chains, test, 3, 2), transform, fully_observed(test)
+
+
+class TestPredictCollection:
+    def test_gfa_unfolds_test_and_truth(self):
+        task, transform, truth = _fit_and_test("gfa")
+        result, unfolded, _ = predict_collection(task, transform, RngStream(3), truth)
+        names = ["mat"] + [f"tens.slab{l}" for l in range(4)]
+        assert result.view_names == names and list(unfolded.names) == names
+        # every target lies in slab 0 and is reported under that slab's name
+        assert [bool(t.any()) for t in result.targets] == [False, True, False, False, False]
+        assert result.targets[1].all()
+        for l in range(4):
+            np.testing.assert_array_equal(unfolded.views[1 + l].values,
+                                          truth.views[1].values[:, :, l:l + 1])
+
+    def test_back_transform_adds_centres_on_targets_only(self):
+        task, transform, _ = _fit_and_test("mtf")
+        assert all(np.all(c != 0) for c in transform.centers)
+        raw = two_stage_predict(replace(task, test=apply_transform(transform, task.test)),
+                                RngStream(4))
+        got, truth, err = predict_collection(task, transform, RngStream(4))
+        assert truth is None and err is None
+        for t, tgt in enumerate(got.targets):
+            scale, centre = transform.scales[t], np.broadcast_to(transform.centers[t], tgt.shape)
+            np.testing.assert_array_equal(got.mean[t][tgt], (raw.mean[t] * scale)[tgt] + centre[tgt])
+            assert not got.mean[t][~tgt].any()
+            np.testing.assert_array_equal(got.std[t], raw.std[t] * scale)
+
+    def test_rmse_is_the_per_target_formula(self):
+        task, transform, truth = _fit_and_test("rmtf")
+        result, same, err = predict_collection(task, transform, RngStream(5), truth)
+        assert same is truth
+        se = 0.0
+        for m, v, tgt in zip(result.mean, truth.views, result.targets):
+            se += float(np.sum((m[tgt] - v.values[tgt]) ** 2))
+        assert err == np.sqrt(se / sum(int(tgt.sum()) for tgt in result.targets))
+        sq = np.concatenate([(m - v.values)[tgt] ** 2
+                             for m, v, tgt in zip(result.mean, truth.views, result.targets)])
+        assert err == pytest.approx(np.sqrt(sq.mean()), rel=1e-12)
 
 
 class TestMatchComponents:
