@@ -8,9 +8,12 @@ tree can be made with ``git archive HEAD~1 | tar -x -C PARENT_TREE``.  In each
 tree, ``python -m mtfact.cli`` runs the same steps in a fresh directory, with
 that tree's ``src`` on the path and one BLAS thread: ``simulate`` (cp and
 continuum), ``fit`` (mtf on both; on continuum also rmtf with global,
-per_component and per_slab lambda, and gfa) and ``predict`` of the continuum
-test set from every continuum fit, with and without ``--truth``.  Each step's
-standard output is kept as a file too.
+per_component and per_slab lambda, and gfa), ``predict`` of the continuum
+test set from every continuum fit, with and without ``--truth``, and last
+two masked-training fits.  Those fit mtf and rmtf on the continuum test set,
+whose held-out slab is masked in every row, with ``--no-preprocess --b-tau
+1``, so they reach the masked Z- and U-steps (the other fits' training data
+is fully observed).  Each step's standard output is kept as a file too.
 
 With ``--rtol R --atol A``, a CSV or JSON file whose bytes differ still
 matches when every numeric field of the change, b, and of the parent, a,
@@ -62,6 +65,10 @@ def steps() -> list[tuple[str, list[str]]]:
         out.append((f"predict_{name}", [*base, "--out", f"pred_{name}.csv"]))
         out.append((f"predict_{name}_truth", [*base, "--truth", "sim_continuum/test_full",
                                               "--out", f"pred_{name}_truth.csv"]))
+    for i, model in enumerate(("mtf", "rmtf")):
+        out.append((f"fit_masked_{model}", ["fit", "--model", model, *FIT, "--seed", str(30 + i),
+                                            "--no-preprocess", "--b-tau", "1",
+                                            "sim_continuum/test", f"fit_masked_{model}"]))
     return out
 
 

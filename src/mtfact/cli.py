@@ -69,10 +69,15 @@ def _merged(args, defaults: dict):
 
 
 def _default_jobs() -> int:
+    """Worker processes from ``MTFACT_JOBS`` (default 1), an integer >= 1."""
+    raw = os.environ.get("MTFACT_JOBS", "1")
     try:
-        return max(1, int(os.environ.get("MTFACT_JOBS", "1")))
+        jobs = int(raw)
     except ValueError:
-        return 1
+        jobs = 0
+    if jobs < 1:
+        raise CliError(f"MTFACT_JOBS must be an integer >= 1, got {raw!r}")
+    return jobs
 
 
 # ---------------------------------------------------------------------------
@@ -260,9 +265,11 @@ def cmd_report(args) -> int:
     archives = _find_archives(args.paths)
     if not archives:
         raise CliError("no archives found under the given paths")
-    rows, models = [], set()
+    rows, models, kept = [], set(), []
     for path in archives:
         chains, _, manifest = mio.read_archive(path)
+        if args.truth:
+            kept.append(chains)     # for the match correlations below
         models.add(manifest.get("requested_model", manifest["model"]))
         summary = summarize_run(chains)
         sh, spec_counts, emp = summary.structure.counts
@@ -290,8 +297,7 @@ def cmd_report(args) -> int:
         h, vt = truth["h"], truth["v_tensor"]
         cols = np.nonzero((h[1] > 0) & (h[0] == 0))[0]
         true_loadings = vt[:, cols].T
-        for path in archives:
-            chains, _, _ = mio.read_archive(path)
+        for path, chains in zip(archives, kept):
             cors = match_components(true_loadings, chains, view=1)
             lines.append(f"{path},{np.mean(cors):.6f}")
 

@@ -369,7 +369,9 @@ def buggy_transitions() -> dict[str, tuple[str, callable]]:
         # redraw Z from a conditional missing the unit prior precision; the
         # 1e-10 I left over is a numerical guard only
         lin, prec = _mtf.z_conditional(_mtf._z_blocks(state, data), state.k)
-        state.Z = _mtf._draw_rows(lin, prec - (1.0 - 1e-10) * np.eye(state.k), gen)
+        state.Z = _mtf.draw_mvn_precision_chol(
+            lin, _mtf._factors(prec - (1.0 - 1e-10) * np.eye(state.k)), data.patterns,
+            gen.standard_normal(lin.shape))
         return state
 
     def lambda_shape_halved(state, data, rng):

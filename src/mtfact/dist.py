@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import lapack, solve_triangular
+from scipy.linalg import lapack
 from scipy.special import expit
 
 __all__ = [
@@ -13,12 +13,9 @@ __all__ = [
     "NotPositiveDefiniteError",
     "cholesky_precision",
     "draw_mvn_precision_chol",
-    "mvn_chol_mean",
-    "mvn_chol_noise",
     "outer_rows",
     "stacked_precisions",
     "cholesky_stack",
-    "draw_mvn_rows",
     "draw_bernoulli_logodds",
 ]
 
@@ -74,28 +71,42 @@ def cholesky_precision(prec: np.ndarray) -> np.ndarray:
     return chol
 
 
-def draw_mvn_precision_chol(h: np.ndarray, chol: np.ndarray, rng) -> np.ndarray:
-    """Draw from N(P^-1 h, P^-1) given the lower Cholesky factor of P.
-
-    ``h`` may be a single K-vector or a stack of them (rows); the
-    factorization is reused for every row and no inverse is formed.
-    """
-    h = np.asarray(h, dtype=np.float64)
-    single = h.ndim == 1
-    hs = h[None, :] if single else h
-    out = mvn_chol_mean(hs, chol) + mvn_chol_noise(_as_gen(rng).standard_normal(hs.shape), chol)
-    return out[0] if single else out
-
-
-def mvn_chol_mean(h: np.ndarray, chol: np.ndarray) -> np.ndarray:
-    """Rows P^-1 h_m, solving L L^T mu = h with the lower factor L of P."""
-    tmp = solve_triangular(chol, h.T, lower=True)
-    return solve_triangular(chol, tmp, lower=True, trans="T").T
+def _tri_solve(chol: np.ndarray, b: np.ndarray, trans: int) -> np.ndarray:
+    """L^-1 b (trans 0) or L^-T b (trans 1), L lower (K, K), b (K, M): one
+    trtrs call on whichever of L and L^T is Fortran-ordered, the layout rule
+    of ``scipy.linalg.solve_triangular``, which it matches bit for bit."""
+    if chol.flags.f_contiguous:
+        x, info = lapack.dtrtrs(chol, b, lower=1, trans=trans)
+    else:
+        x, info = lapack.dtrtrs(chol.T, b, lower=0, trans=1 - trans)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"triangular solve failed (trtrs info {info})")
+    return x
 
 
-def mvn_chol_noise(eps: np.ndarray, chol: np.ndarray) -> np.ndarray:
-    """Rows L^-T eps_m: standard normal rows eps become N(0, P^-1) rows."""
-    return solve_triangular(chol, eps.T, lower=True, trans="T").T
+def draw_mvn_precision_chol(h: np.ndarray, chols: np.ndarray, rows, eps: np.ndarray) -> np.ndarray:
+    """Row n of h (N, K) drawn from N(P_p^-1 h_n, P_p^-1) for n in rows[p],
+    given lower Cholesky factors L_p (P, K, K) and standard normals eps
+    (..., N, K) in row order, whose leading axes are independent draws
+    sharing each row's mean; returns eps's shape.  x = L^-T L^-1 h + L^-T eps
+    with, per pattern, one multi-column solve pair for its rows' means and
+    one solve for the noise of all its draws; a lone row's noise is solved
+    draw by draw, as LAPACK's one-column solve rounds differently."""
+    order = np.concatenate(rows)            # rows pattern by pattern
+    h, eps = h[order], eps[..., order, :]
+    drawn = np.empty(eps.shape)
+    stop = 0
+    for chol, r in zip(chols, rows):
+        start, stop = stop, stop + r.size
+        e = eps[..., start:stop, :]
+        cols = e.reshape(-1, h.shape[1])
+        noise = _tri_solve(chol, cols.T, 1).T if r.size > 1 or len(cols) == 1 else \
+            np.concatenate([_tri_solve(chol, c[:, None], 1).T for c in cols])
+        drawn[..., start:stop, :] = _tri_solve(chol, _tri_solve(chol, h[start:stop].T, 0), 1).T \
+            + noise.reshape(e.shape)
+    out = np.empty(eps.shape)
+    out[..., order, :] = drawn
+    return out
 
 
 def _chol_jittered(prec: np.ndarray) -> np.ndarray:
@@ -109,8 +120,9 @@ def _chol_jittered(prec: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# stacked Gaussian conditionals: one precision per row (Salakhutdinov & Mnih
-# 2008, BPMF), built by one GEMM and factorized by one batched Cholesky
+# stacked Gaussian conditionals (Salakhutdinov & Mnih 2008, BPMF): one
+# precision per missingness pattern of the rows, each masked view's terms
+# one GEMM, the stack factorized by one batched Cholesky
 
 
 def outer_rows(b: np.ndarray, weight=1.0) -> np.ndarray:
@@ -152,18 +164,6 @@ def cholesky_stack(precs: np.ndarray) -> np.ndarray:
         return np.linalg.cholesky(precs)
     except np.linalg.LinAlgError:
         return np.stack([_chol_jittered(p) for p in precs])
-
-
-def draw_mvn_rows(h: np.ndarray, chols: np.ndarray, rng) -> np.ndarray:
-    """Row m drawn from N(P_m^-1 h_m, P_m^-1) given lower factors L_m of P_m.
-
-    x = L^-T (L^-1 h + eps), with eps one (M, K) standard normal block: the
-    same normals, in the same order, as :func:`draw_mvn_precision_chol`
-    takes for M rows.
-    """
-    y = np.linalg.solve(chols, h[..., None])
-    y += _as_gen(rng).standard_normal(h.shape)[..., None]
-    return np.linalg.solve(chols.transpose(0, 2, 1), y)[..., 0]
 
 
 def draw_bernoulli_logodds(log_odds, rng):

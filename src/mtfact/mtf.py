@@ -25,7 +25,6 @@ from .dist import (
     cholesky_stack,
     draw_bernoulli_logodds,
     draw_mvn_precision_chol,
-    draw_mvn_rows,
     outer_rows,
     stacked_precisions,
 )
@@ -110,8 +109,7 @@ class ViewData:
     name: str
     n_obs: int
     obs_per_slab: np.ndarray      # (L,) observed counts
-    var_obs: float                # mean unbiased fiber variance (0 if undefined)
-    var_slab: np.ndarray          # (L,) same per slab
+    pattern_obs: np.ndarray | None = None   # (P, L*D) obs rows of each row pattern
 
     @property
     def n(self) -> int:
@@ -129,17 +127,17 @@ class ViewData:
         return self.x.shape[1] == 1
 
 
-def _fiber_variance(values_nld, obs_nld):
-    """Mean over (slab, feature) fibers of the unbiased variance of observed entries."""
-    counts = obs_nld.sum(axis=0)  # (L, D)
+def _fiber_variance(v: ViewData):
+    """Mean over (slab, feature) fibers of the unbiased variance of a view's
+    observed entries, over all fibers and per slab (0 where undefined)."""
+    obs = np.ones(v.x.shape) if v.obs is None else v.obs
+    counts = obs.sum(axis=0)  # (L, D)
     ok = counts >= 2
     if not np.any(ok):
-        return 0.0, np.zeros(values_nld.shape[1])
-    x = values_nld * obs_nld
-    mean = np.where(ok, x.sum(axis=0) / np.maximum(counts, 1), 0.0)
-    var = ((x - mean[None]) ** 2 * obs_nld).sum(axis=0) / np.maximum(counts - 1, 1)
-    per_slab = np.array([var[l][ok[l]].mean() if ok[l].any() else 0.0
-                         for l in range(values_nld.shape[1])])
+        return 0.0, np.zeros(v.l)
+    mean = np.where(ok, v.x.sum(axis=0) / np.maximum(counts, 1), 0.0)
+    var = ((v.x - mean[None]) ** 2 * obs).sum(axis=0) / np.maximum(counts - 1, 1)
+    per_slab = np.array([var[l][ok[l]].mean() if ok[l].any() else 0.0 for l in range(v.l)])
     return float(var[ok].mean()), per_slab
 
 
@@ -150,9 +148,10 @@ class ModelData:
     views: list[ViewData]
     u_groups: list[list[int]]
     group_of: dict[int, int]
-    hp: HyperParams
-    b_tau: np.ndarray             # (T,) resolved noise-precision rates
-    b_tau_slab: list[np.ndarray]  # per view (L_t,)
+    patterns: list[np.ndarray]    # rows of each joint missingness pattern
+    hp: HyperParams | None = None
+    b_tau: np.ndarray | None = None             # (T,) resolved noise-precision rates
+    b_tau_slab: list[np.ndarray] | None = None  # per view (L_t,)
 
     @property
     def n(self) -> int:
@@ -173,11 +172,12 @@ class ModelData:
         v.x2 = np.einsum("nld,nld->l", v.x, v.x)
 
 
-def prepare(c: Collection, hp: HyperParams, validate: bool = True) -> ModelData:
-    if validate:
-        problems = validate_collection(c)
-        if problems:
-            raise ValueError("invalid collection: " + "; ".join(problems))
+def _compile(c: Collection) -> ModelData:
+    """``ModelData`` of a collection without priors (a test set's held-out
+    slab has no observed variance to resolve them from): the rows grouped
+    by joint missingness pattern across the masked views, in the order
+    ``np.unique`` gives their packed observation bits, with each masked
+    view's (P, L*D) observation rows of the patterns.  P = 1 when dense."""
     views = []
     for t, mv in enumerate(c.views):
         x = np.ascontiguousarray(mv.values.transpose(0, 2, 1))  # (N, L, D)
@@ -186,29 +186,46 @@ def prepare(c: Collection, hp: HyperParams, validate: bool = True) -> ModelData:
         obs = None if fully else np.ascontiguousarray(obs_b, dtype=np.float64)
         if not fully:
             x = x * obs
-        var, var_slab = _fiber_variance(x, obs_b.astype(np.float64))
         views.append(ViewData(
             x=x, obs=obs, x2=np.einsum("nld,nld->l", x, x), name=c.names[t],
-            n_obs=int(obs_b.sum()),
-            obs_per_slab=obs_b.sum(axis=(0, 2)), var_obs=var, var_slab=var_slab,
+            n_obs=int(obs_b.sum()), obs_per_slab=obs_b.sum(axis=(0, 2)),
         ))
+    n = c.n_samples
+    masked = [v for v in views if v.obs is not None]
+    patterns = [np.arange(n)]
+    if masked:
+        packed = np.packbits(np.concatenate([v.obs.reshape(n, -1) for v in masked], axis=1) > 0,
+                             axis=1)
+        _, first, inverse = np.unique(packed.view(f"V{packed.shape[1]}")[:, 0],
+                                      return_index=True, return_inverse=True)
+        patterns = np.split(np.argsort(inverse, kind="stable"),
+                            np.cumsum(np.bincount(inverse))[:-1])
+        for v in masked:
+            v.pattern_obs = v.obs.reshape(n, -1)[first]
     groups = c.u_groups()
-    group_of = {t: g for g, members in enumerate(groups) for t in members}
-    b_tau = np.empty(len(views))
-    b_tau_slab = []
-    for t, v in enumerate(views):
+    return ModelData(views, groups, {t: g for g, m in enumerate(groups) for t in m}, patterns)
+
+
+def prepare(c: Collection, hp: HyperParams, validate: bool = True) -> ModelData:
+    """``_compile`` of a collection, checked unless ``validate`` is False,
+    with its noise-precision rates resolved (see ``HyperParams``)."""
+    if validate:
+        problems = validate_collection(c)
+        if problems:
+            raise ValueError("invalid collection: " + "; ".join(problems))
+    data = _compile(c)
+    data.hp, data.b_tau, data.b_tau_slab = hp, np.empty(data.n_views), []
+    for t, v in enumerate(data.views):
         if hp.b_tau is not None:
-            b_tau[t] = hp.b_tau
-            b_tau_slab.append(np.full(v.l, hp.b_tau))
+            data.b_tau[t], slab = hp.b_tau, np.full(v.l, hp.b_tau)
         else:
-            if v.var_obs <= 0 or np.any(v.var_slab <= 0):
-                raise ValueError(
-                    f"cannot resolve the SNR-1 noise prior for view {t} "
-                    "(no usable observed variance); pass an explicit b_tau"
-                )
-            b_tau[t] = hp.a_tau * 0.5 * v.var_obs
-            b_tau_slab.append(hp.a_tau * 0.5 * v.var_slab)
-    return ModelData(views, groups, group_of, hp, b_tau, b_tau_slab)
+            var, var_slab = _fiber_variance(v)
+            if var <= 0 or np.any(var_slab <= 0):
+                raise ValueError(f"cannot resolve the SNR-1 noise prior for view {t} "
+                                 "(no usable observed variance); pass an explicit b_tau")
+            data.b_tau[t], slab = hp.a_tau * 0.5 * var, hp.a_tau * 0.5 * var_slab
+        data.b_tau_slab.append(slab)
+    return data
 
 
 def _as_data(c, hp: HyperParams) -> ModelData:
@@ -460,13 +477,12 @@ def z_conditional(blocks, k: int) -> tuple[np.ndarray, np.ndarray]:
 
     ``blocks`` holds one (x, rows, W, tau) per view: x (N, L, D) with masked
     entries zeroed, W (L, D, K) and tau (L,) as from ``slab_loadings``, and
-    rows (M, L*D) the 0/1 observation rows of a masked view, or None when
-    it is fully observed.  Entry (l, d) adds tau_l x b to the linear term
-    and tau_l b b^T to the precision, with b = w_{l,d}.  A fully observed
-    view may append that precision term, sum_{l,d} tau_l b b^T, as a fifth
-    element.  Returns (lin (N, K), prec): prec is one (K, K) matrix when no
-    view has rows, otherwise the (M, K, K) stack whose row-specific terms
-    are one GEMM per masked view.
+    rows the view's ``pattern_obs`` (0/1 observation rows of the P row
+    patterns) or None.  Entry (l, d) adds tau_l x b to the linear term and
+    tau_l b b^T to the precision, with b = w_{l,d}.  A fully observed view
+    may append that precision term, sum_{l,d} tau_l b b^T, as a fifth
+    element.  Returns (lin (N, K), prec): one (K, K) precision when no view
+    has rows, else the (P, K, K) pattern precisions, one GEMM per masked view.
     """
     lin, base, terms = 0.0, np.eye(k), []
     for x, rows, w, tau, *gram in blocks:
@@ -490,32 +506,30 @@ def _rss(state, data: ModelData) -> list[np.ndarray]:
 
 def _z_blocks(state, data: ModelData) -> list:
     """The ``z_conditional`` input of every view of a model state."""
-    return [(v.x, None if v.obs is None else v.obs.reshape(data.n, -1),
-             *state.slab_loadings(t)) for t, v in enumerate(data.views)]
+    return [(v.x, v.pattern_obs, *state.slab_loadings(t)) for t, v in enumerate(data.views)]
 
 
-def _draw_rows(lin: np.ndarray, prec: np.ndarray, rng) -> np.ndarray:
-    """Row m from N(P_m^-1 lin_m, P_m^-1), for one shared (K, K) precision
-    (one factorization) or an (M, K, K) stack (one batched Cholesky)."""
-    if prec.ndim == 2:
-        return draw_mvn_precision_chol(lin, _chol_jittered(prec), rng)
-    return draw_mvn_rows(lin, cholesky_stack(prec), rng)
+def _factors(prec: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factors (P, K, K) of a precision stack, or of one
+    shared (K, K) precision as a stack of one."""
+    return _chol_jittered(prec)[None] if prec.ndim == 2 else cholesky_stack(prec)
 
 
 def update_z(state: MtfState, data: ModelData, rng) -> np.ndarray:
     """Resample every latent-variable row from its Gaussian full conditional.
 
     Precision for row n: I_K + sum_t tau_t sum_{(l,d) observed} b b^T with
-    b = u_l * v_d, the entry (l, d) of the slab loadings; see
-    ``z_conditional``.  A fully observed view's term factors as
-    tau_t (V^T V) * (U^T U).  Without masked views all rows share one
-    factorization; otherwise the N precisions are factorized by one batched
-    Cholesky and all rows drawn together.
+    b = u_l * v_d, the entry (l, d) of the slab loadings (``z_conditional``);
+    a fully observed view's term factors as tau_t (V^T V) * (U^T U).  Rows
+    of one missingness pattern share a precision, factorized once, and are
+    drawn together; the normals are one (N, K) block in row order.
     """
     us = [state.u_for_view(t) for t in range(data.n_views)]
     blocks = [(*b, state.tau[t] * (state.V[t].T @ state.V[t]) * (u.T @ u))
               for t, (b, u) in enumerate(zip(_z_blocks(state, data), us))]
-    state.Z = _draw_rows(*z_conditional(blocks, state.k), rng)
+    lin, prec = z_conditional(blocks, state.k)
+    state.Z = draw_mvn_precision_chol(lin, _factors(prec), data.patterns,
+                                      _as_gen(rng).standard_normal(lin.shape))
     return state.Z
 
 
@@ -615,8 +629,8 @@ def update_u(state: MtfState, data: ModelData, g: int, rng, ustats=None) -> np.n
     Precision for slab l: I_K + sum_t tau_t sum_{(n,d) observed} b b^T with
     b = z_n * v_d, and linear term sum_t tau_t P_t[l], from (P_t, Gram) of
     ``_strict_stats`` (ustats[t] if given, else formed here).  Without
-    masked member views all slabs share one factorization; otherwise the L
-    precisions are factorized by one batched Cholesky and drawn together.
+    masked member views all slabs are one pattern with one shared
+    precision; otherwise each slab is its own pattern of one row.
     """
     members = data.u_groups[g]
     lin, prec = 0.0, np.eye(state.k)
@@ -625,7 +639,9 @@ def update_u(state: MtfState, data: ModelData, g: int, rng, ustats=None) -> np.n
             if ustats is None else ustats[t]
         lin = lin + state.tau[t] * p
         prec = prec + state.tau[t] * a
-    state.U[g] = _draw_rows(lin, prec, rng)
+    chols = _factors(prec)
+    state.U[g] = draw_mvn_precision_chol(lin, chols, np.arange(len(lin)).reshape(len(chols), -1),
+                                         _as_gen(rng).standard_normal(lin.shape))
     return state.U[g]
 
 

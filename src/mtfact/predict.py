@@ -7,6 +7,10 @@ snapshot, the test samples' latent rows have one fixed Gaussian conditional
 on their observed entries (targets are never conditioned on), so each
 stage-two draw of z is exact and independent; each draw predicts the
 targets with their noise, and the draws are averaged over all snapshots.
+The test collection is compiled and its rows grouped by missingness
+pattern as for training (``mtf._compile``), so a snapshot's conditional
+has one precision per pattern and every retained draw of a pattern's rows
+comes from one Gaussian row draw (``dist.draw_mvn_precision_chol``).
 
 ``predict_collection`` is the one path from a test collection in data units
 to scored predictions.  It unfolds the test and truth collections when the
@@ -23,8 +27,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .core import Collection, PreprocessTransform, apply_transform, unfold_collection
-from .dist import _as_gen, cholesky_stack, mvn_chol_mean, mvn_chol_noise
-from .mtf import PosteriorSamples, z_conditional
+from .dist import _as_gen, draw_mvn_precision_chol
+from .mtf import PosteriorSamples, _compile, _factors, _z_blocks, z_conditional
 from .rmtf import RmtfState
 
 __all__ = [
@@ -83,11 +87,9 @@ def _check_compat(state, test: Collection):
                 f"view {t}: test shape D={v.shape[1]}, L={v.shape[2]} does not match "
                 f"trained D={w.shape[1]}, L={w.shape[0]}"
             )
-    train_groups = {}
-    for t, g in state.group_of.items():
-        train_groups.setdefault(g, set()).add(t)
-    test_groups = {frozenset(g) for g in test.u_groups()}
-    if {frozenset(g) for g in train_groups.values()} != test_groups:
+    train_groups = {frozenset(t for t, h in state.group_of.items() if h == g)
+                    for g in state.group_of.values()}
+    if train_groups != {frozenset(g) for g in test.u_groups()}:
         raise ValueError("third-mode grouping of the test collection differs from training")
 
 
@@ -100,76 +102,51 @@ def two_stage_predict(task: PredictionTask, rng) -> PredictionResult:
     test = task.test
     _check_compat(chains[0].states[0], test)
 
-    n = test.n_samples
-    xs, obs, tgt_idx = [], [], []
-    for v in test.views:
-        ob = np.ascontiguousarray(v.observed.transpose(0, 2, 1), dtype=np.float64)
-        xs.append(np.ascontiguousarray(v.values.transpose(0, 2, 1)) * ob)   # (N, L, D)
-        obs.append(None if ob.all() else ob.reshape(n, -1))
-        tgt_idx.append(np.nonzero(~v.observed.transpose(0, 2, 1)))      # (n, l, d) tuples
+    data = _compile(test)
+    tgt_idx = [np.nonzero(np.zeros(v.x.shape) if v.obs is None else v.obs == 0.0)
+               for v in data.views]                                 # (n, l, d) tuples
     if sum(idx[0].size for idx in tgt_idx) == 0:
         raise ValueError("test collection has no masked entries to predict")
-
-    # rows grouped by missingness pattern (packed to one byte string per
-    # row); each view's rows of the patterns stand in for its observation
-    # rows in the Z-conditional
-    masked_views = [t for t, ob in enumerate(obs) if ob is not None]
-    packed = np.packbits(np.concatenate([obs[t] for t in masked_views], axis=1) > 0, axis=1)
-    _, first, inverse = np.unique(packed.view(f"V{packed.shape[1]}")[:, 0],
-                                  return_index=True, return_inverse=True)
-    row_groups = [np.nonzero(inverse == p)[0] for p in range(first.size)]
-    for t in masked_views:
-        obs[t] = obs[t][first]
 
     acc = [np.zeros(idx[0].size) for idx in tgt_idx]
     acc_sq = [np.zeros(idx[0].size) for idx in tgt_idx]
     n_draws = 0
-    k = chains[0].states[0].k
+    n, k = data.n, chains[0].states[0].k
     n_keep = task.n_stage2_samples
     # per retained draw: each pattern's (rows, K) normals, then each view's
     # target noise, in the order of a draw-by-draw loop
-    ends = np.cumsum([rows.size * k for rows in row_groups] + [i[0].size for i in tgt_idx])
+    ends = np.cumsum([n * k] + [i[0].size for i in tgt_idx])
+    pattern_order = np.concatenate(data.patterns)
 
     for samples in chains:
         for state in samples.states[::task.snapshot_stride]:
-            frozen = [state.slab_loadings(t) for t in range(len(xs))]
-            lin, precs = z_conditional(
-                [(x, rows, *wt) for x, rows, wt in zip(xs, obs, frozen)], k)
-            chols = cholesky_stack(precs)
+            blocks = _z_blocks(state, data)
+            lin, precs = z_conditional(blocks, k)
+            chols = _factors(precs)
             # z | snapshot is one fixed Gaussian, so every draw is exact:
             # burn-in only advances the stream, as many normals as its draws
             gen.standard_normal(task.n_stage2_sweeps * n * k)
             eps = np.split(gen.standard_normal((n_keep, ends[-1])), ends[:-1], axis=1)
-            z = np.empty((n_keep, n, k))
-            for p, (rows, e) in enumerate(zip(row_groups, eps)):
-                e = e.reshape(-1, k)
-                # one solve for all draws; a lone row is solved draw by draw,
-                # as LAPACK's one-column solve rounds differently
-                noise = mvn_chol_noise(e, chols[p]) if rows.size > 1 else \
-                    np.concatenate([mvn_chol_noise(r[None], chols[p]) for r in e])
-                z[:, rows] = mvn_chol_mean(lin[rows], chols[p]) \
-                    + noise.reshape(n_keep, rows.size, k)
-            for (ni, li, di), (w, tau_l), e, a, a_sq in zip(
-                    tgt_idx, frozen, eps[len(row_groups):], acc, acc_sq):
+            z_eps = np.empty((n_keep, n, k))
+            z_eps[:, pattern_order] = eps[0].reshape(n_keep, n, k)
+            z = draw_mvn_precision_chol(lin, chols, data.patterns, z_eps)
+            for (ni, li, di), (_, _, w, tau_l), e, a, a_sq in zip(
+                    tgt_idx, blocks, eps[1:], acc, acc_sq):
                 draws = np.einsum("sjk,jk->sj", z.take(ni, axis=1), w[li, di]) + e / np.sqrt(tau_l[li])
                 for d in draws:      # summed in draw order, which fixes the rounding
                     a += d
                     a_sq += d ** 2
             n_draws += n_keep
 
-    means, stds, targets = [], [], []
-    for t, v in enumerate(test.views):
-        m = acc[t] / n_draws
-        var = np.maximum(acc_sq[t] / n_draws - m ** 2, 0.0)
-        mean_arr = np.zeros(v.shape)
-        std_arr = np.zeros(v.shape)
-        ni, li, di = tgt_idx[t]
-        mean_arr[ni, di, li] = m
-        std_arr[ni, di, li] = np.sqrt(var)
-        means.append(mean_arr)
-        stds.append(std_arr)
-        targets.append(~v.observed)
-    return PredictionResult(list(test.names), means, stds, targets, n_draws)
+    means, stds = [], []
+    for v, (ni, li, di), a, a_sq in zip(test.views, tgt_idx, acc, acc_sq):
+        m = a / n_draws
+        means.append(np.zeros(v.shape))
+        stds.append(np.zeros(v.shape))
+        means[-1][ni, di, li] = m
+        stds[-1][ni, di, li] = np.sqrt(np.maximum(a_sq / n_draws - m ** 2, 0.0))
+    return PredictionResult(list(test.names), means, stds, [~v.observed for v in test.views],
+                            n_draws)
 
 
 def target_rmse(means, truth: Collection, targets) -> float:

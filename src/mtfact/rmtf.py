@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dist import _as_gen
+from .dist import _as_gen, draw_mvn_precision_chol
 from .mtf import (
     HyperParams,
     ModelData,
@@ -25,7 +25,7 @@ from .mtf import (
     _clip_unit,
     _column_step,
     _draw_ard,
-    _draw_rows,
+    _factors,
     _gamma_lp,
     _logit,
     _normal_lp,
@@ -134,8 +134,11 @@ def rmtf_init(c, hp: HyperParams, rng) -> RmtfState:
 
 def _update_z(state: RmtfState, data: ModelData, gen):
     """Latent rows from their Gaussian conditionals: the strict sampler's
-    Z-step on the slab loadings W_l, weighted by tau_l."""
-    state.Z = _draw_rows(*z_conditional(_z_blocks(state, data), state.k), gen)
+    Z-step on the slab loadings W_l, weighted by tau_l, with one precision
+    per missingness pattern of the rows (see ``mtf.update_z``)."""
+    lin, prec = z_conditional(_z_blocks(state, data), state.k)
+    state.Z = draw_mvn_precision_chol(lin, _factors(prec), data.patterns,
+                                      gen.standard_normal(lin.shape))
 
 
 def _update_wh(state: RmtfState, data: ModelData, t: int, gen, stats=None):

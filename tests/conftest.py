@@ -51,17 +51,27 @@ def fully_observed(c):
 
 
 def stacked_draw_spy(monkeypatch, module):
-    """Record the (lin, prec) arguments of ``module._draw_rows`` calls, the
-    Gaussian row draw of the Z- and U-steps; returns a list that receives
-    (precision stack, conditional means), one precision per row (a shared
-    (K, K) precision is repeated)."""
-    seen = []
-    orig = module._draw_rows
+    """Record the Gaussian row draws of the Z- and U-steps in ``module``:
+    returns a list that receives, per draw, (precision per row, conditional
+    mean per row).  The pattern precisions that ``module._factors`` gets are
+    expanded to the rows of each pattern that
+    ``module.draw_mvn_precision_chol`` gets (a shared (K, K) precision is
+    repeated)."""
+    seen, precs = [], []
+    factors, draw = module._factors, module.draw_mvn_precision_chol
 
-    def spy(lin, prec, rng):
-        prec_rows = np.broadcast_to(prec, (lin.shape[0],) + prec.shape[-2:])
-        seen.append((prec_rows, np.linalg.solve(prec_rows, lin[..., None])[..., 0]))
-        return orig(lin, prec, rng)
+    def factors_spy(prec):
+        precs.append(prec.reshape((-1,) + prec.shape[-2:]))
+        return factors(prec)
 
-    monkeypatch.setattr(module, "_draw_rows", spy)
+    def draw_spy(h, chols, rows, eps):
+        prec = precs.pop()
+        prec_rows = np.empty((h.shape[0],) + prec.shape[1:])
+        for p, r in zip(prec, rows):
+            prec_rows[r] = p
+        seen.append((prec_rows, np.linalg.solve(prec_rows, h[..., None])[..., 0]))
+        return draw(h, chols, rows, eps)
+
+    monkeypatch.setattr(module, "_factors", factors_spy)
+    monkeypatch.setattr(module, "draw_mvn_precision_chol", draw_spy)
     return seen

@@ -11,6 +11,7 @@ import pytest
 from mtfact import io as mio
 from mtfact.cli import main
 from mtfact.core import Collection
+from mtfact.predict import match_components
 
 
 def run(*argv):
@@ -120,6 +121,15 @@ class TestFit:
         assert run("fit", *FIT_SMALL, small_sim, tmp_path / "a") == 2
         err = capsys.readouterr().err
         assert "matrix.csv" in err and f"sample_index {sample} is outside [0, 24)" in err
+
+    @pytest.mark.parametrize("value", ["four", "0", "-3"])
+    def test_malformed_jobs_variable_exit_2(self, small_sim, tmp_path, capsys, monkeypatch,
+                                            value):
+        # a non-integer or a count below 1 is an error, not one job
+        monkeypatch.setenv("MTFACT_JOBS", value)
+        assert run("fit", "--model", "mtf", *FIT_SMALL, small_sim, tmp_path / "a") == 2
+        assert f"MTFACT_JOBS must be an integer >= 1, got {value!r}" in capsys.readouterr().err
+        assert not (tmp_path / "a").exists()
 
     def test_rmtf_smoke(self, small_sim, tmp_path):
         assert run("fit", "--model", "rmtf", *FIT_SMALL, "--seed", "4",
@@ -253,6 +263,27 @@ class TestDiagnoseAndReport:
         out = capsys.readouterr().out
         assert "# component structure" in out
         assert "mean_abs_corr" in out
+
+    def test_report_reads_each_archive_once(self, small_sim, tmp_path, capsys, monkeypatch):
+        archives = [tmp_path / "a1", tmp_path / "a2"]
+        for seed, arch in zip((25, 26), archives):
+            assert run("fit", "--model", "mtf", *FIT_SMALL, "--seed", seed, small_sim,
+                       arch) == 0
+        truth = mio.read_arrays(small_sim / "truth")
+        h = truth["h"]
+        true_loadings = truth["v_tensor"][:, (h[1] > 0) & (h[0] == 0)].T
+        match = [f"{a},{np.mean(match_components(true_loadings, mio.read_archive(a)[0], 1)):.6f}"
+                 for a in archives]
+        capsys.readouterr()
+        assert run("report", *archives) == 0
+        structure = capsys.readouterr().out
+        calls, read = [], mio.read_archive
+        monkeypatch.setattr(mio, "read_archive", lambda path: calls.append(path) or read(path))
+        assert run("report", *archives, "--truth", small_sim / "truth") == 0
+        assert calls == [str(a) for a in archives]
+        assert capsys.readouterr().out == structure + "\n".join(
+            ["", "# component match correlations (tensor-specific truth)", "archive,mean_abs_corr",
+             *match]) + "\n"
 
     def test_report_mixed_models_rejected(self, small_sim, tmp_path):
         a1, a2 = tmp_path / "m", tmp_path / "r"

@@ -10,9 +10,15 @@ from mtfact.dist import (
     cholesky_stack,
     draw_bernoulli_logodds,
     draw_mvn_precision_chol,
-    draw_mvn_rows,
     stacked_precisions,
 )
+
+
+def _draw_shared(h, chol, gen):
+    """Rows of h (N, K) drawn with the one shared factor chol (K, K): a
+    single pattern holding every row, on one (N, K) block of normals."""
+    return draw_mvn_precision_chol(h, chol[None], [np.arange(h.shape[0])],
+                                   gen.standard_normal(h.shape))
 
 
 class TestRngStream:
@@ -51,7 +57,7 @@ class TestBeta:
 class TestMvnPrecision:
     def test_identity(self):
         gen = RngStream(6).gen
-        draws = draw_mvn_precision_chol(np.zeros((10**5, 3)), np.eye(3), gen)
+        draws = _draw_shared(np.zeros((10**5, 3)), np.eye(3), gen)
         cov = np.cov(draws.T)
         assert np.all(np.abs(cov - np.eye(3)) < 3 * np.sqrt(2.0 / 10**5) + 0.01)
 
@@ -59,7 +65,7 @@ class TestMvnPrecision:
         gen = RngStream(7).gen
         prec = np.diag(np.full(4, 4.0))
         h = np.full((200000, 4), 4.0)
-        draws = draw_mvn_precision_chol(h, cholesky_precision(prec), gen)
+        draws = _draw_shared(h, cholesky_precision(prec), gen)
         assert np.allclose(draws.mean(axis=0), 1.0, atol=0.01)
         assert np.allclose(draws.var(axis=0), 0.25, atol=0.01)
 
@@ -70,7 +76,7 @@ class TestMvnPrecision:
         cov_true = np.linalg.solve(prec, np.eye(4))  # independent dense oracle
         h = gen.standard_normal(4)
         mean_true = cov_true @ h
-        draws = draw_mvn_precision_chol(np.tile(h, (10**5, 1)), cholesky_precision(prec), gen)
+        draws = _draw_shared(np.tile(h, (10**5, 1)), cholesky_precision(prec), gen)
         se = 3 * np.sqrt(np.diag(cov_true) / 10**5)
         assert np.all(np.abs(draws.mean(axis=0) - mean_true) < 3 * se + 0.01)
         assert np.all(np.abs(np.cov(draws.T) - cov_true) < 0.02)
@@ -83,9 +89,15 @@ class TestMvnPrecision:
         assert err.value.minor == 3
 
     def test_single_vector_shape(self):
-        out = draw_mvn_precision_chol(np.zeros(3), cholesky_precision(np.eye(3)),
-                                      RngStream(9).gen)
-        assert out.shape == (3,)
+        # one row, alone and with a leading axis of four draws sharing its mean
+        chol = cholesky_precision(np.eye(3))[None]
+        eps = RngStream(9).gen.standard_normal((4, 1, 3))
+        out = draw_mvn_precision_chol(np.ones((1, 3)), chol, [np.arange(1)], eps[0])
+        assert out.shape == (1, 3)
+        np.testing.assert_array_equal(out, 1.0 + eps[0])
+        out = draw_mvn_precision_chol(np.ones((1, 3)), chol, [np.arange(1)], eps)
+        assert out.shape == (4, 1, 3)
+        np.testing.assert_array_equal(out, 1.0 + eps)
 
 
 class TestStackedGaussians:
@@ -119,14 +131,26 @@ class TestStackedGaussians:
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
     def test_rows_match_single_factor_draws(self):
-        # a stack of one repeated factor consumes and uses the same draws
+        # three patterns (three rows, a lone row, two rows) against one
+        # np.linalg.solve per row and draw, on the same caller-supplied
+        # normals; factors of a batched Cholesky (C-ordered) and of LAPACK's
+        # single factorization (Fortran-ordered)
         gen = np.random.default_rng(4)
-        a = gen.standard_normal((3, 5))
-        chol = np.linalg.cholesky(a @ a.T + np.eye(3))
+        a = gen.standard_normal((3, 3, 5))
+        precs = a @ a.transpose(0, 2, 1) + np.eye(3)
+        fortran = np.asfortranarray(np.stack([cholesky_precision(p) for p in precs], axis=-1))
+        rows = [np.array([0, 2, 5]), np.array([3]), np.array([1, 4])]
         h = gen.standard_normal((6, 3))
-        rows = draw_mvn_rows(h, np.broadcast_to(chol, (6, 3, 3)), RngStream(5).gen)
-        single = draw_mvn_precision_chol(h, chol, RngStream(5).gen)
-        np.testing.assert_allclose(rows, single, rtol=1e-12, atol=1e-12)
+        eps = gen.standard_normal((2, 6, 3))
+        for chols in (np.linalg.cholesky(precs), fortran.transpose(2, 0, 1)):
+            got = draw_mvn_precision_chol(h, chols, rows, eps)
+            for p, r in enumerate(rows):
+                for n in r:
+                    mean = np.linalg.solve(precs[p], h[n])
+                    for s in range(2):
+                        want = mean + np.linalg.solve(chols[p].T, eps[s, n])
+                        np.testing.assert_allclose(got[s, n], want, rtol=1e-12, atol=1e-12)
+        assert fortran.transpose(2, 0, 1)[0].flags.f_contiguous
 
 
 class TestBernoulliLogodds:

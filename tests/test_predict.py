@@ -2,10 +2,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_triangular
 
 from mtfact.core import Collection, MaskedTensor3, Tensor3, apply_transform
 from mtfact.diag import toy_grouped, toy_masks
-from mtfact.dist import RngStream, _as_gen, cholesky_stack, draw_mvn_precision_chol
+from mtfact.dist import RngStream, _as_gen, cholesky_stack
 from mtfact.fitting import fit_model
 from mtfact.mtf import HyperParams, run_chain, z_conditional
 from mtfact.predict import (
@@ -184,6 +185,15 @@ class TestTwoStagePredict:
         np.testing.assert_allclose(b.mean[0], a.mean[0], atol=1e-6)
 
 
+def _reference_draw(h, chol, gen):
+    """Rows of h drawn from N(P^-1 h, P^-1), P = L L^T, as L^-T L^-1 h + L^-T eps
+    by scipy's triangular solves, eps one standard normal block of h's shape."""
+    mean = solve_triangular(chol, solve_triangular(chol, h.T, lower=True), lower=True,
+                            trans="T").T
+    return mean + solve_triangular(chol, gen.standard_normal(h.shape).T, lower=True,
+                                   trans="T").T
+
+
 def _reference_predict(task: PredictionTask, rng):
     """The earlier stage-two loop, kept as the reference: every snapshot
     draws z from its frozen conditional n_stage2_sweeps + n_stage2_samples
@@ -218,7 +228,7 @@ def _reference_predict(task: PredictionTask, rng):
             z = np.empty((n, k))
             for sweep in range(task.n_stage2_sweeps + task.n_stage2_samples):
                 for p, rows in enumerate(row_groups):
-                    z[rows] = draw_mvn_precision_chol(lin[rows], chols[p], gen)
+                    z[rows] = _reference_draw(lin[rows], chols[p], gen)
                 if sweep < task.n_stage2_sweeps:
                     continue
                 for t, idx in enumerate(tgt_idx):
