@@ -6,14 +6,19 @@ file byte for byte, or numeric fields within a tolerance.
 ``--parent`` and ``--change`` are two checkouts of the repository; a parent
 tree can be made with ``git archive HEAD~1 | tar -x -C PARENT_TREE``.  In each
 tree, ``python -m mtfact.cli`` runs the same steps in a fresh directory, with
-that tree's ``src`` on the path and one BLAS thread: ``simulate`` (cp and
-continuum), ``fit`` (mtf on both; on continuum also rmtf with global,
-per_component and per_slab lambda, and gfa), ``predict`` of the continuum
-test set from every continuum fit, with and without ``--truth``, and last
-two masked-training fits.  Those fit mtf and rmtf on the continuum test set,
-whose held-out slab is masked in every row, with ``--no-preprocess --b-tau
-1``, so they reach the masked Z- and U-steps (the other fits' training data
-is fully observed).  Each step's standard output is kept as a file too.
+that tree's ``src`` on the path and one BLAS thread: ``simulate`` (cp,
+continuum and relaxed_cp), ``fit`` (mtf on both; on continuum also rmtf
+with global, per_component and per_slab lambda, and gfa), ``predict`` of the
+continuum test set from every continuum fit, with and without ``--truth``,
+then two masked-training fits.  Those fit mtf and rmtf on the continuum test
+set, whose held-out slab is masked in every row, with ``--no-preprocess
+--b-tau 1``, so they reach the masked Z- and U-steps (the other fits' training
+data is fully observed).  Last come the option layers and batch layouts:
+``simulate --reps 2`` and ``fit --reps 2`` over its ``rep_*`` directories,
+an mtf fit of the cp data whose model and schedule come from a ``--config``
+file (``config.json``, written into the work directory) under ``--preset
+strong-reg``, and ``report --truth`` over that fit and the first cp fit.
+Each step's standard output is kept as a file too.
 
 With ``--rtol R --atol A``, a CSV or JSON file whose bytes differ still
 matches when every numeric field of the change, b, and of the parent, a,
@@ -48,6 +53,9 @@ CONTINUUM_FITS = {"mtf": ["--model", "mtf"],
                   "rmtf_per_component": ["--model", "rmtf", "--lambda-mode", "per_component"],
                   "rmtf_per_slab": ["--model", "rmtf", "--lambda-mode", "per_slab"],
                   "gfa": ["--model", "gfa"]}
+# the config file of the fit_config step; its burnin must beat strong-reg's
+CONFIG = {"model": "mtf", "k": 3, "chains": 2, "burnin": 8, "samples": 3, "thin": 2,
+          "jobs": 1}
 
 
 def steps() -> list[tuple[str, list[str]]]:
@@ -69,6 +77,15 @@ def steps() -> list[tuple[str, list[str]]]:
         out.append((f"fit_masked_{model}", ["fit", "--model", model, *FIT, "--seed", str(30 + i),
                                             "--no-preprocess", "--b-tau", "1",
                                             "sim_continuum/test", f"fit_masked_{model}"]))
+    out += [("simulate_relaxed_cp", ["simulate", *SIM_CP[2:], "--scenario", "relaxed_cp",
+                                     "--seed", "40", "--out", "sim_relaxed_cp"]),
+            ("simulate_reps", ["simulate", *SIM_CP, "--reps", "2", "--out", "sim_reps"]),
+            ("fit_reps", ["fit", "--model", "mtf", *FIT, "--seed", "41", "--reps", "2",
+                          "sim_reps", "fit_reps"]),
+            ("fit_config", ["--config", "config.json", "fit", "--preset", "strong-reg",
+                            "--seed", "42", "sim_cp", "fit_config"]),
+            ("report_truth", ["report", "fit_cp_mtf", "fit_config", "--truth", "sim_cp/truth",
+                              "--out", "report.csv"])]
     return out
 
 
@@ -76,6 +93,8 @@ def run_tree(tree: str, work: str) -> str | None:
     """Run every step of the pipeline from ``tree`` in ``work``; an error or None."""
     env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"), OPENBLAS_NUM_THREADS="1")
     os.makedirs(os.path.join(work, "stdout"))
+    with open(os.path.join(work, "config.json"), "w") as fh:
+        json.dump(CONFIG, fh)
     for name, argv in steps():
         proc = subprocess.run([sys.executable, "-m", "mtfact.cli", *argv], cwd=work, env=env,
                               capture_output=True, text=True, timeout=600)

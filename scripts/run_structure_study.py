@@ -42,8 +42,7 @@ def main():
                           n_samples=args.samples, thin=args.thin)
     rows = []
     for model in args.models:
-        reps = structure_experiment(spec, hp, model, reps=args.reps,
-                                    jobs=args.jobs, compute_match=True)
+        reps = structure_experiment(spec, hp, model, reps=args.reps, jobs=args.jobs)
         for i, r in enumerate(reps):
             match = "" if r.match_corr is None else f"{np.mean(r.match_corr):.6f}"
             rows.append([model, i, r.shared, r.specific[0], r.specific[1],

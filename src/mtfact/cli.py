@@ -2,8 +2,10 @@
 
 Exit codes: 0 success, 1 runtime/I-O failure, 2 usage or validation error.
 Every command is deterministic given --seed.  A JSON --config file may
-supply any long flag (key = flag name with dashes as underscores); explicit
-command-line flags win.
+supply any long flag (key = flag name with dashes as underscores).  Each
+option is taken from the first place that sets it: the command-line flag,
+the config file, the --preset (fit only), then the library's default (the
+fields of ``SimSpec``, ``HyperParams`` and ``PredictionTask``).
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import glob
 import json
 import os
 import sys
+from dataclasses import asdict, fields, replace
 
 import numpy as np
 
@@ -49,23 +52,17 @@ def _load_config(path):
     return cfg
 
 
-def _merged(args, defaults: dict):
-    """Layer hard defaults < config file < explicit flags (None = unset).
+def _merged(args, keys) -> dict:
+    """The options among ``keys`` that are set: the config file's, with the
+    command-line flags over them (a flag left at None is unset)."""
+    opts = {k: v for k, v in _load_config(getattr(args, "config", None)).items() if k in keys}
+    opts.update((k, getattr(args, k)) for k in keys if getattr(args, k, None) is not None)
+    return opts
 
-    Returns (options, set of keys that were set explicitly).
-    """
-    cfg = _load_config(getattr(args, "config", None))
-    out, explicit = {}, set()
-    for key, default in defaults.items():
-        val = getattr(args, key, None)
-        if val is None:
-            if key in cfg:
-                explicit.add(key)
-            val = cfg.get(key, default)
-        else:
-            explicit.add(key)
-        out[key] = val
-    return out, explicit
+
+def _renamed(opts: dict, names: dict) -> dict:
+    """The options named in ``names``, under the library's name for each."""
+    return {names[k]: v for k, v in opts.items() if k in names}
 
 
 def _default_jobs() -> int:
@@ -84,21 +81,12 @@ def _default_jobs() -> int:
 # simulate
 
 
-SIM_DEFAULTS = dict(scenario="cp", seed=0, n=None, d1=50, d2=50, l=30,
-                    k_shared=1, k_matrix=2, k_tensor=8, rho=1.0,
-                    signal_var=8.0, noise_var=1.0, n_test=100, reps=1)
-
-
-def _write_truth(outdir, truth, spec):
-    arrays = {"z": truth.Z, "u": truth.U, "h": truth.H,
-              "v_matrix": truth.V[0], "v_tensor": truth.V[1]}
-    if truth.W_tensor is not None:
-        arrays["w_tensor"] = truth.W_tensor
-    if truth.slab_curves is not None:
-        arrays["slab_curves"] = truth.slab_curves
-    if truth.Z_test is not None:
-        arrays["z_test"] = truth.Z_test
-    mio.write_arrays(os.path.join(outdir, "truth"), arrays)
+def _write_truth(outdir, truth):
+    arrays = {"z": truth.Z, "u": truth.U, "h": truth.H, "v_matrix": truth.V[0],
+              "v_tensor": truth.V[1], "w_tensor": truth.W_tensor,
+              "slab_curves": truth.slab_curves, "z_test": truth.Z_test}
+    mio.write_arrays(os.path.join(outdir, "truth"),
+                     {name: a for name, a in arrays.items() if a is not None})
 
 
 def _simulate_once(spec: SimSpec, outdir: str) -> str:
@@ -111,22 +99,22 @@ def _simulate_once(spec: SimSpec, outdir: str) -> str:
     else:
         train, truth = generate(spec)
         mio.write_collection(os.path.join(outdir, "train"), train)
-    _write_truth(outdir, truth, spec)
-    meta = {k: getattr(spec, k) for k in SIM_DEFAULTS if k != "reps"}
-    mio._json_dump(os.path.join(outdir, "sim_meta.json"), meta)
+    _write_truth(outdir, truth)
+    mio._json_dump(os.path.join(outdir, "sim_meta.json"), asdict(spec))
     dims = ", ".join(f"({v.shape[0]},{v.shape[1]},{v.shape[2]})" for v in train.views)
     return f"{spec.scenario}: {train.n_views} views {dims} -> {outdir}"
 
 
 def cmd_simulate(args) -> int:
-    opts, _ = _merged(args, SIM_DEFAULTS)
-    reps = opts.pop("reps")
+    opts = _merged(args, [f.name for f in fields(SimSpec)] + ["reps"])
+    reps = opts.pop("reps", 1)
+    spec = SimSpec(**opts)
     if reps == 1:
-        print(_simulate_once(SimSpec(**opts), args.out))
+        print(_simulate_once(spec, args.out))
     else:
         for r in range(reps):
-            spec = SimSpec(**{**opts, "seed": opts["seed"] + r})
-            print(_simulate_once(spec, os.path.join(args.out, f"rep_{r:03d}")))
+            print(_simulate_once(replace(spec, seed=spec.seed + r),
+                                 os.path.join(args.out, f"rep_{r:03d}")))
     return 0
 
 
@@ -134,28 +122,19 @@ def cmd_simulate(args) -> int:
 # fit
 
 
-FIT_DEFAULTS = dict(model="mtf", k=15, chains=7, burnin=3000, samples=40,
-                    thin=10, seed=0, preset="default", lambda_mode="global",
-                    b_tau=None, jobs=None, reps=1, no_preprocess=False)
+FIT_DEFAULTS = dict(model="mtf", k=15, seed=0, preset="default", jobs=None, reps=1,
+                    no_preprocess=False)
+# fit flags that set a HyperParams field, by that field's name
+HP_FLAGS = {"burnin": "burn_in", "samples": "n_samples", "chains": "n_chains", "thin": "thin",
+            "lambda_mode": "lambda_mode", "b_tau": "b_tau"}
 
 
-def _fit_once(opts, indir, outdir) -> str:
+def _fit_once(opts, hp: HyperParams, indir, outdir) -> str:
     c = mio.read_collection(os.path.join(indir, "train")
                             if os.path.isdir(os.path.join(indir, "train")) else indir)
     problems = validate_collection(c)
     if problems:
         raise CliError("invalid collection: " + "; ".join(problems))
-    preset = PRESETS[opts["preset"]]
-    burnin = opts["burnin"]
-    if "burn_in" in preset and "burnin" not in opts["_explicit"]:
-        burnin = preset["burn_in"]
-    hp = HyperParams(
-        k=opts["k"],
-        burn_in=burnin, n_samples=opts["samples"], thin=opts["thin"],
-        n_chains=opts["chains"], lambda_mode=opts["lambda_mode"],
-        b_tau=opts["b_tau"],
-        **{k: v for k, v in preset.items() if k != "burn_in"},
-    )
     jobs = opts["jobs"] if opts["jobs"] is not None else _default_jobs()
     chains, transform, _ = fit_model(
         c, hp, model=opts["model"], seed=opts["seed"],
@@ -172,22 +151,20 @@ def _fit_once(opts, indir, outdir) -> str:
 
 
 def cmd_fit(args) -> int:
-    opts, explicit = _merged(args, FIT_DEFAULTS)
-    opts["_explicit"] = explicit
+    set_opts = _merged(args, [*FIT_DEFAULTS, *HP_FLAGS])
+    opts = {**FIT_DEFAULTS, **set_opts}
     if opts["preset"] not in PRESETS:
         raise CliError(f"unknown preset {opts['preset']!r}")
-    reps = opts.pop("reps")
+    hp = HyperParams(k=opts["k"], **{**PRESETS[opts["preset"]], **_renamed(set_opts, HP_FLAGS)})
+    reps = opts["reps"]
     rep_dirs = sorted(glob.glob(os.path.join(args.input, "rep_*")))
     if reps > 1 or rep_dirs:
-        sources = rep_dirs or [args.input] * reps
-        if reps > 1 and rep_dirs:
-            sources = rep_dirs[:reps]
+        sources = (rep_dirs[:reps] if reps > 1 else rep_dirs) or [args.input] * reps
         for r, src in enumerate(sources):
-            o = dict(opts)
-            o["seed"] = opts["seed"] + r
-            print(_fit_once(o, src, os.path.join(args.output, f"rep_{r:03d}")))
+            print(_fit_once({**opts, "seed": opts["seed"] + r}, hp, src,
+                            os.path.join(args.output, f"rep_{r:03d}")))
     else:
-        print(_fit_once(opts, args.input, args.output))
+        print(_fit_once(opts, hp, args.input, args.output))
     return 0
 
 
@@ -195,12 +172,13 @@ def cmd_fit(args) -> int:
 # predict
 
 
-PRED_DEFAULTS = dict(seed=0, stage2_sweeps=50, stage2_samples=10,
-                     snapshot_stride=1)
+# predict flags that set a PredictionTask field, by that field's name
+TASK_FLAGS = {"stage2_sweeps": "n_stage2_sweeps", "stage2_samples": "n_stage2_samples",
+          "snapshot_stride": "snapshot_stride"}
 
 
 def cmd_predict(args) -> int:
-    opts, _ = _merged(args, PRED_DEFAULTS)
+    opts = _merged(args, ["seed", *TASK_FLAGS])
     chains, transform, _ = mio.read_archive(args.archive)
     test = mio.read_collection(args.test)
     truth = mio.read_collection(args.truth) if args.truth else None
@@ -211,11 +189,9 @@ def cmd_predict(args) -> int:
             if tv.shape != v.shape:
                 raise ValueError(f"view {name}: --truth shape (N, D, L) {tv.shape} "
                                  f"does not match --test {v.shape}")
-    task = PredictionTask(chains, test, n_stage2_sweeps=opts["stage2_sweeps"],
-                          n_stage2_samples=opts["stage2_samples"],
-                          snapshot_stride=opts["snapshot_stride"])
-    result, truth, err = predict_collection(task, transform, RngStream(opts["seed"], 10_000),
-                                            truth)
+    task = PredictionTask(chains, test, **_renamed(opts, TASK_FLAGS))
+    result, truth, err = predict_collection(task, transform,
+                                            RngStream(opts.get("seed", 0), 10_000), truth)
     n_targets = mio.write_prediction_report(args.out, result, truth)
     line = f"predicted {n_targets} entries -> {args.out}"
     if truth is not None:
@@ -382,10 +358,12 @@ def build_parser() -> argparse.ArgumentParser:
     pr.add_argument("--truth")
     pr.add_argument("--seed", type=int)
     pr.add_argument("--stage2-sweeps", dest="stage2_sweeps", type=int,
-                    help="burn-in draws per snapshot (default 50); stage-two draws are "
-                         "exact, so these only advance the random stream")
+                    help=f"burn-in draws per snapshot (default "
+                         f"{PredictionTask.n_stage2_sweeps}); stage-two draws are exact, "
+                         "so these only advance the random stream")
     pr.add_argument("--stage2-samples", dest="stage2_samples", type=int,
-                    help="retained draws per snapshot (default 10)")
+                    help=f"retained draws per snapshot (default "
+                         f"{PredictionTask.n_stage2_samples})")
     pr.add_argument("--snapshot-stride", dest="snapshot_stride", type=int)
     pr.add_argument("--out", required=True)
     pr.set_defaults(func=cmd_predict)

@@ -237,7 +237,9 @@ def center_and_normalize(c: Collection) -> tuple[Collection, PreprocessTransform
     return apply_transform(transform, c), transform
 
 
-def _check_shapes(t: PreprocessTransform, c: Collection):
+def _map_views(t: PreprocessTransform, c: Collection, fn) -> Collection:
+    """``c`` with each view's values x replaced by fn(x, center, scale) of
+    its fibers, after checking that ``t`` covers its views and shapes."""
     if len(t.centers) != c.n_views:
         raise ValueError(f"transform covers {len(t.centers)} views, collection has {c.n_views}")
     for i, v in enumerate(c.views):
@@ -245,24 +247,17 @@ def _check_shapes(t: PreprocessTransform, c: Collection):
             raise ValueError(
                 f"view {i}: transform shape {t.centers[i].shape} != data shape {v.shape[1:]}"
             )
+    views = tuple(MaskedTensor3(Tensor3(fn(v.values, t.centers[i], t.scales[i])), v.observed)
+                  for i, v in enumerate(c.views))
+    return Collection(views, c.third_mode_groups, c.names)
 
 
 def apply_transform(t: PreprocessTransform, c: Collection) -> Collection:
-    _check_shapes(t, c)
-    views = tuple(
-        MaskedTensor3(Tensor3((v.values - t.centers[i]) / t.scales[i]), v.observed)
-        for i, v in enumerate(c.views)
-    )
-    return Collection(views, c.third_mode_groups, c.names)
+    return _map_views(t, c, lambda x, center, scale: (x - center) / scale)
 
 
 def inverse_transform(t: PreprocessTransform, c: Collection) -> Collection:
-    _check_shapes(t, c)
-    views = tuple(
-        MaskedTensor3(Tensor3(v.values * t.scales[i] + t.centers[i]), v.observed)
-        for i, v in enumerate(c.views)
-    )
-    return Collection(views, c.third_mode_groups, c.names)
+    return _map_views(t, c, lambda x, center, scale: x * scale + center)
 
 
 def unfold_to_matrices(v: MaskedTensor3) -> list[MaskedTensor3]:

@@ -217,7 +217,7 @@ class JointDistResult:
 
 
 def joint_distribution_test(model: str, toy: Collection, hp: HyperParams, n_iter: int,
-                            rng, transition=None, alpha: float = _ALPHA) -> JointDistResult:
+                            rng, transition=None) -> JointDistResult:
     """Compare forward simulation against the Gibbs transition, moment by moment.
 
     ``toy`` gives the shapes, third-mode groups and observation masks of
@@ -269,7 +269,7 @@ def joint_distribution_test(model: str, toy: Collection, hp: HyperParams, n_iter
 
     se2 = np.array([np.var(fwd[:, j], ddof=1) / n_iter + spectral_variance(suc[:, j]) / n_iter
                     for j in range(len(names))])
-    return _verdict(names, fwd.mean(axis=0) - suc.mean(axis=0), se2, alpha, n_iter)
+    return _verdict(names, fwd.mean(axis=0) - suc.mean(axis=0), se2, n_iter)
 
 
 def _residuals(state, data: ModelData) -> list[np.ndarray]:
@@ -299,7 +299,7 @@ def transition_test(model: str, toy: Collection, hp: HyperParams, n_draws: int, 
     ``joint_distribution_test`` on theta, plus ``r_mean`` and ``r_sq`` of
     the residuals y - E[y | theta] (masked entries held at zero); the data
     statistics would not move.  ``toy``, ``hp`` and ``transition`` are
-    as for ``joint_distribution_test``, at its default ``alpha``.
+    as for ``joint_distribution_test``, and both judge at ``_ALPHA``.
     """
     data, gen, (sample_prior, sweep, stats_fn) = _harness_setup(model, toy, hp, rng)
 
@@ -322,7 +322,7 @@ def transition_test(model: str, toy: Collection, hp: HyperParams, n_draws: int, 
         diffs.append([after[k] - before[k] for k in sorted(before)])
     diffs = np.array(diffs)
     return _verdict(sorted(before), diffs.mean(axis=0),
-                    np.var(diffs, axis=0, ddof=1) / n_draws, _ALPHA, n_draws)
+                    np.var(diffs, axis=0, ddof=1) / n_draws, n_draws)
 
 
 def _harness_setup(model: str, toy: Collection, hp: HyperParams, rng):
@@ -336,17 +336,17 @@ def _harness_setup(model: str, toy: Collection, hp: HyperParams, rng):
     return prepare(toy, hp), _as_gen(rng), kernels[model]
 
 
-def _verdict(names, diff, se2, alpha: float, n_iter: int) -> JointDistResult:
+def _verdict(names, diff, se2, n_iter: int) -> JointDistResult:
     """z-scores diff / sqrt(se2) against the Bonferroni threshold at
-    ``alpha``; a constant statistic (se2 = 0) scores 0, or inf if it moved."""
+    ``_ALPHA``; a constant statistic (se2 = 0) scores 0, or inf if it moved."""
     z = np.empty(len(names))
     for j, (d, v) in enumerate(zip(diff, se2)):
         if v == 0:  # degenerate constant statistic (e.g. all-matrix v's)
             z[j] = 0.0 if d == 0 else np.inf
         else:
             z[j] = d / np.sqrt(v)
-    threshold = float(ndtri(1.0 - alpha / (2 * len(names))))
-    return JointDistResult(list(names), z, threshold, alpha, n_iter)
+    threshold = float(ndtri(1.0 - _ALPHA / (2 * len(names))))
+    return JointDistResult(list(names), z, threshold, _ALPHA, n_iter)
 
 
 def buggy_transitions() -> dict[str, tuple[str, callable]]:
@@ -377,10 +377,9 @@ def buggy_transitions() -> dict[str, tuple[str, callable]]:
     def lambda_shape_halved(state, data, rng):
         gen = _as_gen(rng)
         _rmtf.rmtf_sweep(state, data, gen)
-        counts, devs = _rmtf._lambda_stats(state, data)
-        tensor_ts = [t for t, v in enumerate(data.views) if not v.is_matrix()]
-        n_act = sum(counts[t].sum() for t in tensor_ts)
-        ss = sum(devs[t].sum() for t in tensor_ts)
+        stats = _rmtf._lambda_stats(state, data)
+        n_act = sum(counts.sum() for _, counts, _ in stats)
+        ss = sum(devs.sum() for _, _, devs in stats)
         state.lam = np.asarray(gen.gamma(data.hp.a_lambda + 0.25 * n_act,
                                          1.0 / (data.hp.b_lambda + 0.5 * ss)))
         return state

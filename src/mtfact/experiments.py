@@ -23,11 +23,10 @@ __all__ = [
 ]
 
 
-def desk_hyperparams(k: int = 15, burn_in: int = 300, n_samples: int = 40,
-                     thin: int = 5, n_chains: int = 1, **kw) -> HyperParams:
+def desk_hyperparams(k: int = 15, burn_in: int = 300, thin: int = 5, n_chains: int = 1,
+                     **kw) -> HyperParams:
     """Laptop-scale schedule used by the repeated simulation studies."""
-    return HyperParams(k=k, burn_in=burn_in, n_samples=n_samples, thin=thin,
-                       n_chains=n_chains, **kw)
+    return HyperParams(k=k, burn_in=burn_in, thin=thin, n_chains=n_chains, **kw)
 
 
 @dataclass
@@ -37,36 +36,33 @@ class StructureRep:
     shared: int
     specific: tuple[int, ...]
     empty: int
-    match_corr: np.ndarray | None     # per tensor-specific true component
+    match_corr: np.ndarray | None     # per tensor-specific true component, if any
 
 
 def _structure_one(payload) -> StructureRep:
-    spec, hp, model, rep, compute_match, preprocess = payload
+    spec, hp, model, rep, preprocess = payload
     rng = RngStream(spec.seed + rep)
     collection, truth = generate(replace(spec, seed=spec.seed + rep), rng)
     chains, _, _ = fit_model(collection, hp, model=model,
                              seed=spec.seed + 7919 * rep, preprocess=preprocess)
     s = component_structure(chains)
-    match = None
-    if compute_match:
-        cols = np.nonzero((truth.H[1] > 0) & (truth.H[0] == 0))[0]
-        if cols.size:
-            match = match_components(truth.V[1][:, cols].T, chains, view=1)
+    cols = np.nonzero((truth.H[1] > 0) & (truth.H[0] == 0))[0]
+    match = match_components(truth.V[1][:, cols].T, chains, view=1) if cols.size else None
     return StructureRep(s.n_shared, tuple(int(x) for x in s.n_specific),
                         s.n_empty, match)
 
 
 def structure_experiment(spec: SimSpec, hp: HyperParams, model: str, reps: int,
-                         jobs: int = 1, compute_match: bool = False,
-                         preprocess: bool = False) -> list[StructureRep]:
-    """Regenerate data and refit `reps` times; collect structure counts.
+                         jobs: int = 1, preprocess: bool = False) -> list[StructureRep]:
+    """Regenerate data and refit `reps` times; collect structure counts and
+    the match correlations of the tensor-specific true components.
 
     The generators emit centered, variance-controlled data with homoscedastic
     noise, so the recovery studies fit it raw by default: per-fiber
     standardization would rescale each feature by its own signal content and
     distort the loading shapes being scored.
     """
-    payloads = [(spec, hp, model, r, compute_match, preprocess) for r in range(reps)]
+    payloads = [(spec, hp, model, r, preprocess) for r in range(reps)]
     return pmap(_structure_one, payloads, jobs)
 
 

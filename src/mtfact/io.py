@@ -15,8 +15,9 @@ one dialect, written by `_write_table` and read by `_read_table`:
   the row's array does not have (snapshot files hold arrays of 1 to 3 dims);
 - rows may come in any order.
 
-A read index outside the shape its manifest records raises ValueError naming
-the file and the data row.
+A read header other than the one its writer writes raises ValueError naming
+the file and both headers, and a read index outside the shape its manifest
+records raises ValueError naming the file and the data row.
 """
 
 from __future__ import annotations
@@ -41,6 +42,10 @@ __all__ = [
 
 _FMT = "%.17g"
 _COMMA = np.array(",", dtype=StringDType())
+# the header of each kind of table (an array file's: `_array_header`)
+_COLLECTION_HEADER = ["sample_index", "feature_index", "slab_index", "value"]
+_TRANSFORM_HEADER = ["view", "feature", "slab", "center", "scale"]
+_SNAPSHOT_HEADER = ["snapshot", "param", "view", "i0", "i1", "i2", "value"]
 
 
 def _json_dump(path: str, obj):
@@ -74,13 +79,19 @@ def _write_table(path: str, header: list[str], columns: list, footer: str = ""):
         fh.write(footer)
 
 
-def _read_table(path: str) -> tuple[list[str], list[np.ndarray]]:
+def _read_table(path: str, expected) -> tuple[list[str], list[np.ndarray]]:
     """The header and the columns of one table, each column a numpy string
     array in file row order, converted in bulk by the caller (`_indices`,
-    ``astype(np.float64)``).  Rows split at every comma: no table that is
-    read back holds a quoted field."""
+    ``astype(np.float64)``).  The header must be ``expected``, the one its
+    writer writes, or ``expected(n)`` for a file of n + 1 fields.  Rows
+    split at every comma: no table that is read back holds a quoted field."""
     with open(path, newline="") as fh:
-        header = next(csv.reader([fh.readline()]))
+        header = next(csv.reader([fh.readline()]), [])
+        if callable(expected):
+            expected = expected(len(header) - 1)
+        if header != expected:
+            raise ValueError(f"{path}: expected the header {','.join(expected)}, "
+                             f"found {','.join(header) or 'none'}")
         rows = np.array(fh.read().splitlines(), dtype=StringDType())
     columns, ragged = [], np.zeros(rows.shape, dtype=bool)
     for _ in header[1:]:
@@ -126,8 +137,7 @@ def write_collection(directory: str, c: Collection):
                {"format": "tensor-collection", "version": 1, "views": views})
     for t, v in enumerate(c.views):
         idx = np.nonzero(v.observed)
-        _write_table(os.path.join(directory, f"{c.names[t]}.csv"),
-                     ["sample_index", "feature_index", "slab_index", "value"],
+        _write_table(os.path.join(directory, f"{c.names[t]}.csv"), _COLLECTION_HEADER,
                      [*idx, v.values[idx]])
 
 
@@ -138,7 +148,7 @@ def read_collection(directory: str) -> Collection:
     for t, meta in enumerate(manifest["views"]):
         shape = (meta["n"], meta["d"], meta["l"])
         path = os.path.join(directory, f"{meta['name']}.csv")
-        header, columns = _read_table(path)
+        header, columns = _read_table(path, _COLLECTION_HEADER)
         idx = _indices(path, header, columns, shape)
         values = np.zeros(shape)
         observed = np.zeros(shape, dtype=bool)
@@ -158,7 +168,7 @@ def read_collection(directory: str) -> Collection:
 
 def write_transform(path: str, transform: PreprocessTransform):
     grids = [_grid(c.shape) for c in transform.centers]
-    _write_table(path, ["view", "feature", "slab", "center", "scale"], [
+    _write_table(path, _TRANSFORM_HEADER, [
         np.repeat(np.arange(len(grids)), [c.size for c in transform.centers]),
         *(np.concatenate(g) for g in zip(*grids)),
         np.concatenate([c.ravel() for c in transform.centers]),
@@ -167,7 +177,7 @@ def write_transform(path: str, transform: PreprocessTransform):
 
 
 def read_transform(path: str, shapes: list[tuple[int, int]]) -> PreprocessTransform:
-    header, columns = _read_table(path)
+    header, columns = _read_table(path, _TRANSFORM_HEADER)
     (view,) = _indices(path, header, columns, [len(shapes)])
     d, l = _indices(path, header[1:], columns[1:], np.array(shapes).T[:, view])
     center, scale = (c.astype(np.float64) for c in columns[3:])
@@ -184,16 +194,21 @@ def read_transform(path: str, shapes: list[tuple[int, int]]) -> PreprocessTransf
 # generic named arrays (truth archives, report tables)
 
 
+def _array_header(ndim: int) -> list[str]:
+    return [f"i{j}" for j in range(ndim)] + ["value"]
+
+
 def write_array(path: str, arr: np.ndarray):
     arr = np.asarray(arr)
-    _write_table(path, [f"i{j}" for j in range(arr.ndim)] + ["value"],
+    _write_table(path, _array_header(arr.ndim),
                  [*_grid(arr.shape), arr.astype(np.float64).ravel()])
 
 
 def _read_array(path: str, shape) -> np.ndarray:
     """One array file; ``shape=None`` takes each extent as the largest
     index read plus one."""
-    header, (*index, value) = _read_table(path)
+    header, (*index, value) = _read_table(
+        path, _array_header if shape is None else _array_header(len(shape)))
     idx = _indices(path, header, index, [np.inf] * len(index) if shape is None else shape)
     if shape is None:
         shape = tuple(int(i.max(initial=-1)) + 1 for i in idx)
@@ -253,7 +268,7 @@ def _write_snapshots(path: str, states: list):
     sizes = [a.size for a in arrays]
     grids = [_grid(a.shape) for a in arrays]
     empty = np.array([""], dtype=object)
-    _write_table(path, ["snapshot", "param", "view", "i0", "i1", "i2", "value"], [
+    _write_table(path, _SNAPSHOT_HEADER, [
         *(np.repeat(np.array(k, dtype=object), sizes) for k in zip(*keys)),
         *(np.concatenate([g[j] if j < len(g) else np.repeat(empty, n)
                           for g, n in zip(grids, sizes)]) for j in range(3)),
@@ -273,7 +288,7 @@ def _codes(column: np.ndarray) -> np.ndarray:
 
 def _read_snapshot_blocks(path: str) -> dict[tuple[int, str, str], np.ndarray]:
     """{(snapshot, param, view): array}, grouping rows with one sort."""
-    header, (snap, param, view, *index, value) = _read_table(path)
+    header, (snap, param, view, *index, value) = _read_table(path, _SNAPSHOT_HEADER)
     empty = [i == "" for i in index]
     for i, e in zip(index, empty):
         i[e] = "0"
@@ -374,7 +389,8 @@ def read_archive(directory: str):
         states = _states_from_blocks(blocks, manifest["model"], manifest)
         with open(os.path.join(cdir, "sweeps.json")) as fh:
             sweeps = json.load(fh)
-        _, (_, *columns) = _read_table(os.path.join(cdir, "traces.csv"))
+        _, (_, *columns) = _read_table(os.path.join(cdir, "traces.csv"),
+                                       ["sweep"] + manifest["trace_names"])
         traces = np.stack([c.astype(np.float64) for c in columns], axis=1)
         chains.append(PosteriorSamples(
             model=manifest["model"], states=states, sweeps=sweeps, chain_id=cid,

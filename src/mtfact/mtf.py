@@ -300,9 +300,13 @@ class PosteriorSamples:
         return len(self.states)
 
 
-def _clip_unit(p):
-    """Keep probabilities strictly inside (0, 1); extreme Beta draws underflow."""
-    return np.clip(p, 1e-300, np.nextafter(1.0, 0.0))
+def _draw_pi(h_rows: np.ndarray, hp: HyperParams, gen) -> np.ndarray:
+    """pi (K,) from its Beta conditional given the activity rows h_rows
+    (R, K), R = 0 for its prior, kept strictly inside (0, 1): extreme Beta
+    draws underflow."""
+    act = h_rows.sum(axis=0)
+    return np.clip(gen.beta(hp.a_pi + act, hp.b_pi + len(h_rows) - act),
+                   1e-300, np.nextafter(1.0, 0.0))
 
 
 def _logit(p):
@@ -440,8 +444,7 @@ def _warm_start(c, hp: HyperParams, rng):
         warnings.warn(f"fewer samples ({data.n}) than components ({hp.k}); "
                       "expect slow mixing")
     Z, V, U = _deflation_start(data, hp.k, gen)
-    pi = _clip_unit(gen.beta(hp.a_pi, hp.b_pi, size=hp.k))
-    return data, Z, V, U, pi
+    return data, Z, V, U, _draw_pi(np.zeros((0, hp.k)), hp, gen)
 
 
 def init_state(c, hp: HyperParams, rng) -> MtfState:
@@ -666,8 +669,7 @@ def update_hypers(state: MtfState, data: ModelData, rng, rss: list[np.ndarray] |
     """
     h = data.hp
     gen = _as_gen(rng)
-    active = state.H.sum(axis=0)
-    state.pi = _clip_unit(gen.beta(h.a_pi + active, h.b_pi + data.n_views - active))
+    state.pi = _draw_pi(state.H, h, gen)
     for t in range(data.n_views):
         state.alpha[t] = _draw_ard(state.alpha[t], state.H[t], state.V[t],
                                    h.a_alpha, h.b_alpha, gen)
@@ -850,22 +852,12 @@ class ComponentStructure:
 
 
 def _activity_matrix(samples: PosteriorSamples) -> np.ndarray:
-    """Per-(view, component) activity score averaged over snapshots.
-
-    Strict model: posterior mean of h_{t,k}.  Relaxed model: the largest
-    per-slab posterior mean, so a component counts as active in a tensor
-    if any slab uses it.
-    """
-    first = samples.states[0]
-    if samples.model == "mtf":
-        return np.mean([st.H for st in samples.states], axis=0)
-    t_views = len(first.H)
-    k = first.H[0].shape[1]
-    act = np.empty((t_views, k))
-    for t in range(t_views):
-        slab_means = np.mean([st.H[t] for st in samples.states], axis=0)  # (L, K)
-        act[t] = slab_means.max(axis=0)
-    return act
+    """Per-(view, component) activity score averaged over snapshots: the
+    largest over a view's slabs of the posterior mean of h (one row per
+    view in the strict model), so a component counts as active in a tensor
+    if any slab uses it."""
+    return np.array([np.mean([np.atleast_2d(st.H[t]) for st in samples.states], axis=0)
+                     .max(axis=0) for t in range(len(samples.states[0].H))])
 
 
 def component_structure(samples, threshold: float = 0.5) -> ComponentStructure:
@@ -902,7 +894,7 @@ def _prior_latents(data: ModelData, hp: HyperParams, gen):
     both models' prior states."""
     Z = gen.standard_normal((data.n, hp.k))
     U = [gen.standard_normal((data.views[g[0]].l, hp.k)) for g in data.u_groups]
-    return Z, U, _clip_unit(gen.beta(hp.a_pi, hp.b_pi, size=hp.k))
+    return Z, U, _draw_pi(np.zeros((0, hp.k)), hp, gen)
 
 
 def _ard_prior(d: int, h: np.ndarray, a: float, b: float, gen):

@@ -227,12 +227,8 @@ def _chain_loading_summary(samples: PosteriorSamples, view: int) -> np.ndarray:
             stacks = [np.stack([st.V[m] for m in members]) for st in samples.states]
             return _sign_aligned_slab_mean(np.mean(stacks, axis=0))
         view = members[0]
-    first = samples.states[0]
-    if isinstance(first, RmtfState):
-        if first.W[view].shape[0] > 1:
-            w_mean = np.mean([st.W[view] for st in samples.states], axis=0)
-            return _sign_aligned_slab_mean(w_mean)
-        return np.mean([st.W[view][0] for st in samples.states], axis=0)
+    if isinstance(samples.states[0], RmtfState):
+        return _sign_aligned_slab_mean(np.mean([st.W[view] for st in samples.states], axis=0))
     return np.mean([st.V[view] for st in samples.states], axis=0)
 
 

@@ -22,9 +22,9 @@ from .mtf import (
     _LatentState,
     _ard_lp,
     _ard_prior,
-    _clip_unit,
     _column_step,
     _draw_ard,
+    _draw_pi,
     _factors,
     _gamma_lp,
     _logit,
@@ -189,41 +189,33 @@ def _update_u(state: RmtfState, data: ModelData, g: int, gen):
 
 
 def _lambda_stats(state: RmtfState, data: ModelData):
-    """Active-triple counts and squared deviations (w - u v)^2, per view."""
-    counts, devs = [], []
+    """(view, active-triple counts (L, K), squared deviations (w - u v)^2
+    (L, D, K)) of each tensor view."""
+    out = []
     for t, v in enumerate(data.views):
-        if v.is_matrix():
-            counts.append(None)
-            devs.append(None)
-            continue
-        u = state.u_for_view(t)
-        mean = u[:, None, :] * state.V[t][None, :, :]
-        dev2 = (state.W[t] - mean) ** 2 * state.H[t][:, None, :]
-        counts.append(state.H[t] * v.d)                   # (L, K) active d-counts
-        devs.append(dev2)
-    return counts, devs
+        if not v.is_matrix():
+            mean = state.u_for_view(t)[:, None, :] * state.V[t][None, :, :]
+            out.append((t, state.H[t] * v.d, (state.W[t] - mean) ** 2 * state.H[t][:, None, :]))
+    return out
 
 
 def _update_lambda(state: RmtfState, data: ModelData, hp: HyperParams, gen):
-    counts, devs = _lambda_stats(state, data)
-    tensor_ts = [t for t, v in enumerate(data.views) if not v.is_matrix()]
-    if not tensor_ts:
+    stats = _lambda_stats(state, data)
+    if not stats:
         return
     if state.lambda_mode == "global":
-        n_act = sum(counts[t].sum() for t in tensor_ts)
-        ss = sum(devs[t].sum() for t in tensor_ts)
+        n_act = sum(counts.sum() for _, counts, _ in stats)
+        ss = sum(devs.sum() for _, _, devs in stats)
         state.lam = np.asarray(gen.gamma(hp.a_lambda + 0.5 * n_act,
                                          1.0 / (hp.b_lambda + 0.5 * ss)))
     elif state.lambda_mode == "per_component":
-        n_act = sum(counts[t].sum(axis=0) for t in tensor_ts)
-        ss = sum(devs[t].sum(axis=(0, 1)) for t in tensor_ts)
+        n_act = sum(counts.sum(axis=0) for _, counts, _ in stats)
+        ss = sum(devs.sum(axis=(0, 1)) for _, _, devs in stats)
         state.lam = gen.gamma(hp.a_lambda + 0.5 * n_act, 1.0 / (hp.b_lambda + 0.5 * ss))
     else:  # per_slab: one lambda per (view, slab)
-        for t in tensor_ts:
-            n_act = counts[t].sum(axis=1)
-            ss = devs[t].sum(axis=(1, 2))
-            state.lam[t] = gen.gamma(hp.a_lambda + 0.5 * n_act,
-                                     1.0 / (hp.b_lambda + 0.5 * ss))
+        for t, counts, devs in stats:
+            state.lam[t] = gen.gamma(hp.a_lambda + 0.5 * counts.sum(axis=1),
+                                     1.0 / (hp.b_lambda + 0.5 * devs.sum(axis=(1, 2))))
 
 
 def _update_scales_and_noise(state: RmtfState, data: ModelData, hp: HyperParams,
@@ -240,9 +232,7 @@ def _update_scales_and_noise(state: RmtfState, data: ModelData, hp: HyperParams,
 
 
 def _update_pi(state: RmtfState, data: ModelData, hp: HyperParams, gen):
-    act = sum(h.sum(axis=0) for h in state.H)
-    total = sum(v.l for v in data.views)
-    state.pi = _clip_unit(gen.beta(hp.a_pi + act, hp.b_pi + total - act))
+    state.pi = _draw_pi(np.concatenate(state.H), hp, gen)
 
 
 def rmtf_sweep(state: RmtfState, data: ModelData, rng) -> list[np.ndarray]:

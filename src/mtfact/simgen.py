@@ -108,12 +108,27 @@ def _scale_to(x_msq: float, target: float) -> float:
     return np.sqrt(target / x_msq) if x_msq > 0 else 1.0
 
 
-def _collection(mat, tens, names=("matrix", "tensor")) -> Collection:
-    views = (
-        MaskedTensor3.fully_observed(Tensor3(mat)),
-        MaskedTensor3.fully_observed(Tensor3(tens)),
-    )
-    return Collection(views, (), names)
+def _collection(mat, tens, tens_observed=None) -> Collection:
+    """A fully observed matrix view and a tensor view observed where
+    ``tens_observed`` is True (everywhere when None)."""
+    if tens_observed is None:
+        tens_observed = np.ones(tens.shape, dtype=bool)
+    return Collection((MaskedTensor3.fully_observed(Tensor3(mat)),
+                       MaskedTensor3(Tensor3(tens), tens_observed)), (), ("matrix", "tensor"))
+
+
+def _signals(Z, Vm, W) -> list[np.ndarray]:
+    """Noise-free matrix (N, D1, 1) and tensor (N, D2, L) of latent rows Z
+    (N, K), matrix loadings Vm (D1, K) and slab loadings W (L, D2, K)."""
+    return [(Z @ Vm.T)[:, :, None],
+            np.einsum("nk,ldk->nld", Z, W, optimize=True).transpose(0, 2, 1)]
+
+
+def _noisy(gen, spec: SimSpec, signals):
+    """(values, noise) of the views: each signal plus N(0, noise_var) noise,
+    drawn in view order."""
+    noise = [gen.standard_normal(sig.shape) * np.sqrt(spec.noise_var) for sig in signals]
+    return [sig + eps for sig, eps in zip(signals, noise)], noise
 
 
 def _signed_power(v: np.ndarray, p: float) -> np.ndarray:
@@ -159,16 +174,10 @@ def gen_cp(spec: SimSpec, rng) -> tuple[Collection, SimTruth]:
         alpha=[np.ones_like(Vm), np.ones_like(Vt)], tau=np.ones(2), group_of={1: 0},
     )
     for t in (0, 1):
-        sig = _recon_nld(state, t)
-        state.V[t] *= _scale_to(_msq(sig), spec.signal_var)
-    noise, values = [], []
-    for t in (0, 1):
-        sig = _recon_nld(state, t).transpose(0, 2, 1)
-        eps = gen.standard_normal(sig.shape) * np.sqrt(spec.noise_var)
-        noise.append(eps)
-        values.append(sig + eps)
+        state.V[t] *= _scale_to(_msq(_recon_nld(state, t)), spec.signal_var)
+    values, noise = _noisy(gen, spec, [_recon_nld(state, t).transpose(0, 2, 1) for t in (0, 1)])
     truth = SimTruth(Z=Z, V=list(state.V), U=U, H=h, noise=noise, state=state)
-    return _collection(values[0], values[1]), truth
+    return _collection(*values), truth
 
 
 def gen_relaxed_cp(spec: SimSpec, rng) -> tuple[Collection, SimTruth]:
@@ -182,19 +191,14 @@ def gen_relaxed_cp(spec: SimSpec, rng) -> tuple[Collection, SimTruth]:
         curves = np.stack([_signed_power(Vt[:, sine_col], p) for p in powers])
         W[:, :, sine_col] = U[:, sine_col][:, None] * curves
 
-    sig_m = Z @ Vm.T
+    sig_m, sig_t = _signals(Z, Vm, W)
     Vm = Vm * _scale_to(_msq(sig_m), spec.signal_var)
-    sig_t = np.einsum("nk,ldk->nld", Z, W, optimize=True)
     ft = _scale_to(_msq(sig_t), spec.signal_var)
     W, Vt = W * ft, Vt * ft
-
-    mat_sig = (Z @ Vm.T)[:, :, None]
-    tens_sig = np.einsum("nk,ldk->nld", Z, W, optimize=True).transpose(0, 2, 1)
-    noise = [gen.standard_normal(mat_sig.shape) * np.sqrt(spec.noise_var),
-             gen.standard_normal(tens_sig.shape) * np.sqrt(spec.noise_var)]
+    values, noise = _noisy(gen, spec, _signals(Z, Vm, W))
     truth = SimTruth(Z=Z, V=[Vm, Vt], U=U, H=h, noise=noise,
                      W_tensor=W, slab_curves=curves)
-    return _collection(mat_sig + noise[0], tens_sig + noise[1]), truth
+    return _collection(*values), truth
 
 
 def gen_continuum(spec: SimSpec, rng) -> tuple[Collection, Collection, SimTruth]:
@@ -226,24 +230,12 @@ def gen_continuum(spec: SimSpec, rng) -> tuple[Collection, Collection, SimTruth]
     for l in range(spec.l):
         W[l] *= _scale_to(_msq(blend[:, l, :]), spec.signal_var)
 
-    mat_sig = (Z_all @ Vm.T)[:, :, None]
-    tens_sig = np.einsum("nk,ldk->nld", Z_all, W, optimize=True).transpose(0, 2, 1)
-    eps_m = gen.standard_normal(mat_sig.shape) * np.sqrt(spec.noise_var)
-    eps_t = gen.standard_normal(tens_sig.shape) * np.sqrt(spec.noise_var)
-    mat, tens = mat_sig + eps_m, tens_sig + eps_t
-
+    (mat, tens), (eps_m, eps_t) = _noisy(gen, spec, _signals(Z_all, Vm, W))
     train = _collection(mat[:n], tens[:n])
     test_full = _collection(mat[n:], tens[n:])
     tens_mask = np.ones((n_test, spec.d2, spec.l), dtype=bool)
     tens_mask[:, :, 0] = False                  # slab 1 is the prediction target
-    test = Collection(
-        (
-            MaskedTensor3.fully_observed(Tensor3(mat[n:])),
-            MaskedTensor3(Tensor3(tens[n:]), tens_mask),
-        ),
-        (),
-        ("matrix", "tensor"),
-    )
+    test = _collection(mat[n:], tens[n:], tens_mask)
     truth = SimTruth(
         Z=Z_all[:n], V=[Vm, Vt], U=U, H=h, noise=[eps_m[:n], eps_t[:n]],
         W_tensor=W, Z_test=Z_all[n:], test_full=test_full,

@@ -50,6 +50,12 @@ def fully_observed(c):
                       c.third_mode_groups, c.names)
 
 
+def swap_index_columns(path):
+    """Swap the first two columns of a CSV table file, header included."""
+    rows = [line.split(",", 2) for line in path.read_text().splitlines()]
+    path.write_text("".join(f"{b},{a},{rest}\r\n" for a, b, rest in rows))
+
+
 def stacked_draw_spy(monkeypatch, module):
     """Record the Gaussian row draws of the Z- and U-steps in ``module``:
     returns a list that receives, per draw, (precision per row, conditional

@@ -8,10 +8,13 @@ import time
 import numpy as np
 import pytest
 
+from mtfact import cli
 from mtfact import io as mio
 from mtfact.cli import main
-from mtfact.core import Collection
+from mtfact.core import Collection, MaskedTensor3
 from mtfact.predict import match_components
+
+from conftest import swap_index_columns
 
 
 def run(*argv):
@@ -122,6 +125,23 @@ class TestFit:
         err = capsys.readouterr().err
         assert "matrix.csv" in err and f"sample_index {sample} is outside [0, 24)" in err
 
+    @pytest.mark.parametrize("damage", ["empty", "swapped"])
+    def test_view_file_header_mismatch_exit_2(self, tmp_path, capsys, damage):
+        # an empty view file, or one whose index columns list features first
+        # (N = D = 3, so every index is in range), is refused, not fitted
+        values = np.random.default_rng(0).standard_normal((3, 3, 2))
+        mio.write_collection(tmp_path / "c", Collection((MaskedTensor3.fully_observed(values),),
+                                                        (), ("x",)))
+        path = tmp_path / "c" / "x.csv"
+        if damage == "empty":
+            path.write_bytes(b"")
+        else:
+            swap_index_columns(path)
+        assert run("fit", *FIT_SMALL, tmp_path / "c", tmp_path / "a") == 2
+        assert "x.csv: expected the header sample_index,feature_index,slab_index,value, found " \
+            in capsys.readouterr().err
+        assert not (tmp_path / "a").exists()
+
     @pytest.mark.parametrize("value", ["four", "0", "-3"])
     def test_malformed_jobs_variable_exit_2(self, small_sim, tmp_path, capsys, monkeypatch,
                                             value):
@@ -162,6 +182,47 @@ class TestFit:
         hp = json.loads((tmp_path / "s" / "run_manifest.json").read_text())["hyperparams"]
         assert hp["a_pi"] == 1e-3 and hp["b_pi"] == 1e3
         assert hp["burn_in"] == 6  # explicit flag wins over the preset
+
+
+class _FitCalled(Exception):
+    pass
+
+
+class TestOptionLayers:
+    """Each fit option comes from the flag, else the config file, else the
+    preset, else the library default."""
+
+    def _hyperparams(self, monkeypatch, tmp_path, small_sim, config, *argv):
+        seen = []
+
+        def fit_model(c, hp, **kw):
+            seen.append(hp)
+            raise _FitCalled
+
+        monkeypatch.setattr(cli, "fit_model", fit_model)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        with pytest.raises(_FitCalled):
+            run("--config", cfg, "fit", *argv, small_sim, tmp_path / "a")
+        return seen[0]
+
+    def test_config_beats_preset(self, monkeypatch, tmp_path, small_sim):
+        hp = self._hyperparams(monkeypatch, tmp_path, small_sim, {"burnin": 1200},
+                               "--preset", "strong-reg")
+        assert hp.burn_in == 1200 and hp.a_pi == 1e-3
+
+    def test_flag_beats_config_and_preset(self, monkeypatch, tmp_path, small_sim):
+        hp = self._hyperparams(monkeypatch, tmp_path, small_sim, {"burnin": 1200},
+                               "--preset", "strong-reg", "--burnin", "9")
+        assert hp.burn_in == 9
+
+    def test_preset_beats_library_default(self, monkeypatch, tmp_path, small_sim):
+        hp = self._hyperparams(monkeypatch, tmp_path, small_sim, {}, "--preset", "strong-reg")
+        assert hp.burn_in == 5000
+
+    def test_library_defaults(self, monkeypatch, tmp_path, small_sim):
+        hp = self._hyperparams(monkeypatch, tmp_path, small_sim, {})
+        assert (hp.k, hp.burn_in, hp.n_samples, hp.thin, hp.n_chains) == (15, 3000, 40, 10, 7)
 
 
 class TestPredictCli:

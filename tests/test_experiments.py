@@ -5,9 +5,10 @@ import pytest
 
 from mtfact.core import apply_transform, unfold_collection
 from mtfact.dist import RngStream
-from mtfact.experiments import continuum_experiment, desk_hyperparams
+from mtfact.experiments import continuum_experiment, desk_hyperparams, structure_experiment
 from mtfact.fitting import fit_model
-from mtfact.predict import PredictionTask, two_stage_predict
+from mtfact.mtf import component_structure
+from mtfact.predict import PredictionTask, match_components, two_stage_predict
 from mtfact.simgen import SimSpec, generate
 
 SPEC = SimSpec(scenario="continuum", seed=4, n=12, d1=5, d2=6, l=4, k_shared=1,
@@ -55,3 +56,17 @@ def test_continuum_scores_match_inline_reference(preprocess):
     for r in reps:
         want = _reference_scores(replace(SPEC, rho=r.rho), r.model, r.rep, preprocess)
         assert (r.rmse, r.null_rmse) == want
+
+
+@pytest.mark.parametrize("model", ["mtf", "rmtf", "gfa"])
+def test_structure_matches_direct_fit(model):
+    spec = SimSpec(scenario="cp", seed=3, n=20, d1=6, d2=7, l=4, k_shared=1, k_matrix=1,
+                   k_tensor=2)
+    [rep] = structure_experiment(spec, HP, model, reps=1)
+    collection, truth = generate(spec, RngStream(spec.seed))
+    chains, _, _ = fit_model(collection, HP, model=model, seed=spec.seed, preprocess=False)
+    assert (rep.shared, rep.specific, rep.empty) == component_structure(chains).counts
+    cols = np.nonzero((truth.H[1] > 0) & (truth.H[0] == 0))[0]
+    assert rep.match_corr is not None
+    assert np.array_equal(rep.match_corr,
+                          match_components(truth.V[1][:, cols].T, chains, view=1))

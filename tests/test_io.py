@@ -14,7 +14,7 @@ from mtfact.mtf import HyperParams, run_chain
 from mtfact.predict import PredictionResult, PredictionTask, two_stage_predict
 from mtfact.rmtf import RmtfState, rmtf_run_chain
 
-from conftest import make_collection
+from conftest import make_collection, swap_index_columns
 
 
 class TestCollectionRoundTrip:
@@ -541,3 +541,35 @@ class TestBadIndices:
         d = self._collection_with_row(tmp_path, row)
         with pytest.raises(ValueError, match=r"x\.csv, row 13: expected 4 fields"):
             mio.read_collection(d)
+
+
+class TestHeaders:
+    """A table whose header is not the one its writer writes is refused."""
+
+    def _view_file(self, tmp_path):
+        # N = D = 3, so a file with the first two columns swapped holds only
+        # in-range indices and would read back transposed
+        values = np.random.default_rng(0).standard_normal((3, 3, 2))
+        mio.write_collection(tmp_path, Collection((MaskedTensor3.fully_observed(values),),
+                                                  (), ("x",)))
+        return tmp_path / "x.csv"
+
+    def test_empty_view_file(self, tmp_path):
+        self._view_file(tmp_path).write_bytes(b"")
+        with pytest.raises(ValueError, match=r"x\.csv: expected the header sample_index,"
+                                             r"feature_index,slab_index,value, found none"):
+            mio.read_collection(tmp_path)
+
+    def test_swapped_index_columns(self, tmp_path):
+        path = self._view_file(tmp_path)
+        swap_index_columns(path)
+        with pytest.raises(ValueError, match=r"x\.csv: .* found feature_index,sample_index,"):
+            mio.read_collection(tmp_path)
+
+    def test_array_file(self, tmp_path, rng):
+        mio.write_arrays(tmp_path, {"a": rng.standard_normal((2, 3))})
+        swap_index_columns(tmp_path / "a.csv")
+        for read, arg in ((mio.read_arrays, tmp_path), (mio.read_array, tmp_path / "a.csv")):
+            with pytest.raises(ValueError, match=r"a\.csv: expected the header i0,i1,value, "
+                                                 r"found i1,i0,value"):
+                read(arg)

@@ -120,9 +120,9 @@ class TestConditionals:
         hp = small_hp(a_lambda=1.5, b_lambda=0.5)
         data = prepare(c, hp)
         st = rmtf_init(data, hp, RngStream(9))
-        counts, devs = rmtf_mod._lambda_stats(st, data)
-        n_act = counts[1].sum()
-        ss = devs[1].sum()
+        [(_, counts, devs)] = rmtf_mod._lambda_stats(st, data)
+        n_act = counts.sum()
+        ss = devs.sum()
         draws = []
         for i in range(20000):
             rmtf_mod._update_lambda(st, data, hp, RngStream(i, 3).gen)
