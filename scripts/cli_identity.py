@@ -7,8 +7,8 @@ file byte for byte, or numeric fields within a tolerance.
 tree can be made with ``git archive HEAD~1 | tar -x -C PARENT_TREE``.  In each
 tree, ``python -m mtfact.cli`` runs the same steps in a fresh directory, with
 that tree's ``src`` on the path and one BLAS thread: ``simulate`` (cp,
-continuum and relaxed_cp), ``fit`` (mtf on both; on continuum also rmtf
-with global, per_component and per_slab lambda, and gfa), ``predict`` of the
+continuum and relaxed_cp), ``fit`` (mtf and rmtf on cp; on continuum mtf,
+rmtf with global, per_component and per_slab lambda, and gfa), ``predict`` of the
 continuum test set from every continuum fit, with and without ``--truth``,
 then two masked-training fits.  Those fit mtf and rmtf on the continuum test
 set, whose held-out slab is masked in every row, with ``--no-preprocess
@@ -63,7 +63,9 @@ def steps() -> list[tuple[str, list[str]]]:
     out = [("simulate_cp", ["simulate", *SIM_CP, "--out", "sim_cp"]),
            ("simulate_continuum", ["simulate", *SIM_CONTINUUM, "--out", "sim_continuum"]),
            ("fit_cp_mtf", ["fit", "--model", "mtf", *FIT, "--seed", "5", "sim_cp",
-                           "fit_cp_mtf"])]
+                           "fit_cp_mtf"]),
+           ("fit_cp_rmtf", ["fit", "--model", "rmtf", *FIT, "--seed", "11", "sim_cp",
+                            "fit_cp_rmtf"])]
     for i, (name, model) in enumerate(CONTINUUM_FITS.items()):
         out.append((f"fit_{name}", ["fit", *model, *FIT, "--seed", str(6 + i),
                                     "sim_continuum", f"fit_{name}"]))

@@ -2,10 +2,12 @@
 
 Exit codes: 0 success, 1 runtime/I-O failure, 2 usage or validation error.
 Every command is deterministic given --seed.  A JSON --config file may
-supply any long flag (key = flag name with dashes as underscores).  Each
-option is taken from the first place that sets it: the command-line flag,
-the config file, the --preset (fit only), then the library's default (the
-fields of ``SimSpec``, ``HyperParams`` and ``PredictionTask``).
+supply any long flag of any command (key = flag name with dashes as
+underscores, value of the flag's type); another key or value is a usage
+error.  Each option is taken from the first place that sets it: the
+command-line flag, the config file, the --preset (fit only), then the
+library's default (the fields of ``SimSpec``, ``HyperParams`` and
+``PredictionTask``).
 """
 
 from __future__ import annotations
@@ -42,20 +44,34 @@ class CliError(Exception):
         self.code = code
 
 
-def _load_config(path):
-    if not path:
+def _load_config(parser, args) -> dict:
+    """The --config file's options.  Each key must name a long flag of some
+    command (one file may serve the whole pipeline) and hold a value that
+    flag would give, checked against the running command's flag if it has
+    one; anything else is a usage error."""
+    if not args.config:
         return {}
-    with open(path) as fh:
+    with open(args.config) as fh:
         cfg = json.load(fh)
     if not isinstance(cfg, dict):
         raise CliError("config file must hold a JSON object")
+    commands = next(a for a in parser._actions if a.dest == "command").choices
+    flags = {a.dest: a for c in (*commands.values(), commands[args.command])
+             for a in c._actions if a.option_strings and a.dest != "help"}
+    for key, value in cfg.items():
+        a = flags.get(key)
+        if a is None:
+            raise CliError(f"config key {key!r} names no long flag of any command")
+        kinds = {int: (int,), float: (int, float), None: (bool,) if a.nargs == 0 else (str,)}
+        if not (value in a.choices if a.choices else type(value) in kinds[a.type]):
+            raise CliError(f"config key {key!r}: {value!r} is not a {a.option_strings[0]} value")
     return cfg
 
 
 def _merged(args, keys) -> dict:
     """The options among ``keys`` that are set: the config file's, with the
     command-line flags over them (a flag left at None is unset)."""
-    opts = {k: v for k, v in _load_config(getattr(args, "config", None)).items() if k in keys}
+    opts = {k: v for k, v in args.config.items() if k in keys}
     opts.update((k, getattr(args, k)) for k in keys if getattr(args, k, None) is not None)
     return opts
 
@@ -153,8 +169,6 @@ def _fit_once(opts, hp: HyperParams, indir, outdir) -> str:
 def cmd_fit(args) -> int:
     set_opts = _merged(args, [*FIT_DEFAULTS, *HP_FLAGS])
     opts = {**FIT_DEFAULTS, **set_opts}
-    if opts["preset"] not in PRESETS:
-        raise CliError(f"unknown preset {opts['preset']!r}")
     hp = HyperParams(k=opts["k"], **{**PRESETS[opts["preset"]], **_renamed(set_opts, HP_FLAGS)})
     reps = opts["reps"]
     rep_dirs = sorted(glob.glob(os.path.join(args.input, "rep_*")))
@@ -316,18 +330,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("simulate", help="generate a synthetic collection")
     s.add_argument("--scenario", choices=["cp", "relaxed_cp", "continuum"])
-    s.add_argument("--seed", type=int)
-    s.add_argument("--n", type=int)
-    s.add_argument("--d1", type=int)
-    s.add_argument("--d2", type=int)
-    s.add_argument("--l", type=int)
-    s.add_argument("--k-shared", dest="k_shared", type=int)
-    s.add_argument("--k-matrix", dest="k_matrix", type=int)
-    s.add_argument("--k-tensor", dest="k_tensor", type=int)
-    s.add_argument("--rho", type=float)
-    s.add_argument("--signal-var", dest="signal_var", type=float)
-    s.add_argument("--noise-var", dest="noise_var", type=float)
-    s.add_argument("--n-test", dest="n_test", type=int)
+    for fld in fields(SimSpec)[1:]:  # one flag per numeric SimSpec field, e.g. --k-shared
+        s.add_argument("--" + fld.name.replace("_", "-"), type=float if fld.type == "float" else int)
     s.add_argument("--reps", type=int)
     s.add_argument("--out", required=True)
     s.set_defaults(func=cmd_simulate)
@@ -385,6 +389,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        args.config = _load_config(parser, args)
         return args.func(args)
     except CliError as e:
         print(f"error: {e}", file=sys.stderr)

@@ -536,41 +536,55 @@ def update_z(state: MtfState, data: ModelData, rng) -> np.ndarray:
     return state.Z
 
 
-def _slab_evidence_logodds(m, prior_prec, prior_mean, s):
-    """Log evidence ratio (slab vs spike) of collapsed columns, summed over
-    the last (feature) axis, and every coefficient's posterior mean and
-    precision.  ``m`` and ``s`` are the likelihood linear and precision
-    statistics; the slab prior is N(prior_mean, 1/prior_prec)."""
-    denom = prior_prec + s
-    shifted = prior_prec * prior_mean + m
-    terms = 0.5 * (np.log(prior_prec) - np.log(denom)) \
-        + shifted ** 2 / (2.0 * denom) - prior_prec * prior_mean ** 2 / 2.0
-    return np.sum(terms, axis=-1), shifted / denom, denom
+def _slab_evidence(xb, g, tau, rho, mu):
+    """What ``_column_step`` forms once per call, for the Gram diagonal g:
+    the posterior precisions rho + tau g, their square roots and halved
+    inverses, and tau xb + rho mu, component-major (K, S, .) at the
+    broadcast shape of their inputs, and the evidence constants
+    sum_d [log(rho / precision) - rho mu^2] / 2 (K, S).  Returns
+    ``evidence(k, cross)``: column k's log evidence ratio summed over D
+    (S,), posterior mean (S, D), precision and standard deviation."""
+    tau = np.reshape(tau, (-1, 1, 1))
+    prec = rho + tau * g
+    half_log = 0.5 * (np.log(rho) - np.log(prec))
+    const = half_log.sum(axis=1) * (xb.shape[1] // half_log.shape[1])  # D terms if d-constant
+    base = tau * xb
+    if np.ndim(mu) or mu:
+        rho_mu = rho * mu
+        base, const = base + rho_mu, const - np.vecdot(rho_mu, mu, axis=1) / 2.0
+    base, prec, const = base.transpose(2, 0, 1).copy(), prec.transpose(2, 0, 1).copy(), const.T
+    sd, half, tau = np.sqrt(prec), 0.5 / prec, tau[..., 0]
+
+    def evidence(k, cross):
+        shifted = base[k] - tau * cross
+        return const[k] + np.vecdot(shifted, shifted * half[k]), shifted / prec[k], prec[k], sd[k]
+    return evidence
 
 
 def _column_step(xb, gram, w, tau, rho, mu, logit_pi, h, gen):
     """Collapsed spike-and-slab update, in place, of the loadings w (S, D, K)
     and activity h (S, K) of S independent columns per component.
 
-    Column (s, k) has likelihood statistics m = tau_s (xb[s, :, k] -
-    sum_{j != k} w[s, :, j] gram[s, :, k, j]) and tau_s gram[s, :, k, k],
-    from the data projected on the columns' designs, xb (S, D, K), and
-    their per-feature Gram, broadcastable to (S, D, K, K); tau is scalar or
-    (S,).  Slab N(mu, 1/rho), both broadcastable to w; spike exact zero.
-    Per component in order: S uniforms (also where a log odds is +-inf),
-    then one block of normals for the active columns in slab order.
+    Column (s, k) has likelihood statistics tau_s (xb[s, :, k] - c) and
+    tau_s gram[s, :, k, k], with cross term c = sum_{j != k} w[s, :, j]
+    gram[s, :, k, j], from the projected data xb (S, D, K) and the
+    per-feature Gram: (K, K) when shared, else broadcastable to (S, D, K, K).
+    tau is (S,), or a scalar when S = 1.  Slab N(mu, 1/rho), both
+    broadcastable to w; spike exact zero.  Only c depends on the other
+    columns, so ``_slab_evidence`` forms everything else once per call and
+    the component loop carries c (w with column k zeroed times Gram row k),
+    the log odds and the draws.  Per component: S uniforms (also at a log
+    odds of +-inf; a NaN one raises ValueError), then the active columns'
+    normals in slab order.
     """
-    tau = np.reshape(tau, (-1, 1))
-    rho, mu = np.broadcast_to(rho, w.shape), np.broadcast_to(mu, w.shape)
+    evidence = _slab_evidence(xb, np.diagonal(gram, axis1=-2, axis2=-1), tau, rho, mu)
     for k in range(w.shape[-1]):
-        g_kk = gram[..., k, k]
-        cross = np.sum(w * gram[..., k, :], axis=-1) - w[..., k] * g_kk
-        lo, mean, prec = _slab_evidence_logodds(tau * (xb[..., k] - cross), rho[..., k],
-                                                mu[..., k], tau * g_kk)
+        w[..., k] = 0.0
+        cross = w @ gram[k] if gram.ndim == 2 else np.vecdot(w, gram[..., k, :])
+        lo, mean, _, sd = evidence(k, cross)
         h[:, k] = draw_bernoulli_logodds(logit_pi[k] + lo, gen)
         on = h[:, k] > 0
-        w[..., k] = 0.0
-        w[on, :, k] = mean[on] + gen.standard_normal(mean[on].shape) / np.sqrt(prec[on])
+        w[on, :, k] = mean[on] + gen.standard_normal((on.sum(), w.shape[1])) / sd[on]
 
 
 def _view_stats(v: ViewData, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -612,8 +626,7 @@ def update_vh(state: MtfState, data: ModelData, t: int, rng, stats=None):
     TNNLS 26:2136): xb = sum_l u_l * (X^T Z)_l and the elementwise product
     (Z^T Z) * (U^T U), or on a masked view per feature d the Gram
     sum_l (u_l u_l^T) * M[l, d], from ``_view_stats`` of the current Z
-    (stats[t] if given, else formed here).  Draw order per component: one
-    uniform (also at a log odds of +-inf), then D normals when active.
+    (stats[t] if given, else formed here).
     """
     v = data.views[t]
     u = state.u_for_view(t)
@@ -715,8 +728,6 @@ def mtf_sweep(state: MtfState, data: ModelData, rng) -> list[np.ndarray]:
     closed by the exact rescaling moves of ``_rescale``: first z against
     every view, then each U group against its member views.
 
-    The (v,h) step uses the statistics X^T Z and Gram of ``update_vh`` in
-    its draw order (per component one uniform, then D normals if active).
     Each view's X^T Z and Gram (``_view_stats``) are formed once, after the
     z-step, and contracted with V once, after the (v,h) steps; those serve
     the u-step and the per-slab residual sums of squares (``_slab_rss``).

@@ -147,8 +147,7 @@ def _update_wh(state: RmtfState, data: ModelData, t: int, gen, stats=None):
     Z^T Z or the per-entry Gram M (``_view_stats``: stats[t] if given, else
     formed here).  The slab is N(u_l v, 1/lambda) on tensors, N(0, 1/alpha)
     on matrices.  The slab columns of one component are conditionally
-    independent, so they are drawn per component: L uniforms (also at a
-    log odds of +-inf), then the active slabs' normals.
+    independent, so they are drawn together, per component.
     """
     v = data.views[t]
     xtz, gram = _view_stats(v, state.Z) if stats is None else stats[t]
@@ -169,7 +168,7 @@ def _update_v(state: RmtfState, data: ModelData, t: int, gen):
     lam = state.lam_lk(t, v.l)
     gate = state.H[t] * lam                               # (L, K)
     prec = state.beta[t] + (gate * u ** 2).sum(axis=0)[None, :]   # (D, K)
-    num = np.einsum("lk,ldk->dk", gate * u, state.W[t], optimize=True)
+    num = np.einsum("lk,ldk->dk", gate * u, state.W[t])
     state.V[t] = num / prec + gen.standard_normal((v.d, state.k)) / np.sqrt(prec)
 
 
@@ -184,7 +183,7 @@ def _update_u(state: RmtfState, data: ModelData, g: int, gen):
         gate = state.H[t] * lam
         sv2 = (state.V[t] ** 2).sum(axis=0)               # (K,)
         prec += gate * sv2[None, :]
-        num += gate * np.einsum("ldk,dk->lk", state.W[t], state.V[t], optimize=True)
+        num += gate * np.einsum("ldk,dk->lk", state.W[t], state.V[t])
     state.U[g] = num / prec + gen.standard_normal((n_slabs, state.k)) / np.sqrt(prec)
 
 

@@ -224,6 +224,24 @@ class TestOptionLayers:
         hp = self._hyperparams(monkeypatch, tmp_path, small_sim, {})
         assert (hp.k, hp.burn_in, hp.n_samples, hp.thin, hp.n_chains) == (15, 3000, 40, 10, 7)
 
+    def test_other_commands_keys_accepted(self, monkeypatch, tmp_path, small_sim):
+        # one config file serves the whole pipeline
+        hp = self._hyperparams(monkeypatch, tmp_path, small_sim,
+                               {"burnin": 7, "stage2_sweeps": 3, "scenario": "cp",
+                                "out": "sim", "no_preprocess": True})
+        assert hp.burn_in == 7
+
+    @pytest.mark.parametrize("config", [{"k": "3"}, {"burn_in": 2}, {"model": "bogus"},
+                                        {"preset": "nope"}, {"k": True},
+                                        {"no_preprocess": 1}, {"stage2_sweeps": 2.5}])
+    def test_bad_config_key_or_value_exits_2(self, monkeypatch, tmp_path, small_sim, capsys,
+                                             config):
+        monkeypatch.setattr(cli, "fit_model", lambda *a, **kw: pytest.fail("fit started"))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        assert run("--config", cfg, "fit", small_sim, tmp_path / "a") == 2
+        assert repr(next(iter(config))) in capsys.readouterr().err
+
 
 class TestPredictCli:
     @pytest.fixture

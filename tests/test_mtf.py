@@ -10,7 +10,8 @@ from mtfact.dist import RngStream, draw_bernoulli_logodds
 from mtfact.mtf import (
     HyperParams,
     MtfState,
-    _slab_evidence_logodds,
+    _column_step,
+    _slab_evidence,
     component_structure,
     init_state,
     log_joint,
@@ -116,6 +117,43 @@ def _einsum_subtract_component(data, resid, z, vs, us, sign=1.0):
             r -= upd
         else:
             r += upd
+
+
+def _slab_evidence_logodds(m, prior_prec, prior_mean, s):
+    """The column step's evidence before it formed its constants once per
+    call: log evidence ratio (slab vs spike) summed over the last axis, and
+    every coefficient's posterior mean and precision."""
+    denom = prior_prec + s
+    shifted = prior_prec * prior_mean + m
+    terms = 0.5 * (np.log(prior_prec) - np.log(denom)) \
+        + shifted ** 2 / (2.0 * denom) - prior_prec * prior_mean ** 2 / 2.0
+    return np.sum(terms, axis=-1), shifted / denom, denom
+
+
+def _reference_column_step(xb, gram, w, tau, rho, mu, logit_pi, h, gen):
+    """The column step as it was before it formed its constants once per
+    call: every statistic from the whole (S, D, K) loadings per component,
+    in the same draw order (S uniforms, then the active slabs' normals)."""
+    tau = np.reshape(tau, (-1, 1))
+    rho, mu = np.broadcast_to(rho, w.shape), np.broadcast_to(mu, w.shape)
+    for k in range(w.shape[-1]):
+        g_kk = gram[..., k, k]
+        cross = np.sum(w * gram[..., k, :], axis=-1) - w[..., k] * g_kk
+        lo, mean, prec = _slab_evidence_logodds(tau * (xb[..., k] - cross), rho[..., k],
+                                                mu[..., k], tau * g_kk)
+        h[:, k] = draw_bernoulli_logodds(logit_pi[k] + lo, gen)
+        on = h[:, k] > 0
+        w[..., k] = 0.0
+        w[on, :, k] = mean[on] + gen.standard_normal(mean[on].shape) / np.sqrt(prec[on])
+
+
+def _evidence(m, prior_prec, prior_mean, s):
+    """``_slab_evidence`` of one column of len(m) coefficients with tau = 1
+    and no cross term: (log evidence ratio, posterior mean, precision)."""
+    col = lambda x: np.broadcast_to(x, np.shape(m))[None, :, None]
+    mu = prior_mean if np.ndim(prior_mean) == 0 else col(prior_mean)
+    lo, mean, prec, _ = _slab_evidence(col(m), col(s), 1.0, col(prior_prec), mu)(0, 0.0)
+    return lo[0], mean[0], np.broadcast_to(prec, mean.shape)[0]
 
 
 def _residual_column_reference(state, data, t, gen, model):
@@ -392,7 +430,7 @@ class TestSpikeSlabEvidence:
         m = np.array([0.7, -1.3])
         s = np.array([0.21, 0.08])
         alpha = np.array([1.7, 0.9])
-        lo, post_mean, post_prec = _slab_evidence_logodds(m, alpha, 0.0, s)
+        lo, post_mean, post_prec = _evidence(m, alpha, 0.0, s)
         num = 0.0
         for j in range(2):
             f = lambda v: stats.norm.pdf(v, 0, 1 / np.sqrt(alpha[j])) * np.exp(
@@ -408,7 +446,7 @@ class TestSpikeSlabEvidence:
         s = np.array([0.5, 1.2, 0.05])
         rho = 2.3
         mu = np.array([0.4, -1.0, 0.8])
-        lo, post_mean, _ = _slab_evidence_logodds(m, rho, mu, s)
+        lo, post_mean, _ = _evidence(m, rho, mu, s)
         num = 0.0
         for j in range(3):
             f = lambda w: stats.norm.pdf(w, mu[j], 1 / np.sqrt(rho)) * np.exp(
@@ -482,10 +520,15 @@ class TestUpdateVH:
         seen = []
 
         def spy(*args):
-            seen.append(_slab_evidence_logodds(*args))
-            return seen[-1]
+            evidence = _slab_evidence(*args)
 
-        monkeypatch.setattr(mtf_mod, "_slab_evidence_logodds", spy)
+            def per_component(k, cross):
+                lo, mean, prec, sd = evidence(k, cross)
+                seen.append((lo, mean, np.broadcast_to(prec, mean.shape)))
+                return lo, mean, prec, sd
+            return per_component
+
+        monkeypatch.setattr(mtf_mod, "_slab_evidence", spy)
         gen_new, gen_ref = RngStream(9).gen, RngStream(9).gen
         for t in range(data.n_views):
             del seen[:]
@@ -522,6 +565,98 @@ class TestUpdateVH:
             a, b = getattr(new, field), getattr(ref, field)
             for x, y in zip(a, b) if isinstance(a, list) else [(a, b)]:
                 np.testing.assert_allclose(x, y, rtol=1e-10)
+
+
+def _column_step_cases():
+    """(model, lambda mode, view, masked): MTF on both views, the rMTF
+    matrix view, and the rMTF tensor view in every lambda mode."""
+    cases = []
+    for masked in (False, True):
+        cases += [("mtf", "global", 0, masked), ("mtf", "global", 1, masked),
+                  ("rmtf", "global", 0, masked)]
+        cases += [("rmtf", mode, 1, masked) for mode in ("global", "per_component", "per_slab")]
+    return cases
+
+
+def _kernel_inputs(gen, masked, s=3, d=4, k=3):
+    """Direct ``_column_step`` inputs with a nonzero slab mean: (xb, gram,
+    w, tau, rho, mu, h); the Gram is shared, or per (s, d) when masked."""
+    z = gen.standard_normal((12, k))
+    if masked:
+        obs = gen.random((12, s, d)) > 0.3
+        gram = np.einsum("nsd,nk,nj->sdkj", obs, z, z)
+    else:
+        gram = z.T @ z
+    return (gen.standard_normal((s, d, k)), gram, gen.standard_normal((s, d, k)),
+            gen.gamma(2.0, size=s), gen.gamma(2.0, size=(s, 1, k)),
+            gen.standard_normal((s, d, k)), np.ones((s, k)))
+
+
+class TestColumnStepReference:
+    """The column step against its form before it formed the precisions,
+    log-normalizers and evidence constants once per call: one seeded step
+    gives the same loadings to rounding, the same activity and the same
+    generator state (so the same number of draws)."""
+
+    @staticmethod
+    def _both(args, logit_pi, seed=5):
+        out = []
+        for kernel in (_column_step, _reference_column_step):
+            xb, gram, w, tau, rho, mu, h = (np.copy(a) for a in args)
+            gen = RngStream(seed).gen
+            kernel(xb, gram, w, tau, rho, mu, logit_pi, h, gen)
+            out.append((w, h, gen.bit_generator.state))
+        return out
+
+    @pytest.mark.parametrize("model,mode,t,masked", _column_step_cases())
+    def test_one_step_matches_reference(self, model, mode, t, masked, monkeypatch):
+        gen = np.random.default_rng(61)
+        c = _planted(make_collection(gen, masked=masked), gen)
+        hp = small_hp(k=4, lambda_mode=mode)
+        data = prepare(c, hp)
+        init, sweep, step, module, field = {
+            "mtf": (init_state, mtf_sweep, update_vh, mtf_mod, "V"),
+            "rmtf": (rmtf_init, rmtf_mod.rmtf_sweep, rmtf_mod._update_wh, rmtf_mod, "W")}[model]
+        state = init(data, hp, RngStream(3))
+        for _ in range(2):
+            sweep(state, data, RngStream(4).gen)
+        state.pi = np.array([0.05, 0.3, 0.6, 0.95])
+        new, ref = state.copy(), state.copy()
+        gen_new, gen_ref = RngStream(5).gen, RngStream(5).gen
+        step(new, data, t, gen_new)
+        monkeypatch.setattr(module, "_column_step", _reference_column_step)
+        step(ref, data, t, gen_ref)
+        np.testing.assert_allclose(getattr(new, field)[t], getattr(ref, field)[t], rtol=1e-10)
+        np.testing.assert_array_equal(new.H[t], ref.H[t])
+        assert gen_new.bit_generator.state == gen_ref.bit_generator.state
+
+    @pytest.mark.parametrize("masked", [False, True])
+    @pytest.mark.parametrize("zero_mean", [False, True])
+    def test_component_off_in_every_slab_draws_no_normals(self, masked, zero_mean):
+        args = list(_kernel_inputs(np.random.default_rng(62), masked))
+        if zero_mean:
+            args[5] = 0.0
+        (w, h, state), (w_ref, h_ref, state_ref) = self._both(args, np.array([0.5, -np.inf, 0.3]))
+        assert np.all(h[:, 1] == 0) and np.all(w[..., 1] == 0.0)
+        np.testing.assert_allclose(w, w_ref, rtol=1e-10)
+        np.testing.assert_array_equal(h, h_ref)
+        assert state == state_ref
+
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_infinite_log_odds_still_draw_uniforms(self, masked):
+        args = _kernel_inputs(np.random.default_rng(63), masked)
+        (w, h, state), (w_ref, h_ref, state_ref) = self._both(args, np.array([np.inf, -np.inf, 0.0]))
+        assert np.all(h[:, 0] == 1) and np.all(h[:, 1] == 0)
+        np.testing.assert_allclose(w, w_ref, rtol=1e-10)
+        np.testing.assert_array_equal(h, h_ref)
+        assert state == state_ref
+
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_nan_statistic_raises(self, masked):
+        xb, gram, w, tau, rho, mu, h = _kernel_inputs(np.random.default_rng(64), masked)
+        xb[1, 2, 0] = np.nan
+        with pytest.raises(ValueError, match="NaN"):
+            _column_step(xb, gram, w, tau, rho, mu, np.zeros(3), h, RngStream(6).gen)
 
 
 class TestUpdateU:
