@@ -10,14 +10,20 @@ that tree's ``src`` on the path and one BLAS thread: ``simulate`` (cp,
 continuum and relaxed_cp), ``fit`` (mtf and rmtf on cp; on continuum mtf,
 rmtf with global, per_component and per_slab lambda, and gfa), ``predict`` of the
 continuum test set from every continuum fit, with and without ``--truth``,
-then two masked-training fits.  Those fit mtf and rmtf on the continuum test
-set, whose held-out slab is masked in every row, with ``--no-preprocess
---b-tau 1``, so they reach the masked Z- and U-steps (the other fits' training
-data is fully observed).  Last come the option layers and batch layouts:
-``simulate --reps 2`` and ``fit --reps 2`` over its ``rep_*`` directories,
-an mtf fit of the cp data whose model and schedule come from a ``--config``
-file (``config.json``, written into the work directory) under ``--preset
-strong-reg``, and ``report --truth`` over that fit and the first cp fit.
+and of a multi-pattern test set from the mtf and global-lambda rmtf fits,
+then two masked-training fits.  The multi-pattern test set
+(``test_patterns``, written into the work directory) is the continuum test
+set with some CSV rows dropped (``drop_row``), so its rows fall into
+several missingness patterns, lone rows among them, where every row of the
+simulated test set shares one.  The masked-training fits fit mtf and rmtf on
+the continuum test set, whose held-out slab is masked in every row, with
+``--no-preprocess --b-tau 1``, so they reach the masked Z- and U-steps (the
+other fits' training data is fully observed).  Last come the option layers
+and batch layouts: ``simulate --reps 2`` and ``fit --reps 2`` over its
+``rep_*`` directories, an mtf fit of the cp data whose model and schedule
+come from a ``--config`` file (``config.json``, written into the work
+directory) under ``--preset strong-reg``, and ``report --truth`` over that
+fit and the first cp fit.
 Each step's standard output is kept as a file too.
 
 With ``--rtol R --atol A``, a CSV or JSON file whose bytes differ still
@@ -58,6 +64,27 @@ CONFIG = {"model": "mtf", "k": 3, "chains": 2, "burnin": 8, "samples": 3, "thin"
           "jobs": 1}
 
 
+def drop_row(i: int, sample: int) -> bool:
+    """Whether data row i of a view file of ``test_patterns`` is dropped:
+    one row in 13 among samples 0-5, so those samples get patterns of their
+    own and samples 6-8 keep the shared one."""
+    return i % 13 == 0 and sample < 6
+
+
+def write_multi_pattern_test(work: str):
+    """Copy ``sim_continuum/test`` to ``test_patterns``, dropping the view
+    files' data rows that ``drop_row`` names."""
+    src, dst = os.path.join(work, "sim_continuum", "test"), os.path.join(work, "test_patterns")
+    shutil.copytree(src, dst)
+    for name in os.listdir(src):
+        if name.endswith(".csv"):
+            with open(os.path.join(src, name), newline="") as fh:
+                header, *rows = list(csv.reader(fh))
+            with open(os.path.join(dst, name), "w", newline="") as fh:
+                csv.writer(fh).writerows([header] + [r for i, r in enumerate(rows)
+                                                     if not drop_row(i, int(r[0]))])
+
+
 def steps() -> list[tuple[str, list[str]]]:
     """(name, CLI arguments) of every step, in run order; paths are relative."""
     out = [("simulate_cp", ["simulate", *SIM_CP, "--out", "sim_cp"]),
@@ -75,6 +102,11 @@ def steps() -> list[tuple[str, list[str]]]:
         out.append((f"predict_{name}", [*base, "--out", f"pred_{name}.csv"]))
         out.append((f"predict_{name}_truth", [*base, "--truth", "sim_continuum/test_full",
                                               "--out", f"pred_{name}_truth.csv"]))
+    for i, name in enumerate(("mtf", "rmtf_global")):
+        out.append((f"predict_patterns_{name}",
+                    ["predict", "--archive", f"fit_{name}", "--test", "test_patterns",
+                     "--seed", str(50 + i), "--stage2-sweeps", "7", "--stage2-samples", "3",
+                     "--out", f"pred_patterns_{name}.csv"]))
     for i, model in enumerate(("mtf", "rmtf")):
         out.append((f"fit_masked_{model}", ["fit", "--model", model, *FIT, "--seed", str(30 + i),
                                             "--no-preprocess", "--b-tau", "1",
@@ -104,6 +136,8 @@ def run_tree(tree: str, work: str) -> str | None:
             return f"{tree}: step {name} exited {proc.returncode}: {proc.stderr.strip()}"
         with open(os.path.join(work, "stdout", f"{name}.txt"), "w") as fh:
             fh.write(proc.stdout)
+        if name == "simulate_continuum":
+            write_multi_pattern_test(work)
     return None
 
 

@@ -1,11 +1,12 @@
-"""Seeded random sampling primitives for the Gibbs conditionals."""
+"""Seeded random sampling primitives for the Gibbs conditionals, among them
+the one batched Gaussian row draw, keyed by each row's pattern index."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import lapack
+from scipy.linalg import inv, lapack
 from scipy.special import expit
 
 __all__ = [
@@ -71,42 +72,18 @@ def cholesky_precision(prec: np.ndarray) -> np.ndarray:
     return chol
 
 
-def _tri_solve(chol: np.ndarray, b: np.ndarray, trans: int) -> np.ndarray:
-    """L^-1 b (trans 0) or L^-T b (trans 1), L lower (K, K), b (K, M): one
-    trtrs call on whichever of L and L^T is Fortran-ordered, the layout rule
-    of ``scipy.linalg.solve_triangular``, which it matches bit for bit."""
-    if chol.flags.f_contiguous:
-        x, info = lapack.dtrtrs(chol, b, lower=1, trans=trans)
-    else:
-        x, info = lapack.dtrtrs(chol.T, b, lower=0, trans=1 - trans)
-    if info != 0:
-        raise np.linalg.LinAlgError(f"triangular solve failed (trtrs info {info})")
-    return x
-
-
-def draw_mvn_precision_chol(h: np.ndarray, chols: np.ndarray, rows, eps: np.ndarray) -> np.ndarray:
-    """Row n of h (N, K) drawn from N(P_p^-1 h_n, P_p^-1) for n in rows[p],
+def draw_mvn_precision_chol(h: np.ndarray, chols: np.ndarray, pattern: np.ndarray,
+                            eps: np.ndarray) -> np.ndarray:
+    """Row n of h (N, K) drawn from N(P_p^-1 h_n, P_p^-1), p = pattern[n],
     given lower Cholesky factors L_p (P, K, K) and standard normals eps
     (..., N, K) in row order, whose leading axes are independent draws
-    sharing each row's mean; returns eps's shape.  x = L^-T L^-1 h + L^-T eps
-    with, per pattern, one multi-column solve pair for its rows' means and
-    one solve for the noise of all its draws; a lone row's noise is solved
-    draw by draw, as LAPACK's one-column solve rounds differently."""
-    order = np.concatenate(rows)            # rows pattern by pattern
-    h, eps = h[order], eps[..., order, :]
-    drawn = np.empty(eps.shape)
-    stop = 0
-    for chol, r in zip(chols, rows):
-        start, stop = stop, stop + r.size
-        e = eps[..., start:stop, :]
-        cols = e.reshape(-1, h.shape[1])
-        noise = _tri_solve(chol, cols.T, 1).T if r.size > 1 or len(cols) == 1 else \
-            np.concatenate([_tri_solve(chol, c[:, None], 1).T for c in cols])
-        drawn[..., start:stop, :] = _tri_solve(chol, _tri_solve(chol, h[start:stop].T, 0), 1).T \
-            + noise.reshape(e.shape)
-    out = np.empty(eps.shape)
-    out[..., order, :] = drawn
-    return out
+    sharing each row's mean; returns eps's shape.  One batched expression,
+    x_n = L_p^-T (L_p^-1 h_n + eps_n), with the P inverse factors from one
+    batched triangular ``inv`` call and two stacked products: every
+    precision here is I plus positive semidefinite terms, so ||L_p^-1|| <= 1."""
+    li = inv(chols, assume_a="lower triangular")[pattern]    # (N, K, K)
+    y = (li @ h[:, :, None])[..., 0] + eps
+    return (li.transpose(0, 2, 1) @ y[..., None])[..., 0]
 
 
 def _chol_jittered(prec: np.ndarray) -> np.ndarray:

@@ -148,7 +148,7 @@ class ModelData:
     views: list[ViewData]
     u_groups: list[list[int]]
     group_of: dict[int, int]
-    patterns: list[np.ndarray]    # rows of each joint missingness pattern
+    patterns: np.ndarray          # (N,) joint missingness pattern of each row
     hp: HyperParams | None = None
     b_tau: np.ndarray | None = None             # (T,) resolved noise-precision rates
     b_tau_slab: list[np.ndarray] | None = None  # per view (L_t,)
@@ -174,8 +174,8 @@ class ModelData:
 
 def _compile(c: Collection) -> ModelData:
     """``ModelData`` of a collection without priors (a test set's held-out
-    slab has no observed variance to resolve them from): the rows grouped
-    by joint missingness pattern across the masked views, in the order
+    slab has no observed variance to resolve them from): each row's joint
+    missingness pattern across the masked views, numbered in the order
     ``np.unique`` gives their packed observation bits, with each masked
     view's (P, L*D) observation rows of the patterns.  P = 1 when dense."""
     views = []
@@ -192,14 +192,12 @@ def _compile(c: Collection) -> ModelData:
         ))
     n = c.n_samples
     masked = [v for v in views if v.obs is not None]
-    patterns = [np.arange(n)]
+    patterns = np.zeros(n, dtype=np.intp)
     if masked:
         packed = np.packbits(np.concatenate([v.obs.reshape(n, -1) for v in masked], axis=1) > 0,
                              axis=1)
-        _, first, inverse = np.unique(packed.view(f"V{packed.shape[1]}")[:, 0],
-                                      return_index=True, return_inverse=True)
-        patterns = np.split(np.argsort(inverse, kind="stable"),
-                            np.cumsum(np.bincount(inverse))[:-1])
+        _, first, patterns = np.unique(packed.view(f"V{packed.shape[1]}")[:, 0],
+                                       return_index=True, return_inverse=True)
         for v in masked:
             v.pattern_obs = v.obs.reshape(n, -1)[first]
     groups = c.u_groups()
@@ -250,6 +248,11 @@ class _LatentState:
             return self.U[self.group_of[t]]
         return np.ones((1, self.k))
 
+    def slab_mean(self, t: int) -> np.ndarray:
+        """The trilinear slab loadings u_l * V_t (L, D, K) of view t: the
+        strict model's slabs, and the relaxed model's slab prior mean."""
+        return self.u_for_view(t)[:, None, :] * self.V[t][None, :, :]
+
     def copy(self):
         """Deep copy of every array field, also inside lists (None kept)."""
         def dup(x):
@@ -277,8 +280,8 @@ class MtfState(_LatentState):
     def slab_loadings(self, t: int) -> tuple[np.ndarray, np.ndarray]:
         """Per-slab loadings W (L, D, K) of view t, slab l being u_l * V, and
         the noise precision of each slab (tau_t repeated)."""
-        u = self.u_for_view(t)
-        return u[:, None, :] * self.V[t][None, :, :], np.full(u.shape[0], self.tau[t])
+        w = self.slab_mean(t)
+        return w, np.full(w.shape[0], self.tau[t])
 
 
 @dataclass
@@ -645,8 +648,8 @@ def update_u(state: MtfState, data: ModelData, g: int, rng, ustats=None) -> np.n
     Precision for slab l: I_K + sum_t tau_t sum_{(n,d) observed} b b^T with
     b = z_n * v_d, and linear term sum_t tau_t P_t[l], from (P_t, Gram) of
     ``_strict_stats`` (ustats[t] if given, else formed here).  Without
-    masked member views all slabs are one pattern with one shared
-    precision; otherwise each slab is its own pattern of one row.
+    masked member views all slabs are pattern 0 with one shared
+    precision; otherwise slab l is pattern l.
     """
     members = data.u_groups[g]
     lin, prec = 0.0, np.eye(state.k)
@@ -656,7 +659,7 @@ def update_u(state: MtfState, data: ModelData, g: int, rng, ustats=None) -> np.n
         lin = lin + state.tau[t] * p
         prec = prec + state.tau[t] * a
     chols = _factors(prec)
-    state.U[g] = draw_mvn_precision_chol(lin, chols, np.arange(len(lin)).reshape(len(chols), -1),
+    state.U[g] = draw_mvn_precision_chol(lin, chols, np.arange(len(lin)) % len(chols),
                                          _as_gen(rng).standard_normal(lin.shape))
     return state.U[g]
 

@@ -7,10 +7,10 @@ snapshot, the test samples' latent rows have one fixed Gaussian conditional
 on their observed entries (targets are never conditioned on), so each
 stage-two draw of z is exact and independent; each draw predicts the
 targets with their noise, and the draws are averaged over all snapshots.
-The test collection is compiled and its rows grouped by missingness
-pattern as for training (``mtf._compile``), so a snapshot's conditional
-has one precision per pattern and every retained draw of a pattern's rows
-comes from one Gaussian row draw (``dist.draw_mvn_precision_chol``).
+The test collection is compiled as for training (``mtf._compile``), so a
+snapshot's conditional has one precision per row missingness pattern, and
+every retained draw comes from one batched Gaussian row draw keyed by each
+row's pattern index (``dist.draw_mvn_precision_chol``).
 
 ``predict_collection`` is the one path from a test collection in data units
 to scored predictions.  It unfolds the test and truth collections when the
@@ -114,9 +114,10 @@ def two_stage_predict(task: PredictionTask, rng) -> PredictionResult:
     n, k = data.n, chains[0].states[0].k
     n_keep = task.n_stage2_samples
     # per retained draw: each pattern's (rows, K) normals, then each view's
-    # target noise, in the order of a draw-by-draw loop
+    # target noise, in the order of a draw-by-draw loop; row n's normals sit
+    # at its rank among the rows sorted by pattern
     ends = np.cumsum([n * k] + [i[0].size for i in tgt_idx])
-    pattern_order = np.concatenate(data.patterns)
+    rank = np.argsort(np.argsort(data.patterns, kind="stable"))
 
     for samples in chains:
         for state in samples.states[::task.snapshot_stride]:
@@ -127,9 +128,8 @@ def two_stage_predict(task: PredictionTask, rng) -> PredictionResult:
             # burn-in only advances the stream, as many normals as its draws
             gen.standard_normal(task.n_stage2_sweeps * n * k)
             eps = np.split(gen.standard_normal((n_keep, ends[-1])), ends[:-1], axis=1)
-            z_eps = np.empty((n_keep, n, k))
-            z_eps[:, pattern_order] = eps[0].reshape(n_keep, n, k)
-            z = draw_mvn_precision_chol(lin, chols, data.patterns, z_eps)
+            z = draw_mvn_precision_chol(lin, chols, data.patterns,
+                                        eps[0].reshape(n_keep, n, k)[:, rank])
             for (ni, li, di), (_, _, w, tau_l), e, a, a_sq in zip(
                     tgt_idx, blocks, eps[1:], acc, acc_sq):
                 draws = np.einsum("sjk,jk->sj", z.take(ni, axis=1), w[li, di]) + e / np.sqrt(tau_l[li])

@@ -124,11 +124,10 @@ def rmtf_init(c, hp: HyperParams, rng) -> RmtfState:
             state.beta.append(None)
             state.V.append(np.zeros((v.d, k)))
         else:
-            u = state.u_for_view(t)
-            state.W.append(u[:, None, :] * V0[t][None, :, :])
+            state.V.append(V0[t].copy())
+            state.W.append(state.slab_mean(t))
             state.alpha.append(None)
             state.beta.append((hp.a_beta + 0.5) / (hp.b_beta + V0[t] ** 2 / 2.0))
-            state.V.append(V0[t].copy())
     return state
 
 
@@ -154,22 +153,24 @@ def _update_wh(state: RmtfState, data: ModelData, t: int, gen, stats=None):
     if v.is_matrix():
         rho, mu = state.alpha[t], 0.0
     else:
-        rho = state.lam_lk(t, v.l)[:, None, :]
-        mu = state.u_for_view(t)[:, None, :] * state.V[t][None, :, :]
+        rho, mu = state.lam_lk(t, v.l)[:, None, :], state.slab_mean(t)
     _column_step(xtz, gram, state.W[t], state.tau[t], rho, mu,
                  _logit(state.pi), state.H[t], gen)
     return state.W[t], state.H[t]
 
 
 def _update_v(state: RmtfState, data: ModelData, t: int, gen):
-    """Trilinear mean profile of a tensor view: Gaussian given active slabs' W."""
+    """Trilinear mean profile of a tensor view: Gaussian given active slabs' W.
+    A component off in every slab keeps its profile and beta (every column
+    is drawn, then those are kept): the partial scan of ``mtf.update_hypers``,
+    so a persistently inactive profile cannot random-walk with its beta."""
     v = data.views[t]
     u = state.u_for_view(t)
-    lam = state.lam_lk(t, v.l)
-    gate = state.H[t] * lam                               # (L, K)
+    gate = state.H[t] * state.lam_lk(t, v.l)              # (L, K)
     prec = state.beta[t] + (gate * u ** 2).sum(axis=0)[None, :]   # (D, K)
     num = np.einsum("lk,ldk->dk", gate * u, state.W[t])
-    state.V[t] = num / prec + gen.standard_normal((v.d, state.k)) / np.sqrt(prec)
+    drawn = num / prec + gen.standard_normal((v.d, state.k)) / np.sqrt(prec)
+    state.V[t] = np.where(state.H[t].max(axis=0) > 0, drawn, state.V[t])
 
 
 def _update_u(state: RmtfState, data: ModelData, g: int, gen):
@@ -179,10 +180,8 @@ def _update_u(state: RmtfState, data: ModelData, g: int, gen):
     prec = np.ones((n_slabs, state.k))
     num = np.zeros((n_slabs, state.k))
     for t in members:
-        lam = state.lam_lk(t, n_slabs)
-        gate = state.H[t] * lam
-        sv2 = (state.V[t] ** 2).sum(axis=0)               # (K,)
-        prec += gate * sv2[None, :]
+        gate = state.H[t] * state.lam_lk(t, n_slabs)
+        prec += gate * (state.V[t] ** 2).sum(axis=0)
         num += gate * np.einsum("ldk,dk->lk", state.W[t], state.V[t])
     state.U[g] = num / prec + gen.standard_normal((n_slabs, state.k)) / np.sqrt(prec)
 
@@ -190,12 +189,8 @@ def _update_u(state: RmtfState, data: ModelData, g: int, gen):
 def _lambda_stats(state: RmtfState, data: ModelData):
     """(view, active-triple counts (L, K), squared deviations (w - u v)^2
     (L, D, K)) of each tensor view."""
-    out = []
-    for t, v in enumerate(data.views):
-        if not v.is_matrix():
-            mean = state.u_for_view(t)[:, None, :] * state.V[t][None, :, :]
-            out.append((t, state.H[t] * v.d, (state.W[t] - mean) ** 2 * state.H[t][:, None, :]))
-    return out
+    return [(t, state.H[t] * v.d, (state.W[t] - state.slab_mean(t)) ** 2 * state.H[t][:, None, :])
+            for t, v in enumerate(data.views) if not v.is_matrix()]
 
 
 def _update_lambda(state: RmtfState, data: ModelData, hp: HyperParams, gen):
@@ -223,8 +218,9 @@ def _update_scales_and_noise(state: RmtfState, data: ModelData, hp: HyperParams,
         if v.is_matrix():
             state.alpha[t] = _draw_ard(state.alpha[t], state.H[t][0], state.W[t][0],
                                        hp.a_alpha, hp.b_alpha, gen)
-        else:   # the mean profile's precisions: every column counts as active
-            state.beta[t] = _draw_ard(state.beta[t], 1.0, state.V[t], hp.a_beta, hp.b_beta, gen)
+        else:   # the mean profile's precisions, of components on in some slab
+            state.beta[t] = _draw_ard(state.beta[t], state.H[t].max(axis=0), state.V[t],
+                                      hp.a_beta, hp.b_beta, gen)
     for t, v in enumerate(data.views):
         b_post = data.b_tau_slab[t] + 0.5 * rss[t]
         state.tau[t] = gen.gamma(hp.a_tau + v.obs_per_slab / 2.0, 1.0 / b_post)
@@ -268,7 +264,7 @@ def rmtf_log_joint(state: RmtfState, data: ModelData, rss=None) -> float:
             total += _ard_lp(state.alpha[t], state.H[t][0], state.W[t][0], h)
         else:
             lam = state.lam_lk(t, v.l)[:, None, :]
-            dev = state.W[t] - state.u_for_view(t)[:, None, :] * state.V[t][None, :, :]
+            dev = state.W[t] - state.slab_mean(t)
             total += float(np.sum(state.H[t][:, None, :] * _normal_lp(dev, lam)))
             total += float(np.sum(_normal_lp(state.V[t], state.beta[t]))) \
                 + _gamma_lp(state.beta[t], h.a_beta, h.b_beta)
@@ -310,10 +306,8 @@ def rmtf_sample_state_from_prior(data: ModelData, hp: HyperParams, rng) -> RmtfS
             b, vmat = _ard_prior(v.d, np.ones(k), hp.a_beta, hp.b_beta, gen)
             state.beta.append(b)
             state.V.append(vmat)
-            u = state.u_for_view(t)
-            mean = u[:, None, :] * vmat[None, :, :]
             sd = 1.0 / np.sqrt(state.lam_lk(t, v.l))[:, None, :]
-            w = (mean + gen.standard_normal((v.l, v.d, k)) * sd) * H[:, None, :]
+            w = (state.slab_mean(t) + gen.standard_normal((v.l, v.d, k)) * sd) * H[:, None, :]
             state.W.append(w)
         state.tau.append(gen.gamma(hp.a_tau, 1.0 / data.b_tau_slab[t]))
     return state

@@ -60,7 +60,7 @@ def stacked_draw_spy(monkeypatch, module):
     """Record the Gaussian row draws of the Z- and U-steps in ``module``:
     returns a list that receives, per draw, (precision per row, conditional
     mean per row).  The pattern precisions that ``module._factors`` gets are
-    expanded to the rows of each pattern that
+    expanded to the rows by the pattern index that
     ``module.draw_mvn_precision_chol`` gets (a shared (K, K) precision is
     repeated)."""
     seen, precs = [], []
@@ -70,13 +70,10 @@ def stacked_draw_spy(monkeypatch, module):
         precs.append(prec.reshape((-1,) + prec.shape[-2:]))
         return factors(prec)
 
-    def draw_spy(h, chols, rows, eps):
-        prec = precs.pop()
-        prec_rows = np.empty((h.shape[0],) + prec.shape[1:])
-        for p, r in zip(prec, rows):
-            prec_rows[r] = p
+    def draw_spy(h, chols, pattern, eps):
+        prec_rows = precs.pop()[pattern]
         seen.append((prec_rows, np.linalg.solve(prec_rows, h[..., None])[..., 0]))
-        return draw(h, chols, rows, eps)
+        return draw(h, chols, pattern, eps)
 
     monkeypatch.setattr(module, "_factors", factors_spy)
     monkeypatch.setattr(module, "draw_mvn_precision_chol", draw_spy)

@@ -17,7 +17,7 @@ from mtfact.dist import (
 def _draw_shared(h, chol, gen):
     """Rows of h (N, K) drawn with the one shared factor chol (K, K): a
     single pattern holding every row, on one (N, K) block of normals."""
-    return draw_mvn_precision_chol(h, chol[None], [np.arange(h.shape[0])],
+    return draw_mvn_precision_chol(h, chol[None], np.zeros(h.shape[0], dtype=int),
                                    gen.standard_normal(h.shape))
 
 
@@ -92,10 +92,10 @@ class TestMvnPrecision:
         # one row, alone and with a leading axis of four draws sharing its mean
         chol = cholesky_precision(np.eye(3))[None]
         eps = RngStream(9).gen.standard_normal((4, 1, 3))
-        out = draw_mvn_precision_chol(np.ones((1, 3)), chol, [np.arange(1)], eps[0])
+        out = draw_mvn_precision_chol(np.ones((1, 3)), chol, np.zeros(1, dtype=int), eps[0])
         assert out.shape == (1, 3)
         np.testing.assert_array_equal(out, 1.0 + eps[0])
-        out = draw_mvn_precision_chol(np.ones((1, 3)), chol, [np.arange(1)], eps)
+        out = draw_mvn_precision_chol(np.ones((1, 3)), chol, np.zeros(1, dtype=int), eps)
         assert out.shape == (4, 1, 3)
         np.testing.assert_array_equal(out, 1.0 + eps)
 
@@ -139,13 +139,13 @@ class TestStackedGaussians:
         a = gen.standard_normal((3, 3, 5))
         precs = a @ a.transpose(0, 2, 1) + np.eye(3)
         fortran = np.asfortranarray(np.stack([cholesky_precision(p) for p in precs], axis=-1))
-        rows = [np.array([0, 2, 5]), np.array([3]), np.array([1, 4])]
+        pattern = np.array([0, 2, 0, 1, 2, 0])    # rows [0, 2, 5], [3] and [1, 4]
         h = gen.standard_normal((6, 3))
         eps = gen.standard_normal((2, 6, 3))
         for chols in (np.linalg.cholesky(precs), fortran.transpose(2, 0, 1)):
-            got = draw_mvn_precision_chol(h, chols, rows, eps)
-            for p, r in enumerate(rows):
-                for n in r:
+            got = draw_mvn_precision_chol(h, chols, pattern, eps)
+            for p in range(3):
+                for n in np.nonzero(pattern == p)[0]:
                     mean = np.linalg.solve(precs[p], h[n])
                     for s in range(2):
                         want = mean + np.linalg.solve(chols[p].T, eps[s, n])

@@ -391,8 +391,7 @@ class TestRowPatterns:
 
     def test_dense_collection_is_one_pattern(self):
         data = prepare(make_collection(np.random.default_rng(0)), small_hp())
-        assert len(data.patterns) == 1
-        np.testing.assert_array_equal(data.patterns[0], np.arange(data.n))
+        np.testing.assert_array_equal(data.patterns, np.zeros(data.n))
         assert all(v.pattern_obs is None for v in data.views)
 
     def test_pattern_order_and_rows(self):
@@ -401,22 +400,19 @@ class TestRowPatterns:
         obs = np.concatenate([v.observed.transpose(0, 2, 1).reshape(c.n_samples, -1)
                               for v in c.views], axis=1).astype(float)
         want, inverse = np.unique(obs, axis=0, return_inverse=True)
-        assert len(data.patterns) == want.shape[0] > 2
+        assert data.patterns.max() + 1 == want.shape[0] > 2
         np.testing.assert_array_equal(np.concatenate([v.pattern_obs for v in data.views], axis=1),
                                       want)
-        for p, rows in enumerate(data.patterns):
-            np.testing.assert_array_equal(rows, np.nonzero(inverse == p)[0])
-            for v in data.views:
-                np.testing.assert_array_equal(v.obs.reshape(c.n_samples, -1)[rows],
-                                              np.broadcast_to(v.pattern_obs[p],
-                                                              (rows.size, v.pattern_obs.shape[1])))
+        np.testing.assert_array_equal(data.patterns, inverse)
+        for v in data.views:    # the index reproduces every observation row
+            np.testing.assert_array_equal(v.pattern_obs[data.patterns],
+                                          v.obs.reshape(c.n_samples, -1))
 
     def test_all_masked_row_is_its_own_pattern(self, monkeypatch):
         c = make_masked_rows_collection(np.random.default_rng(21))
         hp = small_hp(k=3)
         data = prepare(c, hp)
-        alone = [p for p, rows in enumerate(data.patterns) if 2 in rows]
-        assert len(alone) == 1 and data.patterns[alone[0]].tolist() == [2]
+        assert np.nonzero(data.patterns == data.patterns[2])[0].tolist() == [2]
         state = init_state(data, hp, RngStream(4))
         seen = stacked_draw_spy(monkeypatch, mtf_mod)
         update_z(state, data, RngStream(5).gen)

@@ -301,8 +301,10 @@ class TestStageTwoReference:
         means, stds, n_draws = _reference_predict(task, RngStream(30))
         assert got.n_draws == n_draws
         for t in range(len(test.views)):
-            assert np.array_equal(got.mean[t], means[t])
-            assert np.array_equal(got.std[t], stds[t])
+            for have, want in ((got.mean[t], means[t]), (got.std[t], stds[t])):
+                # the batched draw rounds differently from scipy's solves
+                np.testing.assert_array_equal(have != 0, want != 0)
+                np.testing.assert_allclose(have[want != 0], want[want != 0], rtol=1e-10, atol=0)
 
     def test_multi_pattern_case_has_several_patterns(self, cases):
         test = cases["multi_pattern"][1]

@@ -324,6 +324,69 @@ class TestLambdaModes:
         assert np.max(np.abs(res.z_scores)) < 5.0
 
 
+class TestInactiveComponents:
+    """A component off in every slab of a tensor view keeps its mean profile
+    v_k and its precisions beta_k (the partial scan of ``update_hypers``)."""
+
+    @staticmethod
+    def _v_and_scale_steps(h_col_on):
+        c = make_collection(np.random.default_rng(15), n=10)
+        hp = small_hp(k=3)
+        data = prepare(c, hp)
+        st = rmtf_init(data, hp, RngStream(16))
+        st.H[1][:, ~np.asarray(h_col_on)] = 0.0
+        before = st.copy()
+        gen = RngStream(17).gen
+        rmtf_mod._update_v(st, data, 1, gen)
+        rmtf_mod._update_scales_and_noise(st, data, hp, gen, mtf_mod._rss(st, data))
+        return data, before, st, gen
+
+    def test_off_component_keeps_profile_and_precisions(self):
+        _, before, st, _ = self._v_and_scale_steps([True, False, True])
+        np.testing.assert_array_equal(st.V[1][:, 1], before.V[1][:, 1])
+        np.testing.assert_array_equal(st.beta[1][:, 1], before.beta[1][:, 1])
+        for x, y in ((st.V[1], before.V[1]), (st.beta[1], before.beta[1])):
+            assert np.all(x[:, [0, 2]] != y[:, [0, 2]])
+
+    def test_all_on_draws_as_every_column_active(self):
+        # with every component on in some slab: the draws and stream of the
+        # rule that counts every column active
+        data, before, st, gen = self._v_and_scale_steps([True, True, True])
+        hp, ref = data.hp, RngStream(17).gen
+        u, w = before.u_for_view(1), before.W[1]
+        gate = before.H[1] * before.lam_lk(1, 4)
+        prec = before.beta[1] + (gate * u ** 2).sum(axis=0)[None, :]
+        v = np.einsum("lk,ldk->dk", gate * u, w) / prec \
+            + ref.standard_normal(prec.shape) / np.sqrt(prec)
+        np.testing.assert_array_equal(st.V[1], v)
+        mtf_mod._draw_ard(before.alpha[0], before.H[0][0], before.W[0][0],
+                          hp.a_alpha, hp.b_alpha, ref)
+        beta = mtf_mod._draw_ard(before.beta[1], 1.0, v, hp.a_beta, hp.b_beta, ref)
+        np.testing.assert_array_equal(st.beta[1], beta)
+        for t, view in enumerate(data.views):
+            ref.gamma(hp.a_tau + view.obs_per_slab / 2.0)
+        assert gen.random() == ref.random()
+
+    def test_converged_run_fixture_stays_bounded(self):
+        # the converged-run fixture of test_diag.py under rMTF with the
+        # default a_beta = b_beta = 1e-3, 4,400 sweeps: two tensor components
+        # end off in every slab.  Redrawing their (v, beta) from the prior
+        # random-walked them to max |v| 6e114 and min beta 4e-230 over the
+        # snapshots; kept, they stay within 4.2e3 and 6e-9.
+        from mtfact.simgen import SimSpec, gen_cp
+        spec = SimSpec(scenario="cp", n=60, d1=8, d2=8, l=5,
+                       k_shared=1, k_matrix=1, k_tensor=1, seed=1)
+        c, _ = gen_cp(spec, RngStream(50))
+        hp = HyperParams(k=4, a_alpha=2.0, b_alpha=2.0, b_tau=0.5,
+                         burn_in=400, n_samples=400, thin=10, n_chains=1)
+        samples = rmtf_run_chain(c, hp, RngStream(51))
+        v = np.array([st.V[1] for st in samples.states])
+        beta = np.array([st.beta[1] for st in samples.states])
+        assert np.isfinite(v).all() and np.isfinite(beta).all()
+        assert np.abs(v).max() < 1e10 and beta.min() > 1e-30
+        assert np.isfinite(samples.traces).all()
+
+
 @pytest.mark.slow
 class TestLambdaMonotonicity:
     def test_inverse_lambda_tracks_slab_deviation(self):
