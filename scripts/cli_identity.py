@@ -26,11 +26,23 @@ directory) under ``--preset strong-reg``, and ``report --truth`` over that
 fit and the first cp fit.
 Each step's standard output is kept as a file too.
 
+Posterior archives (the directories that hold a ``run_manifest.json``) are
+compared as arrays, not as files, so that a tree writing one archive format
+can be compared with a tree writing another: each side's archives are read
+by that tree's own ``read_archive``, and every snapshot array of every chain
+must match bit for bit, and the manifests must be equal apart from their
+``version`` and ``snapshot_stacks``.  The snapshot files themselves
+(``snapshots.csv``, ``*.npy``) and the manifest are left out of the file
+comparison; an archive's other files (traces, sweeps, transform) are
+compared as files.
+
 With ``--rtol R --atol A``, a CSV or JSON file whose bytes differ still
 matches when every numeric field of the change, b, and of the parent, a,
 satisfies |a - b| <= A + R |b| and every other field, the rows and the keys
 are equal; each such file's largest relative difference |a - b| / |b| is
-printed.  Other files must match byte for byte.
+printed.  Snapshot arrays and manifests are then held to the same tolerance,
+with the largest relative difference printed per archive.  Other files must
+match byte for byte.
 
 Prints every file that differs or exists on one side only.  Exits 0 when all
 files match, 1 when any differ (the work directories are then kept for
@@ -46,6 +58,8 @@ import shutil
 import subprocess
 import sys
 import tempfile
+
+import numpy as np
 
 SIM_CP = ["--scenario", "cp", "--seed", "3", "--n", "24", "--d1", "6", "--d2", "7",
           "--l", "4", "--k-shared", "1", "--k-matrix", "1", "--k-tensor", "2"]
@@ -141,6 +155,46 @@ def run_tree(tree: str, work: str) -> str | None:
     return None
 
 
+# Run with one tree's src on the path: reads every archive under argv[1] with
+# that tree's read_archive and writes, under argv[2] at the archive's relative
+# path, its snapshot arrays (``snapshots.npz``, keyed chain/snapshot/field/item)
+# and its manifest without the keys that name the format (``manifest.json``).
+READ_ARCHIVES = """
+import json, os, sys
+import numpy as np
+from mtfact.io import read_archive
+work, out = sys.argv[1:]
+for d, _, files in os.walk(work):
+    if "run_manifest.json" not in files:
+        continue
+    chains, _, manifest = read_archive(d)
+    arrays = {}
+    for chain in chains:
+        for s, state in enumerate(chain.states):
+            for name, value in vars(state).items():
+                for i, a in enumerate(value) if isinstance(value, list) else [("", value)]:
+                    if a is not None and not isinstance(a, (dict, str)):
+                        arrays[f"{chain.chain_id}/{s}/{name}/{i}"] = np.asarray(a)
+    target = os.path.join(out, os.path.relpath(d, work))
+    os.makedirs(target)
+    np.savez(os.path.join(target, "snapshots.npz"), **arrays)
+    for key in ("version", "snapshot_stacks"):
+        manifest.pop(key, None)
+    with open(os.path.join(target, "manifest.json"), "w") as fh:
+        json.dump(manifest, fh, sort_keys=True)
+"""
+
+
+def read_archives(tree: str, work: str, out: str) -> str | None:
+    """Dump every archive under ``work`` into ``out`` with ``tree``'s reader
+    (``READ_ARCHIVES``); an error or None."""
+    env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"), OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-c", READ_ARCHIVES, work, out], env=env,
+                          capture_output=True, text=True, timeout=600)
+    return None if proc.returncode == 0 else \
+        f"{tree}: reading the archives exited {proc.returncode}: {proc.stderr.strip()}"
+
+
 def tree_files(root: str) -> dict[str, str]:
     """Relative path -> absolute path of every file under ``root``."""
     return {os.path.relpath(os.path.join(d, f), root): os.path.join(d, f)
@@ -175,18 +229,78 @@ def _close(x, y, rtol: float, atol: float, rel: list[float]) -> bool:
     return abs(a - b) <= atol + rtol * abs(b)
 
 
+def _arrays_close(x, y, rtol: float | None, atol: float | None, rel: list[float]) -> bool:
+    """Whether the arrays x (parent) and y (change) match: bit for bit without
+    a tolerance, else as `_close` matches numbers; appends the largest
+    relative difference."""
+    if x.shape != y.shape or x.dtype != y.dtype:
+        return False
+    if rtol is None:
+        return x.tobytes() == y.tobytes()
+    finite = np.isfinite(x) & np.isfinite(y)
+    if not np.array_equal(x[~finite], y[~finite], equal_nan=True):
+        return False
+    diff, scale = np.abs(x[finite] - y[finite]), np.abs(y[finite])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rel.append(float(np.where(diff == 0, 0.0, diff / scale).max(initial=0.0)))
+    return bool(np.all(diff <= atol + rtol * scale))
+
+
+def compare_archive(a: str, b: str, rtol: float | None, atol: float | None,
+                    rel: list[float]) -> bool:
+    """Whether the dumps ``a`` (parent) and ``b`` (change) of one archive match."""
+    with np.load(os.path.join(a, "snapshots.npz")) as x, \
+            np.load(os.path.join(b, "snapshots.npz")) as y:
+        if sorted(x.files) != sorted(y.files):
+            return False
+        same = all([_arrays_close(x[k], y[k], rtol, atol, rel) for k in x.files])
+    ma, mb = (_parse(os.path.join(d, "manifest.json")) for d in (a, b))
+    return same and (ma == mb if rtol is None else _close(ma, mb, rtol, atol, rel))
+
+
+def archive_dirs(root: str) -> set[str]:
+    """Relative paths of the archives under ``root``."""
+    return {os.path.relpath(d, root) for d, _, files in os.walk(root)
+            if "run_manifest.json" in files}
+
+
+def snapshot_file(path: str, archives: set[str]) -> bool:
+    """Whether ``path`` is an archive's manifest or one of its snapshot files,
+    which the archive comparison covers."""
+    d, name = os.path.split(path)
+    if name == "run_manifest.json":
+        return d in archives
+    return (name == "snapshots.csv" or name.endswith(".npy")) \
+        and os.path.basename(d).startswith("chain_") and os.path.dirname(d) in archives
+
+
 def _parse(path: str):
     """Rows of a CSV file or the document of a JSON file."""
     with open(path, newline="") as fh:
         return json.load(fh) if path.endswith(".json") else list(csv.reader(fh))
 
 
-def compare(a: str, b: str, rtol: float | None = None, atol: float | None = None) -> list[str]:
-    """Lines naming every file that differs between the trees ``a`` and ``b``;
-    with a tolerance, also each CSV or JSON file's largest relative difference."""
-    fa, fb = tree_files(a), tree_files(b)
+def compare(a: str, b: str, dumps: tuple[str, str], rtol: float | None = None,
+            atol: float | None = None) -> list[str]:
+    """Lines naming every file or archive that differs between the work trees
+    ``a`` and ``b``, whose archives are dumped in ``dumps``; with a tolerance,
+    also each CSV or JSON file's and each archive's largest relative difference."""
+    archives = {side: archive_dirs(root) for side, root in (("parent", a), ("change", b))}
+    fa, fb = ({p: f for p, f in tree_files(root).items() if not snapshot_file(p, archives[side])}
+              for side, root in (("parent", a), ("change", b)))
     lines = [f"only in parent: {p}" for p in sorted(fa.keys() - fb.keys())]
     lines += [f"only in change: {p}" for p in sorted(fb.keys() - fa.keys())]
+    lines += [f"archive only in parent: {p}"
+              for p in sorted(archives["parent"] - archives["change"])]
+    lines += [f"archive only in change: {p}"
+              for p in sorted(archives["change"] - archives["parent"])]
+    for p in sorted(archives["parent"] & archives["change"]):
+        rel: list[float] = []
+        ok = compare_archive(*(os.path.join(d, p) for d in dumps), rtol, atol, rel)
+        if rtol is not None:
+            print(f"max relative difference {max(rel, default=0.0):.3g}: archive {p}")
+        if not ok:
+            lines.append(f"archive differs: {p}")
     for p in sorted(fa.keys() & fb.keys()):
         with open(fa[p], "rb") as x, open(fb[p], "rb") as y:
             same = x.read() == y.read()
@@ -214,17 +328,21 @@ def main() -> int:
         ap.error("--rtol and --atol go together")
     root = tempfile.mkdtemp(prefix="cli_identity_")
     work = {side: os.path.join(root, side) for side in ("parent", "change")}
+    dumps = {side: os.path.join(root, f"{side}_archives") for side in work}
     for side in work:
-        error = run_tree(os.path.abspath(getattr(args, side)), work[side])
+        tree = os.path.abspath(getattr(args, side))
+        error = run_tree(tree, work[side]) or read_archives(tree, work[side], dumps[side])
         if error is not None:
             print(error, file=sys.stderr)
             shutil.rmtree(root)
             return 2
-    diffs = compare(work["parent"], work["change"], args.rtol, args.atol)
+    diffs = compare(work["parent"], work["change"], (dumps["parent"], dumps["change"]),
+                    args.rtol, args.atol)
     n_files = len(tree_files(work["parent"]).keys() | tree_files(work["change"]).keys())
+    n_archives = len(archive_dirs(work["parent"]) | archive_dirs(work["change"]))
     for line in diffs:
         print(line)
-    print(f"{n_files} files compared, {len(diffs)} differ")
+    print(f"{n_files} files ({n_archives} archives) compared, {len(diffs)} differ")
     if diffs:
         print(f"outputs kept in {root}")
         return 1

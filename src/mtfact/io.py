@@ -1,7 +1,9 @@
-"""On-disk text formats: collections, posterior archives, prediction reports.
+"""On-disk formats: collections, posterior archives, prediction reports.
 
-Every file is a JSON manifest or a long-format CSV table.  All tables share
-one dialect, written by `_write_table` and read by `_read_table`:
+Every file is a JSON manifest, a long-format CSV table or a posterior archive's
+``.npy`` stack of one (param, view) block's snapshots (layout: `write_archive`);
+version-1 archives, whose snapshots are one table per chain, are read only.  All
+tables share one dialect, written by `_write_table` and read by `_read_table`:
 
 - a header row names the columns;
 - each row holds one value (or one value per value column), after its
@@ -12,7 +14,7 @@ one dialect, written by `_write_table` and read by `_read_table`:
   around a field that holds a comma, a quote or a line break (of all fields,
   only view names in prediction reports can);
 - an absent row is a masked entry, and an empty index field is a dimension
-  the row's array does not have (snapshot files hold arrays of 1 to 3 dims);
+  the row's array does not have (version-1 snapshot tables hold arrays of 1 to 3 dims);
 - rows may come in any order.
 
 A read header other than the one its writer writes raises ValueError naming
@@ -257,56 +259,57 @@ def _state_entries(state):
             yield param, "", value
 
 
-def _write_snapshots(path: str, states: list):
-    """One row per entry of every block; a block of fewer than 3 dims leaves
-    the trailing index fields empty."""
-    keys, arrays = [], []
-    for s, state in enumerate(states):
+def _write_snapshots(cdir: str, states: list) -> list[str]:
+    """One float64 stack per (param, view) block, snapshots along axis 0;
+    returns the file names, in `_state_entries` order."""
+    stacks: dict[str, list] = {}
+    for state in states:
         for param, view, arr in _state_entries(state):
-            keys.append((s, param, view))
-            arrays.append(np.atleast_1d(arr))
-    sizes = [a.size for a in arrays]
-    grids = [_grid(a.shape) for a in arrays]
-    empty = np.array([""], dtype=object)
-    _write_table(path, _SNAPSHOT_HEADER, [
-        *(np.repeat(np.array(k, dtype=object), sizes) for k in zip(*keys)),
-        *(np.concatenate([g[j] if j < len(g) else np.repeat(empty, n)
-                          for g, n in zip(grids, sizes)]) for j in range(3)),
-        np.concatenate([a.ravel() for a in arrays], dtype=np.float64),
-    ])
+            stacks.setdefault(f"{param}_{view}".rstrip("_") + ".npy", []).append(arr)
+    for name, arrays in stacks.items():
+        np.save(os.path.join(cdir, name), np.stack(arrays, dtype=np.float64))
+    return list(stacks)
 
 
 def _codes(column: np.ndarray) -> np.ndarray:
     """Integer codes of a string column that holds few distinct values:
     equal strings, equal codes."""
     first = np.flatnonzero(np.r_[True, column[1:] != column[:-1]])
-    codes = np.empty(column.shape, dtype=np.intp)
-    for j, v in enumerate(np.unique(column[first])):
-        codes[column == v] = j
-    return codes
+    codes = np.unique(column[first], return_inverse=True)[1]
+    return np.repeat(codes, np.diff(first, append=column.size))
 
 
 def _read_snapshot_blocks(path: str) -> dict[tuple[int, str, str], np.ndarray]:
-    """{(snapshot, param, view): array}, grouping rows with one sort."""
+    """{(snapshot, param, view): array} of a version-1 ``snapshots.csv``."""
     header, (snap, param, view, *index, value) = _read_table(path, _SNAPSHOT_HEADER)
     empty = [i == "" for i in index]
     for i, e in zip(index, empty):
         i[e] = "0"
     snap, *index = _indices(path, header[:1] + header[3:6], [snap, *index], [np.inf] * 4)
     value = value.astype(np.float64)
-    keys = (snap, _codes(param), _codes(view))
+    keys = np.stack([snap, _codes(param), _codes(view)])
     order = np.lexsort(keys[::-1])
-    new_key = np.zeros(order.size, dtype=bool)
-    new_key[:1] = True
-    for key in keys:
-        new_key[1:] |= np.diff(key[order]) != 0
     blocks = {}
-    for rows in np.split(order, np.flatnonzero(new_key)[1:]):
+    for rows in np.split(order, np.flatnonzero(np.diff(keys[:, order]).any(axis=0)) + 1):
         r = rows[0]
         idx = tuple(i[rows] for i, e in zip(index, empty) if not e[r])
         out = np.zeros(tuple(int(i.max()) + 1 for i in idx))
         out[idx] = value[rows]
         blocks[int(snap[r]), str(param[r]), str(view[r])] = out
+    return blocks
+
+
+def _read_snapshot_stacks(cdir: str, names: list[str], n: int) -> dict:
+    """{(snapshot, param, view): array} of a version-2 chain's float64 stacks ``names``."""
+    blocks = {}
+    for name in names:
+        path = os.path.join(cdir, name)
+        stack = np.load(path, allow_pickle=False) if os.path.isfile(path) else None
+        if stack is None or stack.dtype != np.float64 or stack.shape[:1] != (n,):
+            raise ValueError(f"{path}: expected a float64 stack of {n} snapshots, found "
+                             + ("none" if stack is None else f"{stack.dtype} {stack.shape}"))
+        param, _, view = name.removesuffix(".npy").partition("_")
+        blocks.update(((s, param, view), stack[s, ...]) for s in range(n))
     return blocks
 
 
@@ -334,7 +337,9 @@ def _states_from_blocks(blocks, model: str, manifest) -> list:
 def write_archive(directory: str, chains: list[PosteriorSamples],
                   transform: PreprocessTransform | None = None,
                   extra: dict | None = None):
-    """Posterior archive: run manifest, optional transform, per-chain files."""
+    """Version-2 posterior archive: run manifest, optional transform and, per
+    ``chain_<id>/``, ``sweeps.json``, ``traces.csv`` and the stacks of
+    `_write_snapshots` (``Z.npy``, ``W_1.npy``, ...), named in the manifest."""
     os.makedirs(directory, exist_ok=True)
     first = chains[0]
     state = first.states[0]
@@ -344,7 +349,7 @@ def write_archive(directory: str, chains: list[PosteriorSamples],
         data_views.append({"name": name, "d": d, "l": l, "u_group": state.group_of.get(t)})
     manifest = {
         "format": "posterior-archive",
-        "version": 1,
+        "version": 2,
         "model": first.model,
         "hyperparams": asdict(first.hp),
         "n_chains": len(chains),
@@ -357,26 +362,29 @@ def write_archive(directory: str, chains: list[PosteriorSamples],
     }
     if extra:
         manifest.update(extra)
-    _json_dump(os.path.join(directory, "run_manifest.json"), manifest)
     if transform is not None:
         write_transform(os.path.join(directory, "transform.csv"), transform)
     for chain in chains:
         cdir = os.path.join(directory, f"chain_{chain.chain_id}")
         os.makedirs(cdir, exist_ok=True)
-        _write_snapshots(os.path.join(cdir, "snapshots.csv"), chain.states)
+        manifest["snapshot_stacks"] = _write_snapshots(cdir, chain.states)
         with open(os.path.join(cdir, "sweeps.json"), "w") as fh:
             json.dump(chain.sweeps, fh)
             fh.write("\n")
         traces = np.asarray(chain.traces, dtype=np.float64)
         _write_table(os.path.join(cdir, "traces.csv"), ["sweep"] + chain.trace_names,
                      [np.arange(1, len(traces) + 1), *traces.T])
+    _json_dump(os.path.join(directory, "run_manifest.json"), manifest)
 
 
 def read_archive(directory: str):
-    """Returns (chains, transform or None, manifest dict).  A preprocessed
-    archive must hold ``transform.csv`` (FileNotFoundError otherwise), or
-    predictions would stay in standardized units."""
-    manifest = _json_load(os.path.join(directory, "run_manifest.json"))
+    """Returns (chains, transform or None, manifest dict) of an archive of
+    version 1 or 2 (ValueError otherwise).  A preprocessed archive without
+    ``transform.csv`` raises FileNotFoundError: its predictions would stay standardized."""
+    path = os.path.join(directory, "run_manifest.json")
+    manifest = _json_load(path)
+    if manifest.get("format") != "posterior-archive" or manifest.get("version") not in (1, 2):
+        raise ValueError(f"{path}: not a posterior archive of version 1 or 2")
     hp = HyperParams(**manifest["hyperparams"])
     transform = None
     if manifest.get("preprocessed"):
@@ -385,10 +393,12 @@ def read_archive(directory: str):
     chains = []
     for cid in manifest["chain_ids"]:
         cdir = os.path.join(directory, f"chain_{cid}")
-        blocks = _read_snapshot_blocks(os.path.join(cdir, "snapshots.csv"))
-        states = _states_from_blocks(blocks, manifest["model"], manifest)
         with open(os.path.join(cdir, "sweeps.json")) as fh:
             sweeps = json.load(fh)
+        blocks = (_read_snapshot_blocks(os.path.join(cdir, "snapshots.csv"))
+                  if manifest["version"] == 1 else
+                  _read_snapshot_stacks(cdir, manifest["snapshot_stacks"], len(sweeps)))
+        states = _states_from_blocks(blocks, manifest["model"], manifest)
         _, (_, *columns) = _read_table(os.path.join(cdir, "traces.csv"),
                                        ["sweep"] + manifest["trace_names"])
         traces = np.stack([c.astype(np.float64) for c in columns], axis=1)

@@ -104,8 +104,9 @@ class TestFit:
         assert manifest["n_u_groups"] == 0
         assert manifest["requested_model"] == "gfa"
         assert len(manifest["views"]) == 1 + 4  # matrix + unfolded slabs
-        snap = (tmp_path / "g" / "chain_0" / "snapshots.csv").read_text()
-        assert ",U," not in snap
+        stacks = os.listdir(tmp_path / "g" / "chain_0")
+        assert "Z.npy" in stacks and not any(f.startswith("U") for f in stacks)
+        assert not any(f.startswith("U") for f in manifest["snapshot_stacks"])
 
     def test_gfa_fit_line_matches_report(self, small_sim, tmp_path, capsys):
         # both count per source view, not per unfolded slab
@@ -283,6 +284,16 @@ class TestPredictCli:
                    "--truth", sim / "train", "--out", out) == 2
         err = capsys.readouterr().err
         assert "--truth shape (N, D, L) (12, 5, 1)" in err and "(9, 5, 1)" in err
+        assert not out.exists()
+
+    def test_archive_of_unknown_version_exit_2(self, continuum, tmp_path, capsys):
+        sim, arch = continuum
+        path = arch / "run_manifest.json"
+        path.write_text(path.read_text().replace('"version": 2', '"version": 3'))
+        out = tmp_path / "pred.csv"
+        assert run("predict", "--archive", arch, "--test", sim / "test", "--out", out) == 2
+        assert "run_manifest.json: not a posterior archive of version 1 or 2" \
+            in capsys.readouterr().err
         assert not out.exists()
 
     def test_truth_missing_a_view_exit_2(self, continuum, tmp_path, capsys):

@@ -441,10 +441,18 @@ class TestOnDiskFormatPinned:
 
     @pytest.mark.parametrize("which", ARCHIVES)
     def test_archive_bytes_and_reads(self, tmp_path, rng, which):
+        # The writer writes version 2: its snapshots are .npy stacks, not the
+        # reference's snapshots.csv, and its manifest differs in "version" and
+        # "snapshot_stacks".  Every other file keeps the reference's bytes,
+        # and both versions read back to the same chains.
         chains, transform, extra = _archive(which, rng)
         ref_write_archive(tmp_path / "ref", chains, transform, extra)
         mio.write_archive(tmp_path / "new", chains, transform, extra)
-        assert _tree(tmp_path / "new") == _tree(tmp_path / "ref")
+        ref, new = _tree(tmp_path / "ref"), _tree(tmp_path / "new")
+        assert ref.keys() - new.keys() \
+            == {os.path.join(f"chain_{c.chain_id}", "snapshots.csv") for c in chains}
+        assert new.keys() - ref.keys() == {p for p in new if p.endswith(".npy")}
+        assert all(new[p] == ref[p] for p in ref.keys() & new.keys() - {"run_manifest.json"})
         back, tr, manifest = mio.read_archive(tmp_path / "ref")
         assert manifest == json.loads((tmp_path / "ref" / "run_manifest.json").read_text())
         assert back[0].hp == chains[0].hp and back[0].origins == chains[0].origins
@@ -456,6 +464,19 @@ class TestOnDiskFormatPinned:
         if transform is not None:
             for a, b in zip(tr.centers + tr.scales, transform.centers + transform.scales):
                 assert _bits_equal(a, b)
+        back2, tr2, manifest2 = mio.read_archive(tmp_path / "new")
+        assert manifest2.pop("version") == 2 and manifest.pop("version") == 1
+        assert manifest2.pop("snapshot_stacks") and manifest2 == manifest
+        assert (tr2 is None) == (tr is None)
+        if tr is not None:
+            for a, b in zip(tr.centers + tr.scales, tr2.centers + tr2.scales):
+                assert _bits_equal(a, b)
+        for ra, rb in zip(back, back2, strict=True):
+            assert rb.sweeps == ra.sweeps and _bits_equal(rb.traces, ra.traces)
+            assert rb.hp == ra.hp and rb.origins == ra.origins
+            assert len(rb.states) == len(ra.states)
+            for sa, sb in zip(ra.states, rb.states):
+                _states_equal(sa, sb)
 
     @pytest.mark.parametrize("with_truth", [True, False])
     def test_prediction_report_bytes(self, tmp_path, rng, with_truth):
@@ -501,7 +522,7 @@ class TestRowsInAnyOrder:
     @pytest.mark.parametrize("which", ["mtf", "rmtf_per_slab"])
     def test_snapshots(self, tmp_path, rng, which):
         chains, transform, extra = _archive(which, rng)
-        mio.write_archive(tmp_path, chains, transform, extra)
+        ref_write_archive(tmp_path, chains, transform, extra)
         for c in chains:
             _shuffle_rows(tmp_path / f"chain_{c.chain_id}" / "snapshots.csv", 2)
         back, _, _ = mio.read_archive(tmp_path)
@@ -530,7 +551,7 @@ class TestBadIndices:
 
     def test_negative_snapshot_index(self, tmp_path, rng):
         c = make_collection(rng, n=8)
-        mio.write_archive(tmp_path / "a", [run_chain(c, _hp(), RngStream(3, 0))])
+        ref_write_archive(tmp_path / "a", [run_chain(c, _hp(), RngStream(3, 0))])
         path = tmp_path / "a" / "chain_0" / "snapshots.csv"
         path.write_bytes(path.read_bytes().replace(b"\r\n0,Z,,0,0,", b"\r\n0,Z,,-1,0,", 1))
         with pytest.raises(ValueError, match="i0 -1 is outside"):
@@ -573,3 +594,73 @@ class TestHeaders:
             with pytest.raises(ValueError, match=r"a\.csv: expected the header i0,i1,value, "
                                                  r"found i1,i0,value"):
                 read(arg)
+
+
+# ---------------------------------------------------------------------------
+# archive versions
+
+
+V1_FIXTURES = os.path.join(os.path.dirname(__file__), "data", "archive_v1")
+
+
+def ref_read_table(path):
+    """The data rows of a CSV table, one csv row at a time."""
+    with open(path, newline="") as fh:
+        return list(csv.reader(fh))[1:]
+
+
+class TestArchiveVersions:
+    @pytest.mark.parametrize("which", ["mtf", "rmtf_per_slab"])
+    def test_version1_fixture_reads_bit_exactly(self, which):
+        # tests/data/archive_v1 was written by the version-1 writer: a toy MTF
+        # fit of two chains and an rMTF fit with per-slab lambda
+        root = os.path.join(V1_FIXTURES, which)
+        chains, _, manifest = mio.read_archive(root)
+        assert manifest["version"] == 1 and manifest["model"] == which.split("_")[0]
+        assert [c.chain_id for c in chains] == manifest["chain_ids"]
+        for chain in chains:
+            cdir = os.path.join(root, f"chain_{chain.chain_id}")
+            want = {(int(s), p, v, tuple(int(i) for i in idx if i)): float(x).hex()
+                    for s, p, v, *idx, x in ref_read_table(os.path.join(cdir, "snapshots.csv"))}
+            got = {(s, p, str(v), idx): float(a[idx]).hex()
+                   for s, state in enumerate(chain.states)
+                   for p, v, arr in ref_state_entries(state)
+                   for a in [np.atleast_1d(arr)] for idx in np.ndindex(a.shape)}
+            assert got == want
+            rows = ref_read_table(os.path.join(cdir, "traces.csv"))
+            assert [float(x).hex() for r in rows for x in r[1:]] \
+                == [float(x).hex() for x in np.ravel(chain.traces)]
+            with open(os.path.join(cdir, "sweeps.json")) as fh:
+                assert chain.sweeps == json.load(fh) and len(chain.sweeps) == len(chain.states)
+
+    @pytest.mark.parametrize("key, value", [("format", "tensor-collection"), ("version", 3),
+                                            ("version", None)])
+    def test_unknown_format_or_version_is_refused(self, tmp_path, rng, key, value):
+        chains, _, _ = _archive("mtf", rng)
+        mio.write_archive(tmp_path, chains)
+        path = tmp_path / "run_manifest.json"
+        manifest = json.loads(path.read_text())
+        manifest[key] = value
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(ValueError, match=r"run_manifest\.json: not a posterior archive "
+                                             r"of version 1 or 2"):
+            mio.read_archive(tmp_path)
+
+    @pytest.mark.parametrize("case", ["missing", "float32", "snapshot_added", "snapshot_dropped"])
+    def test_bad_stack_names_its_file(self, tmp_path, rng, case):
+        chains, _, _ = _archive("rmtf_per_slab", rng)
+        mio.write_archive(tmp_path, chains)
+        path = tmp_path / "chain_0" / "W_1.npy"
+        stack = np.load(path)
+        if case == "missing":
+            os.remove(path)
+        elif case == "float32":
+            np.save(path, stack.astype(np.float32))
+        else:
+            np.save(path, np.concatenate([stack, stack[:1]]) if case == "snapshot_added"
+                    else stack[1:])
+        found = {"missing": "none", "float32": "float32"}.get(case, "float64")
+        with pytest.raises(ValueError, match=rf"chain_0/W_1\.npy: expected a float64 stack "
+                                             rf"of {len(chains[0].states)} snapshots, "
+                                             rf"found {found}"):
+            mio.read_archive(tmp_path)
