@@ -11,7 +11,8 @@ continuum and relaxed_cp), ``fit`` (mtf and rmtf on cp; on continuum mtf,
 rmtf with global, per_component and per_slab lambda, and gfa), ``predict`` of the
 continuum test set from every continuum fit, with and without ``--truth``,
 and of a multi-pattern test set from the mtf and global-lambda rmtf fits,
-then two masked-training fits.  The multi-pattern test set
+then the gfa fit again with ``--jobs 2``, whose chains run in worker
+processes, and two masked-training fits.  The multi-pattern test set
 (``test_patterns``, written into the work directory) is the continuum test
 set with some CSV rows dropped (``drop_row``), so its rows fall into
 several missingness patterns, lone rows among them, where every row of the
@@ -121,6 +122,9 @@ def steps() -> list[tuple[str, list[str]]]:
                     ["predict", "--archive", f"fit_{name}", "--test", "test_patterns",
                      "--seed", str(50 + i), "--stage2-sweeps", "7", "--stage2-samples", "3",
                      "--out", f"pred_patterns_{name}.csv"]))
+    # the gfa fit again over two worker processes (chains carry the unfold map)
+    out.append(("fit_gfa_jobs2", ["fit", "--model", "gfa", *FIT, "--jobs", "2", "--seed", "10",
+                                  "sim_continuum", "fit_gfa_jobs2"]))
     for i, model in enumerate(("mtf", "rmtf")):
         out.append((f"fit_masked_{model}", ["fit", "--model", model, *FIT, "--seed", str(30 + i),
                                             "--no-preprocess", "--b-tau", "1",

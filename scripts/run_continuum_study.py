@@ -18,7 +18,8 @@ import sys
 
 import numpy as np
 
-from mtfact.experiments import continuum_experiment, desk_hyperparams
+from mtfact.experiments import continuum_experiment
+from mtfact.mtf import HyperParams
 from mtfact.simgen import SimSpec
 
 
@@ -45,8 +46,8 @@ def main():
     args = ap.parse_args()
 
     spec = SimSpec(scenario="continuum", seed=args.seed)
-    hp = desk_hyperparams(k=args.k, burn_in=args.burnin,
-                          n_samples=args.samples, thin=args.thin)
+    hp = HyperParams(k=args.k, burn_in=args.burnin, n_samples=args.samples,
+                     thin=args.thin, n_chains=1)
     results = continuum_experiment(spec, hp, args.models, reps=args.reps,
                                    rhos=args.rhos, jobs=args.jobs,
                                    stage2=tuple(args.stage2))

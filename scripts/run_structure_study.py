@@ -17,7 +17,8 @@ import sys
 
 import numpy as np
 
-from mtfact.experiments import desk_hyperparams, structure_experiment
+from mtfact.experiments import structure_experiment
+from mtfact.mtf import HyperParams
 from mtfact.simgen import SimSpec
 
 
@@ -38,8 +39,8 @@ def main():
     args = ap.parse_args()
 
     spec = SimSpec(scenario=args.scenario, seed=args.seed)
-    hp = desk_hyperparams(k=args.k, burn_in=args.burnin,
-                          n_samples=args.samples, thin=args.thin)
+    hp = HyperParams(k=args.k, burn_in=args.burnin, n_samples=args.samples,
+                     thin=args.thin, n_chains=1)
     rows = []
     for model in args.models:
         reps = structure_experiment(spec, hp, model, reps=args.reps, jobs=args.jobs)

@@ -26,8 +26,8 @@ from .core import validate_collection
 from .diag import summarize_run
 from .dist import RngStream
 from .fitting import MODELS, fit_model
-from .mtf import HyperParams
-from .predict import PredictionTask, match_components, predict_collection
+from .mtf import HyperParams, component_structure
+from .predict import PredictionTask, match_tensor_specific, predict_collection
 from .simgen import SimSpec, generate
 
 PRESETS = {
@@ -255,16 +255,17 @@ def cmd_report(args) -> int:
     archives = _find_archives(args.paths)
     if not archives:
         raise CliError("no archives found under the given paths")
-    rows, models, kept = [], set(), []
+    truth = mio.read_arrays(args.truth) if args.truth else None
+    rows, models, matches = [], set(), []
     for path in archives:
         chains, _, manifest = mio.read_archive(path)
-        if args.truth:
-            kept.append(chains)     # for the match correlations below
-        models.add(manifest.get("requested_model", manifest["model"]))
-        summary = summarize_run(chains)
-        sh, spec_counts, emp = summary.structure.counts
-        rows.append([path, manifest.get("requested_model", manifest["model"]),
-                     sh, *spec_counts, emp])
+        model = manifest.get("requested_model", manifest["model"])
+        models.add(model)
+        sh, spec_counts, emp = component_structure(chains).counts
+        rows.append([path, model, sh, *spec_counts, emp])
+        if truth is not None:
+            cors = match_tensor_specific(truth["h"], truth["v_tensor"], chains)
+            matches.append(f"{path}," + ("" if cors is None else f"{np.mean(cors):.6f}"))
     if len(models) > 1 and not args.allow_mixed:
         raise CliError(f"archives mix models {sorted(models)}; pass --allow-mixed")
 
@@ -279,26 +280,16 @@ def cmd_report(args) -> int:
         lines.append("mean,," + ",".join(f"{x:.3f}" for x in arr.mean(axis=0)))
         lines.append("std,," + ",".join(f"{x:.3f}" for x in arr.std(axis=0)))
 
-    if args.truth:
-        lines.append("")
-        lines.append("# component match correlations (tensor-specific truth)")
-        lines.append("archive,mean_abs_corr")
-        truth = mio.read_arrays(args.truth)
-        h, vt = truth["h"], truth["v_tensor"]
-        cols = np.nonzero((h[1] > 0) & (h[0] == 0))[0]
-        true_loadings = vt[:, cols].T
-        for path, chains in zip(archives, kept):
-            cors = match_components(true_loadings, chains, view=1)
-            lines.append(f"{path},{np.mean(cors):.6f}")
+    if truth is not None:
+        lines += ["", "# component match correlations (tensor-specific truth)",
+                  "archive,mean_abs_corr", *matches]
 
     pred_files = []
     for p in args.paths:
         pred_files += sorted(glob.glob(os.path.join(p, "**", "pred_*.csv"),
                                        recursive=True))
     if pred_files:
-        lines.append("")
-        lines.append("# prediction error")
-        lines.append("rho,model,rmse,file")
+        lines += ["", "# prediction error", "rho,model,rmse,file"]
         recs = []
         for f in pred_files:
             meta_path = os.path.join(os.path.dirname(f), "sim_meta.json")

@@ -94,18 +94,21 @@ def geweke_z(trace, first_frac: float = 0.1, last_frac: float = 0.5) -> float:
 # joint-distribution test
 
 
+def _toy(sizes, masks, groups, names) -> Collection:
+    """Views of 0.1: an (n, d, 1) matrix, then one (n, d, l) tensor per further name."""
+    n, d, l = sizes
+    shapes = [(n, d, 1)] + [(n, d, l)] * (len(names) - 1)
+    masks = [np.ones(shape, dtype=bool) for shape in shapes] if masks is None else masks
+    return Collection(tuple(MaskedTensor3(Tensor3(np.zeros(shape) + 0.1), obs)
+                            for shape, obs in zip(shapes, masks)), groups, names)
+
+
 def toy_collection(sizes, masks=None) -> Collection:
     """Harness toy of ``sizes`` (n, d, l): a matrix and a tensor (a second
     matrix when l = 1, which exercises the all-matrices path), fully
     observed unless ``masks`` gives their (n, d, 1) and (n, d, l)
     observation masks (see ``toy_masks``)."""
-    n, d, l = sizes
-    shapes = ((n, d, 1), (n, d, l))
-    if masks is None:
-        masks = [np.ones(shape, dtype=bool) for shape in shapes]
-    views = [MaskedTensor3(Tensor3(np.zeros(shape) + 0.1), obs)
-             for shape, obs in zip(shapes, masks)]
-    return Collection(tuple(views), (), ("m", "t"))
+    return _toy(sizes, masks, (), ("m", "t"))
 
 
 def toy_grouped(sizes, masks=None) -> Collection:
@@ -113,13 +116,7 @@ def toy_grouped(sizes, masks=None) -> Collection:
     tensors share one third-mode (U) group beside an (n, d, 1) matrix;
     fully observed unless ``masks`` gives the three views' observation
     masks (see ``toy_masks``)."""
-    n, d, l = sizes
-    shapes = ((n, d, 1), (n, d, l), (n, d, l))
-    if masks is None:
-        masks = [np.ones(shape, dtype=bool) for shape in shapes]
-    views = [MaskedTensor3(Tensor3(np.zeros(shape) + 0.1), obs)
-             for shape, obs in zip(shapes, masks)]
-    return Collection(tuple(views), ((1, 2),), ("m", "t1", "t2"))
+    return _toy(sizes, masks, ((1, 2),), ("m", "t1", "t2"))
 
 
 def toy_masks(sizes, n_tensors: int = 1) -> list[np.ndarray]:

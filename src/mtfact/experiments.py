@@ -11,22 +11,15 @@ import numpy as np
 from .dist import RngStream
 from .fitting import fit_model, pmap
 from .mtf import HyperParams, component_structure
-from .predict import PredictionTask, match_components, predict_collection, target_rmse
+from .predict import PredictionTask, match_tensor_specific, predict_collection, target_rmse
 from .simgen import SimSpec, generate
 
 __all__ = [
-    "desk_hyperparams",
     "StructureRep",
     "structure_experiment",
     "continuum_experiment",
     "ContinuumRep",
 ]
-
-
-def desk_hyperparams(k: int = 15, burn_in: int = 300, thin: int = 5, n_chains: int = 1,
-                     **kw) -> HyperParams:
-    """Laptop-scale schedule used by the repeated simulation studies."""
-    return HyperParams(k=k, burn_in=burn_in, thin=thin, n_chains=n_chains, **kw)
 
 
 @dataclass
@@ -46,10 +39,8 @@ def _structure_one(payload) -> StructureRep:
     chains, _, _ = fit_model(collection, hp, model=model,
                              seed=spec.seed + 7919 * rep, preprocess=preprocess)
     s = component_structure(chains)
-    cols = np.nonzero((truth.H[1] > 0) & (truth.H[0] == 0))[0]
-    match = match_components(truth.V[1][:, cols].T, chains, view=1) if cols.size else None
-    return StructureRep(s.n_shared, tuple(int(x) for x in s.n_specific),
-                        s.n_empty, match)
+    return StructureRep(s.n_shared, tuple(int(x) for x in s.n_specific), s.n_empty,
+                        match_tensor_specific(truth.H, truth.V[1], chains))
 
 
 def structure_experiment(spec: SimSpec, hp: HyperParams, model: str, reps: int,

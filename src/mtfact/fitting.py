@@ -4,10 +4,10 @@ from __future__ import annotations
 
 from .core import Collection, center_and_normalize, unfold_collection
 from .dist import RngStream
-from .mtf import HyperParams, PosteriorSamples, run_chain
+from .mtf import HyperParams, run_chain
 from .rmtf import rmtf_run_chain
 
-__all__ = ["fit_model", "fit_chains", "pmap"]
+__all__ = ["fit_model", "pmap"]
 
 MODELS = ("mtf", "rmtf", "gfa")
 
@@ -23,23 +23,16 @@ def pmap(fn, items, jobs: int = 1):
 
 
 def _run_one(payload):
-    c, hp, model, seed, chain_id, origins = payload
-    rng = RngStream(seed, chain_id)
-    if model == "rmtf":
-        return rmtf_run_chain(c, hp, rng, origins=origins)
-    return run_chain(c, hp, rng, origins=origins)
-
-
-def fit_chains(c: Collection, hp: HyperParams, model: str, seed: int,
-               jobs: int = 1, origins=None) -> list[PosteriorSamples]:
-    payloads = [(c, hp, model, seed, i, origins) for i in range(hp.n_chains)]
-    return pmap(_run_one, payloads, jobs)
+    c, hp, model, seed, chain_id = payload
+    return (rmtf_run_chain if model == "rmtf" else run_chain)(c, hp, RngStream(seed, chain_id))
 
 
 def fit_model(c: Collection, hp: HyperParams, model: str = "mtf", seed: int = 0,
               preprocess: bool = True, jobs: int = 1):
     """Preprocess, dispatch (gfa = unfold tensors, then the strict sampler on
-    matrices), and run all chains.
+    matrices, each chain's ``origins`` set to the unfold map), and run
+    ``hp.n_chains`` chains, chain i on ``RngStream(seed, i)``, over ``jobs``
+    worker processes.
 
     Returns (chains, transform or None, fitted collection).
     """
@@ -54,5 +47,7 @@ def fit_model(c: Collection, hp: HyperParams, model: str = "mtf", seed: int = 0,
     transform = None
     if preprocess:
         c, transform = center_and_normalize(c)
-    chains = fit_chains(c, hp, model, seed, jobs=jobs, origins=origins)
+    chains = pmap(_run_one, [(c, hp, model, seed, i) for i in range(hp.n_chains)], jobs)
+    for chain in chains:
+        chain.origins = origins
     return chains, transform, c

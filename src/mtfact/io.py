@@ -379,13 +379,22 @@ def write_archive(directory: str, chains: list[PosteriorSamples],
 
 def read_archive(directory: str):
     """Returns (chains, transform or None, manifest dict) of an archive of
-    version 1 or 2 (ValueError otherwise).  A preprocessed archive without
-    ``transform.csv`` raises FileNotFoundError: its predictions would stay standardized."""
+    version 1 or 2.  A manifest of another version, or that lacks a key the reader
+    uses, or whose ``hyperparams`` are not ``HyperParams`` fields raises ValueError.
+    A preprocessed archive without ``transform.csv`` raises FileNotFoundError:
+    its predictions would stay standardized."""
     path = os.path.join(directory, "run_manifest.json")
     manifest = _json_load(path)
     if manifest.get("format") != "posterior-archive" or manifest.get("version") not in (1, 2):
         raise ValueError(f"{path}: not a posterior archive of version 1 or 2")
-    hp = HyperParams(**manifest["hyperparams"])
+    keys = ("model", "hyperparams", "chain_ids", "views", "n_u_groups", "trace_names")
+    for key in keys + (("snapshot_stacks",) if manifest["version"] == 2 else ()):
+        if key not in manifest:
+            raise ValueError(f"{path}: no {key!r}")
+    try:
+        hp = HyperParams(**manifest["hyperparams"])
+    except TypeError as err:
+        raise ValueError(f"{path}: 'hyperparams' are not HyperParams fields ({err})") from None
     transform = None
     if manifest.get("preprocessed"):
         shapes = [(m["d"], m["l"]) for m in manifest["views"]]

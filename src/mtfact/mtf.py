@@ -438,32 +438,24 @@ def _deflation_start(data: ModelData, k: int, gen, n_power: int = 8,
     return Z, V, group_u
 
 
-def _warm_start(c, hp: HyperParams, rng):
-    """Start shared by both samplers: (data, Z, V per view, U per group, pi),
-    with (Z, V, U) from the deflation warm start and pi from its prior."""
+def init_state(c, hp: HyperParams, rng) -> MtfState:
+    """Initial chain state, also the relaxed model's start (``rmtf_init``):
+    (Z, V, U) from the deflation warm start, then pi from its prior, H all
+    on, ARD precisions at their conditional posterior means and noise
+    precisions at their SNR-1 targets."""
     data = _as_data(c, hp)
     gen = _as_gen(rng)
     if data.n < hp.k:
         warnings.warn(f"fewer samples ({data.n}) than components ({hp.k}); "
                       "expect slow mixing")
     Z, V, U = _deflation_start(data, hp.k, gen)
-    return data, Z, V, U, _draw_pi(np.zeros((0, hp.k)), hp, gen)
-
-
-def init_state(c, hp: HyperParams, rng) -> MtfState:
-    """Initial chain state: greedy rank-1 warm start for (Z, V, U), H all on,
-    ARD precisions at their conditional posterior means, noise precision at
-    its SNR-1 target."""
-    data, Z, V, U, pi = _warm_start(c, hp, rng)
     # conditional posterior mean given the warm-start loadings; empty columns
     # start with a tight (spike-like) slab, so their activation race is run
     # on the data rather than decided by an over-diffuse slab
-    alpha = [(hp.a_alpha + 0.5) / (hp.b_alpha + V[t] ** 2 / 2.0)
-             for t in range(data.n_views)]
-    H = np.ones((data.n_views, hp.k))
-    tau = data.hp.a_tau / data.b_tau
-    return MtfState(Z=Z, V=V, U=U, H=H, pi=pi, alpha=alpha, tau=tau.copy(),
-                    group_of=dict(data.group_of))
+    alpha = [(hp.a_alpha + 0.5) / (hp.b_alpha + v ** 2 / 2.0) for v in V]
+    return MtfState(Z=Z, V=V, U=U, H=np.ones((data.n_views, hp.k)),
+                    pi=_draw_pi(np.zeros((0, hp.k)), hp, gen), alpha=alpha,
+                    tau=data.hp.a_tau / data.b_tau, group_of=dict(data.group_of))
 
 
 def _recon_nld(state, t: int) -> np.ndarray:
@@ -807,13 +799,13 @@ def log_joint(state: MtfState, data: ModelData, rss: list[np.ndarray] | None = N
     return total + _gamma_lp(state.tau, h.a_tau, data.b_tau)
 
 
-def _run_chain(model: str, init, sweep_fn, log_joint_fn, c, hp: HyperParams, rng,
-               chain_id: int, origins) -> PosteriorSamples:
+def _run_chain(model: str, init, sweep_fn, log_joint_fn, c, hp: HyperParams,
+               rng) -> PosteriorSamples:
     """Chain driver shared by both samplers: ``init``, then burn-in and
     thinned sweeps of ``sweep_fn``, with the log joint and the per-view mean
     squared residual (so every view needs an observed entry) recorded after
     every sweep, both from the residual sums of squares the sweep returns.
-    An ``RngStream`` supplies the chain id."""
+    The chain id is the ``RngStream``'s stream id (0 for a bare Generator)."""
     data = _as_data(c, hp)
     for t, v in enumerate(data.views):
         if v.n_obs == 0:
@@ -832,17 +824,18 @@ def _run_chain(model: str, init, sweep_fn, log_joint_fn, c, hp: HyperParams, rng
             states.append(state.copy())
             sweeps.append(sweep)
     return PosteriorSamples(
-        model=model, states=states, sweeps=sweeps,
-        chain_id=getattr(rng, "stream_id", chain_id),
+        model=model, states=states, sweeps=sweeps, chain_id=getattr(rng, "stream_id", 0),
         trace_names=["log_joint"] + [f"mse_view_{t + 1}" for t in range(data.n_views)],
-        traces=traces, hp=hp, view_names=data.names, origins=origins,
+        traces=traces, hp=hp, view_names=data.names,
     )
 
 
-def run_chain(c, hp: HyperParams, rng, chain_id: int = 0,
-              origins: list[int] | None = None) -> PosteriorSamples:
-    """Run one Gibbs chain and collect thinned snapshots after burn-in."""
-    return _run_chain("mtf", init_state, mtf_sweep, log_joint, c, hp, rng, chain_id, origins)
+def run_chain(c, hp: HyperParams, rng) -> PosteriorSamples:
+    """Run one Gibbs chain on ``c`` (a collection or ``ModelData``) from
+    ``init_state`` and collect thinned snapshots after burn-in.  ``rng`` is
+    an ``RngStream`` (its stream id is the chain id) or a Generator (id 0);
+    ``origins`` is left unset (``fitting.fit_model`` sets it for GFA)."""
+    return _run_chain("mtf", init_state, mtf_sweep, log_joint, c, hp, rng)
 
 
 @dataclass

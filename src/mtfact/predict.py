@@ -40,6 +40,7 @@ __all__ = [
     "rmse",
     "mse",
     "match_components",
+    "match_tensor_specific",
 ]
 
 
@@ -257,3 +258,11 @@ def match_components(true_loadings, samples, view: int) -> np.ndarray:
             best = corr.max(axis=1)
         per_chain.append(best)
     return np.mean(per_chain, axis=0)
+
+
+def match_tensor_specific(h, v_tensor, samples) -> np.ndarray | None:
+    """``match_components`` against view 1 of the true components on in the
+    tensor view and off in the matrix view (rows 1 and 0 of the true activity
+    ``h``), given the true tensor loadings ``v_tensor`` (D, K); None if none is."""
+    cols = np.nonzero((h[1] > 0) & (h[0] == 0))[0]
+    return match_components(v_tensor[:, cols].T, samples, view=1) if cols.size else None

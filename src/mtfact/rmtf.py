@@ -22,6 +22,7 @@ from .mtf import (
     _LatentState,
     _ard_lp,
     _ard_prior,
+    _as_data,
     _column_step,
     _draw_ard,
     _draw_pi,
@@ -35,8 +36,8 @@ from .mtf import (
     _shared_lp,
     _slab_rss,
     _view_stats,
-    _warm_start,
     _z_blocks,
+    init_state,
     z_conditional,
 )
 
@@ -101,34 +102,25 @@ def _lam_layout(mode: str, k: int, data: ModelData, fill):
 
 
 def rmtf_init(c, hp: HyperParams, rng) -> RmtfState:
-    """Initial state: greedy rank-1 warm start shared with the strict model,
-    slabs starting at their trilinear mean u v, everything active.
-
-    Heavy-tailed precision priors start at their prior means.
-    """
-    data, Z, V0, U, pi = _warm_start(c, hp, rng)
-    k = hp.k
-    lam_mean = hp.a_lambda / hp.b_lambda
-    state = RmtfState(
-        Z=Z, W=[], V=[], U=U, H=[], pi=pi, alpha=[], beta=[],
-        lam=_lam_layout(hp.lambda_mode, k, data, lambda shape: np.full(shape, lam_mean)),
-        tau=[hp.a_tau / data.b_tau_slab[t] for t in range(data.n_views)],
-        lambda_mode=hp.lambda_mode, group_of=dict(data.group_of),
-    )
-    for t, v in enumerate(data.views):
-        state.H.append(np.ones((v.l, k)))
-        if v.is_matrix():
-            state.W.append(V0[t][None, :, :].copy())
-            # conditional posterior mean given the warm-start loadings
-            state.alpha.append((hp.a_alpha + 0.5) / (hp.b_alpha + V0[t] ** 2 / 2.0))
-            state.beta.append(None)
-            state.V.append(np.zeros((v.d, k)))
-        else:
-            state.V.append(V0[t].copy())
-            state.W.append(state.slab_mean(t))
-            state.alpha.append(None)
-            state.beta.append((hp.a_beta + 0.5) / (hp.b_beta + V0[t] ** 2 / 2.0))
-    return state
+    """Initial state: the strict start (``init_state``) with free slabs, each
+    active and at its trilinear mean ``slab_mean`` (V_t[None] on a matrix
+    view, whose V is then zero and which keeps the strict alpha); tensor
+    views' beta at its conditional posterior mean given V, lambda at its
+    prior mean and each slab's noise precision at its SNR-1 target."""
+    data = _as_data(c, hp)
+    s = init_state(data, hp, rng)
+    mats = [v.is_matrix() for v in data.views]
+    return RmtfState(
+        Z=s.Z, W=[s.slab_mean(t) for t in range(data.n_views)],
+        V=[np.zeros_like(v) if m else v for v, m in zip(s.V, mats)], U=s.U,
+        H=[np.ones((v.l, hp.k)) for v in data.views], pi=s.pi,
+        alpha=[a if m else None for a, m in zip(s.alpha, mats)],
+        beta=[None if m else (hp.a_beta + 0.5) / (hp.b_beta + v ** 2 / 2.0)
+              for v, m in zip(s.V, mats)],
+        lam=_lam_layout(hp.lambda_mode, hp.k, data,
+                        lambda shape: np.full(shape, hp.a_lambda / hp.b_lambda)),
+        tau=[hp.a_tau / b for b in data.b_tau_slab],
+        lambda_mode=hp.lambda_mode, group_of=s.group_of)
 
 
 def _update_z(state: RmtfState, data: ModelData, gen):
@@ -272,11 +264,10 @@ def rmtf_log_joint(state: RmtfState, data: ModelData, rss=None) -> float:
     return total + _gamma_lp(state.lam_values(), h.a_lambda, h.b_lambda)
 
 
-def rmtf_run_chain(c, hp: HyperParams, rng, chain_id: int = 0,
-                   origins: list[int] | None = None) -> PosteriorSamples:
-    """Run one relaxed-model chain through the strict model's chain driver."""
-    return _run_chain("rmtf", rmtf_init, rmtf_sweep, rmtf_log_joint, c, hp, rng,
-                      chain_id, origins)
+def rmtf_run_chain(c, hp: HyperParams, rng) -> PosteriorSamples:
+    """Run one relaxed-model chain from ``rmtf_init`` through the strict
+    model's chain driver; ``rng`` and the chain id as for ``mtf.run_chain``."""
+    return _run_chain("rmtf", rmtf_init, rmtf_sweep, rmtf_log_joint, c, hp, rng)
 
 
 # ---------------------------------------------------------------------------

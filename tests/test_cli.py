@@ -296,6 +296,17 @@ class TestPredictCli:
             in capsys.readouterr().err
         assert not out.exists()
 
+    def test_archive_manifest_without_key_exit_2(self, continuum, tmp_path, capsys):
+        sim, arch = continuum
+        path = arch / "run_manifest.json"
+        manifest = json.loads(path.read_text())
+        del manifest["snapshot_stacks"]
+        path.write_text(json.dumps(manifest))
+        out = tmp_path / "pred.csv"
+        assert run("predict", "--archive", arch, "--test", sim / "test", "--out", out) == 2
+        assert "run_manifest.json: no 'snapshot_stacks'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_truth_missing_a_view_exit_2(self, continuum, tmp_path, capsys):
         sim, arch = continuum
         full = mio.read_collection(sim / "test_full")
@@ -374,6 +385,16 @@ class TestDiagnoseAndReport:
         assert capsys.readouterr().out == structure + "\n".join(
             ["", "# component match correlations (tensor-specific truth)", "archive,mean_abs_corr",
              *match]) + "\n"
+
+    def test_report_truth_without_tensor_specific_component(self, tmp_path, capsys):
+        # the match field stays empty, as in run_structure_study.py's table
+        sim, arch = tmp_path / "sim", tmp_path / "arch"
+        assert run("simulate", "--scenario", "cp", "--seed", "5", *SIM_SMALL[:-1], "0",
+                   "--out", sim) == 0
+        assert run("fit", "--model", "mtf", *FIT_SMALL, "--seed", "27", sim, arch) == 0
+        capsys.readouterr()
+        assert run("report", arch, "--truth", sim / "truth") == 0
+        assert capsys.readouterr().out.endswith("archive,mean_abs_corr\n" f"{arch},\n")
 
     def test_report_mixed_models_rejected(self, small_sim, tmp_path):
         a1, a2 = tmp_path / "m", tmp_path / "r"

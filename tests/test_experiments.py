@@ -1,19 +1,19 @@
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 from mtfact.core import apply_transform, unfold_collection
 from mtfact.dist import RngStream
-from mtfact.experiments import continuum_experiment, desk_hyperparams, structure_experiment
+from mtfact.experiments import continuum_experiment, structure_experiment
 from mtfact.fitting import fit_model
-from mtfact.mtf import component_structure
+from mtfact.mtf import HyperParams, component_structure
 from mtfact.predict import PredictionTask, match_components, two_stage_predict
 from mtfact.simgen import SimSpec, generate
 
 SPEC = SimSpec(scenario="continuum", seed=4, n=12, d1=5, d2=6, l=4, k_shared=1,
                k_matrix=1, k_tensor=1, n_test=9)
-HP = desk_hyperparams(k=3, burn_in=10, n_samples=4, thin=2)
+HP = HyperParams(k=3, burn_in=10, n_samples=4, thin=2, n_chains=1)
 STAGE2 = (25, 5, 2)
 
 
@@ -70,3 +70,36 @@ def test_structure_matches_direct_fit(model):
     assert rep.match_corr is not None
     assert np.array_equal(rep.match_corr,
                           match_components(truth.V[1][:, cols].T, chains, view=1))
+
+
+def _assert_same_chain(a, b):
+    assert (a.chain_id, a.sweeps, a.origins) == (b.chain_id, b.sweeps, b.origins)
+    assert np.array_equal(a.traces, b.traces)
+    for sa, sb in zip(a.states, b.states, strict=True):
+        for f in fields(sa):
+            x, y = getattr(sa, f.name), getattr(sb, f.name)
+            if isinstance(x, list):
+                assert all(np.array_equal(p, q) for p, q in zip(x, y, strict=True)), f.name
+            else:
+                assert np.array_equal(x, y), f.name
+
+
+class TestFitModel:
+    def test_gfa_chains_in_worker_processes_match_in_process(self):
+        # both carry the unfold map, and stream i is chain i
+        train, _, _ = generate(SPEC, RngStream(SPEC.seed))
+        hp = replace(HP, n_chains=2)
+        serial, _, _ = fit_model(train, hp, model="gfa", seed=8, jobs=1)
+        pooled, _, _ = fit_model(train, hp, model="gfa", seed=8, jobs=2)
+        origins = unfold_collection(train)[1]
+        assert [c.chain_id for c in pooled] == [0, 1]
+        assert all(c.origins == origins for c in serial + pooled)
+        for a, b in zip(serial, pooled, strict=True):
+            _assert_same_chain(a, b)
+
+    @pytest.mark.parametrize("model", ["mtf", "rmtf"])
+    def test_chains_on_views_as_given_have_no_origins(self, model):
+        train, _, _ = generate(SPEC, RngStream(SPEC.seed))
+        chains, _, _ = fit_model(train, replace(HP, n_chains=2), model=model, seed=9)
+        assert [c.chain_id for c in chains] == [0, 1]
+        assert all(c.origins is None for c in chains)

@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import shutil
 from dataclasses import asdict
 
 import numpy as np
@@ -663,4 +664,34 @@ class TestArchiveVersions:
         with pytest.raises(ValueError, match=rf"chain_0/W_1\.npy: expected a float64 stack "
                                              rf"of {len(chains[0].states)} snapshots, "
                                              rf"found {found}"):
+            mio.read_archive(tmp_path)
+
+    @staticmethod
+    def _edited_manifest(tmp_path, rng, version, edit):
+        """An MTF archive of ``version`` in tmp_path (the committed fixture for
+        version 1) whose manifest ``edit`` has changed in place."""
+        if version == 1:
+            shutil.copytree(os.path.join(V1_FIXTURES, "mtf"), tmp_path, dirs_exist_ok=True)
+        else:
+            mio.write_archive(tmp_path, _archive("mtf", rng)[0])
+        path = tmp_path / "run_manifest.json"
+        manifest = json.loads(path.read_text())
+        edit(manifest)
+        path.write_text(json.dumps(manifest))
+
+    @pytest.mark.parametrize("version, key", [
+        (v, key) for v in (1, 2)
+        for key in ("model", "hyperparams", "chain_ids", "views", "n_u_groups", "trace_names",
+                    *["snapshot_stacks"] * (v == 2))])
+    def test_manifest_without_key_names_it(self, tmp_path, rng, version, key):
+        self._edited_manifest(tmp_path, rng, version, lambda m: m.pop(key))
+        with pytest.raises(ValueError, match=rf"run_manifest\.json: no '{key}'"):
+            mio.read_archive(tmp_path)
+
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_manifest_hyperparams_not_fields_refused(self, tmp_path, rng, version):
+        self._edited_manifest(tmp_path, rng, version,
+                              lambda m: m["hyperparams"].update(n_sweeps=10))
+        with pytest.raises(ValueError, match=r"run_manifest\.json: 'hyperparams' are not "
+                                             r"HyperParams fields .*'n_sweeps'"):
             mio.read_archive(tmp_path)

@@ -71,6 +71,36 @@ class TestInit:
         act = st.H[1][:, None, :] > 0
         assert np.abs(np.where(act, st.W[1] - mean, 0.0)).max() < 1e-2
 
+    @pytest.mark.parametrize("mode", ["global", "per_component", "per_slab"])
+    def test_strict_start_with_free_slabs(self, mode):
+        # same draws as init_state; then each slab at u_l v (V[None] on the
+        # matrix), all on, matrix alpha kept, tensor beta at its conditional
+        # mean given V, lambda at its prior mean, per-slab SNR-1 noise
+        gen = np.random.default_rng(8)
+        views = [MaskedTensor3.fully_observed(gen.standard_normal(shape))
+                 for shape in ((10, 4, 1), (10, 5, 3), (10, 3, 3))]
+        data = prepare(Collection(tuple(views), ((1, 2),), ("m", "t1", "t2")),
+                       small_hp(k=3, lambda_mode=mode, b_tau=None, a_lambda=3.0, b_lambda=2.0))
+        hp = data.hp
+        strict = init_state(data, hp, RngStream(9))
+        st = rmtf_init(data, hp, RngStream(9))
+        for a, b in [(st.Z, strict.Z), (st.pi, strict.pi), *zip(st.U, strict.U, strict=True)]:
+            assert np.array_equal(a, b)
+        for t, v in enumerate(data.views):
+            assert np.array_equal(st.W[t], strict.slab_mean(t))
+            assert np.array_equal(st.H[t], np.ones((v.l, 3)))
+            assert np.array_equal(st.tau[t], hp.a_tau / data.b_tau_slab[t])
+            if v.is_matrix():
+                assert np.array_equal(st.W[t], strict.V[t][None])
+                assert np.array_equal(st.alpha[t], strict.alpha[t]) and st.beta[t] is None
+                assert np.array_equal(st.V[t], np.zeros_like(strict.V[t]))
+            else:
+                assert st.alpha[t] is None and np.array_equal(st.V[t], strict.V[t])
+                assert np.array_equal(st.beta[t],
+                                      (hp.a_beta + 0.5) / (hp.b_beta + strict.V[t] ** 2 / 2.0))
+        n_lam = {"global": 1, "per_component": 3, "per_slab": 6}[mode]
+        assert np.array_equal(st.lam_values(), np.full(n_lam, hp.a_lambda / hp.b_lambda))
+
     def test_zero_v_for_matrix_views(self):
         c = make_collection(np.random.default_rng(3))
         st = rmtf_init(c, small_hp(), RngStream(4))
