@@ -13,9 +13,10 @@ continuum test set from every continuum fit, with and without ``--truth``,
 and of a multi-pattern test set from the mtf and global-lambda rmtf fits,
 then the gfa fit again with ``--jobs 2``, whose chains run in worker
 processes, and two masked-training fits.  The multi-pattern test set
-(``test_patterns``, written into the work directory) is the continuum test
-set with some CSV rows dropped (``drop_row``), so its rows fall into
-several missingness patterns, lone rows among them, where every row of the
+(``test_patterns``, written into the work directory by the tree's own
+``read_collection`` and ``write_collection``) is the continuum test set with
+some observed entries masked (``drop_row``), so its rows fall into several
+missingness patterns, lone rows among them, where every row of the
 simulated test set shares one.  The masked-training fits fit mtf and rmtf on
 the continuum test set, whose held-out slab is masked in every row, with
 ``--no-preprocess --b-tau 1``, so they reach the masked Z- and U-steps (the
@@ -27,23 +28,27 @@ directory) under ``--preset strong-reg``, and ``report --truth`` over that
 fit and the first cp fit.
 Each step's standard output is kept as a file too.
 
-Posterior archives (the directories that hold a ``run_manifest.json``) are
-compared as arrays, not as files, so that a tree writing one archive format
-can be compared with a tree writing another: each side's archives are read
-by that tree's own ``read_archive``, and every snapshot array of every chain
-must match bit for bit, and the manifests must be equal apart from their
-``version`` and ``snapshot_stacks``.  The snapshot files themselves
-(``snapshots.csv``, ``*.npy``) and the manifest are left out of the file
-comparison; an archive's other files (traces, sweeps, transform) are
-compared as files.
+Posterior archives (the directories that hold a ``run_manifest.json``) and
+tensor collections (those that hold a ``manifest.json``) are compared as
+arrays, not as files, so that a tree writing one format can be compared with
+a tree writing another.  Each side's archives are read by that tree's own
+``read_archive``: every snapshot array of every chain must match bit for
+bit, and the manifests must be equal apart from their ``version`` and
+``snapshot_stacks``.  Each side's collections are read by that tree's own
+``read_collection``: every view's values must match bit for bit and its
+mask exactly, and the manifests must be equal apart from their ``version``
+and each view's file names (``values``, ``observed``).  The files these
+comparisons cover (an archive's manifest, ``snapshots.csv`` and ``*.npy``
+stacks; every file of a collection) are left out of the file comparison; an
+archive's other files (traces, sweeps, transform) are compared as files.
 
 With ``--rtol R --atol A``, a CSV or JSON file whose bytes differ still
 matches when every numeric field of the change, b, and of the parent, a,
 satisfies |a - b| <= A + R |b| and every other field, the rows and the keys
 are equal; each such file's largest relative difference |a - b| / |b| is
-printed.  Snapshot arrays and manifests are then held to the same tolerance,
-with the largest relative difference printed per archive.  Other files must
-match byte for byte.
+printed.  Float arrays and manifests of archives and collections are then
+held to the same tolerance, with the largest relative difference printed per
+directory; masks must still be equal.  Other files must match byte for byte.
 
 Prints every file that differs or exists on one side only.  Exits 0 when all
 files match, 1 when any differ (the work directories are then kept for
@@ -52,6 +57,7 @@ inspection) and 2 when a step fails.
 
 import argparse
 import csv
+import inspect
 import json
 import math
 import os
@@ -80,24 +86,32 @@ CONFIG = {"model": "mtf", "k": 3, "chains": 2, "burnin": 8, "samples": 3, "thin"
 
 
 def drop_row(i: int, sample: int) -> bool:
-    """Whether data row i of a view file of ``test_patterns`` is dropped:
-    one row in 13 among samples 0-5, so those samples get patterns of their
-    own and samples 6-8 keep the shared one."""
+    """Whether the i-th observed entry, in C order, of a view of
+    ``test_patterns`` is masked (in a version-1 collection, data row i of the
+    view's table): one entry in 13 among samples 0-5, so those samples get
+    patterns of their own and samples 6-8 keep the shared one."""
     return i % 13 == 0 and sample < 6
 
 
-def write_multi_pattern_test(work: str):
-    """Copy ``sim_continuum/test`` to ``test_patterns``, dropping the view
-    files' data rows that ``drop_row`` names."""
-    src, dst = os.path.join(work, "sim_continuum", "test"), os.path.join(work, "test_patterns")
-    shutil.copytree(src, dst)
-    for name in os.listdir(src):
-        if name.endswith(".csv"):
-            with open(os.path.join(src, name), newline="") as fh:
-                header, *rows = list(csv.reader(fh))
-            with open(os.path.join(dst, name), "w", newline="") as fh:
-                csv.writer(fh).writerows([header] + [r for i, r in enumerate(rows)
-                                                     if not drop_row(i, int(r[0]))])
+# Run with one tree's src on the path: reads the collection argv[1] with that
+# tree's read_collection and writes it to argv[2] with that tree's
+# write_collection, with the entries that ``drop_row`` names masked.
+WRITE_PATTERNS = inspect.getsource(drop_row) + """
+import sys
+import numpy as np
+from mtfact.core import Collection, MaskedTensor3
+from mtfact.io import read_collection, write_collection
+src, dst = sys.argv[1:]
+c = read_collection(src)
+views = []
+for v in c.views:
+    idx = np.nonzero(v.observed)
+    keep = np.array([not drop_row(i, int(n)) for i, n in enumerate(idx[0])], dtype=bool)
+    observed = np.zeros_like(v.observed)
+    observed[tuple(j[keep] for j in idx)] = True
+    views.append(MaskedTensor3(v.tensor, observed))
+write_collection(dst, Collection(tuple(views), c.third_mode_groups, c.names))
+"""
 
 
 def steps() -> list[tuple[str, list[str]]]:
@@ -155,48 +169,66 @@ def run_tree(tree: str, work: str) -> str | None:
         with open(os.path.join(work, "stdout", f"{name}.txt"), "w") as fh:
             fh.write(proc.stdout)
         if name == "simulate_continuum":
-            write_multi_pattern_test(work)
+            proc = subprocess.run([sys.executable, "-c", WRITE_PATTERNS, "sim_continuum/test",
+                                   "test_patterns"], cwd=work, env=env, capture_output=True,
+                                  text=True, timeout=600)
+            if proc.returncode != 0:
+                return f"{tree}: writing test_patterns exited {proc.returncode}: " \
+                       f"{proc.stderr.strip()}"
     return None
 
 
-# Run with one tree's src on the path: reads every archive under argv[1] with
-# that tree's read_archive and writes, under argv[2] at the archive's relative
-# path, its snapshot arrays (``snapshots.npz``, keyed chain/snapshot/field/item)
-# and its manifest without the keys that name the format (``manifest.json``).
-READ_ARCHIVES = """
+# Run with one tree's src on the path: reads every archive and collection
+# under argv[1] with that tree's read_archive and read_collection and writes,
+# under argv[2] at the directory's relative path, its arrays (``arrays.npz``:
+# an archive's snapshot arrays keyed chain/snapshot/field/item, a collection's
+# values and masks keyed view/values and view/observed) and its manifest
+# without the keys that name the format and the files (``manifest.json``).
+READ_ARRAYS = """
 import json, os, sys
 import numpy as np
-from mtfact.io import read_archive
+from mtfact.io import read_archive, read_collection
 work, out = sys.argv[1:]
 for d, _, files in os.walk(work):
-    if "run_manifest.json" not in files:
-        continue
-    chains, _, manifest = read_archive(d)
     arrays = {}
-    for chain in chains:
-        for s, state in enumerate(chain.states):
-            for name, value in vars(state).items():
-                for i, a in enumerate(value) if isinstance(value, list) else [("", value)]:
-                    if a is not None and not isinstance(a, (dict, str)):
-                        arrays[f"{chain.chain_id}/{s}/{name}/{i}"] = np.asarray(a)
+    if "run_manifest.json" in files:
+        chains, _, manifest = read_archive(d)
+        for chain in chains:
+            for s, state in enumerate(chain.states):
+                for name, value in vars(state).items():
+                    for i, a in enumerate(value) if isinstance(value, list) else [("", value)]:
+                        if a is not None and not isinstance(a, (dict, str)):
+                            arrays[f"{chain.chain_id}/{s}/{name}/{i}"] = np.asarray(a)
+        manifest.pop("snapshot_stacks", None)
+    elif "manifest.json" in files:
+        c = read_collection(d)
+        for name, v in zip(c.names, c.views):
+            arrays[f"{name}/values"], arrays[f"{name}/observed"] = v.values, v.observed
+        with open(os.path.join(d, "manifest.json")) as fh:
+            manifest = json.load(fh)
+        for view in manifest["views"]:
+            view.pop("values", None)
+            view.pop("observed", None)
+    else:
+        continue
+    manifest.pop("version", None)
     target = os.path.join(out, os.path.relpath(d, work))
     os.makedirs(target)
-    np.savez(os.path.join(target, "snapshots.npz"), **arrays)
-    for key in ("version", "snapshot_stacks"):
-        manifest.pop(key, None)
+    np.savez(os.path.join(target, "arrays.npz"), **arrays)
     with open(os.path.join(target, "manifest.json"), "w") as fh:
         json.dump(manifest, fh, sort_keys=True)
 """
 
 
-def read_archives(tree: str, work: str, out: str) -> str | None:
-    """Dump every archive under ``work`` into ``out`` with ``tree``'s reader
-    (``READ_ARCHIVES``); an error or None."""
+def read_arrays(tree: str, work: str, out: str) -> str | None:
+    """Dump every archive and collection under ``work`` into ``out`` with
+    ``tree``'s readers (``READ_ARRAYS``); an error or None."""
     env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"), OPENBLAS_NUM_THREADS="1")
-    proc = subprocess.run([sys.executable, "-c", READ_ARCHIVES, work, out], env=env,
+    proc = subprocess.run([sys.executable, "-c", READ_ARRAYS, work, out], env=env,
                           capture_output=True, text=True, timeout=600)
     return None if proc.returncode == 0 else \
-        f"{tree}: reading the archives exited {proc.returncode}: {proc.stderr.strip()}"
+        f"{tree}: reading the archives and collections exited {proc.returncode}: " \
+        f"{proc.stderr.strip()}"
 
 
 def tree_files(root: str) -> dict[str, str]:
@@ -239,7 +271,7 @@ def _arrays_close(x, y, rtol: float | None, atol: float | None, rel: list[float]
     relative difference."""
     if x.shape != y.shape or x.dtype != y.dtype:
         return False
-    if rtol is None:
+    if rtol is None or x.dtype.kind != "f":
         return x.tobytes() == y.tobytes()
     finite = np.isfinite(x) & np.isfinite(y)
     if not np.array_equal(x[~finite], y[~finite], equal_nan=True):
@@ -250,11 +282,12 @@ def _arrays_close(x, y, rtol: float | None, atol: float | None, rel: list[float]
     return bool(np.all(diff <= atol + rtol * scale))
 
 
-def compare_archive(a: str, b: str, rtol: float | None, atol: float | None,
-                    rel: list[float]) -> bool:
-    """Whether the dumps ``a`` (parent) and ``b`` (change) of one archive match."""
-    with np.load(os.path.join(a, "snapshots.npz")) as x, \
-            np.load(os.path.join(b, "snapshots.npz")) as y:
+def compare_dump(a: str, b: str, rtol: float | None, atol: float | None,
+                 rel: list[float]) -> bool:
+    """Whether the dumps ``a`` (parent) and ``b`` (change) of one archive or
+    collection match."""
+    with np.load(os.path.join(a, "arrays.npz")) as x, \
+            np.load(os.path.join(b, "arrays.npz")) as y:
         if sorted(x.files) != sorted(y.files):
             return False
         same = all([_arrays_close(x[k], y[k], rtol, atol, rel) for k in x.files])
@@ -262,20 +295,28 @@ def compare_archive(a: str, b: str, rtol: float | None, atol: float | None,
     return same and (ma == mb if rtol is None else _close(ma, mb, rtol, atol, rel))
 
 
-def archive_dirs(root: str) -> set[str]:
-    """Relative paths of the archives under ``root``."""
-    return {os.path.relpath(d, root) for d, _, files in os.walk(root)
-            if "run_manifest.json" in files}
+# the kinds of directory compared as arrays, by the manifest each holds
+KINDS = {"run_manifest.json": "archive", "manifest.json": "collection"}
 
 
-def snapshot_file(path: str, archives: set[str]) -> bool:
-    """Whether ``path`` is an archive's manifest or one of its snapshot files,
-    which the archive comparison covers."""
+def array_dirs(root: str) -> dict[str, str]:
+    """Relative path -> kind ("archive" or "collection") of every directory
+    under ``root`` that is compared as arrays."""
+    return {os.path.relpath(d, root): kind for d, _, files in os.walk(root)
+            for manifest, kind in KINDS.items() if manifest in files}
+
+
+def array_file(path: str, dirs: dict[str, str]) -> bool:
+    """Whether ``path`` is a file that the array comparison covers: any file
+    of a collection, or an archive's manifest or one of its snapshot files."""
     d, name = os.path.split(path)
+    if dirs.get(d) == "collection":
+        return True
     if name == "run_manifest.json":
-        return d in archives
+        return dirs.get(d) == "archive"
     return (name == "snapshots.csv" or name.endswith(".npy")) \
-        and os.path.basename(d).startswith("chain_") and os.path.dirname(d) in archives
+        and os.path.basename(d).startswith("chain_") \
+        and dirs.get(os.path.dirname(d)) == "archive"
 
 
 def _parse(path: str):
@@ -286,25 +327,28 @@ def _parse(path: str):
 
 def compare(a: str, b: str, dumps: tuple[str, str], rtol: float | None = None,
             atol: float | None = None) -> list[str]:
-    """Lines naming every file or archive that differs between the work trees
-    ``a`` and ``b``, whose archives are dumped in ``dumps``; with a tolerance,
-    also each CSV or JSON file's and each archive's largest relative difference."""
-    archives = {side: archive_dirs(root) for side, root in (("parent", a), ("change", b))}
-    fa, fb = ({p: f for p, f in tree_files(root).items() if not snapshot_file(p, archives[side])}
+    """Lines naming every file, archive or collection that differs between the
+    work trees ``a`` and ``b``, whose archives and collections are dumped in
+    ``dumps``; with a tolerance, also each CSV or JSON file's and each dump's
+    largest relative difference."""
+    dirs = {side: array_dirs(root) for side, root in (("parent", a), ("change", b))}
+    fa, fb = ({p: f for p, f in tree_files(root).items() if not array_file(p, dirs[side])}
               for side, root in (("parent", a), ("change", b)))
     lines = [f"only in parent: {p}" for p in sorted(fa.keys() - fb.keys())]
     lines += [f"only in change: {p}" for p in sorted(fb.keys() - fa.keys())]
-    lines += [f"archive only in parent: {p}"
-              for p in sorted(archives["parent"] - archives["change"])]
-    lines += [f"archive only in change: {p}"
-              for p in sorted(archives["change"] - archives["parent"])]
-    for p in sorted(archives["parent"] & archives["change"]):
+    lines += [f"{dirs['parent'][p]} only in parent: {p}"
+              for p in sorted(dirs["parent"].keys() - dirs["change"].keys())]
+    lines += [f"{dirs['change'][p]} only in change: {p}"
+              for p in sorted(dirs["change"].keys() - dirs["parent"].keys())]
+    for p in sorted(dirs["parent"].keys() & dirs["change"].keys()):
+        kind = dirs["parent"][p]
         rel: list[float] = []
-        ok = compare_archive(*(os.path.join(d, p) for d in dumps), rtol, atol, rel)
+        ok = kind == dirs["change"][p] and \
+            compare_dump(*(os.path.join(d, p) for d in dumps), rtol, atol, rel)
         if rtol is not None:
-            print(f"max relative difference {max(rel, default=0.0):.3g}: archive {p}")
+            print(f"max relative difference {max(rel, default=0.0):.3g}: {kind} {p}")
         if not ok:
-            lines.append(f"archive differs: {p}")
+            lines.append(f"{kind} differs: {p}")
     for p in sorted(fa.keys() & fb.keys()):
         with open(fa[p], "rb") as x, open(fb[p], "rb") as y:
             same = x.read() == y.read()
@@ -332,10 +376,10 @@ def main() -> int:
         ap.error("--rtol and --atol go together")
     root = tempfile.mkdtemp(prefix="cli_identity_")
     work = {side: os.path.join(root, side) for side in ("parent", "change")}
-    dumps = {side: os.path.join(root, f"{side}_archives") for side in work}
+    dumps = {side: os.path.join(root, f"{side}_arrays") for side in work}
     for side in work:
         tree = os.path.abspath(getattr(args, side))
-        error = run_tree(tree, work[side]) or read_archives(tree, work[side], dumps[side])
+        error = run_tree(tree, work[side]) or read_arrays(tree, work[side], dumps[side])
         if error is not None:
             print(error, file=sys.stderr)
             shutil.rmtree(root)
@@ -343,10 +387,11 @@ def main() -> int:
     diffs = compare(work["parent"], work["change"], (dumps["parent"], dumps["change"]),
                     args.rtol, args.atol)
     n_files = len(tree_files(work["parent"]).keys() | tree_files(work["change"]).keys())
-    n_archives = len(archive_dirs(work["parent"]) | archive_dirs(work["change"]))
+    kinds = list({**array_dirs(work["parent"]), **array_dirs(work["change"])}.values())
     for line in diffs:
         print(line)
-    print(f"{n_files} files ({n_archives} archives) compared, {len(diffs)} differ")
+    print(f"{n_files} files ({kinds.count('archive')} archives, "
+          f"{kinds.count('collection')} collections) compared, {len(diffs)} differ")
     if diffs:
         print(f"outputs kept in {root}")
         return 1

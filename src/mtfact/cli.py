@@ -107,14 +107,12 @@ def _write_truth(outdir, truth):
 
 def _simulate_once(spec: SimSpec, outdir: str) -> str:
     os.makedirs(outdir, exist_ok=True)
-    if spec.scenario == "continuum":
-        train, test, truth = generate(spec)
-        mio.write_collection(os.path.join(outdir, "train"), train)
-        mio.write_collection(os.path.join(outdir, "test"), test)
-        mio.write_collection(os.path.join(outdir, "test_full"), truth.test_full)
-    else:
-        train, truth = generate(spec)
-        mio.write_collection(os.path.join(outdir, "train"), train)
+    train, *test, truth = generate(spec)  # continuum scenarios add a test set
+    sets = {"train": train}
+    if test:
+        sets.update(test=test[0], test_full=truth.test_full)
+    for name, c in sets.items():
+        mio.write_collection(os.path.join(outdir, name), c)
     _write_truth(outdir, truth)
     mio._json_dump(os.path.join(outdir, "sim_meta.json"), asdict(spec))
     dims = ", ".join(f"({v.shape[0]},{v.shape[1]},{v.shape[2]})" for v in train.views)
@@ -316,6 +314,7 @@ def cmd_report(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="mtfact", description=__doc__)
+    coll = "a collection directory (version-1 CSV tables or version-2 .npy arrays)"
     p.add_argument("--config", help="JSON file supplying any flag defaults")
     sub = p.add_subparsers(dest="command", required=True)
 
@@ -343,14 +342,14 @@ def build_parser() -> argparse.ArgumentParser:
     f.add_argument("--reps", type=int)
     f.add_argument("--no-preprocess", dest="no_preprocess", action="store_const",
                    const=True)
-    f.add_argument("input")
+    f.add_argument("input", help=f"{coll}, or a simulate output holding train/ or rep_*/")
     f.add_argument("output")
     f.set_defaults(func=cmd_fit)
 
     pr = sub.add_parser("predict", help="two-stage prediction of masked test entries")
     pr.add_argument("--archive", required=True)
-    pr.add_argument("--test", required=True)
-    pr.add_argument("--truth")
+    pr.add_argument("--test", required=True, help=f"{coll}; its masked entries are predicted")
+    pr.add_argument("--truth", help=f"{coll} holding the true values of those entries")
     pr.add_argument("--seed", type=int)
     pr.add_argument("--stage2-sweeps", dest="stage2_sweeps", type=int,
                     help=f"burn-in draws per snapshot (default "

@@ -1,9 +1,9 @@
 """On-disk formats: collections, posterior archives, prediction reports.
 
-Every file is a JSON manifest, a long-format CSV table or a posterior archive's
-``.npy`` stack of one (param, view) block's snapshots (layout: `write_archive`);
-version-1 archives, whose snapshots are one table per chain, are read only.  All
-tables share one dialect, written by `_write_table` and read by `_read_table`:
+Every file is a JSON manifest, a ``.npy`` array that a manifest names (a view's
+values or mask, `write_collection`; an archive block's snapshots, `write_archive`)
+or a CSV table: transforms, traces, truth arrays, reports and the read-only
+version-1 collections and archives, in one dialect (`_write_table`, `_read_table`):
 
 - a header row names the columns;
 - each row holds one value (or one value per value column), after its
@@ -130,38 +130,68 @@ def _grid(shape) -> list[np.ndarray]:
 # collections
 
 
+def _require(path: str, entry: dict, keys, where: str = "") -> list:
+    """The values of ``keys`` in ``entry``; ValueError naming ``path`` if one is absent."""
+    for key in keys:
+        if key not in entry:
+            raise ValueError(f"{path}: {where}no {key!r}")
+    return [entry[key] for key in keys]
+
+
+def _load_npy(path: str, dtype, fits, expected: str) -> np.ndarray:
+    """The array in ``path``; ValueError naming it if absent, not ``dtype`` or not ``fits``."""
+    arr = np.load(path, allow_pickle=False) if os.path.isfile(path) else None
+    if arr is None or arr.dtype != dtype or not fits(arr.shape):
+        raise ValueError(f"{path}: expected {expected}, found "
+                         + ("none" if arr is None else f"{arr.dtype} {arr.shape}"))
+    return arr
+
+
 def write_collection(directory: str, c: Collection):
+    """Version 2: per view, ``<name>.values.npy`` (float64 (N, D, L), 0.0 where
+    unobserved) and ``<name>.observed.npy`` (bool), named in ``manifest.json``."""
     os.makedirs(directory, exist_ok=True)
     group_of = {t: g for g, members in enumerate(c.third_mode_groups) for t in members}
-    views = [{"name": c.names[t], "n": v.shape[0], "d": v.shape[1], "l": v.shape[2],
-              "group": group_of.get(t)} for t, v in enumerate(c.views)]
+    views = []
+    for t, (name, v) in enumerate(zip(c.names, c.views)):
+        files = {"values": f"{name}.values.npy", "observed": f"{name}.observed.npy"}
+        np.save(os.path.join(directory, files["values"]), np.where(v.observed, v.values, 0.0))
+        np.save(os.path.join(directory, files["observed"]), v.observed)
+        views.append({"name": name, "n": v.shape[0], "d": v.shape[1], "l": v.shape[2],
+                      "group": group_of.get(t), **files})
     _json_dump(os.path.join(directory, "manifest.json"),
-               {"format": "tensor-collection", "version": 1, "views": views})
-    for t, v in enumerate(c.views):
-        idx = np.nonzero(v.observed)
-        _write_table(os.path.join(directory, f"{c.names[t]}.csv"), _COLLECTION_HEADER,
-                     [*idx, v.values[idx]])
+               {"format": "tensor-collection", "version": 2, "views": views})
 
 
 def read_collection(directory: str) -> Collection:
-    manifest = _json_load(os.path.join(directory, "manifest.json"))
-    views, names = [], []
-    groups: dict[int, list[int]] = {}
-    for t, meta in enumerate(manifest["views"]):
-        shape = (meta["n"], meta["d"], meta["l"])
-        path = os.path.join(directory, f"{meta['name']}.csv")
-        header, columns = _read_table(path, _COLLECTION_HEADER)
-        idx = _indices(path, header, columns, shape)
-        values = np.zeros(shape)
-        observed = np.zeros(shape, dtype=bool)
-        values[idx] = columns[3].astype(np.float64)
-        observed[idx] = True
-        views.append(MaskedTensor3(Tensor3(values), observed))
-        names.append(meta["name"])
+    """Version 1 or 2, 0.0 where unobserved; ValueError names the manifest if its format,
+    version, keys or file names are not `write_collection`'s, or a bad v2 array's file."""
+    path = os.path.join(directory, "manifest.json")
+    manifest = _json_load(path)
+    if manifest.get("format") != "tensor-collection" or manifest.get("version") not in (1, 2):
+        raise ValueError(f"{path}: not a tensor collection of version 1 or 2")
+    keys = ["name", "n", "d", "l"] + (["values", "observed"] if manifest["version"] == 2 else [])
+    views, groups = [], {}
+    for t, meta in enumerate(_require(path, manifest, ["views"])[0]):
+        name, n, d, l, *arrays = _require(path, meta, keys, f"view {t}: ")
+        for f in [name, *arrays]:  # one plain path component: no file leaves the directory
+            if not isinstance(f, str) or f in ("", ".", "..") or os.path.basename(f) != f:
+                raise ValueError(f"{path}: view {t}: {f!r} is not a plain file name")
+        if arrays:
+            values, observed = (_load_npy(os.path.join(directory, f), dt,
+                                          lambda shape: shape == (n, d, l), f"{dt} {(n, d, l)}")
+                                for f, dt in zip(arrays, ("float64", "bool")))
+        else:
+            table = os.path.join(directory, f"{name}.csv")
+            header, columns = _read_table(table, _COLLECTION_HEADER)
+            idx = _indices(table, header, columns, (n, d, l))
+            values, observed = np.zeros((n, d, l)), np.zeros((n, d, l), dtype=bool)
+            values[idx], observed[idx] = columns[3].astype(np.float64), True
+        views.append(MaskedTensor3(Tensor3(np.where(observed, values, 0.0)), observed))
         if meta.get("group") is not None:
             groups.setdefault(meta["group"], []).append(t)
     third = tuple(tuple(groups[g]) for g in sorted(groups))
-    return Collection(tuple(views), third, tuple(names))
+    return Collection(tuple(views), third, tuple(m["name"] for m in manifest["views"]))
 
 
 # ---------------------------------------------------------------------------
@@ -206,9 +236,9 @@ def write_array(path: str, arr: np.ndarray):
                  [*_grid(arr.shape), arr.astype(np.float64).ravel()])
 
 
-def _read_array(path: str, shape) -> np.ndarray:
-    """One array file; ``shape=None`` takes each extent as the largest
-    index read plus one."""
+def read_array(path: str, shape=None) -> np.ndarray:
+    """One array file; without ``shape``, each extent is the largest index
+    read plus one."""
     header, (*index, value) = _read_table(
         path, _array_header if shape is None else _array_header(len(shape)))
     idx = _indices(path, header, index, [np.inf] * len(index) if shape is None else shape)
@@ -218,10 +248,6 @@ def _read_array(path: str, shape) -> np.ndarray:
     # flat positions, which also serve a 0-d array
     np.put(out, np.ravel_multi_index(idx, out.shape), value.astype(np.float64))
     return out
-
-
-def read_array(path: str) -> np.ndarray:
-    return _read_array(path, None)
 
 
 def write_arrays(directory: str, arrays: dict[str, np.ndarray]):
@@ -234,7 +260,7 @@ def write_arrays(directory: str, arrays: dict[str, np.ndarray]):
 
 def read_arrays(directory: str) -> dict[str, np.ndarray]:
     meta = _json_load(os.path.join(directory, "arrays.json"))
-    return {name: _read_array(os.path.join(directory, f"{name}.csv"), shape)
+    return {name: read_array(os.path.join(directory, f"{name}.csv"), shape)
             for name, shape in meta.items()}
 
 
@@ -303,11 +329,8 @@ def _read_snapshot_stacks(cdir: str, names: list[str], n: int) -> dict:
     """{(snapshot, param, view): array} of a version-2 chain's float64 stacks ``names``."""
     blocks = {}
     for name in names:
-        path = os.path.join(cdir, name)
-        stack = np.load(path, allow_pickle=False) if os.path.isfile(path) else None
-        if stack is None or stack.dtype != np.float64 or stack.shape[:1] != (n,):
-            raise ValueError(f"{path}: expected a float64 stack of {n} snapshots, found "
-                             + ("none" if stack is None else f"{stack.dtype} {stack.shape}"))
+        stack = _load_npy(os.path.join(cdir, name), np.float64, lambda s: s[:1] == (n,),
+                          f"a float64 stack of {n} snapshots")
         param, _, view = name.removesuffix(".npy").partition("_")
         blocks.update(((s, param, view), stack[s, ...]) for s in range(n))
     return blocks
@@ -388,9 +411,7 @@ def read_archive(directory: str):
     if manifest.get("format") != "posterior-archive" or manifest.get("version") not in (1, 2):
         raise ValueError(f"{path}: not a posterior archive of version 1 or 2")
     keys = ("model", "hyperparams", "chain_ids", "views", "n_u_groups", "trace_names")
-    for key in keys + (("snapshot_stacks",) if manifest["version"] == 2 else ()):
-        if key not in manifest:
-            raise ValueError(f"{path}: no {key!r}")
+    _require(path, manifest, keys + (("snapshot_stacks",) if manifest["version"] == 2 else ()))
     try:
         hp = HyperParams(**manifest["hyperparams"])
     except TypeError as err:
@@ -402,8 +423,7 @@ def read_archive(directory: str):
     chains = []
     for cid in manifest["chain_ids"]:
         cdir = os.path.join(directory, f"chain_{cid}")
-        with open(os.path.join(cdir, "sweeps.json")) as fh:
-            sweeps = json.load(fh)
+        sweeps = _json_load(os.path.join(cdir, "sweeps.json"))
         blocks = (_read_snapshot_blocks(os.path.join(cdir, "snapshots.csv"))
                   if manifest["version"] == 1 else
                   _read_snapshot_stacks(cdir, manifest["snapshot_stacks"], len(sweeps)))

@@ -15,6 +15,7 @@ from mtfact.core import Collection, MaskedTensor3
 from mtfact.predict import match_components
 
 from conftest import swap_index_columns
+from test_io import ref_write_collection
 
 
 def run(*argv):
@@ -120,9 +121,10 @@ class TestFit:
 
     @pytest.mark.parametrize("sample", ["-1", "24"])
     def test_sample_index_out_of_range_exit_2(self, small_sim, tmp_path, capsys, sample):
-        with open(small_sim / "train" / "matrix.csv", "a", newline="") as fh:
+        ref_write_collection(tmp_path / "c", mio.read_collection(small_sim / "train"))
+        with open(tmp_path / "c" / "matrix.csv", "a", newline="") as fh:
             fh.write(f"{sample},0,0,1.5\r\n")
-        assert run("fit", *FIT_SMALL, small_sim, tmp_path / "a") == 2
+        assert run("fit", *FIT_SMALL, tmp_path / "c", tmp_path / "a") == 2
         err = capsys.readouterr().err
         assert "matrix.csv" in err and f"sample_index {sample} is outside [0, 24)" in err
 
@@ -131,7 +133,7 @@ class TestFit:
         # an empty view file, or one whose index columns list features first
         # (N = D = 3, so every index is in range), is refused, not fitted
         values = np.random.default_rng(0).standard_normal((3, 3, 2))
-        mio.write_collection(tmp_path / "c", Collection((MaskedTensor3.fully_observed(values),),
+        ref_write_collection(tmp_path / "c", Collection((MaskedTensor3.fully_observed(values),),
                                                         (), ("x",)))
         path = tmp_path / "c" / "x.csv"
         if damage == "empty":
@@ -141,6 +143,21 @@ class TestFit:
         assert run("fit", *FIT_SMALL, tmp_path / "c", tmp_path / "a") == 2
         assert "x.csv: expected the header sample_index,feature_index,slab_index,value, found " \
             in capsys.readouterr().err
+        assert not (tmp_path / "a").exists()
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda m: m.update(format="nonsense", version=9),
+         "manifest.json: not a tensor collection of version 1 or 2"),
+        (lambda m: m["views"][0].pop("n"), "manifest.json: view 0: no 'n'"),
+        (lambda m: m["views"][1].update(values="../x.npy"),
+         "manifest.json: view 1: '../x.npy' is not a plain file name")])
+    def test_bad_collection_manifest_exit_2(self, small_sim, tmp_path, capsys, edit, message):
+        path = small_sim / "train" / "manifest.json"
+        manifest = json.loads(path.read_text())
+        edit(manifest)
+        path.write_text(json.dumps(manifest))
+        assert run("fit", *FIT_SMALL, small_sim, tmp_path / "a") == 2
+        assert message in capsys.readouterr().err
         assert not (tmp_path / "a").exists()
 
     @pytest.mark.parametrize("value", ["four", "0", "-3"])

@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import re
 import shutil
 from dataclasses import asdict
 
@@ -416,11 +417,26 @@ def _report_inputs(rng):
 
 
 class TestOnDiskFormatPinned:
-    def test_collection_bytes(self, tmp_path, rng):
+    def test_collection_reads(self, tmp_path, rng):
+        # The writer writes version 2: per view a values and a mask .npy
+        # where the reference writes one CSV table, and a manifest that
+        # differs in "version" and the file names.  Both read back alike.
         c = make_collection(rng, masked=True)
         ref_write_collection(tmp_path / "ref", c)
         mio.write_collection(tmp_path / "new", c)
-        assert _tree(tmp_path / "new") == _tree(tmp_path / "ref")
+        assert set(_tree(tmp_path / "ref")) == {"manifest.json", "mat.csv", "tens.csv"}
+        assert set(_tree(tmp_path / "new")) == {"manifest.json", "mat.values.npy",
+                                                "mat.observed.npy", "tens.values.npy",
+                                                "tens.observed.npy"}
+        ref, new = (json.loads((tmp_path / d / "manifest.json").read_text())
+                    for d in ("ref", "new"))
+        assert ref.pop("version") == 1 and new.pop("version") == 2
+        for meta in new["views"]:
+            assert meta.pop("values") == f"{meta['name']}.values.npy"
+            assert meta.pop("observed") == f"{meta['name']}.observed.npy"
+        assert new == ref
+        _assert_collections_bit_equal(mio.read_collection(tmp_path / "new"),
+                                      mio.read_collection(tmp_path / "ref"))
 
     def test_transform_bytes(self, tmp_path, rng):
         _, tr = center_and_normalize(make_collection(rng))
@@ -501,6 +517,14 @@ class TestOnDiskFormatPinned:
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
+def _assert_collections_bit_equal(a, b):
+    """Names, groups, masks and every value (unobserved ones included), bit for bit."""
+    assert a.names == b.names and a.third_mode_groups == b.third_mode_groups
+    for va, vb in zip(a.views, b.views, strict=True):
+        np.testing.assert_array_equal(va.observed, vb.observed)
+        assert _bits_equal(va.values, vb.values)
+
+
 def _shuffle_rows(path, seed):
     with open(path, newline="") as fh:
         header, *rows = fh.read().splitlines(keepends=True)
@@ -512,7 +536,7 @@ def _shuffle_rows(path, seed):
 class TestRowsInAnyOrder:
     def test_collection(self, tmp_path, rng):
         c = make_collection(rng, masked=True)
-        mio.write_collection(tmp_path / "c", c)
+        ref_write_collection(tmp_path / "c", c)
         for name in c.names:
             _shuffle_rows(tmp_path / "c" / f"{name}.csv", 1)
         back = mio.read_collection(tmp_path / "c")
@@ -536,7 +560,7 @@ class TestBadIndices:
     def _collection_with_row(self, tmp_path, row):
         c = Collection((MaskedTensor3.fully_observed(np.arange(12.0).reshape(3, 2, 2)),),
                        (), ("x",))
-        mio.write_collection(tmp_path, c)
+        ref_write_collection(tmp_path, c)
         with open(tmp_path / "x.csv", "a", newline="") as fh:
             fh.write(row + "\r\n")
         return tmp_path
@@ -572,7 +596,7 @@ class TestHeaders:
         # N = D = 3, so a file with the first two columns swapped holds only
         # in-range indices and would read back transposed
         values = np.random.default_rng(0).standard_normal((3, 3, 2))
-        mio.write_collection(tmp_path, Collection((MaskedTensor3.fully_observed(values),),
+        ref_write_collection(tmp_path, Collection((MaskedTensor3.fully_observed(values),),
                                                   (), ("x",)))
         return tmp_path / "x.csv"
 
@@ -695,3 +719,132 @@ class TestArchiveVersions:
         with pytest.raises(ValueError, match=r"run_manifest\.json: 'hyperparams' are not "
                                              r"HyperParams fields .*'n_sweeps'"):
             mio.read_archive(tmp_path)
+
+
+# ---------------------------------------------------------------------------
+# collection versions
+
+
+COLLECTION_V1 = os.path.join(os.path.dirname(__file__), "data", "collection_v1")
+
+
+class TestCollectionVersions:
+    def test_version1_fixture_reads_bit_exactly(self):
+        # tests/data/collection_v1 was written by the version-1 writer: two
+        # tensor views in one third-mode group, with masked entries and
+        # observed -0, subnormals, the largest float and 1 + 2**-52
+        c = mio.read_collection(COLLECTION_V1)
+        assert c.names == ("a", "b") and c.third_mode_groups == ((0, 1),)
+        for name, v in zip(c.names, c.views):
+            want = {tuple(int(i) for i in idx): float(x).hex()
+                    for *idx, x in ref_read_table(os.path.join(COLLECTION_V1, f"{name}.csv"))}
+            got = {idx: float(v.values[idx]).hex() for idx in zip(*np.nonzero(v.observed))}
+            assert got == want
+            assert not v.observed.all()
+            assert _bits_equal(v.values[~v.observed], np.zeros(np.count_nonzero(~v.observed)))
+        assert float(c.views[0].values[0, 0, 0]).hex() == "-0x0.0p+0"
+
+    def test_version2_round_trip_is_bit_exact(self, tmp_path):
+        c = mio.read_collection(COLLECTION_V1)
+        mio.write_collection(tmp_path, c)
+        assert json.loads((tmp_path / "manifest.json").read_text())["version"] == 2
+        _assert_collections_bit_equal(mio.read_collection(tmp_path), c)
+
+    def test_views_named_a_and_a_observed_do_not_collide(self, tmp_path, rng):
+        masks = [rng.random((3, 2, 2)) > 0.3 for _ in range(2)]
+        views = tuple(MaskedTensor3(Tensor3(np.where(m, rng.standard_normal(m.shape), 0.0)), m)
+                      for m in masks)
+        c = Collection(views, (), ("a", "a.observed"))
+        mio.write_collection(tmp_path, c)
+        assert len(os.listdir(tmp_path)) == 1 + 4
+        _assert_collections_bit_equal(mio.read_collection(tmp_path), c)
+
+    def test_version2_unobserved_values_read_as_zero(self, tmp_path):
+        # a hand-made file may hold any placeholder, nan included, where masked
+        values = np.array([[[1.5, np.nan]], [[np.inf, -0.0]]])
+        observed = np.array([[[True, False]], [[False, True]]])
+        mio.write_collection(tmp_path, Collection(
+            (MaskedTensor3(Tensor3(np.zeros((2, 1, 2))), observed),), (), ("x",)))
+        np.save(tmp_path / "x.values.npy", values)
+        back = mio.read_collection(tmp_path).views[0]
+        assert _bits_equal(back.values, np.array([[[1.5, 0.0]], [[0.0, -0.0]]]))
+
+    @pytest.mark.parametrize("version", [1, 2])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_observed_non_finite_value_is_refused(self, tmp_path, version, value):
+        # a collection holds finite values only (Tensor3): a missing entry is masked
+        shutil.copytree(COLLECTION_V1, tmp_path, dirs_exist_ok=True)
+        if version == 1:
+            path = tmp_path / "b.csv"
+            path.write_bytes(path.read_bytes().replace(b"0,0,0,-0", b"0,0,0," + value.encode()))
+        else:
+            mio.write_collection(tmp_path, mio.read_collection(COLLECTION_V1))
+            values = np.load(tmp_path / "b.values.npy")
+            values[0, 0, 0] = float(value)
+            np.save(tmp_path / "b.values.npy", values)
+        with pytest.raises(ValueError, match="tensor entries must be finite"):
+            mio.read_collection(tmp_path)
+
+    @pytest.mark.parametrize("array", ["values", "observed"])
+    @pytest.mark.parametrize("case", ["missing", "dtype", "shape"])
+    def test_bad_array_names_its_file(self, tmp_path, array, case):
+        mio.write_collection(tmp_path, mio.read_collection(COLLECTION_V1))
+        path = tmp_path / f"b.{array}.npy"
+        arr = np.load(path)
+        if case == "missing":
+            os.remove(path)
+        elif case == "dtype":
+            np.save(path, np.ones(arr.shape, np.float32 if array == "values" else np.uint8))
+        else:
+            np.save(path, arr[:, :, :1])
+        want = "float64" if array == "values" else "bool"
+        found = {"missing": "none", "dtype": "float32" if array == "values" else "uint8",
+                 "shape": rf"{want} \(4, 2, 1\)"}[case]
+        with pytest.raises(ValueError, match=rf"b\.{array}\.npy: expected {want} "
+                                             rf"\(4, 2, 2\), found {found}"):
+            mio.read_collection(tmp_path)
+
+    @staticmethod
+    def _edited_manifest(tmp_path, version, edit):
+        """The fixture collection, as written by the version-``version``
+        writer, in tmp_path with its manifest changed in place by ``edit``."""
+        if version == 1:
+            shutil.copytree(COLLECTION_V1, tmp_path, dirs_exist_ok=True)
+        else:
+            mio.write_collection(tmp_path, mio.read_collection(COLLECTION_V1))
+        path = tmp_path / "manifest.json"
+        manifest = json.loads(path.read_text())
+        edit(manifest)
+        path.write_text(json.dumps(manifest))
+
+    @pytest.mark.parametrize("key, value", [("format", "nonsense"), ("format", None),
+                                            ("version", 9), ("version", None)])
+    def test_unknown_format_or_version_is_refused(self, tmp_path, key, value):
+        self._edited_manifest(tmp_path, 2, lambda m: m.update({key: value}))
+        with pytest.raises(ValueError, match=r"manifest\.json: not a tensor collection "
+                                             r"of version 1 or 2"):
+            mio.read_collection(tmp_path)
+
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_manifest_without_views_names_it(self, tmp_path, version):
+        self._edited_manifest(tmp_path, version, lambda m: m.pop("views"))
+        with pytest.raises(ValueError, match=r"manifest\.json: no 'views'"):
+            mio.read_collection(tmp_path)
+
+    @pytest.mark.parametrize("version, key", [
+        (v, key) for v in (1, 2)
+        for key in ("name", "n", "d", "l", *["values", "observed"] * (v == 2))])
+    def test_view_without_key_names_it(self, tmp_path, version, key):
+        self._edited_manifest(tmp_path, version, lambda m: m["views"][1].pop(key))
+        with pytest.raises(ValueError, match=rf"manifest\.json: view 1: no '{key}'"):
+            mio.read_collection(tmp_path)
+
+    @pytest.mark.parametrize("version, key", [(1, "name"), (2, "name"), (2, "values"),
+                                              (2, "observed")])
+    @pytest.mark.parametrize("name", ["../x", "sub/x", "/tmp/x", "..", ".", "", 3])
+    def test_file_name_outside_the_directory_is_refused(self, tmp_path, version, key, name):
+        # a view named ../x would make the version-1 reader open ../x.csv
+        self._edited_manifest(tmp_path, version, lambda m: m["views"][0].update({key: name}))
+        with pytest.raises(ValueError, match=rf"manifest\.json: view 0: {re.escape(repr(name))} "
+                                             r"is not a plain file name"):
+            mio.read_collection(tmp_path)
