@@ -130,6 +130,18 @@ def _grid(shape) -> list[np.ndarray]:
 # collections
 
 
+def _manifest(path: str, kind: str) -> dict:
+    """The manifest in ``path``; ValueError naming it unless it is an object of
+    format ``kind`` and version 1 or 2 whose ``views`` are a list of objects."""
+    m = _json_load(path)
+    if not isinstance(m, dict) or m.get("format") != kind or m.get("version") not in (1, 2):
+        raise ValueError(f"{path}: not a {kind.replace('-', ' ')} of version 1 or 2")
+    views = _require(path, m, ["views"])[0]
+    if not isinstance(views, list) or not all(isinstance(v, dict) for v in views):
+        raise ValueError(f"{path}: 'views' is not a list of objects")
+    return m
+
+
 def _require(path: str, entry: dict, keys, where: str = "") -> list:
     """The values of ``keys`` in ``entry``; ValueError naming ``path`` if one is absent."""
     for key in keys:
@@ -138,9 +150,21 @@ def _require(path: str, entry: dict, keys, where: str = "") -> list:
     return [entry[key] for key in keys]
 
 
+def _plain(path: str, names, where: str):
+    """ValueError naming ``path`` for a name that is not one plain path
+    component: no file that a manifest names leaves its directory."""
+    for f in names:
+        if not isinstance(f, str) or f in ("", ".", "..") or os.path.basename(f) != f:
+            raise ValueError(f"{path}: {where}{f!r} is not a plain file name")
+
+
 def _load_npy(path: str, dtype, fits, expected: str) -> np.ndarray:
-    """The array in ``path``; ValueError naming it if absent, not ``dtype`` or not ``fits``."""
-    arr = np.load(path, allow_pickle=False) if os.path.isfile(path) else None
+    """The array in ``path``; ValueError naming it if absent, unreadable, not
+    ``dtype`` or not ``fits``."""
+    try:
+        arr = np.load(path, allow_pickle=False) if os.path.isfile(path) else None
+    except (ValueError, OSError, EOFError) as err:
+        raise ValueError(f"{path}: not a readable .npy file ({err})") from None
     if arr is None or arr.dtype != dtype or not fits(arr.shape):
         raise ValueError(f"{path}: expected {expected}, found "
                          + ("none" if arr is None else f"{arr.dtype} {arr.shape}"))
@@ -167,16 +191,12 @@ def read_collection(directory: str) -> Collection:
     """Version 1 or 2, 0.0 where unobserved; ValueError names the manifest if its format,
     version, keys or file names are not `write_collection`'s, or a bad v2 array's file."""
     path = os.path.join(directory, "manifest.json")
-    manifest = _json_load(path)
-    if manifest.get("format") != "tensor-collection" or manifest.get("version") not in (1, 2):
-        raise ValueError(f"{path}: not a tensor collection of version 1 or 2")
+    manifest = _manifest(path, "tensor-collection")
     keys = ["name", "n", "d", "l"] + (["values", "observed"] if manifest["version"] == 2 else [])
     views, groups = [], {}
-    for t, meta in enumerate(_require(path, manifest, ["views"])[0]):
+    for t, meta in enumerate(manifest["views"]):
         name, n, d, l, *arrays = _require(path, meta, keys, f"view {t}: ")
-        for f in [name, *arrays]:  # one plain path component: no file leaves the directory
-            if not isinstance(f, str) or f in ("", ".", "..") or os.path.basename(f) != f:
-                raise ValueError(f"{path}: view {t}: {f!r} is not a plain file name")
+        _plain(path, [name, *arrays], f"view {t}: ")
         if arrays:
             values, observed = (_load_npy(os.path.join(directory, f), dt,
                                           lambda shape: shape == (n, d, l), f"{dt} {(n, d, l)}")
@@ -403,15 +423,17 @@ def write_archive(directory: str, chains: list[PosteriorSamples],
 def read_archive(directory: str):
     """Returns (chains, transform or None, manifest dict) of an archive of
     version 1 or 2.  A manifest of another version, or that lacks a key the reader
-    uses, or whose ``hyperparams`` are not ``HyperParams`` fields raises ValueError.
+    uses, or whose ``hyperparams`` are not ``HyperParams`` fields, ``chain_ids`` not
+    ints or ``snapshot_stacks`` not plain file names raises ValueError.
     A preprocessed archive without ``transform.csv`` raises FileNotFoundError:
     its predictions would stay standardized."""
     path = os.path.join(directory, "run_manifest.json")
-    manifest = _json_load(path)
-    if manifest.get("format") != "posterior-archive" or manifest.get("version") not in (1, 2):
-        raise ValueError(f"{path}: not a posterior archive of version 1 or 2")
+    manifest = _manifest(path, "posterior-archive")
     keys = ("model", "hyperparams", "chain_ids", "views", "n_u_groups", "trace_names")
     _require(path, manifest, keys + (("snapshot_stacks",) if manifest["version"] == 2 else ()))
+    _plain(path, manifest.get("snapshot_stacks", []), "snapshot_stacks: ")
+    if any(type(cid) is not int for cid in manifest["chain_ids"]):
+        raise ValueError(f"{path}: 'chain_ids' are not all integers")
     try:
         hp = HyperParams(**manifest["hyperparams"])
     except TypeError as err:

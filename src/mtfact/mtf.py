@@ -316,72 +316,78 @@ def _logit(p):
     return np.log(p) - np.log1p(-p)
 
 
-def _view_u(data: ModelData, us, t: int) -> np.ndarray:
-    """Third-mode loadings of view t in a rank-1 fit: u = 1 for matrix views."""
-    return us[data.group_of[t]] if t in data.group_of else np.ones(1)
+def _view_us(data: ModelData, us, j: int) -> list[np.ndarray]:
+    """Third-mode loadings (L, J) of each view in a CP-ALS fit: 1 on a matrix view."""
+    return [us[data.group_of[t]] if t in data.group_of else np.ones((1, j))
+            for t in range(data.n_views)]
 
 
-def _rank1_loadings(data: ModelData, vs, us) -> list[np.ndarray]:
-    """vec(u v_t^T) (L*D,) of each view's rank-1 fit."""
-    return [np.outer(_view_u(data, us, t), v).ravel() for t, v in enumerate(vs)]
+def _loadings(data: ModelData, vs, us) -> list[np.ndarray]:
+    """B_t = [vec(u_j v_tj^T)] (L*D, J) of each view: the Khatri-Rao product."""
+    return [(u[:, None] * v).reshape(len(u) * len(v), -1)
+            for u, v in zip(_view_us(data, us, vs[0].shape[1]), vs)]
 
 
-def _rank1_fit(data: ModelData, resid, z, n_power: int):
-    """Joint rank-1 alternating fit of (z, per-view v, per-group u) to the
-    current residuals, each view's as its (N, L*D) reshape (only read).
+def _lstsq(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """x (., J) with x gram = rhs^T, min-norm: a singular Gram raises nothing."""
+    return np.linalg.lstsq(gram, rhs, rcond=None)[0].T
 
-    z is fixed during the v- and u-updates, so one product P_t = z^T R_t,
-    read as (L, D), serves both: v_t = u P_t / (z.z |u|^2) and u = sum_t
-    P_t v_t / sum_t z.z |v_t|^2.  The z-update is z = sum_t R_t b_t /
-    sum_t |b_t|^2 with b_t = vec(u v_t^T): two passes over each residual.
+
+def _cp_als(data: ModelData, resid, z, vs, us, n_iter: int):
+    """CP-ALS updates (Kolda & Bader 2009, SIAM Review 51:455, sec. 3.4) of J
+    components, z (N, J), vs per view (D, J) and us per group (L, J), fitted
+    to Y_t = R_t + z B_t^T, each residual R_t as its (N, L*D) reshape (only
+    read): R_t is zero at masked entries, so Y_t fills them with the entry's
+    reconstruction (Tomasi & Bro 2005).  Each update solves the normal
+    equations of v_t (P_t = z^T Y_t read as (J, L, D), Gram (z^T z) o (u^T u)),
+    then u (the same P_t), then z (sum_t Y_t B_t, Gram sum_t B_t^T B_t), with
+    z^T Y_t = z^T R_t + (z^T z0) B0_t^T and Y_t B = R_t B + z0 B0_t^T B.
+    J = 1 from v = 0 is a rank-1 power iteration on the residual.
     """
-    vs = [np.zeros(v.d) for v in data.views]
-    us = {g: np.full(data.views[m[0]].l, 1.0 / np.sqrt(data.views[m[0]].l))
-          for g, m in enumerate(data.u_groups)}
-    for _ in range(n_power):
-        zz = float(z @ z) or 1.0
-        proj = [(z @ r).reshape(v.l, v.d) for r, v in zip(resid, data.views)]
-        for t, p in enumerate(proj):
-            u = _view_u(data, us, t)
-            vs[t] = u @ p / max(zz * float(u @ u), 1e-30)
+    z0, b0 = z, _loadings(data, vs, us)
+    vs, us = list(vs), list(us)
+    for _ in range(n_iter):
+        zz, cross = z.T @ z, z.T @ z0
+        proj = [(z.T @ r + cross @ b.T).reshape(-1, v.l, v.d)
+                for r, b, v in zip(resid, b0, data.views)]
+        for t, (p, u) in enumerate(zip(proj, _view_us(data, us, z.shape[1]))):
+            vs[t] = _lstsq(zz * (u.T @ u), np.vecmat(u.T, p))
         for g, members in enumerate(data.u_groups):
-            us[g] = sum(proj[t] @ vs[t] for t in members) \
-                / max(sum(zz * float(vs[t] @ vs[t]) for t in members), 1e-30)
-        bs = _rank1_loadings(data, vs, us)
-        z = sum(r @ b for r, b in zip(resid, bs)) / max(sum(float(b @ b) for b in bs), 1e-30)
+            us[g] = _lstsq(sum(zz * (vs[t].T @ vs[t]) for t in members),
+                           sum(np.matvec(proj[t], vs[t].T) for t in members))
+        bs = _loadings(data, vs, us)
+        z = _lstsq(sum(b.T @ b for b in bs),
+                   sum(b.T @ r.T + (b.T @ c) @ z0.T for r, b, c in zip(resid, bs, b0)))
     return z, vs, us
 
 
-def _subtract_component(data: ModelData, resid, z, vs, us, sign=1.0):
-    """Subtract (sign -1: add back) z b_t^T from each (N, L*D) residual in
-    place: one BLAS rank-1 update of its column-major transpose, then the
+def _subtract_component(data: ModelData, resid, z, bs):
+    """Subtract z B_t^T (z (N, J), B_t (L*D, J)) from each (N, L*D) residual
+    in place: one BLAS GEMM update of its column-major transpose, then the
     observation mask on masked views, whose masked entries stay zero."""
-    for t, b in enumerate(_rank1_loadings(data, vs, us)):
-        resid[t] = blas.dger(-sign, b, z, a=resid[t].T, overwrite_a=True).T
+    for t, b in enumerate(bs):
+        resid[t] = blas.dgemm(-1.0, b, z, beta=1.0, c=resid[t].T, trans_b=True,
+                              overwrite_c=True).T
         if data.views[t].obs is not None:
             resid[t] *= data.views[t].obs.reshape(data.n, -1)
 
 
-def _above_noise_floor(data: ModelData, resid, z, vs, us, margin: float) -> bool:
+def _above_noise_floor(data: ModelData, resid, z, bs, margin: float) -> bool:
     """Keep a fitted component only if it captures more of some view's
     residual than the top singular direction of pure noise would (the
     Marchenko-Pastur edge for that view's matricized shape)."""
-    for v, r, b in zip(data.views, resid, _rank1_loadings(data, vs, us)):
-        cap = float(z @ z) * float(b @ b)
+    for v, r, b in zip(data.views, resid, bs):
         total = float(np.dot(r.ravel(), r.ravel()))  # C-contiguous: no temporary
-        if total <= 0:
-            continue
-        cols = v.d * v.l
-        edge = (np.sqrt(data.n) + np.sqrt(cols)) ** 2 / (data.n * cols)
-        if cap / total > margin * edge:
+        edge = (np.sqrt(data.n) + np.sqrt(v.d * v.l)) ** 2 / (data.n * v.d * v.l)
+        if total > 0 and float(np.vdot(z, z) * np.vdot(b, b)) / total > margin * edge:
             return True
     return False
 
 
 def _deflation_start(data: ModelData, k: int, gen, n_power: int = 8,
-                     n_backfit: int = 2, margin: float = 1.3):
+                     n_polish: int = 5, margin: float = 1.3):
     """Greedy rank-1 warm start: peel dominant joint rank-1 structure off the
-    residual one component at a time, then backfit-polish the kept ones.
+    residual one component at a time, then polish the kept ones jointly.
 
     A cold random start cannot bootstrap the spike-and-slab race (a random
     direction never accumulates activation evidence), slab-scale random
@@ -390,51 +396,52 @@ def _deflation_start(data: ModelData, k: int, gen, n_power: int = 8,
     entrenches.  Deflation stops at the noise floor; leftover budget
     components start empty, subject to the activation race like any other.
 
-    Each view's residual is one (N, L*D) copy of its data, updated in place
-    as components are subtracted and added back; see ``_rank1_fit``.
+    The peel fits each component by ``_cp_als`` with J = 1 and subtracts it
+    from each view's residual, one (N, L*D) copy of its data.  The polish
+    is ``n_polish`` CP-ALS updates of all kept components at once, the
+    residual refreshed in place after each (masked entries re-imputed).
+    Unlike a subspace, components that a tensor view pins are unique up to
+    scaling and permutation (Kruskal 1977, Linear Algebra Appl. 18:95), so
+    this descent from the separated peeled components refines them rather
+    than mixing them.
     Returns (Z, V per view, U per group), gauge-normalized so latent rows
     and third-mode factors sit at their prior scale.
     """
     n = data.n
     resid = [v.x.reshape(n, -1).copy() for v in data.views]
-    Z = np.zeros((n, k))
-    V = [np.zeros((v.d, k)) for v in data.views]
     group_u = [0.05 * gen.standard_normal((data.views[g[0]].l, k))
                for g in data.u_groups]
     start = gen.standard_normal((n, k))  # fixed draw order for determinism
-    fits = {}
+    z, vs, us = start[:, :0], [np.zeros((v.d, 0)) for v in data.views], [u[:, :0] for u in group_u]
     for j in range(k):
-        z, vs, us = _rank1_fit(data, resid, start[:, j], n_power)
-        if not np.isfinite(z).all() or float(z @ z) == 0.0:
+        fit = _cp_als(data, resid, start[:, j:j + 1], [np.zeros((v.d, 1)) for v in data.views],
+                      [np.full((len(u), 1), len(u) ** -0.5) for u in group_u], n_power)
+        bs = _loadings(data, *fit[1:])
+        if not np.isfinite(fit[0]).all() or not fit[0].any() \
+                or not _above_noise_floor(data, resid, fit[0], bs, margin):
             break
-        if not _above_noise_floor(data, resid, z, vs, us, margin):
-            break
-        fits[j] = (z, vs, us)
-        _subtract_component(data, resid, z, vs, us)
-    for _ in range(n_backfit):
-        for j, (z, vs, us) in fits.items():
-            _subtract_component(data, resid, z, vs, us, sign=-1.0)
-            z, vs, us = _rank1_fit(data, resid, z, n_power)
-            fits[j] = (z, vs, us)
-            _subtract_component(data, resid, z, vs, us)
-    for j, (z, vs, us) in fits.items():
-        # normalize gauge: |z| -> sqrt(N), |u| -> sqrt(L), scale into v
-        cz = np.linalg.norm(z) / np.sqrt(n)
-        if cz == 0 or not np.isfinite(cz):
-            continue
-        z = z / cz
-        us = dict(us)
-        for g in us:
-            un = np.linalg.norm(us[g])
-            cu = un / np.sqrt(us[g].size) if un > 0 else 1.0
-            us[g] = us[g] / cu
-            for t in data.u_groups[g]:
-                vs[t] = vs[t] * cu
-        Z[:, j] = z
-        for t in range(data.n_views):
-            V[t][:, j] = vs[t] * cz
-        for g in us:
-            group_u[g][:, j] = us[g]
+        _subtract_component(data, resid, fit[0], bs)
+        z = np.hstack([z, fit[0]])
+        vs, us = ([np.hstack(p) for p in zip(a, b)] for a, b in ((vs, fit[1]), (us, fit[2])))
+    for i in range(n_polish):
+        if i:
+            for r, v in zip(resid, data.views):
+                np.copyto(r, v.x.reshape(n, -1))
+            _subtract_component(data, resid, z, _loadings(data, vs, us))
+        z, vs, us = _cp_als(data, resid, z, vs, us, 1)
+    # normalize gauge: |z| -> sqrt(N), |u| -> sqrt(L), scale into v
+    cz = np.linalg.norm(z, axis=0) / np.sqrt(n)
+    keep = np.flatnonzero(np.isfinite(cz) & (cz > 0))
+    for g, u in enumerate(us):
+        cu = np.linalg.norm(u, axis=0) / np.sqrt(len(u))
+        cu[cu == 0] = 1.0
+        group_u[g][:, keep] = (u / cu)[:, keep]
+        for t in data.u_groups[g]:
+            vs[t] = vs[t] * cu
+    Z, V = np.zeros((n, k)), [np.zeros((v.d, k)) for v in data.views]
+    Z[:, keep] = z[:, keep] / cz[keep]
+    for t, v in enumerate(vs):
+        V[t][:, keep] = v[:, keep] * cz[keep]
     return Z, V, group_u
 
 

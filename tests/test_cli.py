@@ -150,7 +150,9 @@ class TestFit:
          "manifest.json: not a tensor collection of version 1 or 2"),
         (lambda m: m["views"][0].pop("n"), "manifest.json: view 0: no 'n'"),
         (lambda m: m["views"][1].update(values="../x.npy"),
-         "manifest.json: view 1: '../x.npy' is not a plain file name")])
+         "manifest.json: view 1: '../x.npy' is not a plain file name"),
+        (lambda m: m.update(views={"matrix": {}}),
+         "manifest.json: 'views' is not a list of objects")])
     def test_bad_collection_manifest_exit_2(self, small_sim, tmp_path, capsys, edit, message):
         path = small_sim / "train" / "manifest.json"
         manifest = json.loads(path.read_text())
@@ -158,6 +160,13 @@ class TestFit:
         path.write_text(json.dumps(manifest))
         assert run("fit", *FIT_SMALL, small_sim, tmp_path / "a") == 2
         assert message in capsys.readouterr().err
+        assert not (tmp_path / "a").exists()
+
+    def test_collection_manifest_not_an_object_exit_2(self, small_sim, tmp_path, capsys):
+        (small_sim / "train" / "manifest.json").write_text("[]")
+        assert run("fit", *FIT_SMALL, small_sim, tmp_path / "a") == 2
+        assert "manifest.json: not a tensor collection of version 1 or 2" \
+            in capsys.readouterr().err
         assert not (tmp_path / "a").exists()
 
     @pytest.mark.parametrize("value", ["four", "0", "-3"])

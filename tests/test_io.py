@@ -721,6 +721,73 @@ class TestArchiveVersions:
             mio.read_archive(tmp_path)
 
 
+    @pytest.mark.parametrize("name", ["../../Z_outside.npy", "sub/Z.npy", "/tmp/Z.npy",
+                                      "..", "", 3])
+    def test_stack_outside_the_archive_is_refused(self, tmp_path, rng, name):
+        # a stack named ../../Z_outside.npy would load a file beside the archive
+        mio.write_archive(tmp_path / "arch", _archive("mtf", rng)[0])
+        shutil.copy(tmp_path / "arch" / "chain_0" / "Z.npy", tmp_path / "Z_outside.npy")
+        self._edited_manifest(tmp_path / "arch", rng, 2,
+                              lambda m: m["snapshot_stacks"].__setitem__(0, name))
+        with pytest.raises(ValueError, match=rf"run_manifest\.json: snapshot_stacks: "
+                                             rf"{re.escape(repr(name))} is not a plain file name"):
+            mio.read_archive(tmp_path / "arch")
+
+    @pytest.mark.parametrize("version", [1, 2])
+    @pytest.mark.parametrize("cid", ["0", "../x", 0.0, True, None])
+    def test_chain_id_not_an_int_is_refused(self, tmp_path, rng, version, cid):
+        self._edited_manifest(tmp_path, rng, version, lambda m: m["chain_ids"].__setitem__(0, cid))
+        with pytest.raises(ValueError, match=r"run_manifest\.json: 'chain_ids' are not all "
+                                             r"integers"):
+            mio.read_archive(tmp_path)
+
+    @pytest.mark.parametrize("case", ["truncated", "pickled"])
+    def test_unreadable_stack_names_its_file(self, tmp_path, rng, case):
+        mio.write_archive(tmp_path, _archive("mtf", rng)[0])
+        damage_npy(tmp_path / "chain_0" / "Z.npy", case)
+        with pytest.raises(ValueError, match=r"chain_0/Z\.npy: not a readable \.npy file"):
+            mio.read_archive(tmp_path)
+
+
+def damage_npy(path, case):
+    """Cut a .npy file inside its header, or replace it by a pickled array."""
+    if case == "truncated":
+        path.write_bytes(path.read_bytes()[:90])
+    else:
+        np.save(path, np.array([{"a": 1}], dtype=object), allow_pickle=True)
+
+
+@pytest.mark.parametrize("reader, manifest", [(mio.read_collection, "manifest.json"),
+                                              (mio.read_archive, "run_manifest.json")])
+class TestManifestShape:
+    """A manifest that is JSON but not the object its reader expects is
+    refused with its path named, for a collection and for an archive."""
+
+    @staticmethod
+    def _written(tmp_path, rng, reader):
+        if reader is mio.read_collection:
+            mio.write_collection(tmp_path, mio.read_collection(COLLECTION_V1))
+        else:
+            mio.write_archive(tmp_path, _archive("mtf", rng)[0])
+
+    @pytest.mark.parametrize("text", ["[]", '"manifest"', "3", "null"])
+    def test_not_an_object(self, tmp_path, rng, reader, manifest, text):
+        self._written(tmp_path, rng, reader)
+        (tmp_path / manifest).write_text(text)
+        with pytest.raises(ValueError, match=rf"{re.escape(manifest)}: not a (tensor collection"
+                                             r"|posterior archive) of version 1 or 2"):
+            reader(tmp_path)
+
+    @pytest.mark.parametrize("views", [{"a": 1}, "ab", 3, [1], [[]], [None]])
+    def test_views_not_a_list_of_objects(self, tmp_path, rng, reader, manifest, views):
+        self._written(tmp_path, rng, reader)
+        path = tmp_path / manifest
+        path.write_text(json.dumps({**json.loads(path.read_text()), "views": views}))
+        with pytest.raises(ValueError, match=rf"{re.escape(manifest)}: 'views' is not a list "
+                                             r"of objects"):
+            reader(tmp_path)
+
+
 # ---------------------------------------------------------------------------
 # collection versions
 
@@ -802,6 +869,14 @@ class TestCollectionVersions:
                  "shape": rf"{want} \(4, 2, 1\)"}[case]
         with pytest.raises(ValueError, match=rf"b\.{array}\.npy: expected {want} "
                                              rf"\(4, 2, 2\), found {found}"):
+            mio.read_collection(tmp_path)
+
+    @pytest.mark.parametrize("array", ["values", "observed"])
+    @pytest.mark.parametrize("case", ["truncated", "pickled"])
+    def test_unreadable_array_names_its_file(self, tmp_path, array, case):
+        mio.write_collection(tmp_path, mio.read_collection(COLLECTION_V1))
+        damage_npy(tmp_path / f"b.{array}.npy", case)
+        with pytest.raises(ValueError, match=rf"b\.{array}\.npy: not a readable \.npy file"):
             mio.read_collection(tmp_path)
 
     @staticmethod

@@ -70,53 +70,41 @@ class TestInit:
             init(c, small_hp(k=5), RngStream(0))
 
 
-def _einsum_rank1_fit(data, resid, z, n_power):
-    """Reference rank-1 fit: one einsum contraction per update on each
-    residual as (N, L, D)."""
-    resid = [r.reshape(data.n, v.l, v.d) for r, v in zip(resid, data.views)]
-    vs = [np.zeros(v.d) for v in data.views]
-    us = {g: np.full(data.views[m[0]].l, 1.0 / np.sqrt(data.views[m[0]].l))
-          for g, m in enumerate(data.u_groups)}
-    for _ in range(n_power):
-        zz = float(z @ z) or 1.0
-        for t, v in enumerate(data.views):
-            if t in data.group_of:
-                u = us[data.group_of[t]]
-                vs[t] = np.tensordot(u, resid[t], axes=(0, 1)).T @ z \
-                    / max(zz * float(u @ u), 1e-30)
-            else:
-                vs[t] = resid[t][:, 0, :].T @ z / zz
+def _einsum_cp_als(data, resid, z, vs, us, n_iter):
+    """Reference CP-ALS updates: each target Y_t = R_t + z B_t^T formed as
+    (N, L, D), one einsum contraction per normal-equation term, and
+    ``np.linalg.lstsq`` (min-norm) for every solve."""
+    def u_of(us, t):
+        return us[data.group_of[t]] if t in data.group_of else np.ones((1, z.shape[1]))
+
+    def solve(gram, rhs):  # x gram = rhs
+        return np.linalg.lstsq(gram, rhs.T, rcond=None)[0].T
+
+    ys = [r.reshape(data.n, v.l, v.d) + np.einsum("nj,lj,dj->nld", z, u_of(us, t), vs[t])
+          for t, (r, v) in enumerate(zip(resid, data.views))]
+    vs, us = list(vs), list(us)
+    for _ in range(n_iter):
+        zz = z.T @ z
+        for t, y in enumerate(ys):
+            u = u_of(us, t)
+            vs[t] = solve(zz * (u.T @ u), np.einsum("nld,nj,lj->dj", y, z, u))
         for g, members in enumerate(data.u_groups):
-            num = np.zeros(us[g].size)
-            den = 0.0
-            for t in members:
-                num += np.einsum("nld,n,d->l", resid[t], z, vs[t], optimize=True)
-                den += zz * float(vs[t] @ vs[t])
-            us[g] = num / max(den, 1e-30)
-        num = np.zeros(data.n)
-        den = 0.0
-        for t in range(data.n_views):
-            u = us[data.group_of[t]] if t in data.group_of else np.ones(1)
-            b = np.outer(u, vs[t])
-            num += np.einsum("nld,ld->n", resid[t], b, optimize=True)
-            den += float(np.sum(b * b))
-        z = num / max(den, 1e-30)
+            us[g] = solve(sum(zz * (vs[t].T @ vs[t]) for t in members),
+                          sum(np.einsum("nld,nj,dj->lj", ys[t], z, vs[t]) for t in members))
+        z = solve(sum((u_of(us, t).T @ u_of(us, t)) * (v.T @ v) for t, v in enumerate(vs)),
+                  sum(np.einsum("nld,lj,dj->nj", y, u_of(us, t), vs[t])
+                      for t, y in enumerate(ys)))
     return z, vs, us
 
 
-def _einsum_subtract_component(data, resid, z, vs, us, sign=1.0):
-    """Reference subtraction (sign -1: addition) of a rank-1 component,
-    masked, on each residual as (N, L, D), in place."""
-    for t, v in enumerate(data.views):
-        r = resid[t].reshape(data.n, v.l, v.d)
-        u = us[data.group_of[t]] if t in data.group_of else np.ones(1)
-        upd = z[:, None, None] * np.outer(u, vs[t])[None]
+def _einsum_subtract_component(data, resid, z, bs):
+    """Reference subtraction of z B_t^T, masked, on each residual as
+    (N, L, D), in place."""
+    for t, (v, b) in enumerate(zip(data.views, bs)):
+        upd = np.einsum("nj,ldj->nld", z, b.reshape(v.l, v.d, -1))
         if v.obs is not None:
             upd *= v.obs
-        if sign > 0:
-            r -= upd
-        else:
-            r += upd
+        resid[t].reshape(data.n, v.l, v.d)[...] -= upd
 
 
 def _slab_evidence_logodds(m, prior_prec, prior_mean, s):
@@ -251,7 +239,7 @@ class TestWarmStart:
             return init_state(data, hp, RngStream(8)), rmtf_init(data, hp, RngStream(8))
 
         new = starts()
-        monkeypatch.setattr(mtf_mod, "_rank1_fit", _einsum_rank1_fit)
+        monkeypatch.setattr(mtf_mod, "_cp_als", _einsum_cp_als)
         monkeypatch.setattr(mtf_mod, "_subtract_component", _einsum_subtract_component)
         ref = starts()
         assert np.any(ref[0].Z != 0.0)          # at least one component kept
@@ -260,6 +248,58 @@ class TestWarmStart:
                 for x, y in zip(getattr(a, field, []), getattr(b, field, [])):
                     np.testing.assert_allclose(x, y, rtol=1e-10)
             np.testing.assert_allclose(a.Z, b.Z, rtol=1e-10)
+
+
+def _cp_inputs(data, j, seed):
+    """Random factors of J components and the residuals they leave, zero at
+    masked entries."""
+    gen = np.random.default_rng(seed)
+    z = gen.standard_normal((data.n, j))
+    vs = [gen.standard_normal((v.d, j)) for v in data.views]
+    us = [gen.standard_normal((data.views[g[0]].l, j)) for g in data.u_groups]
+    return _residuals_of(data, z, vs, us), z, vs, us
+
+
+def _residuals_of(data, z, vs, us):
+    """Each view's (N, L*D) residual of the factors, zero at masked entries."""
+    out = []
+    for t, v in enumerate(data.views):
+        u = us[data.group_of[t]] if t in data.group_of else np.ones((1, z.shape[1]))
+        r = v.x - np.einsum("nj,lj,dj->nld", z, u, vs[t])
+        out.append((r if v.obs is None else r * v.obs).reshape(data.n, -1))
+    return out
+
+
+class TestCpAls:
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("name, j", [("dense", 3), ("masked", 3), ("grouped", 3),
+                                         ("all_masked", 3), ("n_below_j", 5)])
+    def test_block_updates_match_einsum_reference(self, name, j):
+        # J > 1 on dense, masked, grouped-U and all-masked views, and with
+        # N = 3 < J latent rows, whose Gram z^T z is singular
+        if name == "n_below_j":
+            c, validate = make_collection(np.random.default_rng(0), n=3), True
+        else:
+            c, validate = _warm_start_collections()[name]
+        data = prepare(c, small_hp(), validate=validate)
+        resid, z, vs, us = _cp_inputs(data, j, 6)
+        if name == "all_masked":
+            vs[1][:] = 0.0      # the masked view's U Gram is then zero
+        got = mtf_mod._cp_als(data, resid, z, vs, us, 3)
+        want = _einsum_cp_als(data, resid, z, vs, us, 3)
+        for a, b in zip([got[0], *got[1], *got[2]], [want[0], *want[1], *want[2]], strict=True):
+            np.testing.assert_allclose(a, b, rtol=1e-10, atol=1e-12)
+
+    @pytest.mark.parametrize("name", ["dense", "masked", "grouped"])
+    def test_polish_never_raises_observed_rss(self, name):
+        c, validate = _warm_start_collections()[name]
+        data = prepare(c, small_hp(k=4), validate=validate)
+        rss = []
+        for n_polish in range(6):
+            z, vs, us = mtf_mod._deflation_start(data, 4, RngStream(8).gen, n_polish=n_polish)
+            rss.append(sum(float(np.sum(r * r)) for r in _residuals_of(data, z, vs, us)))
+        assert all(b <= a * (1 + 1e-12) for a, b in zip(rss, rss[1:])), rss
+        assert rss[-1] < rss[0]
 
 
 class TestUpdateZ:
