@@ -1,8 +1,7 @@
 #!/usr/bin/env python3
 """Warm-start quality on the benchmark's cp workloads, parent tree against change tree.
 
-    python3 scripts/start_quality.py --parent PARENT_TREE --change . --seeds 1-10 \\
-        [--sweeps 10] [--out start_quality.json]
+    python3 scripts/start_quality.py --parent PARENT_TREE --change . --seeds 1-10
 
 ``--parent`` and ``--change`` are two checkouts of the repository; a parent
 tree can be made with ``git archive HEAD~1 | tar -x -C PARENT_TREE``.  For
@@ -14,8 +13,8 @@ the benchmark's first chain, ``RngStream(seed, 0)``.  It reports:
 
 - the in-sample mean squared error of each view right after the start, over
   observed entries, in standardized units (predicting zero scores about 1);
-- the log joint after the start plus ``--sweeps`` MTF sweeps, the same
-  sweeps the benchmark's first MTF chain runs;
+- the log joint after the start plus 10 MTF sweeps, the same sweeps the
+  benchmark's first MTF chain runs;
 - the start's wall time, one process at a time.
 
 Prints one row per (workload, seed, side), then per workload and side the
@@ -36,9 +35,10 @@ from repeat import seeds_arg  # noqa: E402
 
 WORKLOADS = ("cp_dense", "cp_masked_entries", "cp_missing_slabs")
 SIDES = ("parent", "change")
+SWEEPS = 10
 
 
-def measure(workload: str, seed: int, sweeps: int) -> dict:
+def measure(workload: str, seed: int) -> dict:
     """One start and its first sweeps, with the code of the tree on sys.path."""
     from workloads import make_workload
 
@@ -55,18 +55,17 @@ def measure(workload: str, seed: int, sweeps: int) -> dict:
     state = mtf.init_state(data, hp, gen)
     init_s = time.perf_counter() - t0
     mse = [float(r.sum()) / v.n_obs for r, v in zip(mtf._rss(state, data), data.views)]
-    for _ in range(sweeps):
+    for _ in range(SWEEPS):
         rss = mtf.mtf_sweep(state, data, gen)
-    log_joint = mtf.log_joint(state, data, rss=rss) if sweeps else mtf.log_joint(state, data)
-    return {"mse": mse, "log_joint": log_joint, "init_s": init_s}
+    return {"mse": mse, "log_joint": mtf.log_joint(state, data, rss=rss), "init_s": init_s}
 
 
 def worker(args) -> int:
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     sys.path[:0] = [os.path.join(args.worker, "src"), os.path.join(args.worker, "perfbench")]
-    for w in args.workloads:
+    for w in WORKLOADS:
         for seed in args.seeds:
-            print(json.dumps({"workload": w, "seed": seed, **measure(w, seed, args.sweeps)}),
+            print(json.dumps({"workload": w, "seed": seed, **measure(w, seed)}),
                   flush=True)
     return 0
 
@@ -76,8 +75,7 @@ def run_tree(tree: str, args) -> list[dict]:
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
     proc = subprocess.run(
         [sys.executable, os.path.abspath(__file__), "--worker", os.path.abspath(tree),
-         "--seeds", ",".join(map(str, args.seeds)), "--sweeps", str(args.sweeps),
-         "--workloads", *args.workloads],
+         "--seeds", ",".join(map(str, args.seeds))],
         capture_output=True, text=True, cwd=tree, env=env, check=False)
     if proc.returncode != 0:
         sys.exit(f"{tree}: exit {proc.returncode}: {proc.stderr.strip()[-2000:]}")
@@ -95,9 +93,6 @@ def main() -> int:
     ap.add_argument("--parent")
     ap.add_argument("--change")
     ap.add_argument("--seeds", type=seeds_arg, default=seeds_arg("1-10"))
-    ap.add_argument("--sweeps", type=int, default=10)
-    ap.add_argument("--workloads", nargs="+", default=list(WORKLOADS), choices=WORKLOADS)
-    ap.add_argument("--out", help="also write every measurement and the medians as JSON")
     ap.add_argument("--worker", help=argparse.SUPPRESS)
     args = ap.parse_args()
     if args.worker:
@@ -109,25 +104,19 @@ def main() -> int:
     header = ["workload", "seed", "side"]
     print("  ".join(f"{c:>18s}" for c in header) + "  " + "  ".join(
         f"{c:>10s}" for c in ["mse_view_1", "mse_view_2",
-                              f"lj_{args.sweeps}_sweeps", "init_s"]))
+                              f"lj_{SWEEPS}_sweeps", "init_s"]))
     for p, c in zip(*(results[s] for s in SIDES)):
         for side, r in zip(SIDES, (p, c)):
             print(row([r["workload"], str(r["seed"]), side], r))
-    medians = {}
     print("\nmedians")
-    for w in args.workloads:
+    for w in WORKLOADS:
         for side in SIDES:
             rs = [r for r in results[side] if r["workload"] == w]
             med = {"mse": [statistics.median(r["mse"][t] for r in rs)
                            for t in range(len(rs[0]["mse"]))],
                    "log_joint": statistics.median(r["log_joint"] for r in rs),
                    "init_s": statistics.median(r["init_s"] for r in rs)}
-            medians.setdefault(w, {})[side] = med
             print(row([w, f"{len(rs)} seeds", side], med))
-    if args.out:
-        with open(args.out, "w") as fh:
-            json.dump({"seeds": args.seeds, "sweeps": args.sweeps, "runs": results,
-                       "medians": medians}, fh, indent=1)
     return 0
 
 

@@ -152,7 +152,10 @@ def _require(path: str, entry: dict, keys, where: str = "") -> list:
 
 def _plain(path: str, names, where: str):
     """ValueError naming ``path`` for a name that is not one plain path
-    component: no file that a manifest names leaves its directory."""
+    component, or if ``names`` is not a list: no file that a manifest names
+    leaves its directory."""
+    if not isinstance(names, list):
+        raise ValueError(f"{path}: {where}not a list of file names")
     for f in names:
         if not isinstance(f, str) or f in ("", ".", "..") or os.path.basename(f) != f:
             raise ValueError(f"{path}: {where}{f!r} is not a plain file name")
@@ -424,7 +427,7 @@ def read_archive(directory: str):
     """Returns (chains, transform or None, manifest dict) of an archive of
     version 1 or 2.  A manifest of another version, or that lacks a key the reader
     uses, or whose ``hyperparams`` are not ``HyperParams`` fields, ``chain_ids`` not
-    ints or ``snapshot_stacks`` not plain file names raises ValueError.
+    a list of ints or ``snapshot_stacks`` not a list of plain file names raises ValueError.
     A preprocessed archive without ``transform.csv`` raises FileNotFoundError:
     its predictions would stay standardized."""
     path = os.path.join(directory, "run_manifest.json")
@@ -432,8 +435,9 @@ def read_archive(directory: str):
     keys = ("model", "hyperparams", "chain_ids", "views", "n_u_groups", "trace_names")
     _require(path, manifest, keys + (("snapshot_stacks",) if manifest["version"] == 2 else ()))
     _plain(path, manifest.get("snapshot_stacks", []), "snapshot_stacks: ")
-    if any(type(cid) is not int for cid in manifest["chain_ids"]):
-        raise ValueError(f"{path}: 'chain_ids' are not all integers")
+    cids = manifest["chain_ids"]
+    if not isinstance(cids, list) or any(type(c) is not int for c in cids):
+        raise ValueError(f"{path}: 'chain_ids' is not a list of integers")
     try:
         hp = HyperParams(**manifest["hyperparams"])
     except TypeError as err:

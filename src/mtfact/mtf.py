@@ -316,21 +316,11 @@ def _logit(p):
     return np.log(p) - np.log1p(-p)
 
 
-def _view_us(data: ModelData, us, j: int) -> list[np.ndarray]:
-    """Third-mode loadings (L, J) of each view in a CP-ALS fit: 1 on a matrix view."""
-    return [us[data.group_of[t]] if t in data.group_of else np.ones((1, j))
-            for t in range(data.n_views)]
-
-
 def _loadings(data: ModelData, vs, us) -> list[np.ndarray]:
-    """B_t = [vec(u_j v_tj^T)] (L*D, J) of each view: the Khatri-Rao product."""
-    return [(u[:, None] * v).reshape(len(u) * len(v), -1)
-            for u, v in zip(_view_us(data, us, vs[0].shape[1]), vs)]
-
-
-def _lstsq(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """x (., J) with x gram = rhs^T, min-norm: a singular Gram raises nothing."""
-    return np.linalg.lstsq(gram, rhs, rcond=None)[0].T
+    """B_t = [vec(u_j v_tj^T)] (L*D, J) of each view, the Khatri-Rao product
+    of its group's third-mode loadings and its own: v_t itself on a matrix view."""
+    return [(us[data.group_of[t]][:, None] * v).reshape(data.views[t].l * len(v), -1)
+            if t in data.group_of else v for t, v in enumerate(vs)]
 
 
 def _cp_als(data: ModelData, resid, z, vs, us, n_iter: int):
@@ -342,7 +332,8 @@ def _cp_als(data: ModelData, resid, z, vs, us, n_iter: int):
     equations of v_t (P_t = z^T Y_t read as (J, L, D), Gram (z^T z) o (u^T u)),
     then u (the same P_t), then z (sum_t Y_t B_t, Gram sum_t B_t^T B_t), with
     z^T Y_t = z^T R_t + (z^T z0) B0_t^T and Y_t B = R_t B + z0 B0_t^T B.
-    J = 1 from v = 0 is a rank-1 power iteration on the residual.
+    J = 1 from v = 0 is a rank-1 power iteration on the residual.  Every
+    solve is min-norm least squares, so a singular Gram raises nothing.
     """
     z0, b0 = z, _loadings(data, vs, us)
     vs, us = list(vs), list(us)
@@ -350,14 +341,18 @@ def _cp_als(data: ModelData, resid, z, vs, us, n_iter: int):
         zz, cross = z.T @ z, z.T @ z0
         proj = [(z.T @ r + cross @ b.T).reshape(-1, v.l, v.d)
                 for r, b, v in zip(resid, b0, data.views)]
-        for t, (p, u) in enumerate(zip(proj, _view_us(data, us, z.shape[1]))):
-            vs[t] = _lstsq(zz * (u.T @ u), np.vecmat(u.T, p))
+        for t, p in enumerate(proj):
+            u = us[data.group_of[t]] if t in data.group_of else np.ones((1, z.shape[1]))
+            vs[t] = np.linalg.lstsq(zz * (u.T @ u), np.einsum("lj,jld->jd", u, p),
+                                    rcond=None)[0].T
         for g, members in enumerate(data.u_groups):
-            us[g] = _lstsq(sum(zz * (vs[t].T @ vs[t]) for t in members),
-                           sum(np.matvec(proj[t], vs[t].T) for t in members))
+            us[g] = np.linalg.lstsq(sum(zz * (vs[t].T @ vs[t]) for t in members),
+                                    sum(np.einsum("jld,dj->jl", proj[t], vs[t]) for t in members),
+                                    rcond=None)[0].T
         bs = _loadings(data, vs, us)
-        z = _lstsq(sum(b.T @ b for b in bs),
-                   sum(b.T @ r.T + (b.T @ c) @ z0.T for r, b, c in zip(resid, bs, b0)))
+        z = np.linalg.lstsq(sum(b.T @ b for b in bs),
+                            sum(b.T @ r.T + (b.T @ c) @ z0.T for r, b, c in zip(resid, bs, b0)),
+                            rcond=None)[0].T
     return z, vs, us
 
 
@@ -377,9 +372,13 @@ def _above_noise_floor(data: ModelData, resid, z, bs, margin: float) -> bool:
     residual than the top singular direction of pure noise would (the
     Marchenko-Pastur edge for that view's matricized shape)."""
     for v, r, b in zip(data.views, resid, bs):
+        cap = float(np.vdot(z, z) * np.vdot(b, b))
         total = float(np.dot(r.ravel(), r.ravel()))  # C-contiguous: no temporary
-        edge = (np.sqrt(data.n) + np.sqrt(v.d * v.l)) ** 2 / (data.n * v.d * v.l)
-        if total > 0 and float(np.vdot(z, z) * np.vdot(b, b)) / total > margin * edge:
+        if total <= 0:
+            continue
+        cols = v.d * v.l
+        edge = (np.sqrt(data.n) + np.sqrt(cols)) ** 2 / (data.n * cols)
+        if cap / total > margin * edge:
             return True
     return False
 
@@ -414,15 +413,18 @@ def _deflation_start(data: ModelData, k: int, gen, n_power: int = 8,
     start = gen.standard_normal((n, k))  # fixed draw order for determinism
     z, vs, us = start[:, :0], [np.zeros((v.d, 0)) for v in data.views], [u[:, :0] for u in group_u]
     for j in range(k):
-        fit = _cp_als(data, resid, start[:, j:j + 1], [np.zeros((v.d, 1)) for v in data.views],
-                      [np.full((len(u), 1), len(u) ** -0.5) for u in group_u], n_power)
-        bs = _loadings(data, *fit[1:])
-        if not np.isfinite(fit[0]).all() or not fit[0].any() \
-                or not _above_noise_floor(data, resid, fit[0], bs, margin):
+        zj, vj, uj = _cp_als(data, resid, start[:, j:j + 1],
+                             [np.zeros((v.d, 1)) for v in data.views],
+                             [np.full((len(u), 1), len(u) ** -0.5) for u in group_u], n_power)
+        bs = _loadings(data, vj, uj)
+        if not np.isfinite(zj).all() or not zj.any():
             break
-        _subtract_component(data, resid, fit[0], bs)
-        z = np.hstack([z, fit[0]])
-        vs, us = ([np.hstack(p) for p in zip(a, b)] for a, b in ((vs, fit[1]), (us, fit[2])))
+        if not _above_noise_floor(data, resid, zj, bs, margin):
+            break
+        _subtract_component(data, resid, zj, bs)
+        z = np.hstack([z, zj])
+        vs = [np.hstack(p) for p in zip(vs, vj)]
+        us = [np.hstack(p) for p in zip(us, uj)]
     for i in range(n_polish):
         if i:
             for r, v in zip(resid, data.views):

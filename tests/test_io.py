@@ -737,8 +737,20 @@ class TestArchiveVersions:
     @pytest.mark.parametrize("cid", ["0", "../x", 0.0, True, None])
     def test_chain_id_not_an_int_is_refused(self, tmp_path, rng, version, cid):
         self._edited_manifest(tmp_path, rng, version, lambda m: m["chain_ids"].__setitem__(0, cid))
-        with pytest.raises(ValueError, match=r"run_manifest\.json: 'chain_ids' are not all "
-                                             r"integers"):
+        with pytest.raises(ValueError, match=r"run_manifest\.json: 'chain_ids' is not a list "
+                                             r"of integers"):
+            mio.read_archive(tmp_path)
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("chain_ids", 0, r"'chain_ids' is not a list of integers"),
+        ("chain_ids", "0", r"'chain_ids' is not a list of integers"),
+        ("chain_ids", {"0": 0}, r"'chain_ids' is not a list of integers"),
+        ("snapshot_stacks", "Z.npy", r"snapshot_stacks: not a list of file names"),
+        ("snapshot_stacks", {"Z": "Z.npy"}, r"snapshot_stacks: not a list of file names")])
+    def test_manifest_list_that_is_not_a_list_is_refused(self, tmp_path, rng, key, value,
+                                                         message):
+        self._edited_manifest(tmp_path, rng, 2, lambda m: m.__setitem__(key, value))
+        with pytest.raises(ValueError, match=rf"run_manifest\.json: {message}"):
             mio.read_archive(tmp_path)
 
     @pytest.mark.parametrize("case", ["truncated", "pickled"])
