@@ -81,16 +81,16 @@ def _renamed(opts: dict, names: dict) -> dict:
     return {names[k]: v for k, v in opts.items() if k in names}
 
 
-def _default_jobs() -> int:
-    """Worker processes from ``MTFACT_JOBS`` (default 1), an integer >= 1."""
-    raw = os.environ.get("MTFACT_JOBS", "1")
+def _count(name: str, value) -> int:
+    """A count (``--reps``, ``--jobs``, ``MTFACT_JOBS``) as an integer >= 1;
+    anything else is a usage error naming ``name``."""
     try:
-        jobs = int(raw)
+        n = int(value)
     except ValueError:
-        jobs = 0
-    if jobs < 1:
-        raise CliError(f"MTFACT_JOBS must be an integer >= 1, got {raw!r}")
-    return jobs
+        n = 0
+    if n < 1:
+        raise CliError(f"{name} must be an integer >= 1, got {value!r}")
+    return n
 
 
 # ---------------------------------------------------------------------------
@@ -121,7 +121,7 @@ def _simulate_once(spec: SimSpec, outdir: str) -> str:
 
 def cmd_simulate(args) -> int:
     opts = _merged(args, [f.name for f in fields(SimSpec)] + ["reps"])
-    reps = opts.pop("reps", 1)
+    reps = _count("--reps", opts.pop("reps", 1))
     spec = SimSpec(**opts)
     if reps == 1:
         print(_simulate_once(spec, args.out))
@@ -149,10 +149,9 @@ def _fit_once(opts, hp: HyperParams, indir, outdir) -> str:
     problems = validate_collection(c)
     if problems:
         raise CliError("invalid collection: " + "; ".join(problems))
-    jobs = opts["jobs"] if opts["jobs"] is not None else _default_jobs()
     chains, transform, _ = fit_model(
         c, hp, model=opts["model"], seed=opts["seed"],
-        preprocess=not opts["no_preprocess"], jobs=jobs,
+        preprocess=not opts["no_preprocess"], jobs=opts["jobs"],
     )
     mio.write_archive(outdir, chains, transform,
                       extra={"seed": opts["seed"], "requested_model": opts["model"]})
@@ -168,8 +167,12 @@ def cmd_fit(args) -> int:
     set_opts = _merged(args, [*FIT_DEFAULTS, *HP_FLAGS])
     opts = {**FIT_DEFAULTS, **set_opts}
     hp = HyperParams(k=opts["k"], **{**PRESETS[opts["preset"]], **_renamed(set_opts, HP_FLAGS)})
-    reps = opts["reps"]
+    reps = _count("--reps", opts["reps"])
+    opts["jobs"] = _count("--jobs", opts["jobs"]) if opts["jobs"] is not None else \
+        _count("MTFACT_JOBS", os.environ.get("MTFACT_JOBS", "1"))
     rep_dirs = sorted(glob.glob(os.path.join(args.input, "rep_*")))
+    if reps > len(rep_dirs) > 0:
+        raise CliError(f"--reps {reps}, but {args.input} holds {len(rep_dirs)} rep_* directories")
     if reps > 1 or rep_dirs:
         sources = (rep_dirs[:reps] if reps > 1 else rep_dirs) or [args.input] * reps
         for r, src in enumerate(sources):

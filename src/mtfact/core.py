@@ -17,6 +17,7 @@ __all__ = [
     "Collection",
     "PreprocessTransform",
     "validate_collection",
+    "fiber_moments",
     "center_and_normalize",
     "apply_transform",
     "inverse_transform",
@@ -50,14 +51,6 @@ class Tensor3:
         if not np.all(np.isfinite(vals)):
             raise ValueError("tensor entries must be finite; use MaskedTensor3 for missing data")
         object.__setattr__(self, "values", _readonly(vals, np.float64))
-
-    @property
-    def n_samples(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def n_features(self) -> int:
-        return self.values.shape[1]
 
     @property
     def n_slabs(self) -> int:
@@ -209,25 +202,30 @@ class PreprocessTransform:
         object.__setattr__(self, "scales", scales)
 
 
-def center_and_normalize(c: Collection) -> tuple[Collection, PreprocessTransform]:
-    """Standardize every (feature, slab) fiber of observed entries across samples.
+def fiber_moments(v: MaskedTensor3) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Observed count, mean and unbiased (count - 1) variance of every
+    (feature, slab) fiber of a view across samples, each (D, L); the
+    variance is 0 where fewer than two entries are observed."""
+    counts = v.observed.sum(axis=0)
+    x = np.where(v.observed, v.values, 0.0)
+    mean = x.sum(axis=0) / np.maximum(counts, 1)
+    return counts, mean, ((x - mean) ** 2 * v.observed).sum(axis=0) / np.maximum(counts - 1, 1)
 
-    Uses the unbiased (N-1) variance.  Fibers with fewer than two observed
+
+def center_and_normalize(c: Collection) -> tuple[Collection, PreprocessTransform]:
+    """Standardize every (feature, slab) fiber of observed entries across
+    samples by its ``fiber_moments``.  Fibers with fewer than two observed
     entries or zero variance are rejected, naming the offending fiber.
     """
     centers, scales = [], []
     for t, v in enumerate(c.views):
-        obs = v.observed
-        counts = obs.sum(axis=0)  # (D, L)
+        counts, mean, var = fiber_moments(v)
         if np.any(counts < 2):
             d, l = np.argwhere(counts < 2)[0]
             raise ValueError(
                 f"view {t} fiber (feature {d}, slab {l}) has {counts[d, l]} observed "
                 "entries; need at least 2 to standardize"
             )
-        x = np.where(obs, v.values, 0.0)
-        mean = x.sum(axis=0) / counts
-        var = ((x - mean) ** 2 * obs).sum(axis=0) / (counts - 1)
         if np.any(var == 0):
             d, l = np.argwhere(var == 0)[0]
             raise ValueError(f"view {t} fiber (feature {d}, slab {l}) is constant")

@@ -61,8 +61,8 @@ def spectral_variance(x: np.ndarray) -> float:
     return max(float(2.0 * pairs.sum() - acov[0]), 0.0)
 
 
-def geweke_z(trace, first_frac: float = 0.1, last_frac: float = 0.5) -> float:
-    """Z-score comparing the means of the early and late segments of a trace.
+def geweke_z(trace) -> float:
+    """Z-score comparing the means of the first 10 % and last half of a trace.
 
     The spectral density at zero is estimated once, on the late segment, by
     Geyer's initial monotone sequence estimator, and that one value scales
@@ -80,10 +80,8 @@ def geweke_z(trace, first_frac: float = 0.1, last_frac: float = 0.5) -> float:
     n = trace.size
     if n < 100:
         raise ValueError(f"trace too short for the diagnostic (n={n} < 100)")
-    if not (0 < first_frac and 0 < last_frac and first_frac + last_frac <= 1):
-        raise ValueError("need 0 < first_frac, last_frac and first_frac + last_frac <= 1")
-    a = trace[: int(first_frac * n)]
-    b = trace[n - int(last_frac * n):]
+    a = trace[: int(0.1 * n)]
+    b = trace[n - int(0.5 * n):]
     s = spectral_variance(b)
     if s == 0:
         raise ValueError("zero-variance trace segment")
@@ -421,9 +419,9 @@ class RunSummary:
         return "\n".join(lines)
 
 
-def summarize_run(samples, threshold: float = 0.5, flag_z: float = 2.0) -> RunSummary:
+def summarize_run(samples) -> RunSummary:
     """Aggregate Geweke checks, component structure and the slab-similarity
-    posterior over one or more chains; flags chains that look unconverged.
+    posterior over one or more chains; flags chains whose |Geweke z| exceeds 2.
 
     Traces too short to test are flagged; exactly constant traces (e.g. the
     reconstruction error of an all-off model) are reported as untestable but
@@ -444,9 +442,9 @@ def summarize_run(samples, threshold: float = 0.5, flag_z: float = 2.0) -> RunSu
                     flags.append(f"chain {chain.chain_id}: trace {name} untestable")
                 continue
             zs.append(z)
-            if abs(z) > flag_z:
+            if abs(z) > 2.0:
                 flags.append(f"chain {chain.chain_id}: |geweke z|={abs(z):.2f} on {name}")
-    structure = component_structure(chains, threshold=threshold)
+    structure = component_structure(chains)
     lam_mean = lam_std = None
     if chains[0].model == "rmtf":
         vals = []

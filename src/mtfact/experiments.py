@@ -81,14 +81,14 @@ def _continuum_one(payload) -> ContinuumRep:
 
 
 def continuum_experiment(spec: SimSpec, hp: HyperParams, models, reps: int,
-                         rhos, jobs: int = 1, stage2=(25, 5, 2),
+                         rhos, stage2, jobs: int = 1,
                          preprocess: bool = False) -> list[ContinuumRep]:
     """Prediction RMSE per (rho, model, repetition) on held-out slab targets.
 
-    ``stage2`` is (burn-in sweeps, retained samples, snapshot stride).
-    Stage-two draws are exact, so the burn-in only advances the random
-    stream; the retained samples and the stride set the cost, and the
-    trimmed default still averages hundreds of predictive draws per entry.
+    ``stage2`` is (burn-in sweeps, retained samples, snapshot stride), the
+    study's default in ``run_continuum_study.py --stage2``.  Stage-two draws
+    are exact, so the burn-in only advances the random stream; the retained
+    samples and the stride set the cost.
     As in the structure study the generator's output is fitted raw: with 15
     training samples, per-fiber standardization would inject large scale
     noise.

@@ -85,12 +85,10 @@ def _read_table(path: str, expected) -> tuple[list[str], list[np.ndarray]]:
     """The header and the columns of one table, each column a numpy string
     array in file row order, converted in bulk by the caller (`_indices`,
     ``astype(np.float64)``).  The header must be ``expected``, the one its
-    writer writes, or ``expected(n)`` for a file of n + 1 fields.  Rows
-    split at every comma: no table that is read back holds a quoted field."""
+    writer writes.  Rows split at every comma: no table that is read back
+    holds a quoted field."""
     with open(path, newline="") as fh:
         header = next(csv.reader([fh.readline()]), [])
-        if callable(expected):
-            expected = expected(len(header) - 1)
         if header != expected:
             raise ValueError(f"{path}: expected the header {','.join(expected)}, "
                              f"found {','.join(header) or 'none'}")
@@ -259,14 +257,10 @@ def write_array(path: str, arr: np.ndarray):
                  [*_grid(arr.shape), arr.astype(np.float64).ravel()])
 
 
-def read_array(path: str, shape=None) -> np.ndarray:
-    """One array file; without ``shape``, each extent is the largest index
-    read plus one."""
-    header, (*index, value) = _read_table(
-        path, _array_header if shape is None else _array_header(len(shape)))
-    idx = _indices(path, header, index, [np.inf] * len(index) if shape is None else shape)
-    if shape is None:
-        shape = tuple(int(i.max(initial=-1)) + 1 for i in idx)
+def read_array(path: str, shape) -> np.ndarray:
+    """One array file of the given shape (``arrays.json`` records it)."""
+    header, (*index, value) = _read_table(path, _array_header(len(shape)))
+    idx = _indices(path, header, index, shape)
     out = np.zeros(shape)
     # flat positions, which also serve a 0-d array
     np.put(out, np.ravel_multi_index(idx, out.shape), value.astype(np.float64))
@@ -426,8 +420,9 @@ def write_archive(directory: str, chains: list[PosteriorSamples],
 def read_archive(directory: str):
     """Returns (chains, transform or None, manifest dict) of an archive of
     version 1 or 2.  A manifest of another version, or that lacks a key the reader
-    uses, or whose ``hyperparams`` are not ``HyperParams`` fields, ``chain_ids`` not
-    a list of ints or ``snapshot_stacks`` not a list of plain file names raises ValueError.
+    uses (also in a view entry), or whose ``hyperparams`` are not ``HyperParams``
+    fields, ``chain_ids`` not a list of ints, ``trace_names`` not a list of strings
+    or ``snapshot_stacks`` not a list of plain file names raises ValueError.
     A preprocessed archive without ``transform.csv`` raises FileNotFoundError:
     its predictions would stay standardized."""
     path = os.path.join(directory, "run_manifest.json")
@@ -435,9 +430,11 @@ def read_archive(directory: str):
     keys = ("model", "hyperparams", "chain_ids", "views", "n_u_groups", "trace_names")
     _require(path, manifest, keys + (("snapshot_stacks",) if manifest["version"] == 2 else ()))
     _plain(path, manifest.get("snapshot_stacks", []), "snapshot_stacks: ")
-    cids = manifest["chain_ids"]
-    if not isinstance(cids, list) or any(type(c) is not int for c in cids):
-        raise ValueError(f"{path}: 'chain_ids' is not a list of integers")
+    for t, meta in enumerate(manifest["views"]):
+        _require(path, meta, ("name", "d", "l", "u_group"), f"view {t}: ")
+    for key, kind, what in (("chain_ids", int, "integers"), ("trace_names", str, "strings")):
+        if not isinstance(manifest[key], list) or any(type(x) is not kind for x in manifest[key]):
+            raise ValueError(f"{path}: {key!r} is not a list of {what}")
     try:
         hp = HyperParams(**manifest["hyperparams"])
     except TypeError as err:

@@ -11,14 +11,15 @@ multi-view matrix factorization.
 
 from __future__ import annotations
 
+import copy
 import warnings
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import blas
 from scipy.special import betaln, gammaln
 
-from .core import Collection, Tensor3, validate_collection
+from .core import Collection, Tensor3, fiber_moments, validate_collection
 from .dist import (
     _as_gen,
     _chol_jittered,
@@ -127,20 +128,6 @@ class ViewData:
         return self.x.shape[1] == 1
 
 
-def _fiber_variance(v: ViewData):
-    """Mean over (slab, feature) fibers of the unbiased variance of a view's
-    observed entries, over all fibers and per slab (0 where undefined)."""
-    obs = np.ones(v.x.shape) if v.obs is None else v.obs
-    counts = obs.sum(axis=0)  # (L, D)
-    ok = counts >= 2
-    if not np.any(ok):
-        return 0.0, np.zeros(v.l)
-    mean = np.where(ok, v.x.sum(axis=0) / np.maximum(counts, 1), 0.0)
-    var = ((v.x - mean[None]) ** 2 * obs).sum(axis=0) / np.maximum(counts - 1, 1)
-    per_slab = np.array([var[l][ok[l]].mean() if ok[l].any() else 0.0 for l in range(v.l)])
-    return float(var[ok].mean()), per_slab
-
-
 @dataclass
 class ModelData:
     """A collection compiled into sampling-ready arrays plus resolved priors."""
@@ -217,11 +204,13 @@ def prepare(c: Collection, hp: HyperParams, validate: bool = True) -> ModelData:
         if hp.b_tau is not None:
             data.b_tau[t], slab = hp.b_tau, np.full(v.l, hp.b_tau)
         else:
-            var, var_slab = _fiber_variance(v)
-            if var <= 0 or np.any(var_slab <= 0):
+            counts, _, var = fiber_moments(c.views[t])
+            ok, var = counts.T >= 2, var.T   # (L, D): fibers with 2+ entries, slab-major
+            slab = np.array([row[k].mean() if k.any() else 0.0 for row, k in zip(var, ok)])
+            if np.any(slab <= 0):   # also when no fiber has two entries
                 raise ValueError(f"cannot resolve the SNR-1 noise prior for view {t} "
                                  "(no usable observed variance); pass an explicit b_tau")
-            data.b_tau[t], slab = hp.a_tau * 0.5 * var, hp.a_tau * 0.5 * var_slab
+            data.b_tau[t], slab = hp.a_tau * 0.5 * float(var[ok].mean()), hp.a_tau * 0.5 * slab
         data.b_tau_slab.append(slab)
     return data
 
@@ -254,14 +243,7 @@ class _LatentState:
         return self.u_for_view(t)[:, None, :] * self.V[t][None, :, :]
 
     def copy(self):
-        """Deep copy of every array field, also inside lists (None kept)."""
-        def dup(x):
-            if isinstance(x, np.ndarray):
-                return x.copy()
-            if isinstance(x, list):
-                return [None if a is None else a.copy() for a in x]
-            return dict(x) if isinstance(x, dict) else x
-        return type(self)(**{f.name: dup(getattr(self, f.name)) for f in fields(self)})
+        return copy.deepcopy(self)
 
 
 @dataclass
@@ -367,10 +349,10 @@ def _subtract_component(data: ModelData, resid, z, bs):
             resid[t] *= data.views[t].obs.reshape(data.n, -1)
 
 
-def _above_noise_floor(data: ModelData, resid, z, bs, margin: float) -> bool:
+def _above_noise_floor(data: ModelData, resid, z, bs) -> bool:
     """Keep a fitted component only if it captures more of some view's
-    residual than the top singular direction of pure noise would (the
-    Marchenko-Pastur edge for that view's matricized shape)."""
+    residual than 1.3 times the top singular direction of pure noise would
+    (the Marchenko-Pastur edge for that view's matricized shape)."""
     for v, r, b in zip(data.views, resid, bs):
         cap = float(np.vdot(z, z) * np.vdot(b, b))
         total = float(np.dot(r.ravel(), r.ravel()))  # C-contiguous: no temporary
@@ -378,13 +360,12 @@ def _above_noise_floor(data: ModelData, resid, z, bs, margin: float) -> bool:
             continue
         cols = v.d * v.l
         edge = (np.sqrt(data.n) + np.sqrt(cols)) ** 2 / (data.n * cols)
-        if cap / total > margin * edge:
+        if cap / total > 1.3 * edge:
             return True
     return False
 
 
-def _deflation_start(data: ModelData, k: int, gen, n_power: int = 8,
-                     n_polish: int = 5, margin: float = 1.3):
+def _deflation_start(data: ModelData, k: int, gen, n_polish: int = 5):
     """Greedy rank-1 warm start: peel dominant joint rank-1 structure off the
     residual one component at a time, then polish the kept ones jointly.
 
@@ -395,10 +376,11 @@ def _deflation_start(data: ModelData, k: int, gen, n_power: int = 8,
     entrenches.  Deflation stops at the noise floor; leftover budget
     components start empty, subject to the activation race like any other.
 
-    The peel fits each component by ``_cp_als`` with J = 1 and subtracts it
-    from each view's residual, one (N, L*D) copy of its data.  The polish
-    is ``n_polish`` CP-ALS updates of all kept components at once, the
-    residual refreshed in place after each (masked entries re-imputed).
+    The peel fits each component by 8 steps of ``_cp_als`` with J = 1 and,
+    while ``_above_noise_floor`` keeps it, subtracts it from each view's
+    residual, one (N, L*D) copy of its data.  The polish is ``n_polish``
+    CP-ALS updates of all kept components at once, the residual refreshed
+    in place after each (masked entries re-imputed).
     Unlike a subspace, components that a tensor view pins are unique up to
     scaling and permutation (Kruskal 1977, Linear Algebra Appl. 18:95), so
     this descent from the separated peeled components refines them rather
@@ -415,11 +397,11 @@ def _deflation_start(data: ModelData, k: int, gen, n_power: int = 8,
     for j in range(k):
         zj, vj, uj = _cp_als(data, resid, start[:, j:j + 1],
                              [np.zeros((v.d, 1)) for v in data.views],
-                             [np.full((len(u), 1), len(u) ** -0.5) for u in group_u], n_power)
+                             [np.full((len(u), 1), len(u) ** -0.5) for u in group_u], 8)
         bs = _loadings(data, vj, uj)
         if not np.isfinite(zj).all() or not zj.any():
             break
-        if not _above_noise_floor(data, resid, zj, bs, margin):
+        if not _above_noise_floor(data, resid, zj, bs):
             break
         _subtract_component(data, resid, zj, bs)
         z = np.hstack([z, zj])
@@ -486,19 +468,19 @@ def z_conditional(blocks, k: int) -> tuple[np.ndarray, np.ndarray]:
     entries zeroed, W (L, D, K) and tau (L,) as from ``slab_loadings``, and
     rows the view's ``pattern_obs`` (0/1 observation rows of the P row
     patterns) or None.  Entry (l, d) adds tau_l x b to the linear term and
-    tau_l b b^T to the precision, with b = w_{l,d}.  A fully observed view
-    may append that precision term, sum_{l,d} tau_l b b^T, as a fifth
-    element.  Returns (lin (N, K), prec): one (K, K) precision when no view
-    has rows, else the (P, K, K) pattern precisions, one GEMM per masked view.
+    tau_l b b^T to the precision, with b = w_{l,d}: on a fully observed view,
+    the GEMM W^T diag(tau) W over its L*D entries.  Returns (lin (N, K),
+    prec): one (K, K) precision when no view has rows, else the (P, K, K)
+    pattern precisions, one GEMM per masked view.
     """
     lin, base, terms = 0.0, np.eye(k), []
-    for x, rows, w, tau, *gram in blocks:
+    for x, rows, w, tau in blocks:
         b = w.reshape(-1, k)                                    # (L*D, K)
         tw = np.repeat(tau, w.shape[1])
         tb = tw[:, None] * b
         lin = lin + x.reshape(x.shape[0], -1) @ tb
         if rows is None:
-            base = base + (gram[0] if gram else tb.T @ b)
+            base = base + tb.T @ b
         else:
             terms.append((rows, b, tw))
     return lin, stacked_precisions(base, terms)
@@ -522,19 +504,16 @@ def _factors(prec: np.ndarray) -> np.ndarray:
     return _chol_jittered(prec)[None] if prec.ndim == 2 else cholesky_stack(prec)
 
 
-def update_z(state: MtfState, data: ModelData, rng) -> np.ndarray:
-    """Resample every latent-variable row from its Gaussian full conditional.
+def update_z(state, data: ModelData, rng) -> np.ndarray:
+    """Resample every latent row of either model from its Gaussian conditional.
 
-    Precision for row n: I_K + sum_t tau_t sum_{(l,d) observed} b b^T with
-    b = u_l * v_d, the entry (l, d) of the slab loadings (``z_conditional``);
-    a fully observed view's term factors as tau_t (V^T V) * (U^T U).  Rows
-    of one missingness pattern share a precision, factorized once, and are
-    drawn together; the normals are one (N, K) block in row order.
+    Precision for row n: I_K + sum_t sum_{(l,d) observed} tau_l b b^T with
+    b = w_{l,d}, the entry (l, d) of the slab loadings (``z_conditional``),
+    u_l * v_d in the strict model.  Rows of one missingness pattern share a
+    precision, factorized once, and are drawn together; the normals are one
+    (N, K) block in row order.
     """
-    us = [state.u_for_view(t) for t in range(data.n_views)]
-    blocks = [(*b, state.tau[t] * (state.V[t].T @ state.V[t]) * (u.T @ u))
-              for t, (b, u) in enumerate(zip(_z_blocks(state, data), us))]
-    lin, prec = z_conditional(blocks, state.k)
+    lin, prec = z_conditional(_z_blocks(state, data), state.k)
     state.Z = draw_mvn_precision_chol(lin, _factors(prec), data.patterns,
                                       _as_gen(rng).standard_normal(lin.shape))
     return state.Z
@@ -852,8 +831,7 @@ class ComponentStructure:
     """Posterior activity summary: which components live in which views."""
 
     activity: np.ndarray        # (n_groups, K) posterior activity scores
-    active: np.ndarray          # (n_groups, K) bool, score > threshold
-    threshold: float
+    active: np.ndarray          # (n_groups, K) bool, score > 0.5
     n_shared: int
     n_specific: np.ndarray      # per (grouped) view
     n_empty: int
@@ -876,7 +854,7 @@ def _activity_matrix(samples: PosteriorSamples) -> np.ndarray:
                      .max(axis=0) for t in range(len(samples.states[0].H))])
 
 
-def component_structure(samples, threshold: float = 0.5) -> ComponentStructure:
+def component_structure(samples) -> ComponentStructure:
     """Count shared / view-specific / empty components from posterior activity.
 
     ``samples`` may be one chain or a list of chains (snapshots pooled).
@@ -891,14 +869,14 @@ def component_structure(samples, threshold: float = 0.5) -> ComponentStructure:
     if chains[0].origins is not None:
         origins = np.asarray(chains[0].origins)
         activity = np.stack([activity[origins == o].max(axis=0) for o in np.unique(origins)])
-    active = activity > threshold
+    active = activity > 0.5
     n_active_views = active.sum(axis=0)
     n_shared = int(np.sum(n_active_views >= 2))
     n_specific = np.array([
         int(np.sum(active[t] & (n_active_views == 1))) for t in range(active.shape[0])
     ])
     n_empty = int(np.sum(n_active_views == 0))
-    return ComponentStructure(activity, active, threshold, n_shared, n_specific, n_empty)
+    return ComponentStructure(activity, active, n_shared, n_specific, n_empty)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dist import _as_gen, draw_mvn_precision_chol
+from .dist import _as_gen
 from .mtf import (
     HyperParams,
     ModelData,
@@ -26,7 +26,6 @@ from .mtf import (
     _column_step,
     _draw_ard,
     _draw_pi,
-    _factors,
     _gamma_lp,
     _logit,
     _normal_lp,
@@ -36,9 +35,8 @@ from .mtf import (
     _shared_lp,
     _slab_rss,
     _view_stats,
-    _z_blocks,
     init_state,
-    z_conditional,
+    update_z,
 )
 
 __all__ = [
@@ -124,12 +122,11 @@ def rmtf_init(c, hp: HyperParams, rng) -> RmtfState:
 
 
 def _update_z(state: RmtfState, data: ModelData, gen):
-    """Latent rows from their Gaussian conditionals: the strict sampler's
-    Z-step on the slab loadings W_l, weighted by tau_l, with one precision
-    per missingness pattern of the rows (see ``mtf.update_z``)."""
-    lin, prec = z_conditional(_z_blocks(state, data), state.k)
-    state.Z = draw_mvn_precision_chol(lin, _factors(prec), data.patterns,
-                                      gen.standard_normal(lin.shape))
+    """Latent rows from their Gaussian conditionals on the slab loadings W_l,
+    weighted by tau_l: ``mtf.update_z``, which serves both models.  It stays
+    a function because ``perfbench/tracing.py`` times it as a span, and a
+    span whose function is gone fails ``perfbench/smoke.py``."""
+    update_z(state, data, gen)
 
 
 def _update_wh(state: RmtfState, data: ModelData, t: int, gen, stats=None):

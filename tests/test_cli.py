@@ -74,6 +74,13 @@ class TestSimulate:
         assert (tmp_path / "batch" / "rep_000" / "train" / "manifest.json").exists()
         assert (tmp_path / "batch" / "rep_001" / "train" / "manifest.json").exists()
 
+    def test_zero_reps_exit_2(self, tmp_path, capsys):
+        # it used to exit 0 and write nothing
+        assert run("simulate", "--scenario", "cp", *SIM_SMALL, "--reps", "0",
+                   "--out", tmp_path / "x") == 2
+        assert "--reps must be an integer >= 1, got 0" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
 
 @pytest.fixture
 def small_sim(tmp_path):
@@ -176,6 +183,22 @@ class TestFit:
         monkeypatch.setenv("MTFACT_JOBS", value)
         assert run("fit", "--model", "mtf", *FIT_SMALL, small_sim, tmp_path / "a") == 2
         assert f"MTFACT_JOBS must be an integer >= 1, got {value!r}" in capsys.readouterr().err
+        assert not (tmp_path / "a").exists()
+
+    @pytest.mark.parametrize("flag", ["--reps", "--jobs"])
+    def test_count_below_one_exit_2(self, small_sim, tmp_path, capsys, flag):
+        # --reps 0 used to fit once, and --jobs 0 to run
+        assert run("fit", *FIT_SMALL, flag, "0", small_sim, tmp_path / "a") == 2
+        assert f"{flag} must be an integer >= 1, got 0" in capsys.readouterr().err
+        assert not (tmp_path / "a").exists()
+
+    def test_more_reps_than_rep_directories_exit_2(self, tmp_path, capsys):
+        # it used to fit the two there are
+        sim = tmp_path / "sim"
+        assert run("simulate", "--scenario", "cp", "--seed", "3", *SIM_SMALL, "--reps", "2",
+                   "--out", sim) == 0
+        assert run("fit", *FIT_SMALL, "--reps", "5", sim, tmp_path / "a") == 2
+        assert f"--reps 5, but {sim} holds 2 rep_* directories" in capsys.readouterr().err
         assert not (tmp_path / "a").exists()
 
     def test_rmtf_smoke(self, small_sim, tmp_path):
@@ -381,6 +404,21 @@ class TestDiagnoseAndReport:
         assert "components:" in out
         # short smoke chains are usually flagged; both outcomes are legal
         assert code in (0, 1)
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda m: m["views"][0].pop("u_group"), "run_manifest.json: view 0: no 'u_group'"),
+        (lambda m: m.update(trace_names="log_joint"),
+         "run_manifest.json: 'trace_names' is not a list of strings")])
+    def test_diagnose_malformed_archive_exit_2(self, small_sim, tmp_path, capsys, edit, message):
+        # these used to end in a KeyError or a TypeError
+        arch = tmp_path / "arch"
+        assert run("fit", "--model", "mtf", *FIT_SMALL, "--seed", "21", small_sim, arch) == 0
+        path = arch / "run_manifest.json"
+        manifest = json.loads(path.read_text())
+        edit(manifest)
+        path.write_text(json.dumps(manifest))
+        assert run("diagnose", "--archive", arch) == 2
+        assert message in capsys.readouterr().err
 
     def test_report_single_archive(self, small_sim, tmp_path, capsys):
         arch = tmp_path / "arch"

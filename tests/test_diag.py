@@ -45,11 +45,6 @@ class TestGeweke:
         with pytest.raises(ValueError, match="too short"):
             geweke_z(np.zeros(99))
 
-    def test_frac_validation(self):
-        with pytest.raises(ValueError):
-            geweke_z(np.random.default_rng(0).standard_normal(500),
-                     first_frac=0.6, last_frac=0.6)
-
     def test_autocorrelated_null_covered(self):
         # AR(1) traces must not blow up the false-alarm rate
         gen = np.random.default_rng(3)

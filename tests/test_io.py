@@ -454,7 +454,8 @@ class TestOnDiskFormatPinned:
         back = mio.read_arrays(tmp_path / "ref")
         for name, a in arrays.items():
             assert _bits_equal(back[name], a), name
-            assert _bits_equal(mio.read_array(tmp_path / "ref" / f"{name}.csv"), a), name
+            assert _bits_equal(mio.read_array(tmp_path / "ref" / f"{name}.csv", np.shape(a)),
+                               a), name
 
     @pytest.mark.parametrize("which", ARCHIVES)
     def test_archive_bytes_and_reads(self, tmp_path, rng, which):
@@ -615,10 +616,11 @@ class TestHeaders:
     def test_array_file(self, tmp_path, rng):
         mio.write_arrays(tmp_path, {"a": rng.standard_normal((2, 3))})
         swap_index_columns(tmp_path / "a.csv")
-        for read, arg in ((mio.read_arrays, tmp_path), (mio.read_array, tmp_path / "a.csv")):
+        for read in (lambda: mio.read_arrays(tmp_path),
+                     lambda: mio.read_array(tmp_path / "a.csv", (2, 3))):
             with pytest.raises(ValueError, match=r"a\.csv: expected the header i0,i1,value, "
                                                  r"found i1,i0,value"):
-                read(arg)
+                read()
 
 
 # ---------------------------------------------------------------------------
@@ -713,6 +715,14 @@ class TestArchiveVersions:
             mio.read_archive(tmp_path)
 
     @pytest.mark.parametrize("version", [1, 2])
+    @pytest.mark.parametrize("key", ["name", "d", "l", "u_group"])
+    def test_view_entry_without_key_names_it(self, tmp_path, rng, version, key):
+        # it used to end in a KeyError
+        self._edited_manifest(tmp_path, rng, version, lambda m: m["views"][1].pop(key))
+        with pytest.raises(ValueError, match=rf"run_manifest\.json: view 1: no '{key}'"):
+            mio.read_archive(tmp_path)
+
+    @pytest.mark.parametrize("version", [1, 2])
     def test_manifest_hyperparams_not_fields_refused(self, tmp_path, rng, version):
         self._edited_manifest(tmp_path, rng, version,
                               lambda m: m["hyperparams"].update(n_sweeps=10))
@@ -745,6 +755,8 @@ class TestArchiveVersions:
         ("chain_ids", 0, r"'chain_ids' is not a list of integers"),
         ("chain_ids", "0", r"'chain_ids' is not a list of integers"),
         ("chain_ids", {"0": 0}, r"'chain_ids' is not a list of integers"),
+        ("trace_names", "log_joint", r"'trace_names' is not a list of strings"),
+        ("trace_names", ["log_joint", 1], r"'trace_names' is not a list of strings"),
         ("snapshot_stacks", "Z.npy", r"snapshot_stacks: not a list of file names"),
         ("snapshot_stacks", {"Z": "Z.npy"}, r"snapshot_stacks: not a list of file names")])
     def test_manifest_list_that_is_not_a_list_is_refused(self, tmp_path, rng, key, value,

@@ -865,14 +865,23 @@ class TestSufficientStatistics:
             monkeypatch.undo()
 
     def test_dense_z_precision_matches_slab_loadings(self, monkeypatch):
+        # the Z-step sums tau b b^T over the slab loadings b = u_l * v_d; on
+        # fully observed views the strict model's sum has the closed form
+        # I + sum_t tau_t (V_t^T V_t) * (U_t^T U_t)
         data, state = self._setup("grouped", "mtf")
         seen = stacked_draw_spy(monkeypatch, mtf_mod)
         update_z(state, data, RngStream(34).gen)
         (prec, mean), = seen
-        lin, want = mtf_mod.z_conditional(mtf_mod._z_blocks(state, data), state.k)
-        assert want.shape == (state.k, state.k)
+        assert mtf_mod.z_conditional(mtf_mod._z_blocks(state, data), state.k)[1].shape == \
+            (state.k, state.k)   # one precision shared by every row
+        want, lin = np.eye(state.k), 0.0
+        for t, v in enumerate(data.views):
+            u, vt = state.u_for_view(t), state.V[t]
+            want = want + state.tau[t] * (vt.T @ vt) * (u.T @ u)
+            lin = lin + state.tau[t] * np.einsum("nld,lk,dk->nk", v.x, u, vt)
         np.testing.assert_allclose(prec, np.broadcast_to(want, prec.shape), rtol=1e-10)
-        np.testing.assert_allclose(mean, np.linalg.solve(want, lin.T).T, rtol=1e-10)
+        np.testing.assert_allclose(mean, np.linalg.solve(want, lin.T).T, rtol=1e-10,
+                                   atol=1e-12)
 
     @pytest.mark.parametrize("name", ["dense", "masked"])
     def test_exact_fit_rss_not_negative(self, name):

@@ -221,7 +221,7 @@ class TestConditionals:
             gen = np.random.default_rng(23)
             st.W = [gen.standard_normal(w.shape) for w in st.W]
             st.tau = [np.array([0.8]), np.array([0.5, 1.3, 2.1])]
-            seen = stacked_draw_spy(monkeypatch, rmtf_mod)
+            seen = stacked_draw_spy(monkeypatch, mtf_mod)   # the Z-step both models share
             rmtf_mod._update_z(st, data, RngStream(18).gen)
             (prec, mean), = seen
             k = st.k
