@@ -12,15 +12,17 @@ rmtf with global, per_component and per_slab lambda, and gfa), ``predict`` of th
 continuum test set from every continuum fit, with and without ``--truth``,
 and of a multi-pattern test set from the mtf and global-lambda rmtf fits,
 then the gfa fit again with ``--jobs 2``, whose chains run in worker
-processes, and two masked-training fits.  The multi-pattern test set
+processes, and four masked-training fits.  The multi-pattern test set
 (``test_patterns``, written into the work directory by the tree's own
 ``read_collection`` and ``write_collection``) is the continuum test set with
 some observed entries masked (``drop_row``), so its rows fall into several
 missingness patterns, lone rows among them, where every row of the
-simulated test set shares one.  The masked-training fits fit mtf and rmtf on
-the continuum test set, whose held-out slab is masked in every row, with
-``--no-preprocess --b-tau 1``, so they reach the masked Z- and U-steps (the
-other fits' training data is fully observed).  Last come the option layers
+simulated test set shares one.  The masked-training fits fit mtf and rmtf,
+with ``--no-preprocess --b-tau 1``, on the continuum test set, whose
+held-out slab is masked in every row (one row pattern), and on
+``test_patterns`` (several patterns, lone rows among them), so they reach
+the masked Z- and U-steps and the per-entry Gram summed over row patterns
+(the other fits' training data is fully observed).  Last come the option layers
 and batch layouts: ``simulate --reps 2`` and ``fit --reps 2`` over its
 ``rep_*`` directories, an mtf fit of the cp data whose model and schedule
 come from a ``--config`` file (``config.json``, written into the work
@@ -139,10 +141,12 @@ def steps() -> list[tuple[str, list[str]]]:
     # the gfa fit again over two worker processes (chains carry the unfold map)
     out.append(("fit_gfa_jobs2", ["fit", "--model", "gfa", *FIT, "--jobs", "2", "--seed", "10",
                                   "sim_continuum", "fit_gfa_jobs2"]))
-    for i, model in enumerate(("mtf", "rmtf")):
-        out.append((f"fit_masked_{model}", ["fit", "--model", model, *FIT, "--seed", str(30 + i),
-                                            "--no-preprocess", "--b-tau", "1",
-                                            "sim_continuum/test", f"fit_masked_{model}"]))
+    for i, (kind, data) in enumerate((("masked", "sim_continuum/test"),
+                                      ("masked_patterns", "test_patterns"))):
+        for j, model in enumerate(("mtf", "rmtf")):
+            name = f"fit_{kind}_{model}"
+            out.append((name, ["fit", "--model", model, *FIT, "--seed", str(30 + 2 * i + j),
+                               "--no-preprocess", "--b-tau", "1", data, name]))
     out += [("simulate_relaxed_cp", ["simulate", *SIM_CP[2:], "--scenario", "relaxed_cp",
                                      "--seed", "40", "--out", "sim_relaxed_cp"]),
             ("simulate_reps", ["simulate", *SIM_CP, "--reps", "2", "--out", "sim_reps"]),

@@ -15,7 +15,9 @@ the benchmark's first chain, ``RngStream(seed, 0)``.  It reports:
   observed entries, in standardized units (predicting zero scores about 1);
 - the log joint after the start plus 10 MTF sweeps, the same sweeps the
   benchmark's first MTF chain runs;
-- the start's wall time, one process at a time.
+- the start's wall time, one process at a time;
+- the median wall time of those 10 sweeps, each with its log joint, which
+  the benchmark's sweep rates cannot show apart from the start.
 
 Prints one row per (workload, seed, side), then per workload and side the
 median of each column.
@@ -55,9 +57,13 @@ def measure(workload: str, seed: int) -> dict:
     state = mtf.init_state(data, hp, gen)
     init_s = time.perf_counter() - t0
     mse = [float(r.sum()) / v.n_obs for r, v in zip(mtf._rss(state, data), data.views)]
+    sweep_s = []
     for _ in range(SWEEPS):
-        rss = mtf.mtf_sweep(state, data, gen)
-    return {"mse": mse, "log_joint": mtf.log_joint(state, data, rss=rss), "init_s": init_s}
+        t0 = time.perf_counter()
+        log_joint = mtf.log_joint(state, data, rss=mtf.mtf_sweep(state, data, gen))
+        sweep_s.append(time.perf_counter() - t0)
+    return {"mse": mse, "log_joint": log_joint, "init_s": init_s,
+            "sweep_ms": 1e3 * statistics.median(sweep_s)}
 
 
 def worker(args) -> int:
@@ -83,7 +89,8 @@ def run_tree(tree: str, args) -> list[dict]:
 
 
 def row(label: list[str], r: dict) -> str:
-    cells = [f"{m:.5f}" for m in r["mse"]] + [f"{r['log_joint']:.1f}", f"{r['init_s']:.3f}"]
+    cells = [f"{m:.5f}" for m in r["mse"]] + [f"{r['log_joint']:.1f}", f"{r['init_s']:.3f}",
+                                              f"{r['sweep_ms']:.2f}"]
     return "  ".join(f"{c:>18s}" for c in label) + "  " + "  ".join(f"{c:>10s}" for c in cells)
 
 
@@ -104,7 +111,7 @@ def main() -> int:
     header = ["workload", "seed", "side"]
     print("  ".join(f"{c:>18s}" for c in header) + "  " + "  ".join(
         f"{c:>10s}" for c in ["mse_view_1", "mse_view_2",
-                              f"lj_{SWEEPS}_sweeps", "init_s"]))
+                              f"lj_{SWEEPS}_sweeps", "init_s", "sweep_ms"]))
     for p, c in zip(*(results[s] for s in SIDES)):
         for side, r in zip(SIDES, (p, c)):
             print(row([r["workload"], str(r["seed"]), side], r))
@@ -115,7 +122,8 @@ def main() -> int:
             med = {"mse": [statistics.median(r["mse"][t] for r in rs)
                            for t in range(len(rs[0]["mse"]))],
                    "log_joint": statistics.median(r["log_joint"] for r in rs),
-                   "init_s": statistics.median(r["init_s"] for r in rs)}
+                   "init_s": statistics.median(r["init_s"] for r in rs),
+                   "sweep_ms": statistics.median(r["sweep_ms"] for r in rs)}
             print(row([w, f"{len(rs)} seeds", side], med))
     return 0
 

@@ -130,12 +130,15 @@ class ViewData:
 
 @dataclass
 class ModelData:
-    """A collection compiled into sampling-ready arrays plus resolved priors."""
+    """A collection compiled into sampling-ready arrays plus resolved priors;
+    pattern p's rows are row_order[pattern_starts[p]:pattern_starts[p + 1]]."""
 
     views: list[ViewData]
     u_groups: list[list[int]]
     group_of: dict[int, int]
     patterns: np.ndarray          # (N,) joint missingness pattern of each row
+    row_order: np.ndarray         # (N,) rows sorted (stably) by pattern
+    pattern_starts: np.ndarray    # (P,) start of each pattern's rows in row_order
     hp: HyperParams | None = None
     b_tau: np.ndarray | None = None             # (T,) resolved noise-precision rates
     b_tau_slab: list[np.ndarray] | None = None  # per view (L_t,)
@@ -164,7 +167,8 @@ def _compile(c: Collection) -> ModelData:
     slab has no observed variance to resolve them from): each row's joint
     missingness pattern across the masked views, numbered in the order
     ``np.unique`` gives their packed observation bits, with each masked
-    view's (P, L*D) observation rows of the patterns.  P = 1 when dense."""
+    view's (P, L*D) observation rows of the patterns, and the rows sorted by
+    pattern with each pattern's segment start.  P = 1 when dense."""
     views = []
     for t, mv in enumerate(c.views):
         x = np.ascontiguousarray(mv.values.transpose(0, 2, 1))  # (N, L, D)
@@ -188,7 +192,9 @@ def _compile(c: Collection) -> ModelData:
         for v in masked:
             v.pattern_obs = v.obs.reshape(n, -1)[first]
     groups = c.u_groups()
-    return ModelData(views, groups, {t: g for g, m in enumerate(groups) for t in m}, patterns)
+    order = np.argsort(patterns, kind="stable")
+    return ModelData(views, groups, {t: g for g, m in enumerate(groups) for t in m}, patterns,
+                     order, np.flatnonzero(np.diff(patterns[order], prepend=-1)))
 
 
 def prepare(c: Collection, hp: HyperParams, validate: bool = True) -> ModelData:
@@ -469,16 +475,17 @@ def z_conditional(blocks, k: int) -> tuple[np.ndarray, np.ndarray]:
     rows the view's ``pattern_obs`` (0/1 observation rows of the P row
     patterns) or None.  Entry (l, d) adds tau_l x b to the linear term and
     tau_l b b^T to the precision, with b = w_{l,d}: on a fully observed view,
-    the GEMM W^T diag(tau) W over its L*D entries.  Returns (lin (N, K),
-    prec): one (K, K) precision when no view has rows, else the (P, K, K)
-    pattern precisions, one GEMM per masked view.
+    the GEMM W^T diag(tau) W over its L*D entries.  The linear term's GEMM
+    is ((tau B)^T X^T)^T, its fast orientation.  Returns (lin (N, K), prec):
+    one (K, K) precision when no view has rows, else the (P, K, K) pattern
+    precisions, one GEMM per masked view.
     """
     lin, base, terms = 0.0, np.eye(k), []
     for x, rows, w, tau in blocks:
         b = w.reshape(-1, k)                                    # (L*D, K)
         tw = np.repeat(tau, w.shape[1])
         tb = tw[:, None] * b
-        lin = lin + x.reshape(x.shape[0], -1) @ tb
+        lin = lin + (tb.T @ x.reshape(x.shape[0], -1).T).T
         if rows is None:
             base = base + tb.T @ b
         else:
@@ -489,7 +496,7 @@ def z_conditional(blocks, k: int) -> tuple[np.ndarray, np.ndarray]:
 def _rss(state, data: ModelData) -> list[np.ndarray]:
     """Per-slab residual sums of squares of every view of either model's
     state, by ``_slab_rss`` on its slab loadings."""
-    return [_slab_rss(v.x2, _view_stats(v, state.Z), state.slab_loadings(t)[0])
+    return [_slab_rss(v.x2, _view_stats(data, t, state.Z), state.slab_loadings(t)[0])
             for t, v in enumerate(data.views)]
 
 
@@ -570,15 +577,22 @@ def _column_step(xb, gram, w, tau, rho, mu, logit_pi, h, gen):
         w[on, :, k] = mean[on] + gen.standard_normal((on.sum(), w.shape[1])) / sd[on]
 
 
-def _view_stats(v: ViewData, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sufficient statistics of a view given Z, one GEMM each: X^T Z per slab
-    (L, D, K), masked entries zero, and the Gram: Z^T Z (K, K) on a fully
-    observed view, else the per-entry M (L, D, K, K), M[l, d] = sum_n
-    obs[n, l, d] z_n z_n^T."""
-    k = z.shape[1]
-    gram = z.T @ z if v.obs is None else \
-        (v.obs.reshape(v.n, -1).T @ outer_rows(z)).reshape(v.l, v.d, k, k)
-    return (v.x.reshape(v.n, -1).T @ z).reshape(v.l, v.d, k), gram
+def _view_stats(data: ModelData, t: int, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sufficient statistics of view t given Z, one GEMM each: X^T Z per slab
+    (L, D, K), masked entries zero, as (Z^T X)^T (the fast orientation), and
+    the Gram: Z^T Z (K, K) on a fully observed view, else the per-entry M
+    (L, D, K, K), M[l, d] = sum_n obs[n, l, d] z_n z_n^T = sum_p obs_p[l, d]
+    S_p over the P row patterns, with S_p = sum_{n in p} z_n z_n^T one
+    segment sum of the rows in pattern order (skipped when P = N)."""
+    v, k = data.views[t], z.shape[1]
+    if v.obs is None:
+        gram = z.T @ z
+    else:
+        s = outer_rows(z[data.row_order])
+        if len(data.pattern_starts) < data.n:
+            s = np.add.reduceat(s, data.pattern_starts)
+        gram = (v.pattern_obs.T @ s).reshape(v.l, v.d, k, k)
+    return (z.T @ v.x.reshape(v.n, -1)).T.reshape(v.l, v.d, k), gram
 
 
 def _slab_rss(x2: np.ndarray, stats, w: np.ndarray) -> np.ndarray:
@@ -613,7 +627,7 @@ def update_vh(state: MtfState, data: ModelData, t: int, rng, stats=None):
     """
     v = data.views[t]
     u = state.u_for_view(t)
-    xtz, g = _view_stats(v, state.Z) if stats is None else stats[t]
+    xtz, g = _view_stats(data, t, state.Z) if stats is None else stats[t]
     gram = g * (u.T @ u) if g.ndim == 2 else \
         np.einsum("ldkj,lkj->dkj", g, u[:, :, None] * u[:, None, :])
     xb = np.einsum("ldk,lk->dk", xtz, u)[None]
@@ -634,7 +648,7 @@ def update_u(state: MtfState, data: ModelData, g: int, rng, ustats=None) -> np.n
     members = data.u_groups[g]
     lin, prec = 0.0, np.eye(state.k)
     for t in members:
-        p, a = _strict_stats(_view_stats(data.views[t], state.Z), state.V[t]) \
+        p, a = _strict_stats(_view_stats(data, t, state.Z), state.V[t]) \
             if ustats is None else ustats[t]
         lin = lin + state.tau[t] * p
         prec = prec + state.tau[t] * a
@@ -723,7 +737,7 @@ def mtf_sweep(state: MtfState, data: ModelData, rng) -> list[np.ndarray]:
     Returns the per-slab residual sums of squares, exact after the moves.
     """
     update_z(state, data, rng)
-    stats = [_view_stats(v, state.Z) for v in data.views]
+    stats = [_view_stats(data, t, state.Z) for t in range(data.n_views)]
     for t in range(data.n_views):
         update_vh(state, data, t, rng, stats)
     ustats = [_strict_stats(s, vt) for s, vt in zip(stats, state.V)]

@@ -118,7 +118,7 @@ def two_stage_predict(task: PredictionTask, rng) -> PredictionResult:
     # target noise, in the order of a draw-by-draw loop; row n's normals sit
     # at its rank among the rows sorted by pattern
     ends = np.cumsum([n * k] + [i[0].size for i in tgt_idx])
-    rank = np.argsort(np.argsort(data.patterns, kind="stable"))
+    rank = np.argsort(data.row_order)
 
     for samples in chains:
         for state in samples.states[::task.snapshot_stride]:

@@ -138,7 +138,7 @@ def _update_wh(state: RmtfState, data: ModelData, t: int, gen, stats=None):
     independent, so they are drawn together, per component.
     """
     v = data.views[t]
-    xtz, gram = _view_stats(v, state.Z) if stats is None else stats[t]
+    xtz, gram = _view_stats(data, t, state.Z) if stats is None else stats[t]
     if v.is_matrix():
         rho, mu = state.alpha[t], 0.0
     else:
@@ -229,7 +229,7 @@ def rmtf_sweep(state: RmtfState, data: ModelData, rng) -> list[np.ndarray]:
     gen = _as_gen(rng)
     hp = data.hp
     _update_z(state, data, gen)
-    stats = [_view_stats(v, state.Z) for v in data.views]
+    stats = [_view_stats(data, t, state.Z) for t in range(data.n_views)]
     for t in range(data.n_views):
         _update_wh(state, data, t, gen, stats)
     for t, v in enumerate(data.views):

@@ -6,7 +6,7 @@ import mtfact.mtf as mtf_mod
 import mtfact.rmtf as rmtf_mod
 from mtfact.core import Collection, MaskedTensor3, Tensor3
 from mtfact.diag import _residuals, toy_grouped, toy_masks
-from mtfact.dist import RngStream, draw_bernoulli_logodds
+from mtfact.dist import RngStream, draw_bernoulli_logodds, outer_rows
 from mtfact.mtf import (
     HyperParams,
     MtfState,
@@ -460,6 +460,64 @@ class TestRowPatterns:
         np.testing.assert_array_equal(prec[2], np.eye(hp.k))
 
 
+def _stats_collection(case: str, n: int = 30, d: int = 4, l: int = 6) -> Collection:
+    """A matrix (n, d, 1) and one tensor (n, d, l), or two grouped tensors
+    for "grouped", with random values and the row patterns that ``case`` names."""
+    gen = np.random.default_rng(61)
+    shapes = [(n, d, 1), (n, d, l)] + [(n, d, l)] * (case == "grouped")
+    obs = [np.ones(s, dtype=bool) for s in shapes]
+    rows = np.arange(n)
+    if case in ("slabs", "grouped"):     # rows interleaved over 3 shared slab patterns
+        obs[1][rows % 3 == 1, :, :2] = False
+        obs[1][rows % 3 == 2, :, 3:] = False
+    if case == "grouped":                # the second tensor splits them into 6
+        obs[2][rows % 2 == 1, :, 1] = False
+    elif case == "entries":
+        obs[1] = gen.random(shapes[1]) > 0.3
+    elif case == "one":
+        obs[1][:, :, 0] = False
+    elif case == "two_views":            # 2 and 3 patterns of their own, 6 joint
+        obs[0][rows % 2 == 1, 0] = False
+        obs[1][rows % 3 == 1, 1, :] = False
+        obs[1][rows % 3 == 2, 2, 4] = False
+    views = tuple(MaskedTensor3(Tensor3(gen.standard_normal(s)), o) for s, o in zip(shapes, obs))
+    return Collection(views, ((1, 2),) if case == "grouped" else (), ())
+
+
+class TestSweepStatistics:
+    """``_view_stats`` and ``z_conditional`` against the direct all-row forms
+    X^T Z, sum_n obs[n] z_n z_n^T and X (tau B), whatever the row patterns."""
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("case, n_patterns", [("slabs", 3), ("entries", 30), ("one", 1),
+                                                  ("two_views", 6), ("grouped", 6)])
+    def test_matches_all_row_forms(self, case, n_patterns):
+        k = 5
+        data = prepare(_stats_collection(case), small_hp(k=k))
+        assert data.patterns.max() + 1 == len(data.pattern_starts) == n_patterns
+        state = sample_state_from_prior(data, data.hp, RngStream(62))
+        state.V = [np.random.default_rng(63).standard_normal(v.shape) for v in state.V]
+        z, blocks = state.Z, mtf_mod._z_blocks(state, data)   # slabs u_l * V, U shared by group
+        lin, prec = np.zeros((data.n, k)), np.eye(k)
+        for t, (v, (x, rows, w, tau)) in enumerate(zip(data.views, blocks)):
+            xtz, gram = mtf_mod._view_stats(data, t, z)
+            np.testing.assert_allclose(xtz, (v.x.reshape(v.n, -1).T @ z).reshape(v.l, v.d, k),
+                                       rtol=1e-10)
+            want = z.T @ z if v.obs is None else \
+                (v.obs.reshape(v.n, -1).T @ outer_rows(z)).reshape(v.l, v.d, k, k)
+            np.testing.assert_allclose(gram, want, rtol=1e-10, atol=1e-12)
+            b, tw = w.reshape(-1, k), np.repeat(tau, v.d)
+            lin = lin + x.reshape(data.n, -1) @ (tw[:, None] * b)
+            prec = prec + ((tw[:, None] * b).T @ b if rows is None else
+                           (rows @ outer_rows(b, tw)).reshape(-1, k, k))
+        got_lin, got_prec = mtf_mod.z_conditional(blocks, k)
+        np.testing.assert_allclose(got_lin, lin, rtol=1e-10, atol=1e-12)
+        np.testing.assert_allclose(got_prec, prec, rtol=1e-10)
+        assert got_prec.shape == (n_patterns, k, k)
+        if case == "two_views":   # the joint patterns outnumber each view's own
+            assert all(len(np.unique(v.pattern_obs, axis=0)) < n_patterns for v in data.views)
+
+
 class TestSpikeSlabEvidence:
     def test_against_quadrature(self):
         # D=2 independent coefficients, small s: integrate the slab numerically
@@ -890,7 +948,7 @@ class TestSufficientStatistics:
         for t in range(data.n_views):
             data.set_values(t, mtf_mod._recon_nld(state, t))
         factored = [mtf_mod._slab_rss(v.x2, mtf_mod._strict_stats(
-            mtf_mod._view_stats(v, state.Z), state.V[t]), state.u_for_view(t))
+            mtf_mod._view_stats(data, t, state.Z), state.V[t]), state.u_for_view(t))
             for t, v in enumerate(data.views)]
         for v, a, b in zip(data.views, mtf_mod._rss(state, data), factored):
             for rss in (a, b):
