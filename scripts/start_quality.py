@@ -1,12 +1,13 @@
 #!/usr/bin/env python3
-"""Warm-start quality on the benchmark's cp workloads, parent tree against change tree.
+"""Warm-start quality and sweep times on the benchmark's workloads, parent tree against change tree.
 
     python3 scripts/start_quality.py --parent PARENT_TREE --change . --seeds 1-10
 
 ``--parent`` and ``--change`` are two checkouts of the repository; a parent
 tree can be made with ``git archive HEAD~1 | tar -x -C PARENT_TREE``.  For
-every ``cp_*`` workload and seed, each tree's own code (run in its own
-process) builds the benchmark's paper-size training collection
+every workload (the three ``cp_*`` ones at N = 300 and the ``continuum_cli``
+design at N = 15) and seed, each tree's own code (run in its own process)
+builds the benchmark's paper-size training collection
 (``perfbench/workloads.py``), standardizes it as ``fitting.fit_model`` does,
 and starts the strict (MTF) sampler with ``mtf.init_state`` on the stream of
 the benchmark's first chain, ``RngStream(seed, 0)``.  It reports:
@@ -16,8 +17,10 @@ the benchmark's first chain, ``RngStream(seed, 0)``.  It reports:
 - the log joint after the start plus 10 MTF sweeps, the same sweeps the
   benchmark's first MTF chain runs;
 - the start's wall time, one process at a time;
-- the median wall time of those 10 sweeps, each with its log joint, which
-  the benchmark's sweep rates cannot show apart from the start.
+- the median wall time of those 10 sweeps, each with its log joint, and of
+  10 relaxed (rMTF) sweeps with theirs, run after ``rmtf.rmtf_init`` on the
+  same stream: per sampler, what the benchmark's sweep rates cannot show
+  apart from the start.
 
 Prints one row per (workload, seed, side), then per workload and side the
 median of each column.
@@ -35,16 +38,28 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 from repeat import seeds_arg  # noqa: E402
 
-WORKLOADS = ("cp_dense", "cp_masked_entries", "cp_missing_slabs")
+WORKLOADS = ("cp_dense", "cp_masked_entries", "cp_missing_slabs", "continuum_cli")
 SIDES = ("parent", "change")
 SWEEPS = 10
 
 
+def timed_sweeps(state, data, gen, sweep, log_joint) -> tuple[float, float]:
+    """Median wall time (ms) of SWEEPS sweeps, each with its log joint, and
+    the last log joint."""
+    secs = []
+    for _ in range(SWEEPS):
+        t0 = time.perf_counter()
+        lj = log_joint(state, data, rss=sweep(state, data, gen))
+        secs.append(time.perf_counter() - t0)
+    return 1e3 * statistics.median(secs), lj
+
+
 def measure(workload: str, seed: int) -> dict:
-    """One start and its first sweeps, with the code of the tree on sys.path."""
+    """One start and its first sweeps of each sampler, with the code of the
+    tree on sys.path."""
     from workloads import make_workload
 
-    from mtfact import mtf
+    from mtfact import mtf, rmtf
     from mtfact.core import center_and_normalize
     from mtfact.dist import RngStream
 
@@ -57,13 +72,14 @@ def measure(workload: str, seed: int) -> dict:
     state = mtf.init_state(data, hp, gen)
     init_s = time.perf_counter() - t0
     mse = [float(r.sum()) / v.n_obs for r, v in zip(mtf._rss(state, data), data.views)]
-    sweep_s = []
-    for _ in range(SWEEPS):
-        t0 = time.perf_counter()
-        log_joint = mtf.log_joint(state, data, rss=mtf.mtf_sweep(state, data, gen))
-        sweep_s.append(time.perf_counter() - t0)
+    mtf_ms, log_joint = timed_sweeps(state, data, gen, mtf.mtf_sweep, mtf.log_joint)
+    hp = wl.hyperparams("rmtf")
+    data = mtf.prepare(c, hp)
+    gen = RngStream(seed, 0).gen
+    rmtf_ms, _ = timed_sweeps(rmtf.rmtf_init(data, hp, gen), data, gen, rmtf.rmtf_sweep,
+                              rmtf.rmtf_log_joint)
     return {"mse": mse, "log_joint": log_joint, "init_s": init_s,
-            "sweep_ms": 1e3 * statistics.median(sweep_s)}
+            "mtf_sweep_ms": mtf_ms, "rmtf_sweep_ms": rmtf_ms}
 
 
 def worker(args) -> int:
@@ -90,7 +106,8 @@ def run_tree(tree: str, args) -> list[dict]:
 
 def row(label: list[str], r: dict) -> str:
     cells = [f"{m:.5f}" for m in r["mse"]] + [f"{r['log_joint']:.1f}", f"{r['init_s']:.3f}",
-                                              f"{r['sweep_ms']:.2f}"]
+                                              f"{r['mtf_sweep_ms']:.2f}",
+                                              f"{r['rmtf_sweep_ms']:.2f}"]
     return "  ".join(f"{c:>18s}" for c in label) + "  " + "  ".join(f"{c:>10s}" for c in cells)
 
 
@@ -111,7 +128,7 @@ def main() -> int:
     header = ["workload", "seed", "side"]
     print("  ".join(f"{c:>18s}" for c in header) + "  " + "  ".join(
         f"{c:>10s}" for c in ["mse_view_1", "mse_view_2",
-                              f"lj_{SWEEPS}_sweeps", "init_s", "sweep_ms"]))
+                              f"lj_{SWEEPS}_sweeps", "init_s", "mtf_ms", "rmtf_ms"]))
     for p, c in zip(*(results[s] for s in SIDES)):
         for side, r in zip(SIDES, (p, c)):
             print(row([r["workload"], str(r["seed"]), side], r))
@@ -121,9 +138,8 @@ def main() -> int:
             rs = [r for r in results[side] if r["workload"] == w]
             med = {"mse": [statistics.median(r["mse"][t] for r in rs)
                            for t in range(len(rs[0]["mse"]))],
-                   "log_joint": statistics.median(r["log_joint"] for r in rs),
-                   "init_s": statistics.median(r["init_s"] for r in rs),
-                   "sweep_ms": statistics.median(r["sweep_ms"] for r in rs)}
+                   **{key: statistics.median(r[key] for r in rs) for key in
+                      ("log_joint", "init_s", "mtf_sweep_ms", "rmtf_sweep_ms")}}
             print(row([w, f"{len(rs)} seeds", side], med))
     return 0
 

@@ -148,7 +148,8 @@ def draw_bernoulli_logodds(log_odds, rng):
 
     ``log_odds`` is a scalar (returns an int) or an array (returns a 0/1
     array of its shape).  Every entry takes one uniform, in C order, also
-    where its log odds is +-inf.
+    where its log odds is +-inf.  No package code calls it: the column step
+    (``mtf._column_step``) makes this draw inline, checking NaN once per call.
     """
     lo = np.asarray(log_odds, dtype=np.float64)
     if np.isnan(lo).any():

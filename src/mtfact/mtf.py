@@ -17,14 +17,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import blas
-from scipy.special import betaln, gammaln
+from scipy.special import betaln, expit, gammaln
 
 from .core import Collection, Tensor3, fiber_moments, validate_collection
 from .dist import (
     _as_gen,
     _chol_jittered,
     cholesky_stack,
-    draw_bernoulli_logodds,
     draw_mvn_precision_chol,
     outer_rows,
     stacked_precisions,
@@ -563,18 +562,25 @@ def _column_step(xb, gram, w, tau, rho, mu, logit_pi, h, gen):
     broadcastable to w; spike exact zero.  Only c depends on the other
     columns, so ``_slab_evidence`` forms everything else once per call and
     the component loop carries c (w with column k zeroed times Gram row k),
-    the log odds and the draws.  Per component: S uniforms (also at a log
-    odds of +-inf; a NaN one raises ValueError), then the active columns'
-    normals in slab order.
+    the log odds logit_pi[k] + evidence and the draws.  Per component: S
+    uniforms as ``dist.draw_bernoulli_logodds`` draws them (also at +-inf),
+    then the active columns' normals in slab order; after the loop, a NaN
+    in the (K, S) log odds raises ValueError.
     """
     evidence = _slab_evidence(xb, np.diagonal(gram, axis1=-2, axis2=-1), tau, rho, mu)
-    for k in range(w.shape[-1]):
+    log_odds = np.empty(h.shape[::-1])
+    for k, lo in enumerate(log_odds):
         w[..., k] = 0.0
         cross = w @ gram[k] if gram.ndim == 2 else np.vecdot(w, gram[..., k, :])
-        lo, mean, _, sd = evidence(k, cross)
-        h[:, k] = draw_bernoulli_logodds(logit_pi[k] + lo, gen)
-        on = h[:, k] > 0
-        w[on, :, k] = mean[on] + gen.standard_normal((on.sum(), w.shape[1])) / sd[on]
+        ev, mean, _, sd = evidence(k, cross)
+        h[:, k] = on = gen.random(len(lo)) < expit(np.add(logit_pi[k], ev, out=lo))
+        n_on = np.count_nonzero(on)
+        if n_on == len(on):
+            w[..., k] = mean + gen.standard_normal(mean.shape) / sd
+        elif n_on:
+            w[on, :, k] = mean[on] + gen.standard_normal((n_on, w.shape[1])) / sd[on]
+    if np.isnan(log_odds).any():
+        raise ValueError("log-odds is NaN")
 
 
 def _view_stats(data: ModelData, t: int, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -625,7 +631,6 @@ def update_vh(state: MtfState, data: ModelData, t: int, rng, stats=None):
     sum_l (u_l u_l^T) * M[l, d], from ``_view_stats`` of the current Z
     (stats[t] if given, else formed here).
     """
-    v = data.views[t]
     u = state.u_for_view(t)
     xtz, g = _view_stats(data, t, state.Z) if stats is None else stats[t]
     gram = g * (u.T @ u) if g.ndim == 2 else \

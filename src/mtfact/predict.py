@@ -104,7 +104,7 @@ def two_stage_predict(task: PredictionTask, rng) -> PredictionResult:
     _check_compat(chains[0].states[0], test)
 
     data = _compile(test)
-    tgt_idx = [np.nonzero(np.zeros(v.x.shape) if v.obs is None else v.obs == 0.0)
+    tgt_idx = [(np.empty(0, np.intp),) * 3 if v.obs is None else np.nonzero(v.obs == 0.0)
                for v in data.views]                                 # (n, l, d) tuples
     if sum(idx[0].size for idx in tgt_idx) == 0:
         raise ValueError("test collection has no masked entries to predict")
@@ -119,6 +119,16 @@ def two_stage_predict(task: PredictionTask, rng) -> PredictionResult:
     # at its rank among the rows sorted by pattern
     ends = np.cumsum([n * k] + [i[0].size for i in tgt_idx])
     rank = np.argsort(data.row_order)
+    # per view, each row pattern with targets there: its rows (ascending), their
+    # target entries (flat l * D + d) and the rows' places in the view's targets
+    segments = np.split(data.row_order, data.pattern_starts[1:])
+    gathers = []
+    for v, (ni, li, di) in zip(data.views, tgt_idx):
+        gathers.append([])
+        for p, rows in enumerate(segments):
+            places = np.flatnonzero(data.patterns[ni] == p).reshape(len(rows), -1)
+            if places.size:
+                gathers[-1].append((rows, (li * v.d + di)[places[0]], places))
 
     for samples in chains:
         for state in samples.states[::task.snapshot_stride]:
@@ -131,9 +141,13 @@ def two_stage_predict(task: PredictionTask, rng) -> PredictionResult:
             eps = np.split(gen.standard_normal((n_keep, ends[-1])), ends[:-1], axis=1)
             z = draw_mvn_precision_chol(lin, chols, data.patterns,
                                         eps[0].reshape(n_keep, n, k)[:, rank])
-            for (ni, li, di), (_, _, w, tau_l), e, a, a_sq in zip(
-                    tgt_idx, blocks, eps[1:], acc, acc_sq):
-                draws = np.einsum("sjk,jk->sj", z.take(ni, axis=1), w[li, di]) + e / np.sqrt(tau_l[li])
+            for (_, li, _), view_gathers, (_, _, w, tau_l), e, a, a_sq in zip(
+                    tgt_idx, gathers, blocks, eps[1:], acc, acc_sq):
+                draws = np.empty(e.shape)
+                for rows, cols, places in view_gathers:   # one GEMM per row pattern
+                    draws[:, places] = (z[:, rows].reshape(-1, k) @ w.reshape(-1, k)[cols].T
+                                        ).reshape(n_keep, *places.shape)
+                draws += e / np.sqrt(tau_l[li])
                 for d in draws:      # summed in draw order, which fixes the rounding
                     a += d
                     a_sq += d ** 2

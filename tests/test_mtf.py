@@ -753,6 +753,49 @@ class TestColumnStepReference:
             _column_step(xb, gram, w, tau, rho, mu, np.zeros(3), h, RngStream(6).gen)
 
 
+def _chain_cases():
+    """(model, lambda mode, masked): MTF, and rMTF in every lambda mode,
+    each on the dense and the masked toy."""
+    return [(model, mode, masked) for masked in (False, True)
+            for model, mode in [("mtf", "global"), ("rmtf", "global"),
+                                ("rmtf", "per_component"), ("rmtf", "per_slab")]]
+
+
+class TestColumnStepChain:
+    """Five seeded sweeps with the column step against five with its
+    reference form: the same activity every sweep, loadings and latent rows
+    to rounding, and the same final generator state."""
+
+    @pytest.mark.parametrize("model,mode,masked", _chain_cases())
+    def test_five_sweeps_match_reference(self, model, mode, masked, monkeypatch):
+        gen = np.random.default_rng(65)
+        c = _planted(make_collection(gen, masked=masked), gen)
+        hp = small_hp(k=4, lambda_mode=mode)
+        data = prepare(c, hp)
+        init, sweep, field = {"mtf": (init_state, mtf_sweep, "V"),
+                              "rmtf": (rmtf_init, rmtf_mod.rmtf_sweep, "W")}[model]
+        start = init(data, hp, RngStream(3))
+
+        def chain():
+            state, g = start.copy(), RngStream(7).gen
+            hs = []
+            for _ in range(5):
+                sweep(state, data, g)
+                hs.append(np.concatenate([np.ravel(h) for h in state.H]))
+            return state, np.array(hs), g.bit_generator.state
+
+        new, h_new, gen_new = chain()
+        for module in (mtf_mod, rmtf_mod):
+            monkeypatch.setattr(module, "_column_step", _reference_column_step)
+        ref, h_ref, gen_ref = chain()
+        np.testing.assert_array_equal(h_new, h_ref)
+        assert 0 < h_new.mean() < 1     # the steps switched columns both ways
+        assert gen_new == gen_ref
+        np.testing.assert_allclose(new.Z, ref.Z, rtol=1e-10)
+        for a, b in zip(getattr(new, field), getattr(ref, field)):
+            np.testing.assert_allclose(a, b, rtol=1e-10)
+
+
 class TestUpdateU:
     def test_prior_recovery(self):
         c = make_collection(np.random.default_rng(8))

@@ -197,17 +197,19 @@ class TestConditionals:
         captured = {"mtf": [], "rmtf": []}
         which = []
 
-        def spy(log_odds, rng):
-            captured[which[-1]].append(log_odds)
-            return 1  # keep everything active; both paths then draw D normals
+        def spy(log_odds):
+            captured[which[-1]].append(log_odds.copy())
+            return np.ones_like(log_odds)  # keep everything active: D normals each
 
-        # both samplers reach the Bernoulli draw through the one column step
-        monkeypatch.setattr(mtf_mod, "draw_bernoulli_logodds", spy)
+        # both samplers turn their log odds into activation probabilities in
+        # the one column step, once per component
+        monkeypatch.setattr(mtf_mod, "expit", spy)
         for t in range(2):
             which.append("mtf")
             mtf_mod.update_vh(strict, data, t, RngStream(14).gen)
             which.append("rmtf")
             rmtf_mod._update_wh(relaxed, data, t, RngStream(14).gen)
+        assert [len(captured[m]) for m in captured] == [2 * hp.k, 2 * hp.k]
         np.testing.assert_allclose(captured["mtf"], captured["rmtf"], rtol=1e-10)
 
     def test_masked_z_step_matches_row_loop(self, monkeypatch):
