@@ -89,9 +89,8 @@ CONFIG = {"model": "mtf", "k": 3, "chains": 2, "burnin": 8, "samples": 3, "thin"
 
 def drop_row(i: int, sample: int) -> bool:
     """Whether the i-th observed entry, in C order, of a view of
-    ``test_patterns`` is masked (in a version-1 collection, data row i of the
-    view's table): one entry in 13 among samples 0-5, so those samples get
-    patterns of their own and samples 6-8 keep the shared one."""
+    ``test_patterns`` is masked: one entry in 13 among samples 0-5, so those
+    samples get patterns of their own and samples 6-8 keep the shared one."""
     return i % 13 == 0 and sample < 6
 
 

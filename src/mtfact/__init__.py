@@ -31,7 +31,7 @@ from .mtf import (
     reconstruct_mean,
     run_chain,
 )
-from .predict import PredictionTask, match_components, mse, rmse, two_stage_predict
+from .predict import PredictionTask, match_components, two_stage_predict
 from .rmtf import RmtfState, rmtf_init, rmtf_run_chain
 from .simgen import SimSpec, gen_continuum, gen_cp, gen_relaxed_cp, generate
 

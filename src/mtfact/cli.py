@@ -317,7 +317,7 @@ def cmd_report(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="mtfact", description=__doc__)
-    coll = "a collection directory (version-1 CSV tables or version-2 .npy arrays)"
+    coll = "a collection directory (a manifest.json and .npy arrays)"
     p.add_argument("--config", help="JSON file supplying any flag defaults")
     sub = p.add_subparsers(dest="command", required=True)
 

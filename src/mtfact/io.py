@@ -1,9 +1,9 @@
 """On-disk formats: collections, posterior archives, prediction reports.
 
 Every file is a JSON manifest, a ``.npy`` array that a manifest names (a view's
-values or mask, `write_collection`; an archive block's snapshots, `write_archive`)
-or a CSV table: transforms, traces, truth arrays, reports and the read-only
-version-1 collections and archives, in one dialect (`_write_table`, `_read_table`):
+values or mask, `write_collection`; an archive stack's snapshots, `write_archive`)
+or a CSV table: transforms, traces, truth arrays and reports, in one dialect
+(`_write_table`, `_read_table`):
 
 - a header row names the columns;
 - each row holds one value (or one value per value column), after its
@@ -13,13 +13,12 @@ version-1 collections and archives, in one dialect (`_write_table`, `_read_table
 - rows follow the ``csv`` module's defaults: CRLF line ends, and quotes only
   around a field that holds a comma, a quote or a line break (of all fields,
   only view names in prediction reports can);
-- an absent row is a masked entry, and an empty index field is a dimension
-  the row's array does not have (version-1 snapshot tables hold arrays of 1 to 3 dims);
 - rows may come in any order.
 
 A read header other than the one its writer writes raises ValueError naming
 the file and both headers, and a read index outside the shape its manifest
-records raises ValueError naming the file and the data row.
+records raises ValueError naming the file and the data row.  Collections and
+archives are of version 2; the CSV tables of version 1 are no longer read.
 """
 
 from __future__ import annotations
@@ -44,10 +43,8 @@ __all__ = [
 
 _FMT = "%.17g"
 _COMMA = np.array(",", dtype=StringDType())
-# the header of each kind of table (an array file's: `_array_header`)
-_COLLECTION_HEADER = ["sample_index", "feature_index", "slab_index", "value"]
+# the header of a transform (an array file's: `_array_header`)
 _TRANSFORM_HEADER = ["view", "feature", "slab", "center", "scale"]
-_SNAPSHOT_HEADER = ["snapshot", "param", "view", "i0", "i1", "i2", "value"]
 
 
 def _json_dump(path: str, obj):
@@ -130,10 +127,14 @@ def _grid(shape) -> list[np.ndarray]:
 
 def _manifest(path: str, kind: str) -> dict:
     """The manifest in ``path``; ValueError naming it unless it is an object of
-    format ``kind`` and version 1 or 2 whose ``views`` are a list of objects."""
+    format ``kind`` and version 2 whose ``views`` are a list of objects."""
     m = _json_load(path)
-    if not isinstance(m, dict) or m.get("format") != kind or m.get("version") not in (1, 2):
-        raise ValueError(f"{path}: not a {kind.replace('-', ' ')} of version 1 or 2")
+    version = m.get("version") if isinstance(m, dict) and m.get("format") == kind else None
+    if version == 1:
+        raise ValueError(f"{path}: a {kind.replace('-', ' ')} of version 1, which is no "
+                         "longer read; re-simulate or re-fit to write version 2")
+    if version != 2:
+        raise ValueError(f"{path}: not a {kind.replace('-', ' ')} of version 2")
     views = _require(path, m, ["views"])[0]
     if not isinstance(views, list) or not all(isinstance(v, dict) for v in views):
         raise ValueError(f"{path}: 'views' is not a list of objects")
@@ -159,15 +160,17 @@ def _plain(path: str, names, where: str):
             raise ValueError(f"{path}: {where}{f!r} is not a plain file name")
 
 
-def _load_npy(path: str, dtype, fits, expected: str) -> np.ndarray:
+def _load_npy(path: str, dtype: str, shape: tuple) -> np.ndarray:
     """The array in ``path``; ValueError naming it if absent, unreadable, not
-    ``dtype`` or not ``fits``."""
+    ``dtype`` or not of ``shape``, whose "N" axes may have any length."""
     try:
         arr = np.load(path, allow_pickle=False) if os.path.isfile(path) else None
     except (ValueError, OSError, EOFError) as err:
         raise ValueError(f"{path}: not a readable .npy file ({err})") from None
-    if arr is None or arr.dtype != dtype or not fits(arr.shape):
-        raise ValueError(f"{path}: expected {expected}, found "
+    if (arr is None or arr.dtype != dtype or arr.ndim != len(shape)
+            or any(a not in (b, "N") for a, b in zip(shape, arr.shape))):
+        want = str(shape).replace("'", "")
+        raise ValueError(f"{path}: expected {dtype} {want}, found "
                          + ("none" if arr is None else f"{arr.dtype} {arr.shape}"))
     return arr
 
@@ -189,25 +192,18 @@ def write_collection(directory: str, c: Collection):
 
 
 def read_collection(directory: str) -> Collection:
-    """Version 1 or 2, 0.0 where unobserved; ValueError names the manifest if its format,
-    version, keys or file names are not `write_collection`'s, or a bad v2 array's file."""
+    """A `write_collection` directory, 0.0 where unobserved; ValueError names the
+    manifest if its format, version, keys or file names are not `write_collection`'s,
+    or a bad array's file."""
     path = os.path.join(directory, "manifest.json")
     manifest = _manifest(path, "tensor-collection")
-    keys = ["name", "n", "d", "l"] + (["values", "observed"] if manifest["version"] == 2 else [])
     views, groups = [], {}
     for t, meta in enumerate(manifest["views"]):
-        name, n, d, l, *arrays = _require(path, meta, keys, f"view {t}: ")
+        name, n, d, l, *arrays = _require(path, meta, ["name", "n", "d", "l", "values",
+                                                       "observed"], f"view {t}: ")
         _plain(path, [name, *arrays], f"view {t}: ")
-        if arrays:
-            values, observed = (_load_npy(os.path.join(directory, f), dt,
-                                          lambda shape: shape == (n, d, l), f"{dt} {(n, d, l)}")
-                                for f, dt in zip(arrays, ("float64", "bool")))
-        else:
-            table = os.path.join(directory, f"{name}.csv")
-            header, columns = _read_table(table, _COLLECTION_HEADER)
-            idx = _indices(table, header, columns, (n, d, l))
-            values, observed = np.zeros((n, d, l)), np.zeros((n, d, l), dtype=bool)
-            values[idx], observed[idx] = columns[3].astype(np.float64), True
+        values, observed = (_load_npy(os.path.join(directory, f), dt, (n, d, l))
+                            for f, dt in zip(arrays, ("float64", "bool")))
         views.append(MaskedTensor3(Tensor3(np.where(observed, values, 0.0)), observed))
         if meta.get("group") is not None:
             groups.setdefault(meta["group"], []).append(t)
@@ -291,85 +287,68 @@ def _latents(state_cls) -> list[tuple[str, str]]:
             if f.name not in ("lambda_mode", "group_of")]
 
 
-def _state_entries(state):
-    """Yield (param, view, array) blocks; a list field gives one block per
-    view (U: per group), skipping None entries."""
-    for name, param in _latents(type(state)):
-        value = getattr(state, name)
-        if isinstance(value, list):
-            yield from ((param, t, a) for t, a in enumerate(value) if a is not None)
-        else:
-            yield param, "", value
-
-
 def _write_snapshots(cdir: str, states: list) -> list[str]:
-    """One float64 stack per (param, view) block, snapshots along axis 0;
-    returns the file names, in `_state_entries` order."""
+    """One float64 stack per latent array, snapshots along axis 0, named
+    ``f"{param}_{view}"``: a list field gives one per view (U: per group) that
+    is not None.  Returns the file names, in field order."""
     stacks: dict[str, list] = {}
     for state in states:
-        for param, view, arr in _state_entries(state):
-            stacks.setdefault(f"{param}_{view}".rstrip("_") + ".npy", []).append(arr)
+        for name, param in _latents(type(state)):
+            value = getattr(state, name)
+            entries = enumerate(value) if isinstance(value, list) else [("", value)]
+            for view, arr in entries:
+                if arr is not None:
+                    stacks.setdefault(f"{param}_{view}".rstrip("_") + ".npy", []).append(arr)
     for name, arrays in stacks.items():
         np.save(os.path.join(cdir, name), np.stack(arrays, dtype=np.float64))
     return list(stacks)
 
 
-def _codes(column: np.ndarray) -> np.ndarray:
-    """Integer codes of a string column that holds few distinct values:
-    equal strings, equal codes."""
-    first = np.flatnonzero(np.r_[True, column[1:] != column[:-1]])
-    codes = np.unique(column[first], return_inverse=True)[1]
-    return np.repeat(codes, np.diff(first, append=column.size))
+def _stack_shapes(manifest: dict, hp: HyperParams) -> dict[str, tuple]:
+    """{name: snapshot shape} of every stack `_write_snapshots` writes for this
+    manifest; Z has any number "N" of rows."""
+    views, k, mode = manifest["views"], hp.k, hp.lambda_mode
+    rmtf = manifest["model"] == "rmtf"
+    shapes = {"Z": ("N", k), "pi": (k,)}
+    shapes.update((f"U_{m['u_group']}", (m["l"], k)) for m in views if m["u_group"] is not None)
+    if not rmtf:
+        shapes.update(H=(len(views), k), tau=(len(views),))
+    elif mode != "per_slab":
+        shapes["lambda"] = () if mode == "global" else (k,)
+    for t, m in enumerate(views):
+        d, l = m["d"], m["l"]
+        shapes[f"V_{t}"] = (d, k)
+        shapes[f"{'beta' if rmtf and l > 1 else 'alpha'}_{t}"] = (d, k)
+        if rmtf:
+            shapes.update({f"W_{t}": (l, d, k), f"H_{t}": (l, k), f"tau_{t}": (l,)})
+        if rmtf and mode == "per_slab" and l > 1:
+            shapes[f"lambda_{t}"] = (l,)
+    return shapes
 
 
-def _read_snapshot_blocks(path: str) -> dict[tuple[int, str, str], np.ndarray]:
-    """{(snapshot, param, view): array} of a version-1 ``snapshots.csv``."""
-    header, (snap, param, view, *index, value) = _read_table(path, _SNAPSHOT_HEADER)
-    empty = [i == "" for i in index]
-    for i, e in zip(index, empty):
-        i[e] = "0"
-    snap, *index = _indices(path, header[:1] + header[3:6], [snap, *index], [np.inf] * 4)
-    value = value.astype(np.float64)
-    keys = np.stack([snap, _codes(param), _codes(view)])
-    order = np.lexsort(keys[::-1])
-    blocks = {}
-    for rows in np.split(order, np.flatnonzero(np.diff(keys[:, order]).any(axis=0)) + 1):
-        r = rows[0]
-        idx = tuple(i[rows] for i, e in zip(index, empty) if not e[r])
-        out = np.zeros(tuple(int(i.max()) + 1 for i in idx))
-        out[idx] = value[rows]
-        blocks[int(snap[r]), str(param[r]), str(view[r])] = out
-    return blocks
-
-
-def _read_snapshot_stacks(cdir: str, names: list[str], n: int) -> dict:
-    """{(snapshot, param, view): array} of a version-2 chain's float64 stacks ``names``."""
-    blocks = {}
-    for name in names:
-        stack = _load_npy(os.path.join(cdir, name), np.float64, lambda s: s[:1] == (n,),
-                          f"a float64 stack of {n} snapshots")
-        param, _, view = name.removesuffix(".npy").partition("_")
-        blocks.update(((s, param, view), stack[s, ...]) for s in range(n))
-    return blocks
-
-
-def _states_from_blocks(blocks, model: str, manifest) -> list:
-    cls = RmtfState if model == "rmtf" else MtfState
-    group_of = {t: meta["u_group"] for t, meta in enumerate(manifest["views"])
-                if meta["u_group"] is not None}
+def _read_states(path: str, cdir: str, manifest: dict, hp: HyperParams, n: int) -> list:
+    """The ``n`` snapshot states of chain directory ``cdir``: each stack is loaded
+    once and snapshot s takes its slice ``[s]``.  ValueError names a stack that
+    the manifest ``path`` does not list, or whose file is absent, unreadable, not
+    float64 or not of n snapshots of its `_stack_shapes` shape."""
+    stacks = {}
+    for name, shape in _stack_shapes(manifest, hp).items():
+        if f"{name}.npy" not in manifest["snapshot_stacks"]:
+            raise ValueError(f"{path}: snapshot_stacks: no '{name}.npy'")
+        stacks[name] = _load_npy(os.path.join(cdir, f"{name}.npy"), "float64", (n, *shape))
+    cls = RmtfState if manifest["model"] == "rmtf" else MtfState
+    group_of = {t: m["u_group"] for t, m in enumerate(manifest["views"])
+                if m["u_group"] is not None}
     states = []
-    for s in range(max(k[0] for k in blocks) + 1):
+    for s in range(n):
+        snap = {name: stack[s, ...] for name, stack in stacks.items()}
         kw = {"group_of": group_of}
         for name, param in _latents(cls):
-            if (s, param, "") in blocks:
-                kw[name] = blocks[s, param, ""]
-            else:
-                n = manifest["n_u_groups"] if param == "U" else len(manifest["views"])
-                kw[name] = [blocks.get((s, param, str(t))) for t in range(n)]
-        if model == "rmtf":
-            kw["lambda_mode"] = manifest["hyperparams"]["lambda_mode"]
-            if kw["lambda_mode"] == "global":
-                kw["lam"] = kw["lam"].reshape(())
+            count = manifest["n_u_groups"] if param == "U" else len(manifest["views"])
+            kw[name] = snap[param] if param in snap else [snap.get(f"{param}_{i}")
+                                                          for i in range(count)]
+        if cls is RmtfState:
+            kw["lambda_mode"] = hp.lambda_mode
         states.append(cls(**kw))
     return states
 
@@ -418,18 +397,19 @@ def write_archive(directory: str, chains: list[PosteriorSamples],
 
 
 def read_archive(directory: str):
-    """Returns (chains, transform or None, manifest dict) of an archive of
-    version 1 or 2.  A manifest of another version, or that lacks a key the reader
-    uses (also in a view entry), or whose ``hyperparams`` are not ``HyperParams``
-    fields, ``chain_ids`` not a list of ints, ``trace_names`` not a list of strings
-    or ``snapshot_stacks`` not a list of plain file names raises ValueError.
-    A preprocessed archive without ``transform.csv`` raises FileNotFoundError:
-    its predictions would stay standardized."""
+    """Returns (chains, transform or None, manifest dict) of a `write_archive`
+    directory.  A manifest of another format or version, or that lacks a key the
+    reader uses (also in a view entry), or whose ``hyperparams`` are not
+    ``HyperParams`` fields, ``chain_ids`` not a list of ints, ``trace_names`` not a
+    list of strings or ``snapshot_stacks`` not a list of plain file names raises
+    ValueError, as does a bad stack (`_read_states`).  A preprocessed archive
+    without ``transform.csv`` raises FileNotFoundError: its predictions would stay
+    standardized."""
     path = os.path.join(directory, "run_manifest.json")
     manifest = _manifest(path, "posterior-archive")
-    keys = ("model", "hyperparams", "chain_ids", "views", "n_u_groups", "trace_names")
-    _require(path, manifest, keys + (("snapshot_stacks",) if manifest["version"] == 2 else ()))
-    _plain(path, manifest.get("snapshot_stacks", []), "snapshot_stacks: ")
+    _require(path, manifest, ("model", "hyperparams", "chain_ids", "views", "n_u_groups",
+                              "trace_names", "snapshot_stacks"))
+    _plain(path, manifest["snapshot_stacks"], "snapshot_stacks: ")
     for t, meta in enumerate(manifest["views"]):
         _require(path, meta, ("name", "d", "l", "u_group"), f"view {t}: ")
     for key, kind, what in (("chain_ids", int, "integers"), ("trace_names", str, "strings")):
@@ -447,10 +427,7 @@ def read_archive(directory: str):
     for cid in manifest["chain_ids"]:
         cdir = os.path.join(directory, f"chain_{cid}")
         sweeps = _json_load(os.path.join(cdir, "sweeps.json"))
-        blocks = (_read_snapshot_blocks(os.path.join(cdir, "snapshots.csv"))
-                  if manifest["version"] == 1 else
-                  _read_snapshot_stacks(cdir, manifest["snapshot_stacks"], len(sweeps)))
-        states = _states_from_blocks(blocks, manifest["model"], manifest)
+        states = _read_states(path, cdir, manifest, hp, len(sweeps))
         _, (_, *columns) = _read_table(os.path.join(cdir, "traces.csv"),
                                        ["sweep"] + manifest["trace_names"])
         traces = np.stack([c.astype(np.float64) for c in columns], axis=1)

@@ -37,8 +37,6 @@ __all__ = [
     "two_stage_predict",
     "predict_collection",
     "target_rmse",
-    "rmse",
-    "mse",
     "match_components",
     "match_tensor_specific",
 ]
@@ -194,21 +192,6 @@ def predict_collection(task: PredictionTask, transform: PreprocessTransform | No
     if truth is None:
         return result, None, None
     return result, truth, target_rmse(result.mean, truth, result.targets)
-
-
-def mse(pred: np.ndarray, truth: np.ndarray, mask: np.ndarray) -> float:
-    """Mean squared error over the masked (target) entries only."""
-    pred, truth, mask = np.asarray(pred), np.asarray(truth), np.asarray(mask, bool)
-    if pred.shape != truth.shape or pred.shape != mask.shape:
-        raise ValueError("pred, truth and mask must share a shape")
-    if not mask.any():
-        raise ValueError("empty target mask")
-    diff = pred[mask] - truth[mask]
-    return float(np.mean(diff ** 2))
-
-
-def rmse(pred: np.ndarray, truth: np.ndarray, mask: np.ndarray) -> float:
-    return float(np.sqrt(mse(pred, truth, mask)))
 
 
 def _sign_aligned_slab_mean(w: np.ndarray) -> np.ndarray:

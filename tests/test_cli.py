@@ -11,11 +11,10 @@ import pytest
 from mtfact import cli
 from mtfact import io as mio
 from mtfact.cli import main
-from mtfact.core import Collection, MaskedTensor3
+from mtfact.core import Collection
 from mtfact.predict import match_components
 
 from conftest import swap_index_columns
-from test_io import ref_write_collection
 
 
 def run(*argv):
@@ -126,35 +125,11 @@ class TestFit:
         assert len(specific) == 2
         assert f"(shared={sh} specific=[{', '.join(specific)}] empty={emp})" in fit_line
 
-    @pytest.mark.parametrize("sample", ["-1", "24"])
-    def test_sample_index_out_of_range_exit_2(self, small_sim, tmp_path, capsys, sample):
-        ref_write_collection(tmp_path / "c", mio.read_collection(small_sim / "train"))
-        with open(tmp_path / "c" / "matrix.csv", "a", newline="") as fh:
-            fh.write(f"{sample},0,0,1.5\r\n")
-        assert run("fit", *FIT_SMALL, tmp_path / "c", tmp_path / "a") == 2
-        err = capsys.readouterr().err
-        assert "matrix.csv" in err and f"sample_index {sample} is outside [0, 24)" in err
-
-    @pytest.mark.parametrize("damage", ["empty", "swapped"])
-    def test_view_file_header_mismatch_exit_2(self, tmp_path, capsys, damage):
-        # an empty view file, or one whose index columns list features first
-        # (N = D = 3, so every index is in range), is refused, not fitted
-        values = np.random.default_rng(0).standard_normal((3, 3, 2))
-        ref_write_collection(tmp_path / "c", Collection((MaskedTensor3.fully_observed(values),),
-                                                        (), ("x",)))
-        path = tmp_path / "c" / "x.csv"
-        if damage == "empty":
-            path.write_bytes(b"")
-        else:
-            swap_index_columns(path)
-        assert run("fit", *FIT_SMALL, tmp_path / "c", tmp_path / "a") == 2
-        assert "x.csv: expected the header sample_index,feature_index,slab_index,value, found " \
-            in capsys.readouterr().err
-        assert not (tmp_path / "a").exists()
-
     @pytest.mark.parametrize("edit, message", [
         (lambda m: m.update(format="nonsense", version=9),
-         "manifest.json: not a tensor collection of version 1 or 2"),
+         "manifest.json: not a tensor collection of version 2"),
+        (lambda m: m.update(version=1), "manifest.json: a tensor collection of version 1, "
+                                        "which is no longer read; re-simulate or re-fit"),
         (lambda m: m["views"][0].pop("n"), "manifest.json: view 0: no 'n'"),
         (lambda m: m["views"][1].update(values="../x.npy"),
          "manifest.json: view 1: '../x.npy' is not a plain file name"),
@@ -172,8 +147,7 @@ class TestFit:
     def test_collection_manifest_not_an_object_exit_2(self, small_sim, tmp_path, capsys):
         (small_sim / "train" / "manifest.json").write_text("[]")
         assert run("fit", *FIT_SMALL, small_sim, tmp_path / "a") == 2
-        assert "manifest.json: not a tensor collection of version 1 or 2" \
-            in capsys.readouterr().err
+        assert "manifest.json: not a tensor collection of version 2" in capsys.readouterr().err
         assert not (tmp_path / "a").exists()
 
     @pytest.mark.parametrize("value", ["four", "0", "-3"])
@@ -341,8 +315,31 @@ class TestPredictCli:
         path.write_text(path.read_text().replace('"version": 2', '"version": 3'))
         out = tmp_path / "pred.csv"
         assert run("predict", "--archive", arch, "--test", sim / "test", "--out", out) == 2
-        assert "run_manifest.json: not a posterior archive of version 1 or 2" \
+        assert "run_manifest.json: not a posterior archive of version 2" \
             in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("manifest", ["run_manifest", "manifest"])
+    def test_version_1_input_exit_2(self, continuum, tmp_path, capsys, manifest):
+        sim, arch = continuum
+        path = (arch if manifest == "run_manifest" else sim / "test") / f"{manifest}.json"
+        path.write_text(path.read_text().replace('"version": 2', '"version": 1'))
+        out = tmp_path / "pred.csv"
+        assert run("predict", "--archive", arch, "--test", sim / "test", "--out", out) == 2
+        what = "posterior archive" if manifest == "run_manifest" else "tensor collection"
+        assert (f"{path.name}: a {what} of version 1, which is no longer read; re-simulate "
+                "or re-fit") in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("row", ["0,5,0,0.5,2.0", "1,0,-1,0.5,2.0"])
+    def test_transform_index_out_of_range_exit_2(self, continuum, tmp_path, capsys, row):
+        sim, arch = continuum
+        with open(arch / "transform.csv", "a", newline="") as fh:
+            fh.write(row + "\r\n")
+        out = tmp_path / "pred.csv"
+        assert run("predict", "--archive", arch, "--test", sim / "test", "--out", out) == 2
+        bound = "feature 5 is outside [0, 5)" if row[0] == "0" else "slab -1 is outside [0, 4)"
+        assert f"transform.csv, row 30: {bound}" in capsys.readouterr().err
         assert not out.exists()
 
     def test_archive_manifest_without_key_exit_2(self, continuum, tmp_path, capsys):
@@ -408,7 +405,9 @@ class TestDiagnoseAndReport:
     @pytest.mark.parametrize("edit, message", [
         (lambda m: m["views"][0].pop("u_group"), "run_manifest.json: view 0: no 'u_group'"),
         (lambda m: m.update(trace_names="log_joint"),
-         "run_manifest.json: 'trace_names' is not a list of strings")])
+         "run_manifest.json: 'trace_names' is not a list of strings"),
+        (lambda m: m.update(version=1), "run_manifest.json: a posterior archive of version 1, "
+                                        "which is no longer read; re-simulate or re-fit")])
     def test_diagnose_malformed_archive_exit_2(self, small_sim, tmp_path, capsys, edit, message):
         # these used to end in a KeyError or a TypeError
         arch = tmp_path / "arch"
@@ -419,6 +418,20 @@ class TestDiagnoseAndReport:
         path.write_text(json.dumps(manifest))
         assert run("diagnose", "--archive", arch) == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("damage", ["empty", "swapped"])
+    def test_traces_header_mismatch_exit_2(self, small_sim, tmp_path, capsys, damage):
+        # an empty traces file, or one whose first two columns are swapped,
+        # is refused, not diagnosed
+        arch = tmp_path / "arch"
+        assert run("fit", "--model", "mtf", *FIT_SMALL, "--seed", "21", small_sim, arch) == 0
+        path = arch / "chain_0" / "traces.csv"
+        if damage == "empty":
+            path.write_bytes(b"")
+        else:
+            swap_index_columns(path)
+        assert run("diagnose", "--archive", arch) == 2
+        assert "traces.csv: expected the header sweep,log_joint," in capsys.readouterr().err
 
     def test_report_single_archive(self, small_sim, tmp_path, capsys):
         arch = tmp_path / "arch"

@@ -187,28 +187,13 @@ class TestPredictionReport:
 
 # ---------------------------------------------------------------------------
 # The on-disk format, pinned: the writers as they were before the columnar
-# table codec, one csv row per entry, kept as the reference.  Every writer
-# must produce their bytes, and every reader must read their files back
-# bit exactly.
+# table codec, one csv row per entry, kept as the reference for every CSV and
+# JSON file.  Every writer must produce their bytes (an archive's .npy stacks
+# and its manifest's "snapshot_stacks" aside), and every reader must read the
+# files back bit exactly.
 
 def _ref_f(x):
     return "%.17g" % x
-
-
-def ref_write_collection(directory, c):
-    os.makedirs(directory, exist_ok=True)
-    group_of = {t: g for g, members in enumerate(c.third_mode_groups) for t in members}
-    manifest = {"format": "tensor-collection", "version": 1, "views": [
-        {"name": c.names[t], "n": v.shape[0], "d": v.shape[1], "l": v.shape[2],
-         "group": group_of.get(t)} for t, v in enumerate(c.views)]}
-    mio._json_dump(os.path.join(directory, "manifest.json"), manifest)
-    for t, v in enumerate(c.views):
-        idx = np.nonzero(v.observed)
-        with open(os.path.join(directory, f"{c.names[t]}.csv"), "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["sample_index", "feature_index", "slab_index", "value"])
-            for n, d, l, x in zip(*idx, v.values[idx]):
-                w.writerow([n, d, l, _ref_f(x)])
 
 
 def ref_write_transform(path, transform):
@@ -234,59 +219,9 @@ def ref_write_arrays(directory, arrays):
                 w.writerow(list(idx) + [_ref_f(arr[idx])])
 
 
-def ref_state_entries(state):
-    yield "Z", "", state.Z
-    if isinstance(state, RmtfState):
-        for t, w in enumerate(state.W):
-            yield "W", t, w
-        for t, v in enumerate(state.V):
-            yield "V", t, v
-        for g, u in enumerate(state.U):
-            yield "U", g, u
-        for t, h in enumerate(state.H):
-            yield "H", t, h
-        yield "pi", "", state.pi
-        for t, a in enumerate(state.alpha):
-            if a is not None:
-                yield "alpha", t, a
-        for t, b in enumerate(state.beta):
-            if b is not None:
-                yield "beta", t, b
-        if state.lambda_mode == "per_slab":
-            for t, lam in enumerate(state.lam):
-                if lam is not None:
-                    yield "lambda", t, lam
-        else:
-            yield "lambda", "", np.atleast_1d(np.asarray(state.lam))
-        for t, tau in enumerate(state.tau):
-            yield "tau", t, tau
-    else:
-        for t, v in enumerate(state.V):
-            yield "V", t, v
-        for g, u in enumerate(state.U):
-            yield "U", g, u
-        yield "H", "", state.H
-        yield "pi", "", state.pi
-        for t, a in enumerate(state.alpha):
-            yield "alpha", t, a
-        yield "tau", "", state.tau
-
-
-def ref_write_snapshots(path, states):
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["snapshot", "param", "view", "i0", "i1", "i2", "value"])
-        for s, state in enumerate(states):
-            for param, view, arr in ref_state_entries(state):
-                arr = np.asarray(arr)
-                if arr.ndim == 0:
-                    arr = arr[None]
-                for idx in np.ndindex(*arr.shape):
-                    pad = list(idx) + [""] * (3 - len(idx))
-                    w.writerow([s, param, view] + pad + [_ref_f(arr[idx])])
-
-
 def ref_write_archive(directory, chains, transform=None, extra=None):
+    """Every file of an archive but its snapshot stacks, and a manifest
+    without "snapshot_stacks"."""
     os.makedirs(directory, exist_ok=True)
     first = chains[0]
     state = first.states[0]
@@ -299,7 +234,7 @@ def ref_write_archive(directory, chains, transform=None, extra=None):
             l = state.u_for_view(t).shape[0] if t in state.group_of else 1
         data_views.append({"name": name, "d": d, "l": l, "u_group": state.group_of.get(t)})
     manifest = {
-        "format": "posterior-archive", "version": 1, "model": first.model,
+        "format": "posterior-archive", "version": 2, "model": first.model,
         "hyperparams": asdict(first.hp), "n_chains": len(chains),
         "chain_ids": [c.chain_id for c in chains], "views": data_views,
         "n_u_groups": len(state.U), "trace_names": first.trace_names,
@@ -313,7 +248,6 @@ def ref_write_archive(directory, chains, transform=None, extra=None):
     for chain in chains:
         cdir = os.path.join(directory, f"chain_{chain.chain_id}")
         os.makedirs(cdir, exist_ok=True)
-        ref_write_snapshots(os.path.join(cdir, "snapshots.csv"), chain.states)
         with open(os.path.join(cdir, "sweeps.json"), "w") as fh:
             json.dump(chain.sweeps, fh)
             fh.write("\n")
@@ -401,6 +335,21 @@ def _archive(which, rng):
     return [rmtf_run_chain(c, _hp(lambda_mode=mode), RngStream(4, 0))], None, None
 
 
+def _grouped_collection():
+    """Two tensor views, a (4, 3, 2) and b (4, 2, 2), in one third-mode group,
+    with masked entries and, observed at the front of each, -0, the smallest
+    subnormal, the largest float and 1 + 2**-52."""
+    gen = np.random.default_rng(7)
+    views = []
+    for shape in ((4, 3, 2), (4, 2, 2)):
+        values = gen.standard_normal(shape)
+        values.flat[:4] = [-0.0, 5e-324, 1.7976931348623157e308, 1.0 + 2**-52]
+        observed = gen.random(shape) > 0.3
+        observed.flat[:4] = True
+        views.append(MaskedTensor3(Tensor3(np.where(observed, values, 0.0)), observed))
+    return Collection(tuple(views), ((0, 1),), ("a", "b"))
+
+
 def _report_inputs(rng):
     """A prediction result with many targets and view names that need quoting,
     and a truth collection for it."""
@@ -417,26 +366,19 @@ def _report_inputs(rng):
 
 
 class TestOnDiskFormatPinned:
-    def test_collection_reads(self, tmp_path, rng):
-        # The writer writes version 2: per view a values and a mask .npy
-        # where the reference writes one CSV table, and a manifest that
-        # differs in "version" and the file names.  Both read back alike.
-        c = make_collection(rng, masked=True)
-        ref_write_collection(tmp_path / "ref", c)
-        mio.write_collection(tmp_path / "new", c)
-        assert set(_tree(tmp_path / "ref")) == {"manifest.json", "mat.csv", "tens.csv"}
-        assert set(_tree(tmp_path / "new")) == {"manifest.json", "mat.values.npy",
-                                                "mat.observed.npy", "tens.values.npy",
-                                                "tens.observed.npy"}
-        ref, new = (json.loads((tmp_path / d / "manifest.json").read_text())
-                    for d in ("ref", "new"))
-        assert ref.pop("version") == 1 and new.pop("version") == 2
-        for meta in new["views"]:
-            assert meta.pop("values") == f"{meta['name']}.values.npy"
-            assert meta.pop("observed") == f"{meta['name']}.observed.npy"
-        assert new == ref
-        _assert_collections_bit_equal(mio.read_collection(tmp_path / "new"),
-                                      mio.read_collection(tmp_path / "ref"))
+    def test_collection_reads(self, tmp_path):
+        # per view a values and a mask .npy, both named in the manifest beside
+        # the view's name, shape and third-mode group; read back bit exactly
+        c = _grouped_collection()
+        mio.write_collection(tmp_path, c)
+        assert set(_tree(tmp_path)) == {"manifest.json", "a.values.npy", "a.observed.npy",
+                                        "b.values.npy", "b.observed.npy"}
+        assert json.loads((tmp_path / "manifest.json").read_text()) == {
+            "format": "tensor-collection", "version": 2, "views": [
+                {"name": name, "n": 4, "d": d, "l": 2, "group": 0,
+                 "values": f"{name}.values.npy", "observed": f"{name}.observed.npy"}
+                for name, d in (("a", 3), ("b", 2))]}
+        _assert_collections_bit_equal(mio.read_collection(tmp_path), c)
 
     def test_transform_bytes(self, tmp_path, rng):
         _, tr = center_and_normalize(make_collection(rng))
@@ -459,42 +401,32 @@ class TestOnDiskFormatPinned:
 
     @pytest.mark.parametrize("which", ARCHIVES)
     def test_archive_bytes_and_reads(self, tmp_path, rng, which):
-        # The writer writes version 2: its snapshots are .npy stacks, not the
-        # reference's snapshots.csv, and its manifest differs in "version" and
-        # "snapshot_stacks".  Every other file keeps the reference's bytes,
-        # and both versions read back to the same chains.
+        # Every file keeps the reference's bytes but the .npy stacks, which
+        # the reference does not write, and the manifest, whose
+        # "snapshot_stacks" names them.  The archive reads back to the same
+        # chains.
         chains, transform, extra = _archive(which, rng)
         ref_write_archive(tmp_path / "ref", chains, transform, extra)
         mio.write_archive(tmp_path / "new", chains, transform, extra)
         ref, new = _tree(tmp_path / "ref"), _tree(tmp_path / "new")
-        assert ref.keys() - new.keys() \
-            == {os.path.join(f"chain_{c.chain_id}", "snapshots.csv") for c in chains}
-        assert new.keys() - ref.keys() == {p for p in new if p.endswith(".npy")}
-        assert all(new[p] == ref[p] for p in ref.keys() & new.keys() - {"run_manifest.json"})
-        back, tr, manifest = mio.read_archive(tmp_path / "ref")
-        assert manifest == json.loads((tmp_path / "ref" / "run_manifest.json").read_text())
+        stacks = {p for p in new if p.endswith(".npy")}
+        assert new.keys() - ref.keys() == stacks and ref.keys() <= new.keys()
+        assert all(new[p] == ref[p] for p in ref.keys() - {"run_manifest.json"})
+        back, tr, manifest = mio.read_archive(tmp_path / "new")
+        assert manifest == json.loads(new["run_manifest.json"])
+        listed = manifest.pop("snapshot_stacks")
+        assert {os.path.join(f"chain_{c.chain_id}", f) for c in chains for f in listed} == stacks
+        assert manifest == json.loads(ref["run_manifest.json"])
         assert back[0].hp == chains[0].hp and back[0].origins == chains[0].origins
-        for orig, rb in zip(chains, back):
+        for orig, rb in zip(chains, back, strict=True):
             assert rb.sweeps == orig.sweeps and _bits_equal(rb.traces, orig.traces)
             assert len(rb.states) == len(orig.states)
             for so, sr in zip(orig.states, rb.states):
                 _states_equal(so, sr)
+        assert (tr is None) == (transform is None)
         if transform is not None:
             for a, b in zip(tr.centers + tr.scales, transform.centers + transform.scales):
                 assert _bits_equal(a, b)
-        back2, tr2, manifest2 = mio.read_archive(tmp_path / "new")
-        assert manifest2.pop("version") == 2 and manifest.pop("version") == 1
-        assert manifest2.pop("snapshot_stacks") and manifest2 == manifest
-        assert (tr2 is None) == (tr is None)
-        if tr is not None:
-            for a, b in zip(tr.centers + tr.scales, tr2.centers + tr2.scales):
-                assert _bits_equal(a, b)
-        for ra, rb in zip(back, back2, strict=True):
-            assert rb.sweeps == ra.sweeps and _bits_equal(rb.traces, ra.traces)
-            assert rb.hp == ra.hp and rb.origins == ra.origins
-            assert len(rb.states) == len(ra.states)
-            for sa, sb in zip(ra.states, rb.states):
-                _states_equal(sa, sb)
 
     @pytest.mark.parametrize("with_truth", [True, False])
     def test_prediction_report_bytes(self, tmp_path, rng, with_truth):
@@ -535,83 +467,79 @@ def _shuffle_rows(path, seed):
 
 
 class TestRowsInAnyOrder:
-    def test_collection(self, tmp_path, rng):
-        c = make_collection(rng, masked=True)
-        ref_write_collection(tmp_path / "c", c)
-        for name in c.names:
-            _shuffle_rows(tmp_path / "c" / f"{name}.csv", 1)
-        back = mio.read_collection(tmp_path / "c")
-        for a, b in zip(back.views, c.views):
-            np.testing.assert_array_equal(a.observed, b.observed)
-            assert _bits_equal(a.values[a.observed], b.values[b.observed])
+    def test_array_file(self, tmp_path, rng):
+        cube = rng.standard_normal((3, 4, 2))
+        mio.write_arrays(tmp_path, {"x": cube})
+        _shuffle_rows(tmp_path / "x.csv", 1)
+        assert _bits_equal(mio.read_arrays(tmp_path)["x"], cube)
 
-    @pytest.mark.parametrize("which", ["mtf", "rmtf_per_slab"])
-    def test_snapshots(self, tmp_path, rng, which):
-        chains, transform, extra = _archive(which, rng)
-        ref_write_archive(tmp_path, chains, transform, extra)
-        for c in chains:
-            _shuffle_rows(tmp_path / f"chain_{c.chain_id}" / "snapshots.csv", 2)
-        back, _, _ = mio.read_archive(tmp_path)
-        for orig, rb in zip(chains, back):
-            for so, sr in zip(orig.states, rb.states):
-                _states_equal(so, sr)
+    def test_transform(self, tmp_path, rng):
+        _, tr = center_and_normalize(make_collection(rng))
+        mio.write_transform(tmp_path / "t.csv", tr)
+        _shuffle_rows(tmp_path / "t.csv", 2)
+        back = mio.read_transform(tmp_path / "t.csv", [c.shape for c in tr.centers])
+        for a, b in zip(back.centers + back.scales, tr.centers + tr.scales, strict=True):
+            assert _bits_equal(a, b)
+
+
+def _with_row(path, row):
+    """Append one data row to a table file."""
+    with open(path, "a", newline="") as fh:
+        fh.write(row + "\r\n")
 
 
 class TestBadIndices:
-    def _collection_with_row(self, tmp_path, row):
-        c = Collection((MaskedTensor3.fully_observed(np.arange(12.0).reshape(3, 2, 2)),),
-                       (), ("x",))
-        ref_write_collection(tmp_path, c)
-        with open(tmp_path / "x.csv", "a", newline="") as fh:
-            fh.write(row + "\r\n")
+    def _array_with_row(self, tmp_path, row):
+        mio.write_arrays(tmp_path, {"x": np.arange(12.0).reshape(3, 2, 2)})
+        _with_row(tmp_path / "x.csv", row)
         return tmp_path
 
-    @pytest.mark.parametrize("row, field", [("-1,0,0,5.0", "sample_index -1"),
-                                            ("3,0,0,5.0", "sample_index 3"),
-                                            ("0,2,0,5.0", "feature_index 2"),
-                                            ("0,0,-2,5.0", "slab_index -2")])
-    def test_out_of_range_names_file_and_row(self, tmp_path, row, field):
-        d = self._collection_with_row(tmp_path, row)
+    @pytest.mark.parametrize("row, field", [("-1,0,0,5.0", "i0 -1"), ("3,0,0,5.0", "i0 3"),
+                                            ("0,2,0,5.0", "i1 2"), ("0,0,-2,5.0", "i2 -2")])
+    def test_array_index_out_of_range_names_file_and_row(self, tmp_path, row, field):
+        d = self._array_with_row(tmp_path, row)
         with pytest.raises(ValueError, match=rf"x\.csv, row 13: {field} is outside"):
-            mio.read_collection(d)
+            mio.read_arrays(d)
 
-    def test_negative_snapshot_index(self, tmp_path, rng):
-        c = make_collection(rng, n=8)
-        ref_write_archive(tmp_path / "a", [run_chain(c, _hp(), RngStream(3, 0))])
-        path = tmp_path / "a" / "chain_0" / "snapshots.csv"
-        path.write_bytes(path.read_bytes().replace(b"\r\n0,Z,,0,0,", b"\r\n0,Z,,-1,0,", 1))
-        with pytest.raises(ValueError, match="i0 -1 is outside"):
-            mio.read_archive(tmp_path / "a")
+    @pytest.mark.parametrize("row, message", [
+        ("0,5,0,0.5,2.0", r"feature 5 is outside \[0, 5\)"),
+        ("1,0,-1,0.5,2.0", r"slab -1 is outside \[0, 4\)"),
+        ("2,0,0,0.5,2.0", r"view 2 is outside \[0, 2\)")])
+    def test_transform_index_out_of_range_names_file_and_row(self, tmp_path, rng, row,
+                                                             message):
+        # the bound is the row's view's: feature 5 is in range for view 1 (D = 6)
+        _, tr = center_and_normalize(make_collection(rng))
+        mio.write_transform(tmp_path / "t.csv", tr)
+        _with_row(tmp_path / "t.csv", row)
+        _with_row(tmp_path / "t.csv", "1,5,0,0.5,2.0")
+        with pytest.raises(ValueError, match=rf"t\.csv, row 30: {message}"):
+            mio.read_transform(tmp_path / "t.csv", [c.shape for c in tr.centers])
 
     @pytest.mark.parametrize("row", ["0,0,5.0", "0,0,0,5.0,1"])
     def test_ragged_row(self, tmp_path, row):
-        d = self._collection_with_row(tmp_path, row)
+        d = self._array_with_row(tmp_path, row)
         with pytest.raises(ValueError, match=r"x\.csv, row 13: expected 4 fields"):
-            mio.read_collection(d)
+            mio.read_arrays(d)
 
 
 class TestHeaders:
     """A table whose header is not the one its writer writes is refused."""
 
-    def _view_file(self, tmp_path):
-        # N = D = 3, so a file with the first two columns swapped holds only
-        # in-range indices and would read back transposed
-        values = np.random.default_rng(0).standard_normal((3, 3, 2))
-        ref_write_collection(tmp_path, Collection((MaskedTensor3.fully_observed(values),),
-                                                  (), ("x",)))
-        return tmp_path / "x.csv"
+    def test_empty_array_file(self, tmp_path, rng):
+        mio.write_arrays(tmp_path, {"a": rng.standard_normal((2, 3))})
+        (tmp_path / "a.csv").write_bytes(b"")
+        with pytest.raises(ValueError, match=r"a\.csv: expected the header i0,i1,value, "
+                                             r"found none"):
+            mio.read_arrays(tmp_path)
 
-    def test_empty_view_file(self, tmp_path):
-        self._view_file(tmp_path).write_bytes(b"")
-        with pytest.raises(ValueError, match=r"x\.csv: expected the header sample_index,"
-                                             r"feature_index,slab_index,value, found none"):
-            mio.read_collection(tmp_path)
-
-    def test_swapped_index_columns(self, tmp_path):
-        path = self._view_file(tmp_path)
-        swap_index_columns(path)
-        with pytest.raises(ValueError, match=r"x\.csv: .* found feature_index,sample_index,"):
-            mio.read_collection(tmp_path)
+    def test_swapped_index_columns(self, tmp_path, rng):
+        # refused by its header, before any index is read
+        _, tr = center_and_normalize(make_collection(rng))
+        mio.write_transform(tmp_path / "t.csv", tr)
+        swap_index_columns(tmp_path / "t.csv")
+        with pytest.raises(ValueError, match=r"t\.csv: expected the header view,feature,slab,"
+                                             r"center,scale, found feature,view,slab,"):
+            mio.read_transform(tmp_path / "t.csv", [c.shape for c in tr.centers])
 
     def test_array_file(self, tmp_path, rng):
         mio.write_arrays(tmp_path, {"a": rng.standard_normal((2, 3))})
@@ -622,44 +550,28 @@ class TestHeaders:
                                                  r"found i1,i0,value"):
                 read()
 
+    def test_traces_file(self, tmp_path, rng):
+        # the trace names are columns in the manifest's order
+        mio.write_archive(tmp_path, _archive("mtf", rng)[0])
+        path = tmp_path / "chain_1" / "traces.csv"
+        header, rest = path.read_text().split("\n", 1)
+        names = header.split(",")
+        path.write_text(",".join([names[0], names[2], names[1], *names[3:]]) + "\n" + rest)
+        with pytest.raises(ValueError, match=rf"chain_1/traces\.csv: expected the header "
+                                             rf"{re.escape(header.strip())}, found"):
+            mio.read_archive(tmp_path)
+
 
 # ---------------------------------------------------------------------------
-# archive versions
+# archives
 
 
-V1_FIXTURES = os.path.join(os.path.dirname(__file__), "data", "archive_v1")
-
-
-def ref_read_table(path):
-    """The data rows of a CSV table, one csv row at a time."""
-    with open(path, newline="") as fh:
-        return list(csv.reader(fh))[1:]
+# The format versions the readers read.  The tests of a manifest's checks are
+# parametrized by it, so that each test id names the version it checks.
+VERSIONS = [2]
 
 
 class TestArchiveVersions:
-    @pytest.mark.parametrize("which", ["mtf", "rmtf_per_slab"])
-    def test_version1_fixture_reads_bit_exactly(self, which):
-        # tests/data/archive_v1 was written by the version-1 writer: a toy MTF
-        # fit of two chains and an rMTF fit with per-slab lambda
-        root = os.path.join(V1_FIXTURES, which)
-        chains, _, manifest = mio.read_archive(root)
-        assert manifest["version"] == 1 and manifest["model"] == which.split("_")[0]
-        assert [c.chain_id for c in chains] == manifest["chain_ids"]
-        for chain in chains:
-            cdir = os.path.join(root, f"chain_{chain.chain_id}")
-            want = {(int(s), p, v, tuple(int(i) for i in idx if i)): float(x).hex()
-                    for s, p, v, *idx, x in ref_read_table(os.path.join(cdir, "snapshots.csv"))}
-            got = {(s, p, str(v), idx): float(a[idx]).hex()
-                   for s, state in enumerate(chain.states)
-                   for p, v, arr in ref_state_entries(state)
-                   for a in [np.atleast_1d(arr)] for idx in np.ndindex(a.shape)}
-            assert got == want
-            rows = ref_read_table(os.path.join(cdir, "traces.csv"))
-            assert [float(x).hex() for r in rows for x in r[1:]] \
-                == [float(x).hex() for x in np.ravel(chain.traces)]
-            with open(os.path.join(cdir, "sweeps.json")) as fh:
-                assert chain.sweeps == json.load(fh) and len(chain.sweeps) == len(chain.states)
-
     @pytest.mark.parametrize("key, value", [("format", "tensor-collection"), ("version", 3),
                                             ("version", None)])
     def test_unknown_format_or_version_is_refused(self, tmp_path, rng, key, value):
@@ -670,7 +582,7 @@ class TestArchiveVersions:
         manifest[key] = value
         path.write_text(json.dumps(manifest))
         with pytest.raises(ValueError, match=r"run_manifest\.json: not a posterior archive "
-                                             r"of version 1 or 2"):
+                                             r"of version 2"):
             mio.read_archive(tmp_path)
 
     @pytest.mark.parametrize("case", ["missing", "float32", "snapshot_added", "snapshot_dropped"])
@@ -687,66 +599,85 @@ class TestArchiveVersions:
             np.save(path, np.concatenate([stack, stack[:1]]) if case == "snapshot_added"
                     else stack[1:])
         found = {"missing": "none", "float32": "float32"}.get(case, "float64")
-        with pytest.raises(ValueError, match=rf"chain_0/W_1\.npy: expected a float64 stack "
-                                             rf"of {len(chains[0].states)} snapshots, "
+        with pytest.raises(ValueError, match=rf"chain_0/W_1\.npy: expected float64 "
+                                             rf"\({len(chains[0].states)}, 4, 6, 2\), "
                                              rf"found {found}"):
             mio.read_archive(tmp_path)
 
+    @pytest.mark.parametrize("listed", ["all_but_Z", "none"])
+    def test_stack_the_manifest_does_not_list_is_refused(self, tmp_path, rng, listed):
+        # it used to read back as a list of None (Z.npy dropped), or end in
+        # "max() arg is an empty sequence" (no stack listed)
+        self._edited_manifest(tmp_path, rng, lambda m: m.update(snapshot_stacks=[
+            f for f in m["snapshot_stacks"] if listed == "all_but_Z" and f != "Z.npy"]))
+        with pytest.raises(ValueError, match=r"run_manifest\.json: snapshot_stacks: "
+                                             r"no 'Z\.npy'"):
+            mio.read_archive(tmp_path)
+
+    @pytest.mark.parametrize("name, axis, want", [("V_1", 1, (3, 6, 2)), ("H", 2, (3, 2, 2))],
+                             ids=["V_1_one_feature_short", "H_one_component_short"])
+    def test_mis_shaped_stack_names_its_file(self, tmp_path, rng, name, axis, want):
+        # a V_1 one feature short used to be blamed on the test data by
+        # predict, and an H one component short ended in numpy's
+        # "inhomogeneous shape" in diagnose and report
+        mio.write_archive(tmp_path, _archive("mtf", rng)[0])
+        path = tmp_path / "chain_0" / f"{name}.npy"
+        np.save(path, np.delete(np.load(path), 0, axis=axis))
+        with pytest.raises(ValueError, match=rf"chain_0/{name}\.npy: expected float64 "
+                                             rf"{re.escape(str(want))}, found float64"):
+            mio.read_archive(tmp_path)
+
     @staticmethod
-    def _edited_manifest(tmp_path, rng, version, edit):
-        """An MTF archive of ``version`` in tmp_path (the committed fixture for
-        version 1) whose manifest ``edit`` has changed in place."""
-        if version == 1:
-            shutil.copytree(os.path.join(V1_FIXTURES, "mtf"), tmp_path, dirs_exist_ok=True)
-        else:
-            mio.write_archive(tmp_path, _archive("mtf", rng)[0])
+    def _edited_manifest(tmp_path, rng, edit, version=2):
+        """An MTF archive of ``version`` in tmp_path whose manifest ``edit`` has
+        changed in place."""
+        mio.write_archive(tmp_path, _archive("mtf", rng)[0])
         path = tmp_path / "run_manifest.json"
         manifest = json.loads(path.read_text())
+        assert manifest["version"] == version
         edit(manifest)
         path.write_text(json.dumps(manifest))
 
     @pytest.mark.parametrize("version, key", [
-        (v, key) for v in (1, 2)
-        for key in ("model", "hyperparams", "chain_ids", "views", "n_u_groups", "trace_names",
-                    *["snapshot_stacks"] * (v == 2))])
+        (v, key) for v in VERSIONS for key in ("model", "hyperparams", "chain_ids", "views",
+                                               "n_u_groups", "trace_names", "snapshot_stacks")])
     def test_manifest_without_key_names_it(self, tmp_path, rng, version, key):
-        self._edited_manifest(tmp_path, rng, version, lambda m: m.pop(key))
+        self._edited_manifest(tmp_path, rng, lambda m: m.pop(key), version)
         with pytest.raises(ValueError, match=rf"run_manifest\.json: no '{key}'"):
             mio.read_archive(tmp_path)
 
-    @pytest.mark.parametrize("version", [1, 2])
+    @pytest.mark.parametrize("version", VERSIONS)
     @pytest.mark.parametrize("key", ["name", "d", "l", "u_group"])
     def test_view_entry_without_key_names_it(self, tmp_path, rng, version, key):
         # it used to end in a KeyError
-        self._edited_manifest(tmp_path, rng, version, lambda m: m["views"][1].pop(key))
+        self._edited_manifest(tmp_path, rng, lambda m: m["views"][1].pop(key), version)
         with pytest.raises(ValueError, match=rf"run_manifest\.json: view 1: no '{key}'"):
             mio.read_archive(tmp_path)
 
-    @pytest.mark.parametrize("version", [1, 2])
+    @pytest.mark.parametrize("version", VERSIONS)
     def test_manifest_hyperparams_not_fields_refused(self, tmp_path, rng, version):
-        self._edited_manifest(tmp_path, rng, version,
-                              lambda m: m["hyperparams"].update(n_sweeps=10))
+        self._edited_manifest(tmp_path, rng, lambda m: m["hyperparams"].update(n_sweeps=10),
+                              version)
         with pytest.raises(ValueError, match=r"run_manifest\.json: 'hyperparams' are not "
                                              r"HyperParams fields .*'n_sweeps'"):
             mio.read_archive(tmp_path)
-
 
     @pytest.mark.parametrize("name", ["../../Z_outside.npy", "sub/Z.npy", "/tmp/Z.npy",
                                       "..", "", 3])
     def test_stack_outside_the_archive_is_refused(self, tmp_path, rng, name):
         # a stack named ../../Z_outside.npy would load a file beside the archive
-        mio.write_archive(tmp_path / "arch", _archive("mtf", rng)[0])
-        shutil.copy(tmp_path / "arch" / "chain_0" / "Z.npy", tmp_path / "Z_outside.npy")
-        self._edited_manifest(tmp_path / "arch", rng, 2,
+        self._edited_manifest(tmp_path / "arch", rng,
                               lambda m: m["snapshot_stacks"].__setitem__(0, name))
+        shutil.copy(tmp_path / "arch" / "chain_0" / "Z.npy", tmp_path / "Z_outside.npy")
         with pytest.raises(ValueError, match=rf"run_manifest\.json: snapshot_stacks: "
                                              rf"{re.escape(repr(name))} is not a plain file name"):
             mio.read_archive(tmp_path / "arch")
 
-    @pytest.mark.parametrize("version", [1, 2])
+    @pytest.mark.parametrize("version", VERSIONS)
     @pytest.mark.parametrize("cid", ["0", "../x", 0.0, True, None])
     def test_chain_id_not_an_int_is_refused(self, tmp_path, rng, version, cid):
-        self._edited_manifest(tmp_path, rng, version, lambda m: m["chain_ids"].__setitem__(0, cid))
+        self._edited_manifest(tmp_path, rng, lambda m: m["chain_ids"].__setitem__(0, cid),
+                              version)
         with pytest.raises(ValueError, match=r"run_manifest\.json: 'chain_ids' is not a list "
                                              r"of integers"):
             mio.read_archive(tmp_path)
@@ -761,7 +692,7 @@ class TestArchiveVersions:
         ("snapshot_stacks", {"Z": "Z.npy"}, r"snapshot_stacks: not a list of file names")])
     def test_manifest_list_that_is_not_a_list_is_refused(self, tmp_path, rng, key, value,
                                                          message):
-        self._edited_manifest(tmp_path, rng, 2, lambda m: m.__setitem__(key, value))
+        self._edited_manifest(tmp_path, rng, lambda m: m.__setitem__(key, value))
         with pytest.raises(ValueError, match=rf"run_manifest\.json: {message}"):
             mio.read_archive(tmp_path)
 
@@ -790,7 +721,7 @@ class TestManifestShape:
     @staticmethod
     def _written(tmp_path, rng, reader):
         if reader is mio.read_collection:
-            mio.write_collection(tmp_path, mio.read_collection(COLLECTION_V1))
+            mio.write_collection(tmp_path, _grouped_collection())
         else:
             mio.write_archive(tmp_path, _archive("mtf", rng)[0])
 
@@ -799,7 +730,7 @@ class TestManifestShape:
         self._written(tmp_path, rng, reader)
         (tmp_path / manifest).write_text(text)
         with pytest.raises(ValueError, match=rf"{re.escape(manifest)}: not a (tensor collection"
-                                             r"|posterior archive) of version 1 or 2"):
+                                             r"|posterior archive) of version 2"):
             reader(tmp_path)
 
     @pytest.mark.parametrize("views", [{"a": 1}, "ab", 3, [1], [[]], [None]])
@@ -811,35 +742,30 @@ class TestManifestShape:
                                              r"of objects"):
             reader(tmp_path)
 
+    def test_version_1_is_refused(self, tmp_path, rng, reader, manifest):
+        # version 1 (CSV tables) is no longer read, whatever files it holds
+        self._written(tmp_path, rng, reader)
+        path = tmp_path / manifest
+        path.write_text(json.dumps({**json.loads(path.read_text()), "version": 1}))
+        with pytest.raises(ValueError, match=rf"{re.escape(manifest)}: a (tensor collection"
+                                             r"|posterior archive) of version 1, which is no "
+                                             r"longer read; re-simulate or re-fit"):
+            reader(tmp_path)
+
 
 # ---------------------------------------------------------------------------
-# collection versions
-
-
-COLLECTION_V1 = os.path.join(os.path.dirname(__file__), "data", "collection_v1")
+# collections
 
 
 class TestCollectionVersions:
-    def test_version1_fixture_reads_bit_exactly(self):
-        # tests/data/collection_v1 was written by the version-1 writer: two
-        # tensor views in one third-mode group, with masked entries and
-        # observed -0, subnormals, the largest float and 1 + 2**-52
-        c = mio.read_collection(COLLECTION_V1)
-        assert c.names == ("a", "b") and c.third_mode_groups == ((0, 1),)
-        for name, v in zip(c.names, c.views):
-            want = {tuple(int(i) for i in idx): float(x).hex()
-                    for *idx, x in ref_read_table(os.path.join(COLLECTION_V1, f"{name}.csv"))}
-            got = {idx: float(v.values[idx]).hex() for idx in zip(*np.nonzero(v.observed))}
-            assert got == want
-            assert not v.observed.all()
-            assert _bits_equal(v.values[~v.observed], np.zeros(np.count_nonzero(~v.observed)))
-        assert float(c.views[0].values[0, 0, 0]).hex() == "-0x0.0p+0"
-
     def test_version2_round_trip_is_bit_exact(self, tmp_path):
-        c = mio.read_collection(COLLECTION_V1)
+        c = _grouped_collection()
+        assert all(not v.observed.all() for v in c.views)
         mio.write_collection(tmp_path, c)
         assert json.loads((tmp_path / "manifest.json").read_text())["version"] == 2
-        _assert_collections_bit_equal(mio.read_collection(tmp_path), c)
+        back = mio.read_collection(tmp_path)
+        _assert_collections_bit_equal(back, c)
+        assert float(back.views[0].values[0, 0, 0]).hex() == "-0x0.0p+0"
 
     def test_views_named_a_and_a_observed_do_not_collide(self, tmp_path, rng):
         masks = [rng.random((3, 2, 2)) > 0.3 for _ in range(2)]
@@ -860,26 +786,21 @@ class TestCollectionVersions:
         back = mio.read_collection(tmp_path).views[0]
         assert _bits_equal(back.values, np.array([[[1.5, 0.0]], [[0.0, -0.0]]]))
 
-    @pytest.mark.parametrize("version", [1, 2])
+    @pytest.mark.parametrize("version", VERSIONS)
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_observed_non_finite_value_is_refused(self, tmp_path, version, value):
         # a collection holds finite values only (Tensor3): a missing entry is masked
-        shutil.copytree(COLLECTION_V1, tmp_path, dirs_exist_ok=True)
-        if version == 1:
-            path = tmp_path / "b.csv"
-            path.write_bytes(path.read_bytes().replace(b"0,0,0,-0", b"0,0,0," + value.encode()))
-        else:
-            mio.write_collection(tmp_path, mio.read_collection(COLLECTION_V1))
-            values = np.load(tmp_path / "b.values.npy")
-            values[0, 0, 0] = float(value)
-            np.save(tmp_path / "b.values.npy", values)
+        self._edited_manifest(tmp_path, lambda m: None, version)
+        values = np.load(tmp_path / "b.values.npy")
+        values[0, 0, 0] = float(value)
+        np.save(tmp_path / "b.values.npy", values)
         with pytest.raises(ValueError, match="tensor entries must be finite"):
             mio.read_collection(tmp_path)
 
     @pytest.mark.parametrize("array", ["values", "observed"])
     @pytest.mark.parametrize("case", ["missing", "dtype", "shape"])
     def test_bad_array_names_its_file(self, tmp_path, array, case):
-        mio.write_collection(tmp_path, mio.read_collection(COLLECTION_V1))
+        mio.write_collection(tmp_path, _grouped_collection())
         path = tmp_path / f"b.{array}.npy"
         arr = np.load(path)
         if case == "missing":
@@ -898,52 +819,50 @@ class TestCollectionVersions:
     @pytest.mark.parametrize("array", ["values", "observed"])
     @pytest.mark.parametrize("case", ["truncated", "pickled"])
     def test_unreadable_array_names_its_file(self, tmp_path, array, case):
-        mio.write_collection(tmp_path, mio.read_collection(COLLECTION_V1))
+        mio.write_collection(tmp_path, _grouped_collection())
         damage_npy(tmp_path / f"b.{array}.npy", case)
         with pytest.raises(ValueError, match=rf"b\.{array}\.npy: not a readable \.npy file"):
             mio.read_collection(tmp_path)
 
     @staticmethod
-    def _edited_manifest(tmp_path, version, edit):
-        """The fixture collection, as written by the version-``version``
-        writer, in tmp_path with its manifest changed in place by ``edit``."""
-        if version == 1:
-            shutil.copytree(COLLECTION_V1, tmp_path, dirs_exist_ok=True)
-        else:
-            mio.write_collection(tmp_path, mio.read_collection(COLLECTION_V1))
+    def _edited_manifest(tmp_path, edit, version=2):
+        """`_grouped_collection` in tmp_path, of ``version``, its manifest changed
+        in place by ``edit``."""
+        mio.write_collection(tmp_path, _grouped_collection())
         path = tmp_path / "manifest.json"
         manifest = json.loads(path.read_text())
+        assert manifest["version"] == version
         edit(manifest)
         path.write_text(json.dumps(manifest))
 
     @pytest.mark.parametrize("key, value", [("format", "nonsense"), ("format", None),
                                             ("version", 9), ("version", None)])
     def test_unknown_format_or_version_is_refused(self, tmp_path, key, value):
-        self._edited_manifest(tmp_path, 2, lambda m: m.update({key: value}))
+        self._edited_manifest(tmp_path, lambda m: m.update({key: value}))
         with pytest.raises(ValueError, match=r"manifest\.json: not a tensor collection "
-                                             r"of version 1 or 2"):
+                                             r"of version 2"):
             mio.read_collection(tmp_path)
 
-    @pytest.mark.parametrize("version", [1, 2])
+    @pytest.mark.parametrize("version", VERSIONS)
     def test_manifest_without_views_names_it(self, tmp_path, version):
-        self._edited_manifest(tmp_path, version, lambda m: m.pop("views"))
+        self._edited_manifest(tmp_path, lambda m: m.pop("views"), version)
         with pytest.raises(ValueError, match=r"manifest\.json: no 'views'"):
             mio.read_collection(tmp_path)
 
     @pytest.mark.parametrize("version, key", [
-        (v, key) for v in (1, 2)
-        for key in ("name", "n", "d", "l", *["values", "observed"] * (v == 2))])
+        (v, key) for v in VERSIONS for key in ("name", "n", "d", "l", "values", "observed")])
     def test_view_without_key_names_it(self, tmp_path, version, key):
-        self._edited_manifest(tmp_path, version, lambda m: m["views"][1].pop(key))
+        self._edited_manifest(tmp_path, lambda m: m["views"][1].pop(key), version)
         with pytest.raises(ValueError, match=rf"manifest\.json: view 1: no '{key}'"):
             mio.read_collection(tmp_path)
 
-    @pytest.mark.parametrize("version, key", [(1, "name"), (2, "name"), (2, "values"),
-                                              (2, "observed")])
+    @pytest.mark.parametrize("version, key", [
+        (v, key) for v in VERSIONS for key in ("name", "values", "observed")])
     @pytest.mark.parametrize("name", ["../x", "sub/x", "/tmp/x", "..", ".", "", 3])
     def test_file_name_outside_the_directory_is_refused(self, tmp_path, version, key, name):
-        # a view named ../x would make the version-1 reader open ../x.csv
-        self._edited_manifest(tmp_path, version, lambda m: m["views"][0].update({key: name}))
+        # a values file named ../x would load a file beside the collection,
+        # and a view named ../x would be written outside it by write_collection
+        self._edited_manifest(tmp_path, lambda m: m["views"][0].update({key: name}), version)
         with pytest.raises(ValueError, match=rf"manifest\.json: view 0: {re.escape(repr(name))} "
                                              r"is not a plain file name"):
             mio.read_collection(tmp_path)

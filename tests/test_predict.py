@@ -13,9 +13,8 @@ from mtfact.predict import (
     PredictionTask,
     _check_compat,
     match_components,
-    mse,
     predict_collection,
-    rmse,
+    target_rmse,
     two_stage_predict,
 )
 from mtfact.rmtf import RmtfState, rmtf_run_chain
@@ -30,33 +29,28 @@ def small_hp(**kw):
     return HyperParams(**base)
 
 
+def _rmse(pred, truth, mask):
+    """``target_rmse`` of one view."""
+    return target_rmse([pred], Collection((MaskedTensor3.fully_observed(truth),)), [mask])
+
+
 class TestErrors:
     def test_exact_prediction_zero(self, rng):
-        x = rng.standard_normal((4, 5))
+        x = rng.standard_normal((4, 5, 1))
         m = np.ones_like(x, dtype=bool)
-        assert rmse(x, x, m) == 0.0
+        assert _rmse(x, x, m) == 0.0
 
     def test_constant_offset(self, rng):
-        x = rng.standard_normal((4, 5))
+        x = rng.standard_normal((4, 5, 1))
         m = rng.random(x.shape) > 0.4
-        assert rmse(x + 0.7, x, m) == pytest.approx(0.7)
-        assert mse(x + 0.7, x, m) == pytest.approx(0.49)
+        assert _rmse(x + 0.7, x, m) == pytest.approx(0.7)
 
     def test_against_two_line_recomputation(self, rng):
-        pred = rng.standard_normal((6, 7))
-        truth = rng.standard_normal((6, 7))
-        m = rng.random((6, 7)) > 0.5
+        pred = rng.standard_normal((6, 7, 1))
+        truth = rng.standard_normal((6, 7, 1))
+        m = rng.random((6, 7, 1)) > 0.5
         want = float(np.mean((pred[m] - truth[m]) ** 2))
-        assert mse(pred, truth, m) == pytest.approx(want, rel=1e-12)
-        assert rmse(pred, truth, m) == pytest.approx(np.sqrt(want), rel=1e-12)
-
-    def test_empty_mask_rejected(self):
-        with pytest.raises(ValueError, match="empty"):
-            mse(np.ones((2, 2)), np.ones((2, 2)), np.zeros((2, 2), bool))
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError, match="shape"):
-            mse(np.ones((2, 2)), np.ones((2, 3)), np.ones((2, 3), bool))
+        assert _rmse(pred, truth, m) == pytest.approx(np.sqrt(want), rel=1e-12)
 
 
 def _rank1_problem(seed=0, n_train=50, n_test=25, d=6, l=4, noise=0.0):
@@ -92,7 +86,7 @@ class TestTwoStagePredict:
         samples = run_chain(train, small_hp(), RngStream(1))
         result = two_stage_predict(PredictionTask(samples, test), RngStream(2))
         tgt = result.targets[0]
-        assert rmse(result.mean[0], x_te, tgt) < 0.05
+        assert _rmse(result.mean[0], x_te, tgt) < 0.05
 
     def test_all_inputs_masked_gives_prior_mean(self):
         train, test, x_te = _rank1_problem(seed=3, noise=0.5)
@@ -105,7 +99,7 @@ class TestTwoStagePredict:
         tgt = result.targets[0]
         assert np.abs(result.mean[0][tgt]).mean() < 0.3
         total_var = float(np.mean(x_te ** 2))
-        assert rmse(result.mean[0], x_te, tgt) == pytest.approx(
+        assert _rmse(result.mean[0], x_te, tgt) == pytest.approx(
             np.sqrt(total_var), rel=0.25)
 
     def test_empty_target_set_rejected(self):
