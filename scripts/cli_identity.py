@@ -30,19 +30,23 @@ directory) under ``--preset strong-reg``, and ``report --truth`` over that
 fit and the first cp fit.
 Each step's standard output is kept as a file too.
 
-Posterior archives (the directories that hold a ``run_manifest.json``) and
-tensor collections (those that hold a ``manifest.json``) are compared as
-arrays, not as files, so that a tree writing one format can be compared with
-a tree writing another.  Each side's archives are read by that tree's own
-``read_archive``: every snapshot array of every chain must match bit for
-bit, and the manifests must be equal apart from their ``version`` and
-``snapshot_stacks``.  Each side's collections are read by that tree's own
-``read_collection``: every view's values must match bit for bit and its
-mask exactly, and the manifests must be equal apart from their ``version``
-and each view's file names (``values``, ``observed``).  The files these
-comparisons cover (an archive's manifest, ``snapshots.csv`` and ``*.npy``
-stacks; every file of a collection) are left out of the file comparison; an
-archive's other files (traces, sweeps, transform) are compared as files.
+Posterior archives (the directories that hold a ``run_manifest.json``),
+tensor collections (those that hold a ``manifest.json``) and named arrays
+(those that hold an ``arrays.json``, outside an archive: the truth arrays)
+are compared as arrays, not as files, so that a tree writing one format can
+be compared with a tree writing another.  Each side's archives are read by
+that tree's own ``read_archive``: every snapshot array of every chain, every
+chain's traces and the transform must match bit for bit, and the manifests
+must be equal apart from their ``version`` and ``snapshot_stacks``.  Each
+side's collections are read by that tree's own ``read_collection``: every
+view's values must match bit for bit and its mask exactly, and the
+manifests must be equal apart from their ``version`` and each view's file
+names (``values``, ``observed``).  Each side's named arrays are read by
+that tree's own ``read_arrays``: every array must match bit for bit, and
+the ``arrays.json`` documents must be equal.  The files these comparisons
+cover (an archive's manifest, transform, traces and snapshot files; every
+file of a collection or of a named-arrays directory) are left out of the
+file comparison; an archive's ``sweeps.json`` is compared as a file.
 
 With ``--rtol R --atol A``, a CSV or JSON file whose bytes differ still
 matches when every numeric field of the change, b, and of the parent, a,
@@ -181,22 +185,29 @@ def run_tree(tree: str, work: str) -> str | None:
     return None
 
 
-# Run with one tree's src on the path: reads every archive and collection
-# under argv[1] with that tree's read_archive and read_collection and writes,
-# under argv[2] at the directory's relative path, its arrays (``arrays.npz``:
-# an archive's snapshot arrays keyed chain/snapshot/field/item, a collection's
-# values and masks keyed view/values and view/observed) and its manifest
-# without the keys that name the format and the files (``manifest.json``).
+# Run with one tree's src on the path: reads every archive, collection and
+# named-arrays directory under argv[1] with that tree's read_archive,
+# read_collection and read_arrays and writes, under argv[2] at the
+# directory's relative path, its arrays (``arrays.npz``: an archive's snapshot
+# arrays keyed chain/snapshot/field/item, its traces keyed chain/traces and
+# its transform keyed transform/center/view and transform/scale/view, a
+# collection's values and masks keyed view/values and view/observed, named
+# arrays by name) and its manifest without the keys that name the format and
+# the files (``manifest.json``).
 READ_ARRAYS = """
 import json, os, sys
 import numpy as np
-from mtfact.io import read_archive, read_collection
+from mtfact.io import read_archive, read_arrays, read_collection
 work, out = sys.argv[1:]
 for d, _, files in os.walk(work):
     arrays = {}
     if "run_manifest.json" in files:
-        chains, _, manifest = read_archive(d)
+        chains, transform, manifest = read_archive(d)
+        if transform is not None:
+            for t, (c, s) in enumerate(zip(transform.centers, transform.scales)):
+                arrays[f"transform/center/{t}"], arrays[f"transform/scale/{t}"] = c, s
         for chain in chains:
+            arrays[f"{chain.chain_id}/traces"] = np.asarray(chain.traces)
             for s, state in enumerate(chain.states):
                 for name, value in vars(state).items():
                     for i, a in enumerate(value) if isinstance(value, list) else [("", value)]:
@@ -212,6 +223,11 @@ for d, _, files in os.walk(work):
         for view in manifest["views"]:
             view.pop("values", None)
             view.pop("observed", None)
+    elif "arrays.json" in files \\
+            and not os.path.isfile(os.path.join(os.path.dirname(d), "run_manifest.json")):
+        arrays = read_arrays(d)
+        with open(os.path.join(d, "arrays.json")) as fh:
+            manifest = json.load(fh)
     else:
         continue
     manifest.pop("version", None)
@@ -224,13 +240,14 @@ for d, _, files in os.walk(work):
 
 
 def read_arrays(tree: str, work: str, out: str) -> str | None:
-    """Dump every archive and collection under ``work`` into ``out`` with
-    ``tree``'s readers (``READ_ARRAYS``); an error or None."""
+    """Dump every archive, collection and named-arrays directory under
+    ``work`` into ``out`` with ``tree``'s readers (``READ_ARRAYS``); an error
+    or None."""
     env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"), OPENBLAS_NUM_THREADS="1")
     proc = subprocess.run([sys.executable, "-c", READ_ARRAYS, work, out], env=env,
                           capture_output=True, text=True, timeout=600)
     return None if proc.returncode == 0 else \
-        f"{tree}: reading the archives and collections exited {proc.returncode}: " \
+        f"{tree}: reading the archives, collections and arrays exited {proc.returncode}: " \
         f"{proc.stderr.strip()}"
 
 
@@ -287,8 +304,8 @@ def _arrays_close(x, y, rtol: float | None, atol: float | None, rel: list[float]
 
 def compare_dump(a: str, b: str, rtol: float | None, atol: float | None,
                  rel: list[float]) -> bool:
-    """Whether the dumps ``a`` (parent) and ``b`` (change) of one archive or
-    collection match."""
+    """Whether the dumps ``a`` (parent) and ``b`` (change) of one archive,
+    collection or named-arrays directory match."""
     with np.load(os.path.join(a, "arrays.npz")) as x, \
             np.load(os.path.join(b, "arrays.npz")) as y:
         if sorted(x.files) != sorted(y.files):
@@ -299,27 +316,33 @@ def compare_dump(a: str, b: str, rtol: float | None, atol: float | None,
 
 
 # the kinds of directory compared as arrays, by the manifest each holds
-KINDS = {"run_manifest.json": "archive", "manifest.json": "collection"}
+KINDS = {"run_manifest.json": "archive", "manifest.json": "collection",
+         "arrays.json": "arrays"}
 
 
 def array_dirs(root: str) -> dict[str, str]:
-    """Relative path -> kind ("archive" or "collection") of every directory
-    under ``root`` that is compared as arrays."""
+    """Relative path -> kind ("archive", "collection" or "arrays") of every
+    directory under ``root`` that is compared as arrays; an archive's
+    ``transform/`` is compared with its archive."""
     return {os.path.relpath(d, root): kind for d, _, files in os.walk(root)
-            for manifest, kind in KINDS.items() if manifest in files}
+            for manifest, kind in KINDS.items() if manifest in files
+            and not os.path.isfile(os.path.join(os.path.dirname(d), "run_manifest.json"))}
 
 
 def array_file(path: str, dirs: dict[str, str]) -> bool:
     """Whether ``path`` is a file that the array comparison covers: any file
-    of a collection, or an archive's manifest or one of its snapshot files."""
+    of a collection or of a named-arrays directory, or an archive's manifest,
+    transform (``transform.csv`` or ``transform/``), traces or snapshot files."""
     d, name = os.path.split(path)
-    if dirs.get(d) == "collection":
+    if dirs.get(d) in ("collection", "arrays"):
         return True
-    if name == "run_manifest.json":
+    if name in ("run_manifest.json", "transform.csv"):
         return dirs.get(d) == "archive"
-    return (name == "snapshots.csv" or name.endswith(".npy")) \
-        and os.path.basename(d).startswith("chain_") \
-        and dirs.get(os.path.dirname(d)) == "archive"
+    if dirs.get(os.path.dirname(d)) != "archive":
+        return False
+    return os.path.basename(d) == "transform" or (
+        os.path.basename(d).startswith("chain_")
+        and (name in ("snapshots.csv", "traces.csv") or name.endswith(".npy")))
 
 
 def _parse(path: str):
@@ -394,7 +417,8 @@ def main() -> int:
     for line in diffs:
         print(line)
     print(f"{n_files} files ({kinds.count('archive')} archives, "
-          f"{kinds.count('collection')} collections) compared, {len(diffs)} differ")
+          f"{kinds.count('collection')} collections, {kinds.count('arrays')} named-arrays "
+          f"directories) compared, {len(diffs)} differ")
     if diffs:
         print(f"outputs kept in {root}")
         return 1

@@ -1,5 +1,9 @@
 """Command-line workflows: simulate -> fit -> predict -> diagnose -> report.
 
+Arrays are ``.npy`` files named by JSON manifests: collections (version 2),
+posterior archives (``run_manifest.json``, version 3) and truth arrays
+(``arrays.json``); traces and prediction reports are CSV tables.
+
 Exit codes: 0 success, 1 runtime/I-O failure, 2 usage or validation error.
 Every command is deterministic given --seed.  A JSON --config file may
 supply any long flag of any command (key = flag name with dashes as
@@ -321,12 +325,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="JSON file supplying any flag defaults")
     sub = p.add_subparsers(dest="command", required=True)
 
-    s = sub.add_parser("simulate", help="generate a synthetic collection")
+    s = sub.add_parser("simulate", help="generate synthetic collections and their truth")
     s.add_argument("--scenario", choices=["cp", "relaxed_cp", "continuum"])
     for fld in fields(SimSpec)[1:]:  # one flag per numeric SimSpec field, e.g. --k-shared
         s.add_argument("--" + fld.name.replace("_", "-"), type=float if fld.type == "float" else int)
     s.add_argument("--reps", type=int)
-    s.add_argument("--out", required=True)
+    s.add_argument("--out", required=True,
+                   help="directory for the collections train/ (continuum: also test/ and "
+                        "test_full/), truth/ (arrays.json and .npy) and sim_meta.json; "
+                        "with --reps, one rep_NNN/ of these each")
     s.set_defaults(func=cmd_simulate)
 
     f = sub.add_parser("fit", help="run Gibbs chains on a collection")
@@ -371,7 +378,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     r = sub.add_parser("report", help="tables from one or more archives")
     r.add_argument("paths", nargs="+")
-    r.add_argument("--truth")
+    r.add_argument("--truth", help="a simulate truth/ directory: adds each archive's match "
+                                   "correlation with the tensor-specific components")
     r.add_argument("--allow-mixed", action="store_true")
     r.add_argument("--out")
     r.set_defaults(func=cmd_report)

@@ -1,24 +1,18 @@
-"""On-disk formats: collections, posterior archives, prediction reports.
+"""On-disk formats: collections, posterior archives, named arrays, prediction reports.
 
-Every file is a JSON manifest, a ``.npy`` array that a manifest names (a view's
-values or mask, `write_collection`; an archive stack's snapshots, `write_archive`)
-or a CSV table: transforms, traces, truth arrays and reports, in one dialect
-(`_write_table`, `_read_table`):
+Arrays are ``.npy`` files named by a JSON manifest: a collection's values and
+masks (``manifest.json``, version 2), an archive's snapshot stacks
+(``run_manifest.json``, version 3) and named float64 arrays (``arrays.json``:
+truth arrays, an archive's ``transform/``).  A collection of version 1, or an
+archive of version 1 or 2, is refused by name.
 
-- a header row names the columns;
-- each row holds one value (or one value per value column), after its
-  0-based integer indices;
-- floats are written as ``%.17g``, 17 significant digits, so a round trip is
-  bit exact (nan, inf, -inf and -0 included);
-- rows follow the ``csv`` module's defaults: CRLF line ends, and quotes only
-  around a field that holds a comma, a quote or a line break (of all fields,
-  only view names in prediction reports can);
-- rows may come in any order.
-
-A read header other than the one its writer writes raises ValueError naming
-the file and both headers, and a read index outside the shape its manifest
-records raises ValueError naming the file and the data row.  Collections and
-archives are of version 2; the CSV tables of version 1 are no longer read.
+Traces and prediction reports are CSV tables (`_write_table`), of which traces
+are read back (`_read_table`), in sweep order.  A header row names the columns;
+floats are written as ``%.17g``, so a round trip is bit exact (nan, inf, -inf
+and -0 included); rows follow the ``csv`` module's defaults: CRLF line ends,
+and quotes only around a field that holds a comma, a quote or a line break
+(only a prediction report's view names can).  A read header other than the one
+its writer writes raises ValueError naming the file and both headers.
 """
 
 from __future__ import annotations
@@ -36,15 +30,12 @@ from .mtf import HyperParams, MtfState, PosteriorSamples
 from .rmtf import RmtfState
 
 __all__ = [
-    "write_collection", "read_collection", "write_transform", "read_transform",
-    "write_archive", "read_archive", "write_array", "read_array", "write_arrays",
+    "write_collection", "read_collection", "write_archive", "read_archive", "write_arrays",
     "read_arrays", "write_prediction_report",
 ]
 
 _FMT = "%.17g"
 _COMMA = np.array(",", dtype=StringDType())
-# the header of a transform (an array file's: `_array_header`)
-_TRANSFORM_HEADER = ["view", "feature", "slab", "center", "scale"]
 
 
 def _json_dump(path: str, obj):
@@ -78,12 +69,11 @@ def _write_table(path: str, header: list[str], columns: list, footer: str = ""):
         fh.write(footer)
 
 
-def _read_table(path: str, expected) -> tuple[list[str], list[np.ndarray]]:
-    """The header and the columns of one table, each column a numpy string
-    array in file row order, converted in bulk by the caller (`_indices`,
-    ``astype(np.float64)``).  The header must be ``expected``, the one its
-    writer writes.  Rows split at every comma: no table that is read back
-    holds a quoted field."""
+def _read_table(path: str, expected) -> list[np.ndarray]:
+    """The columns of one table, each a numpy string array in file row order,
+    converted in bulk by the caller (``astype(np.float64)``).  The header must
+    be ``expected``, the one its writer writes.  Rows split at every comma: no
+    table that is read back holds a quoted field."""
     with open(path, newline="") as fh:
         header = next(csv.reader([fh.readline()]), [])
         if header != expected:
@@ -98,43 +88,24 @@ def _read_table(path: str, expected) -> tuple[list[str], list[np.ndarray]]:
     ragged = np.flatnonzero(ragged | (np.strings.find(rows, _COMMA) >= 0))
     if ragged.size:
         raise ValueError(f"{path}, row {ragged[0] + 1}: expected {len(header)} fields")
-    return header, columns + [rows]
-
-
-def _indices(path: str, header, columns, bounds) -> tuple[np.ndarray, ...]:
-    """Index columns as int64 arrays, each in [0, bound); a bound is a number
-    or one per row."""
-    out = []
-    for name, column, bound in zip(header, columns, bounds):
-        idx = column.astype(np.int64)
-        bad = np.flatnonzero((idx < 0) | (idx >= bound))
-        if bad.size:
-            r = bad[0]
-            raise ValueError(f"{path}, row {r + 1}: {name} {idx[r]} is outside "
-                             f"[0, {np.broadcast_to(bound, idx.shape)[r]})")
-        out.append(idx)
-    return tuple(out)
-
-
-def _grid(shape) -> list[np.ndarray]:
-    """Index columns of every entry of an array of this shape, in C order."""
-    return [g.ravel() for g in np.indices(shape)]
+    return columns + [rows]
 
 
 # ---------------------------------------------------------------------------
 # collections
 
 
-def _manifest(path: str, kind: str) -> dict:
+def _manifest(path: str, kind: str, version: int) -> dict:
     """The manifest in ``path``; ValueError naming it unless it is an object of
-    format ``kind`` and version 2 whose ``views`` are a list of objects."""
+    format ``kind`` and ``version`` whose ``views`` are a list of objects.  An
+    earlier version is refused by name."""
     m = _json_load(path)
-    version = m.get("version") if isinstance(m, dict) and m.get("format") == kind else None
-    if version == 1:
-        raise ValueError(f"{path}: a {kind.replace('-', ' ')} of version 1, which is no "
-                         "longer read; re-simulate or re-fit to write version 2")
-    if version != 2:
-        raise ValueError(f"{path}: not a {kind.replace('-', ' ')} of version 2")
+    found = m.get("version") if isinstance(m, dict) and m.get("format") == kind else None
+    if found in range(1, version):
+        raise ValueError(f"{path}: a {kind.replace('-', ' ')} of version {found}, which is no "
+                         f"longer read; re-simulate or re-fit to write version {version}")
+    if found != version:
+        raise ValueError(f"{path}: not a {kind.replace('-', ' ')} of version {version}")
     views = _require(path, m, ["views"])[0]
     if not isinstance(views, list) or not all(isinstance(v, dict) for v in views):
         raise ValueError(f"{path}: 'views' is not a list of objects")
@@ -196,7 +167,7 @@ def read_collection(directory: str) -> Collection:
     manifest if its format, version, keys or file names are not `write_collection`'s,
     or a bad array's file."""
     path = os.path.join(directory, "manifest.json")
-    manifest = _manifest(path, "tensor-collection")
+    manifest = _manifest(path, "tensor-collection", 2)
     views, groups = [], {}
     for t, meta in enumerate(manifest["views"]):
         name, n, d, l, *arrays = _require(path, meta, ["name", "n", "d", "l", "values",
@@ -212,68 +183,29 @@ def read_collection(directory: str) -> Collection:
 
 
 # ---------------------------------------------------------------------------
-# preprocessing transforms
-
-
-def write_transform(path: str, transform: PreprocessTransform):
-    grids = [_grid(c.shape) for c in transform.centers]
-    _write_table(path, _TRANSFORM_HEADER, [
-        np.repeat(np.arange(len(grids)), [c.size for c in transform.centers]),
-        *(np.concatenate(g) for g in zip(*grids)),
-        np.concatenate([c.ravel() for c in transform.centers]),
-        np.concatenate([s.ravel() for s in transform.scales]),
-    ])
-
-
-def read_transform(path: str, shapes: list[tuple[int, int]]) -> PreprocessTransform:
-    header, columns = _read_table(path, _TRANSFORM_HEADER)
-    (view,) = _indices(path, header, columns, [len(shapes)])
-    d, l = _indices(path, header[1:], columns[1:], np.array(shapes).T[:, view])
-    center, scale = (c.astype(np.float64) for c in columns[3:])
-    centers = [np.zeros(sh) for sh in shapes]
-    scales = [np.ones(sh) for sh in shapes]
-    for t in range(len(shapes)):
-        rows = view == t
-        centers[t][d[rows], l[rows]] = center[rows]
-        scales[t][d[rows], l[rows]] = scale[rows]
-    return PreprocessTransform(tuple(centers), tuple(scales))
-
-
-# ---------------------------------------------------------------------------
-# generic named arrays (truth archives, report tables)
-
-
-def _array_header(ndim: int) -> list[str]:
-    return [f"i{j}" for j in range(ndim)] + ["value"]
-
-
-def write_array(path: str, arr: np.ndarray):
-    arr = np.asarray(arr)
-    _write_table(path, _array_header(arr.ndim),
-                 [*_grid(arr.shape), arr.astype(np.float64).ravel()])
-
-
-def read_array(path: str, shape) -> np.ndarray:
-    """One array file of the given shape (``arrays.json`` records it)."""
-    header, (*index, value) = _read_table(path, _array_header(len(shape)))
-    idx = _indices(path, header, index, shape)
-    out = np.zeros(shape)
-    # flat positions, which also serve a 0-d array
-    np.put(out, np.ravel_multi_index(idx, out.shape), value.astype(np.float64))
-    return out
+# named arrays (truth arrays, an archive's transform)
 
 
 def write_arrays(directory: str, arrays: dict[str, np.ndarray]):
+    """Each array as float64 ``<name>.npy``, its shape named in ``arrays.json``."""
     os.makedirs(directory, exist_ok=True)
     _json_dump(os.path.join(directory, "arrays.json"),
-               {name: list(np.asarray(a).shape) for name, a in arrays.items()})
+               {name: list(np.shape(a)) for name, a in arrays.items()})
     for name, a in arrays.items():
-        write_array(os.path.join(directory, f"{name}.csv"), a)
+        np.save(os.path.join(directory, f"{name}.npy"), np.asarray(a, dtype=np.float64))
 
 
 def read_arrays(directory: str) -> dict[str, np.ndarray]:
-    meta = _json_load(os.path.join(directory, "arrays.json"))
-    return {name: read_array(os.path.join(directory, f"{name}.csv"), shape)
+    """A `write_arrays` directory; ValueError names ``arrays.json`` unless it maps
+    plain file names to shapes (lists of ints >= 0), or a bad array's file."""
+    path = os.path.join(directory, "arrays.json")
+    meta = _json_load(path)
+    if not isinstance(meta, dict) or not all(
+            isinstance(shape, list) and all(type(n) is int and n >= 0 for n in shape)
+            for shape in meta.values()):
+        raise ValueError(f"{path}: not an object of shapes (lists of non-negative integers)")
+    _plain(path, list(meta), "")
+    return {name: _load_npy(os.path.join(directory, f"{name}.npy"), "float64", tuple(shape))
             for name, shape in meta.items()}
 
 
@@ -356,7 +288,8 @@ def _read_states(path: str, cdir: str, manifest: dict, hp: HyperParams, n: int) 
 def write_archive(directory: str, chains: list[PosteriorSamples],
                   transform: PreprocessTransform | None = None,
                   extra: dict | None = None):
-    """Version-2 posterior archive: run manifest, optional transform and, per
+    """Version-3 posterior archive: run manifest, optional transform (``transform/``,
+    `write_arrays` of ``center_<t>`` and ``scale_<t>`` per view t) and, per
     ``chain_<id>/``, ``sweeps.json``, ``traces.csv`` and the stacks of
     `_write_snapshots` (``Z.npy``, ``W_1.npy``, ...), named in the manifest."""
     os.makedirs(directory, exist_ok=True)
@@ -368,7 +301,7 @@ def write_archive(directory: str, chains: list[PosteriorSamples],
         data_views.append({"name": name, "d": d, "l": l, "u_group": state.group_of.get(t)})
     manifest = {
         "format": "posterior-archive",
-        "version": 2,
+        "version": 3,
         "model": first.model,
         "hyperparams": asdict(first.hp),
         "n_chains": len(chains),
@@ -382,7 +315,10 @@ def write_archive(directory: str, chains: list[PosteriorSamples],
     if extra:
         manifest.update(extra)
     if transform is not None:
-        write_transform(os.path.join(directory, "transform.csv"), transform)
+        write_arrays(os.path.join(directory, "transform"), {
+            f"{kind}_{t}": a for kind, arrays in (("center", transform.centers),
+                                                  ("scale", transform.scales))
+            for t, a in enumerate(arrays)})
     for chain in chains:
         cdir = os.path.join(directory, f"chain_{chain.chain_id}")
         os.makedirs(cdir, exist_ok=True)
@@ -402,11 +338,12 @@ def read_archive(directory: str):
     reader uses (also in a view entry), or whose ``hyperparams`` are not
     ``HyperParams`` fields, ``chain_ids`` not a list of ints, ``trace_names`` not a
     list of strings or ``snapshot_stacks`` not a list of plain file names raises
-    ValueError, as does a bad stack (`_read_states`).  A preprocessed archive
-    without ``transform.csv`` raises FileNotFoundError: its predictions would stay
-    standardized."""
+    ValueError, as does a bad stack (`_read_states`) or transform array (`_load_npy`
+    of the view's (d, l)), or a ``traces.csv`` whose ``sweep`` column is not 1, 2,
+    ... in file order.  A preprocessed archive without ``transform/`` raises
+    FileNotFoundError: its predictions would stay standardized."""
     path = os.path.join(directory, "run_manifest.json")
-    manifest = _manifest(path, "posterior-archive")
+    manifest = _manifest(path, "posterior-archive", 3)
     _require(path, manifest, ("model", "hyperparams", "chain_ids", "views", "n_u_groups",
                               "trace_names", "snapshot_stacks"))
     _plain(path, manifest["snapshot_stacks"], "snapshot_stacks: ")
@@ -421,15 +358,23 @@ def read_archive(directory: str):
         raise ValueError(f"{path}: 'hyperparams' are not HyperParams fields ({err})") from None
     transform = None
     if manifest.get("preprocessed"):
-        shapes = [(m["d"], m["l"]) for m in manifest["views"]]
-        transform = read_transform(os.path.join(directory, "transform.csv"), shapes)
+        tdir = os.path.join(directory, "transform")
+        if not os.path.isdir(tdir):
+            raise FileNotFoundError(f"{tdir}: absent, so predictions would stay standardized")
+        transform = PreprocessTransform(*(
+            [_load_npy(os.path.join(tdir, f"{kind}_{t}.npy"), "float64", (m["d"], m["l"]))
+             for t, m in enumerate(manifest["views"])] for kind in ("center", "scale")))
     chains = []
     for cid in manifest["chain_ids"]:
         cdir = os.path.join(directory, f"chain_{cid}")
         sweeps = _json_load(os.path.join(cdir, "sweeps.json"))
         states = _read_states(path, cdir, manifest, hp, len(sweeps))
-        _, (_, *columns) = _read_table(os.path.join(cdir, "traces.csv"),
-                                       ["sweep"] + manifest["trace_names"])
+        tpath = os.path.join(cdir, "traces.csv")
+        sweep, *columns = _read_table(tpath, ["sweep"] + manifest["trace_names"])
+        bad = np.flatnonzero(sweep != np.arange(1, sweep.size + 1).astype(StringDType()))
+        if bad.size:
+            raise ValueError(f"{tpath}, row {bad[0] + 1}: sweep {sweep[bad[0]]}, "
+                             f"expected {bad[0] + 1}")
         traces = np.stack([c.astype(np.float64) for c in columns], axis=1)
         chains.append(PosteriorSamples(
             model=manifest["model"], states=states, sweeps=sweeps, chain_id=cid,

@@ -1,6 +1,8 @@
 import filecmp
 import json
 import os
+import re
+import shutil
 import subprocess
 import sys
 import time
@@ -312,10 +314,10 @@ class TestPredictCli:
     def test_archive_of_unknown_version_exit_2(self, continuum, tmp_path, capsys):
         sim, arch = continuum
         path = arch / "run_manifest.json"
-        path.write_text(path.read_text().replace('"version": 2', '"version": 3'))
+        path.write_text(path.read_text().replace('"version": 3', '"version": 4'))
         out = tmp_path / "pred.csv"
         assert run("predict", "--archive", arch, "--test", sim / "test", "--out", out) == 2
-        assert "run_manifest.json: not a posterior archive of version 2" \
+        assert "run_manifest.json: not a posterior archive of version 3" \
             in capsys.readouterr().err
         assert not out.exists()
 
@@ -323,23 +325,12 @@ class TestPredictCli:
     def test_version_1_input_exit_2(self, continuum, tmp_path, capsys, manifest):
         sim, arch = continuum
         path = (arch if manifest == "run_manifest" else sim / "test") / f"{manifest}.json"
-        path.write_text(path.read_text().replace('"version": 2', '"version": 1'))
+        path.write_text(re.sub(r'"version": \d', '"version": 1', path.read_text()))
         out = tmp_path / "pred.csv"
         assert run("predict", "--archive", arch, "--test", sim / "test", "--out", out) == 2
         what = "posterior archive" if manifest == "run_manifest" else "tensor collection"
         assert (f"{path.name}: a {what} of version 1, which is no longer read; re-simulate "
                 "or re-fit") in capsys.readouterr().err
-        assert not out.exists()
-
-    @pytest.mark.parametrize("row", ["0,5,0,0.5,2.0", "1,0,-1,0.5,2.0"])
-    def test_transform_index_out_of_range_exit_2(self, continuum, tmp_path, capsys, row):
-        sim, arch = continuum
-        with open(arch / "transform.csv", "a", newline="") as fh:
-            fh.write(row + "\r\n")
-        out = tmp_path / "pred.csv"
-        assert run("predict", "--archive", arch, "--test", sim / "test", "--out", out) == 2
-        bound = "feature 5 is outside [0, 5)" if row[0] == "0" else "slab -1 is outside [0, 4)"
-        assert f"transform.csv, row 30: {bound}" in capsys.readouterr().err
         assert not out.exists()
 
     def test_archive_manifest_without_key_exit_2(self, continuum, tmp_path, capsys):
@@ -371,11 +362,11 @@ class TestPredictCli:
 
     def test_preprocessed_archive_without_transform_exit_1(self, continuum, tmp_path, capsys):
         sim, arch = continuum
-        os.remove(arch / "transform.csv")
+        shutil.rmtree(arch / "transform")
         out = tmp_path / "pred.csv"
         assert run("predict", "--archive", arch, "--test", sim / "test",
                    "--truth", sim / "test_full", "--out", out) == 1
-        assert "transform.csv" in capsys.readouterr().err
+        assert "arch/transform: absent" in capsys.readouterr().err
         assert not out.exists()
 
     def test_gfa_prediction_roundtrips(self, continuum, tmp_path):
@@ -407,7 +398,10 @@ class TestDiagnoseAndReport:
         (lambda m: m.update(trace_names="log_joint"),
          "run_manifest.json: 'trace_names' is not a list of strings"),
         (lambda m: m.update(version=1), "run_manifest.json: a posterior archive of version 1, "
-                                        "which is no longer read; re-simulate or re-fit")])
+                                        "which is no longer read; re-simulate or re-fit"),
+        (lambda m: m.update(version=2), "run_manifest.json: a posterior archive of version 2, "
+                                        "which is no longer read; re-simulate or re-fit to "
+                                        "write version 3")])
     def test_diagnose_malformed_archive_exit_2(self, small_sim, tmp_path, capsys, edit, message):
         # these used to end in a KeyError or a TypeError
         arch = tmp_path / "arch"
@@ -472,6 +466,33 @@ class TestDiagnoseAndReport:
         capsys.readouterr()
         assert run("report", arch, "--truth", sim / "truth") == 0
         assert capsys.readouterr().out.endswith("archive,mean_abs_corr\n" f"{arch},\n")
+
+    @pytest.mark.parametrize("case", ["csv", "list", "outside"])
+    def test_report_bad_truth_exit_2(self, small_sim, tmp_path, capsys, case):
+        # an arrays.json of [1, 2] used to end in an AttributeError (exit 1), and
+        # the name ../outside_dir/secret to read a file beside the truth directory
+        truth, arch = small_sim / "truth", tmp_path / "arch"
+        assert run("fit", "--model", "mtf", *FIT_SMALL, "--seed", "28", small_sim, arch) == 0
+        meta = json.loads((truth / "arrays.json").read_text())
+        if case == "csv":  # the layout before .npy: one index-column table per array
+            for name, shape in meta.items():
+                values = np.load(truth / f"{name}.npy")
+                rows = [",".join([f"i{j}" for j in range(len(shape))] + ["value"])]
+                rows += [",".join([*map(str, i), repr(float(values[i]))])
+                         for i in np.ndindex(*shape)]
+                (truth / f"{name}.csv").write_text("\r\n".join(rows) + "\r\n")
+                os.remove(truth / f"{name}.npy")
+        else:
+            os.makedirs(small_sim / "outside_dir")
+            np.save(small_sim / "outside_dir" / "secret.npy", np.zeros(2))
+            meta = [1, 2] if case == "list" else {**meta, "../outside_dir/secret": [2]}
+            (truth / "arrays.json").write_text(json.dumps(meta))
+        capsys.readouterr()
+        assert run("report", arch, "--truth", truth) == 2
+        assert re.search({"csv": r"truth/h\.npy: expected float64 \(2, \d+\), found none",
+                          "list": r"truth/arrays\.json: not an object of shapes",
+                          "outside": r"truth/arrays\.json: '\.\./outside_dir/secret' is not a "
+                                     r"plain file name"}[case], capsys.readouterr().err)
 
     def test_report_mixed_models_rejected(self, small_sim, tmp_path):
         a1, a2 = tmp_path / "m", tmp_path / "r"

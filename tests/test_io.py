@@ -9,14 +9,14 @@ import numpy as np
 import pytest
 
 from mtfact import io as mio
-from mtfact.core import Collection, MaskedTensor3, Tensor3, center_and_normalize
+from mtfact.core import Collection, MaskedTensor3, PreprocessTransform, Tensor3
 from mtfact.dist import RngStream
 from mtfact.fitting import fit_model
 from mtfact.mtf import HyperParams, run_chain
 from mtfact.predict import PredictionResult, PredictionTask, two_stage_predict
 from mtfact.rmtf import RmtfState, rmtf_run_chain
 
-from conftest import make_collection, swap_index_columns
+from conftest import make_collection
 
 
 class TestCollectionRoundTrip:
@@ -49,15 +49,16 @@ class TestCollectionRoundTrip:
 
 class TestTransformRoundTrip:
     def test_roundtrip(self, tmp_path, rng):
-        c = make_collection(rng)
-        _, tr = center_and_normalize(c)
-        mio.write_transform(tmp_path / "t.csv", tr)
-        shapes = [ct.shape for ct in tr.centers]
-        back = mio.read_transform(tmp_path / "t.csv", shapes)
-        for a, b in zip(back.centers, tr.centers):
-            assert np.array_equal(a, b)
-        for a, b in zip(back.scales, tr.scales):
-            assert np.array_equal(a, b)
+        # through an archive, bit for bit: centers that hold nan, -0 and +-inf,
+        # and positive scales from the smallest subnormal to inf
+        chains, tr, extra = _archive("gfa", rng)
+        tr = PreprocessTransform(tuple(np.resize(EXTREMES, c.shape) for c in tr.centers),
+                                 tuple(np.resize(EXTREMES[EXTREMES > 0], s.shape)
+                                       for s in tr.scales))
+        mio.write_archive(tmp_path, chains, tr, extra)
+        back = mio.read_archive(tmp_path)[1]
+        for a, b in zip(back.centers + back.scales, tr.centers + tr.scales, strict=True):
+            assert _bits_equal(a, b)
 
 
 class TestArrays:
@@ -68,6 +69,25 @@ class TestArrays:
         back = mio.read_arrays(tmp_path / "arr")
         for k in arrays:
             assert np.array_equal(back[k], arrays[k])
+
+    @pytest.mark.parametrize("meta", [[1, 2], "a", {"a": 2}, {"a": [-1]}, {"a": [2.0]},
+                                      {"a": [True]}, {"a": ["2"]}])
+    def test_not_an_object_of_shapes_is_refused(self, tmp_path, meta):
+        # an arrays.json of [1, 2] used to end in an AttributeError
+        mio.write_arrays(tmp_path, {"a": np.zeros(2)})
+        (tmp_path / "arrays.json").write_text(json.dumps(meta))
+        with pytest.raises(ValueError, match=r"arrays\.json: not an object of shapes"):
+            mio.read_arrays(tmp_path)
+
+    @pytest.mark.parametrize("name", ["../outside_dir/secret", "sub/a", "/tmp/a", "..", ".", ""])
+    def test_name_outside_the_directory_is_refused(self, tmp_path, name):
+        # the name ../outside_dir/secret used to read a file beside the directory
+        mio.write_arrays(tmp_path / "outside_dir", {"secret": np.zeros(2)})
+        mio.write_arrays(tmp_path / "arr", {"a": np.zeros(2)})
+        (tmp_path / "arr" / "arrays.json").write_text(json.dumps({name: [2]}))
+        with pytest.raises(ValueError, match=rf"arrays\.json: {re.escape(repr(name))} is not a "
+                                             r"plain file name"):
+            mio.read_arrays(tmp_path / "arr")
 
 
 def _hp(**kw):
@@ -137,8 +157,8 @@ class TestArchiveRoundTrip:
     def test_preprocessed_archive_without_transform_raises(self, tmp_path, rng):
         chains, transform, extra = _archive("gfa", rng)
         mio.write_archive(tmp_path / "arch", chains, transform, extra=extra)
-        os.remove(tmp_path / "arch" / "transform.csv")
-        with pytest.raises(FileNotFoundError, match="transform.csv"):
+        shutil.rmtree(tmp_path / "arch" / "transform")
+        with pytest.raises(FileNotFoundError, match="arch/transform: absent"):
             mio.read_archive(tmp_path / "arch")
 
 
@@ -186,24 +206,14 @@ class TestPredictionReport:
 
 
 # ---------------------------------------------------------------------------
-# The on-disk format, pinned: the writers as they were before the columnar
-# table codec, one csv row per entry, kept as the reference for every CSV and
-# JSON file.  Every writer must produce their bytes (an archive's .npy stacks
-# and its manifest's "snapshot_stacks" aside), and every reader must read the
-# files back bit exactly.
+# The on-disk format, pinned: reference writers, the CSV tables as they were
+# before the columnar table codec, one csv row per entry.  Every writer must
+# produce their bytes (an archive's snapshot stacks and its manifest's
+# "snapshot_stacks" aside), and every reader must read the files back bit
+# exactly.
 
 def _ref_f(x):
     return "%.17g" % x
-
-
-def ref_write_transform(path, transform):
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["view", "feature", "slab", "center", "scale"])
-        for t, (c, s) in enumerate(zip(transform.centers, transform.scales)):
-            for d in range(c.shape[0]):
-                for l in range(c.shape[1]):
-                    w.writerow([t, d, l, _ref_f(c[d, l]), _ref_f(s[d, l])])
 
 
 def ref_write_arrays(directory, arrays):
@@ -211,12 +221,7 @@ def ref_write_arrays(directory, arrays):
     mio._json_dump(os.path.join(directory, "arrays.json"),
                    {name: list(np.asarray(a).shape) for name, a in arrays.items()})
     for name, arr in arrays.items():
-        arr = np.asarray(arr)
-        with open(os.path.join(directory, f"{name}.csv"), "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow([f"i{j}" for j in range(arr.ndim)] + ["value"])
-            for idx in np.ndindex(*arr.shape):
-                w.writerow(list(idx) + [_ref_f(arr[idx])])
+        np.save(os.path.join(directory, f"{name}.npy"), np.asarray(arr).astype(np.float64))
 
 
 def ref_write_archive(directory, chains, transform=None, extra=None):
@@ -234,7 +239,7 @@ def ref_write_archive(directory, chains, transform=None, extra=None):
             l = state.u_for_view(t).shape[0] if t in state.group_of else 1
         data_views.append({"name": name, "d": d, "l": l, "u_group": state.group_of.get(t)})
     manifest = {
-        "format": "posterior-archive", "version": 2, "model": first.model,
+        "format": "posterior-archive", "version": 3, "model": first.model,
         "hyperparams": asdict(first.hp), "n_chains": len(chains),
         "chain_ids": [c.chain_id for c in chains], "views": data_views,
         "n_u_groups": len(state.U), "trace_names": first.trace_names,
@@ -244,7 +249,9 @@ def ref_write_archive(directory, chains, transform=None, extra=None):
         manifest.update(extra)
     mio._json_dump(os.path.join(directory, "run_manifest.json"), manifest)
     if transform is not None:
-        ref_write_transform(os.path.join(directory, "transform.csv"), transform)
+        ref_write_arrays(os.path.join(directory, "transform"),
+                         {**{f"center_{t}": c for t, c in enumerate(transform.centers)},
+                          **{f"scale_{t}": s for t, s in enumerate(transform.scales)}})
     for chain in chains:
         cdir = os.path.join(directory, f"chain_{chain.chain_id}")
         os.makedirs(cdir, exist_ok=True)
@@ -380,24 +387,18 @@ class TestOnDiskFormatPinned:
                 for name, d in (("a", 3), ("b", 2))]}
         _assert_collections_bit_equal(mio.read_collection(tmp_path), c)
 
-    def test_transform_bytes(self, tmp_path, rng):
-        _, tr = center_and_normalize(make_collection(rng))
-        ref_write_transform(tmp_path / "ref.csv", tr)
-        mio.write_transform(tmp_path / "new.csv", tr)
-        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
-
     def test_arrays_bytes_and_reads(self, tmp_path, rng):
+        # one float64 .npy per array, named with its shape in arrays.json
         arrays = {"scalar": np.float64(-0.0), "vec": EXTREMES,
                   "cube": np.concatenate([EXTREMES, rng.standard_normal(15)]).reshape(2, 3, 4),
                   "ints": np.arange(6).reshape(2, 3), "flags": np.array([True, False])}
         ref_write_arrays(tmp_path / "ref", arrays)
         mio.write_arrays(tmp_path / "new", arrays)
         assert _tree(tmp_path / "new") == _tree(tmp_path / "ref")
+        assert set(_tree(tmp_path / "new")) == {"arrays.json"} | {f"{a}.npy" for a in arrays}
         back = mio.read_arrays(tmp_path / "ref")
         for name, a in arrays.items():
-            assert _bits_equal(back[name], a), name
-            assert _bits_equal(mio.read_array(tmp_path / "ref" / f"{name}.csv", np.shape(a)),
-                               a), name
+            assert _bits_equal(back[name], a) and back[name].dtype == np.float64, name
 
     @pytest.mark.parametrize("which", ARCHIVES)
     def test_archive_bytes_and_reads(self, tmp_path, rng, which):
@@ -409,7 +410,7 @@ class TestOnDiskFormatPinned:
         ref_write_archive(tmp_path / "ref", chains, transform, extra)
         mio.write_archive(tmp_path / "new", chains, transform, extra)
         ref, new = _tree(tmp_path / "ref"), _tree(tmp_path / "new")
-        stacks = {p for p in new if p.endswith(".npy")}
+        stacks = {p for p in new if p.startswith("chain_") and p.endswith(".npy")}
         assert new.keys() - ref.keys() == stacks and ref.keys() <= new.keys()
         assert all(new[p] == ref[p] for p in ref.keys() - {"run_manifest.json"})
         back, tr, manifest = mio.read_archive(tmp_path / "new")
@@ -458,30 +459,6 @@ def _assert_collections_bit_equal(a, b):
         assert _bits_equal(va.values, vb.values)
 
 
-def _shuffle_rows(path, seed):
-    with open(path, newline="") as fh:
-        header, *rows = fh.read().splitlines(keepends=True)
-    order = np.random.default_rng(seed).permutation(len(rows))
-    with open(path, "w", newline="") as fh:
-        fh.write(header + "".join(rows[i] for i in order))
-
-
-class TestRowsInAnyOrder:
-    def test_array_file(self, tmp_path, rng):
-        cube = rng.standard_normal((3, 4, 2))
-        mio.write_arrays(tmp_path, {"x": cube})
-        _shuffle_rows(tmp_path / "x.csv", 1)
-        assert _bits_equal(mio.read_arrays(tmp_path)["x"], cube)
-
-    def test_transform(self, tmp_path, rng):
-        _, tr = center_and_normalize(make_collection(rng))
-        mio.write_transform(tmp_path / "t.csv", tr)
-        _shuffle_rows(tmp_path / "t.csv", 2)
-        back = mio.read_transform(tmp_path / "t.csv", [c.shape for c in tr.centers])
-        for a, b in zip(back.centers + back.scales, tr.centers + tr.scales, strict=True):
-            assert _bits_equal(a, b)
-
-
 def _with_row(path, row):
     """Append one data row to a table file."""
     with open(path, "a", newline="") as fh:
@@ -489,66 +466,38 @@ def _with_row(path, row):
 
 
 class TestBadIndices:
-    def _array_with_row(self, tmp_path, row):
-        mio.write_arrays(tmp_path, {"x": np.arange(12.0).reshape(3, 2, 2)})
-        _with_row(tmp_path / "x.csv", row)
-        return tmp_path
-
-    @pytest.mark.parametrize("row, field", [("-1,0,0,5.0", "i0 -1"), ("3,0,0,5.0", "i0 3"),
-                                            ("0,2,0,5.0", "i1 2"), ("0,0,-2,5.0", "i2 -2")])
-    def test_array_index_out_of_range_names_file_and_row(self, tmp_path, row, field):
-        d = self._array_with_row(tmp_path, row)
-        with pytest.raises(ValueError, match=rf"x\.csv, row 13: {field} is outside"):
-            mio.read_arrays(d)
-
-    @pytest.mark.parametrize("row, message", [
-        ("0,5,0,0.5,2.0", r"feature 5 is outside \[0, 5\)"),
-        ("1,0,-1,0.5,2.0", r"slab -1 is outside \[0, 4\)"),
-        ("2,0,0,0.5,2.0", r"view 2 is outside \[0, 2\)")])
-    def test_transform_index_out_of_range_names_file_and_row(self, tmp_path, rng, row,
-                                                             message):
-        # the bound is the row's view's: feature 5 is in range for view 1 (D = 6)
-        _, tr = center_and_normalize(make_collection(rng))
-        mio.write_transform(tmp_path / "t.csv", tr)
-        _with_row(tmp_path / "t.csv", row)
-        _with_row(tmp_path / "t.csv", "1,5,0,0.5,2.0")
-        with pytest.raises(ValueError, match=rf"t\.csv, row 30: {message}"):
-            mio.read_transform(tmp_path / "t.csv", [c.shape for c in tr.centers])
+    """Rows of a chain's ``traces.csv``: one field per column, and the sweep
+    index 1, 2, ... in file order."""
 
     @pytest.mark.parametrize("row", ["0,0,5.0", "0,0,0,5.0,1"])
-    def test_ragged_row(self, tmp_path, row):
-        d = self._array_with_row(tmp_path, row)
-        with pytest.raises(ValueError, match=r"x\.csv, row 13: expected 4 fields"):
-            mio.read_arrays(d)
+    def test_ragged_row(self, tmp_path, rng, row):
+        mio.write_archive(tmp_path, _archive("mtf", rng)[0])
+        path = tmp_path / "chain_1" / "traces.csv"
+        _with_row(path, row)
+        with pytest.raises(ValueError, match=r"chain_1/traces\.csv, row 10: expected 4 fields"):
+            mio.read_archive(tmp_path)
+
+    @pytest.mark.parametrize("order", ["reversed", "swapped", "renumbered"])
+    def test_rows_out_of_sweep_order_are_refused(self, tmp_path, rng, order):
+        # reversed rows used to read back as a reversed trace
+        mio.write_archive(tmp_path, _archive("mtf", rng)[0])
+        path = tmp_path / "chain_1" / "traces.csv"
+        header, *rows = path.read_text().splitlines(keepends=True)
+        if order == "reversed":
+            rows.reverse()
+        elif order == "swapped":
+            rows[3:5] = rows[4:2:-1]
+        else:
+            rows[3] = "7" + rows[3][1:]
+        path.write_text(header + "".join(rows))
+        want = {"reversed": "row 1: sweep 9, expected 1", "swapped": "row 4: sweep 5, expected 4",
+                "renumbered": "row 4: sweep 7, expected 4"}[order]
+        with pytest.raises(ValueError, match=rf"chain_1/traces\.csv, {want}"):
+            mio.read_archive(tmp_path)
 
 
 class TestHeaders:
     """A table whose header is not the one its writer writes is refused."""
-
-    def test_empty_array_file(self, tmp_path, rng):
-        mio.write_arrays(tmp_path, {"a": rng.standard_normal((2, 3))})
-        (tmp_path / "a.csv").write_bytes(b"")
-        with pytest.raises(ValueError, match=r"a\.csv: expected the header i0,i1,value, "
-                                             r"found none"):
-            mio.read_arrays(tmp_path)
-
-    def test_swapped_index_columns(self, tmp_path, rng):
-        # refused by its header, before any index is read
-        _, tr = center_and_normalize(make_collection(rng))
-        mio.write_transform(tmp_path / "t.csv", tr)
-        swap_index_columns(tmp_path / "t.csv")
-        with pytest.raises(ValueError, match=r"t\.csv: expected the header view,feature,slab,"
-                                             r"center,scale, found feature,view,slab,"):
-            mio.read_transform(tmp_path / "t.csv", [c.shape for c in tr.centers])
-
-    def test_array_file(self, tmp_path, rng):
-        mio.write_arrays(tmp_path, {"a": rng.standard_normal((2, 3))})
-        swap_index_columns(tmp_path / "a.csv")
-        for read in (lambda: mio.read_arrays(tmp_path),
-                     lambda: mio.read_array(tmp_path / "a.csv", (2, 3))):
-            with pytest.raises(ValueError, match=r"a\.csv: expected the header i0,i1,value, "
-                                                 r"found i1,i0,value"):
-                read()
 
     def test_traces_file(self, tmp_path, rng):
         # the trace names are columns in the manifest's order
@@ -566,13 +515,15 @@ class TestHeaders:
 # archives
 
 
-# The format versions the readers read.  The tests of a manifest's checks are
-# parametrized by it, so that each test id names the version it checks.
+# The format versions the readers read: collections and archives.  The tests
+# of a manifest's checks are parametrized by them, so that each test id names
+# the version it checks.
 VERSIONS = [2]
+ARCHIVE_VERSIONS = [3]
 
 
 class TestArchiveVersions:
-    @pytest.mark.parametrize("key, value", [("format", "tensor-collection"), ("version", 3),
+    @pytest.mark.parametrize("key, value", [("format", "tensor-collection"), ("version", 4),
                                             ("version", None)])
     def test_unknown_format_or_version_is_refused(self, tmp_path, rng, key, value):
         chains, _, _ = _archive("mtf", rng)
@@ -582,7 +533,15 @@ class TestArchiveVersions:
         manifest[key] = value
         path.write_text(json.dumps(manifest))
         with pytest.raises(ValueError, match=r"run_manifest\.json: not a posterior archive "
-                                             r"of version 2"):
+                                             r"of version 3"):
+            mio.read_archive(tmp_path)
+
+    def test_version_2_archive_is_refused(self, tmp_path, rng):
+        # version 2 kept its transform as an index-column CSV table
+        self._edited_manifest(tmp_path, rng, lambda m: m.update(version=2))
+        with pytest.raises(ValueError, match=r"run_manifest\.json: a posterior archive of "
+                                             r"version 2, which is no longer read; re-simulate "
+                                             r"or re-fit to write version 3"):
             mio.read_archive(tmp_path)
 
     @pytest.mark.parametrize("case", ["missing", "float32", "snapshot_added", "snapshot_dropped"])
@@ -628,7 +587,7 @@ class TestArchiveVersions:
             mio.read_archive(tmp_path)
 
     @staticmethod
-    def _edited_manifest(tmp_path, rng, edit, version=2):
+    def _edited_manifest(tmp_path, rng, edit, version=3):
         """An MTF archive of ``version`` in tmp_path whose manifest ``edit`` has
         changed in place."""
         mio.write_archive(tmp_path, _archive("mtf", rng)[0])
@@ -639,14 +598,15 @@ class TestArchiveVersions:
         path.write_text(json.dumps(manifest))
 
     @pytest.mark.parametrize("version, key", [
-        (v, key) for v in VERSIONS for key in ("model", "hyperparams", "chain_ids", "views",
-                                               "n_u_groups", "trace_names", "snapshot_stacks")])
+        (v, key) for v in ARCHIVE_VERSIONS
+        for key in ("model", "hyperparams", "chain_ids", "views", "n_u_groups", "trace_names",
+                    "snapshot_stacks")])
     def test_manifest_without_key_names_it(self, tmp_path, rng, version, key):
         self._edited_manifest(tmp_path, rng, lambda m: m.pop(key), version)
         with pytest.raises(ValueError, match=rf"run_manifest\.json: no '{key}'"):
             mio.read_archive(tmp_path)
 
-    @pytest.mark.parametrize("version", VERSIONS)
+    @pytest.mark.parametrize("version", ARCHIVE_VERSIONS)
     @pytest.mark.parametrize("key", ["name", "d", "l", "u_group"])
     def test_view_entry_without_key_names_it(self, tmp_path, rng, version, key):
         # it used to end in a KeyError
@@ -654,7 +614,7 @@ class TestArchiveVersions:
         with pytest.raises(ValueError, match=rf"run_manifest\.json: view 1: no '{key}'"):
             mio.read_archive(tmp_path)
 
-    @pytest.mark.parametrize("version", VERSIONS)
+    @pytest.mark.parametrize("version", ARCHIVE_VERSIONS)
     def test_manifest_hyperparams_not_fields_refused(self, tmp_path, rng, version):
         self._edited_manifest(tmp_path, rng, lambda m: m["hyperparams"].update(n_sweeps=10),
                               version)
@@ -673,7 +633,7 @@ class TestArchiveVersions:
                                              rf"{re.escape(repr(name))} is not a plain file name"):
             mio.read_archive(tmp_path / "arch")
 
-    @pytest.mark.parametrize("version", VERSIONS)
+    @pytest.mark.parametrize("version", ARCHIVE_VERSIONS)
     @pytest.mark.parametrize("cid", ["0", "../x", 0.0, True, None])
     def test_chain_id_not_an_int_is_refused(self, tmp_path, rng, version, cid):
         self._edited_manifest(tmp_path, rng, lambda m: m["chain_ids"].__setitem__(0, cid),
@@ -729,8 +689,8 @@ class TestManifestShape:
     def test_not_an_object(self, tmp_path, rng, reader, manifest, text):
         self._written(tmp_path, rng, reader)
         (tmp_path / manifest).write_text(text)
-        with pytest.raises(ValueError, match=rf"{re.escape(manifest)}: not a (tensor collection"
-                                             r"|posterior archive) of version 2"):
+        with pytest.raises(ValueError, match=rf"{re.escape(manifest)}: not a (tensor collection "
+                                             r"of version 2|posterior archive of version 3)"):
             reader(tmp_path)
 
     @pytest.mark.parametrize("views", [{"a": 1}, "ab", 3, [1], [[]], [None]])
@@ -797,32 +757,47 @@ class TestCollectionVersions:
         with pytest.raises(ValueError, match="tensor entries must be finite"):
             mio.read_collection(tmp_path)
 
-    @pytest.mark.parametrize("array", ["values", "observed"])
-    @pytest.mark.parametrize("case", ["missing", "dtype", "shape"])
-    def test_bad_array_names_its_file(self, tmp_path, array, case):
+    @staticmethod
+    def _written(tmp_path, rng, array):
+        """(path, reader) of one array file of a directory written in tmp_path:
+        view b's values or mask of `_grouped_collection`, a truth array, or a
+        transform array of a gfa archive."""
+        if array == "truth":
+            mio.write_arrays(tmp_path, {"a": rng.standard_normal(3),
+                                        "b": rng.standard_normal((4, 2, 2))})
+            return tmp_path / "b.npy", mio.read_arrays
+        if array == "transform":
+            mio.write_archive(tmp_path, *_archive("gfa", rng))
+            return tmp_path / "transform" / "scale_1.npy", mio.read_archive
         mio.write_collection(tmp_path, _grouped_collection())
-        path = tmp_path / f"b.{array}.npy"
+        return tmp_path / f"b.{array}.npy", mio.read_collection
+
+    @pytest.mark.parametrize("array", ["values", "observed", "truth", "transform"])
+    @pytest.mark.parametrize("case", ["missing", "dtype", "shape"])
+    def test_bad_array_names_its_file(self, tmp_path, rng, array, case):
+        path, read = self._written(tmp_path, rng, array)
         arr = np.load(path)
         if case == "missing":
             os.remove(path)
         elif case == "dtype":
-            np.save(path, np.ones(arr.shape, np.float32 if array == "values" else np.uint8))
+            np.save(path, np.ones(arr.shape, np.uint8 if array == "observed" else np.float32))
         else:
-            np.save(path, arr[:, :, :1])
-        want = "float64" if array == "values" else "bool"
-        found = {"missing": "none", "dtype": "float32" if array == "values" else "uint8",
-                 "shape": rf"{want} \(4, 2, 1\)"}[case]
-        with pytest.raises(ValueError, match=rf"b\.{array}\.npy: expected {want} "
-                                             rf"\(4, 2, 2\), found {found}"):
-            mio.read_collection(tmp_path)
+            np.save(path, arr[..., :-1])
+        want = "bool" if array == "observed" else "float64"
+        found = {"missing": "none", "dtype": "uint8" if array == "observed" else "float32",
+                 "shape": re.escape(f"{want} {arr[..., :-1].shape}")}[case]
+        with pytest.raises(ValueError, match=rf"{re.escape(path.name)}: expected {want} "
+                                             rf"{re.escape(str(arr.shape))}, found {found}"):
+            read(tmp_path)
 
-    @pytest.mark.parametrize("array", ["values", "observed"])
+    @pytest.mark.parametrize("array", ["values", "observed", "truth", "transform"])
     @pytest.mark.parametrize("case", ["truncated", "pickled"])
-    def test_unreadable_array_names_its_file(self, tmp_path, array, case):
-        mio.write_collection(tmp_path, _grouped_collection())
-        damage_npy(tmp_path / f"b.{array}.npy", case)
-        with pytest.raises(ValueError, match=rf"b\.{array}\.npy: not a readable \.npy file"):
-            mio.read_collection(tmp_path)
+    def test_unreadable_array_names_its_file(self, tmp_path, rng, array, case):
+        path, read = self._written(tmp_path, rng, array)
+        damage_npy(path, case)
+        with pytest.raises(ValueError, match=rf"{re.escape(path.name)}: not a readable "
+                                             r"\.npy file"):
+            read(tmp_path)
 
     @staticmethod
     def _edited_manifest(tmp_path, edit, version=2):
